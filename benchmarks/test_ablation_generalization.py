@@ -10,7 +10,7 @@ independently seeded cohort, and measure the transfer gap.
 import numpy as np
 
 from repro.core import DetectionPipeline, build_observations
-from repro.core.device_features import device_feature_vector
+from repro.core.device_features import device_feature_matrix
 from repro.experiments.common import ExperimentReport
 from repro.ml.metrics import classification_report
 from repro.reporting import render_table
@@ -34,11 +34,8 @@ def test_ablation_cross_cohort(benchmark, workbench, pipeline_result, emit):
     suspiciousness = DetectionPipeline.score_devices(
         deploy_data, observations, app_model
     )
-    X = np.vstack(
-        [
-            device_feature_vector(obs, suspiciousness.get(obs.install_id, 0.0))
-            for obs in observations
-        ]
+    X = device_feature_matrix(
+        observations, [suspiciousness.get(obs.install_id, 0.0) for obs in observations]
     )
     y = np.array([int(obs.is_worker) for obs in observations])
     y_pred = device_model.predict(X)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from repro.core import DetectionPipeline, build_observations
-from repro.core.device_features import device_feature_vector
+from repro.core.device_features import device_feature_matrix
 from repro.core.pipeline import DetectionPipeline as _Pipeline
 from repro.core.thresholds import sweep_operating_points, threshold_for_fpr
 from repro.ml.calibration import IsotonicCalibrator
@@ -27,11 +27,10 @@ from repro.simulation import SimulationConfig, run_study
 
 def device_scores(result, data, observations) -> np.ndarray:
     suspiciousness = _Pipeline.score_devices(data, observations, result.app_model)
-    rows = [
-        device_feature_vector(obs, suspiciousness.get(obs.install_id, 0.0))
-        for obs in observations
-    ]
-    proba = result.device_model.predict_proba(np.vstack(rows))
+    X = device_feature_matrix(
+        observations, [suspiciousness.get(obs.install_id, 0.0) for obs in observations]
+    )
+    proba = result.device_model.predict_proba(X)
     worker_col = int(np.nonzero(result.device_model._model.classes_ == 1)[0][0])
     return proba[:, worker_col]
 

@@ -12,12 +12,11 @@ Commands
 ``export-figures``  write the raw series behind each figure as CSV
 ``profile``     run a full study + report with tracing on; print the
                 span-tree timing report and the top-N slowest spans
-``bench``       speedup/determinism suites: ``ml`` (CV/forest/KNN serial
-                vs parallel -> BENCH_ml.json), ``data`` (columnar data
-                plane vs dict backend -> BENCH_data.json), ``lint``
-                (serial vs parallel statan analysis -> BENCH_lint.json),
-                ``sim`` (serial vs sharded day phases ->
-                BENCH_sim.json), or ``all``
+``bench``       speedup/determinism suites: ``ml`` (CV/forest serial vs
+                parallel -> BENCH_ml.json), ``lint`` (serial vs parallel
+                statan analysis -> BENCH_lint.json), ``sim`` (serial vs
+                sharded day phases -> BENCH_sim.json), or ``all``; the
+                end-to-end, per-layer benchmark is ``bench/run.py``
 ``chaos``       fault-injection gate: run the same seeded study under a
                 clean plan and escalating fault plans (loss, corruption,
                 ack loss, receive crashes, store rejections, overload)
@@ -124,12 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="speedup/determinism benchmarks; writes BENCH_<suite>.json",
     )
     bench.add_argument(
-        "suite", nargs="?", choices=("ml", "data", "lint", "sim", "all"),
+        "suite", nargs="?", choices=("ml", "lint", "sim", "all"),
         default="ml",
-        help="ml: serial-vs-parallel ML workloads; data: columnar "
-        "data plane vs dict backend; lint: serial-vs-parallel statan "
-        "analysis; sim: serial-vs-sharded simulation day phases; "
-        "all: every suite (default: ml)",
+        help="ml: serial-vs-parallel ML workloads; lint: "
+        "serial-vs-parallel statan analysis; sim: serial-vs-sharded "
+        "simulation day phases; all: every suite (default: ml)",
     )
     bench.add_argument(
         "--smoke", action="store_true",
@@ -137,13 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--out", default=None,
-        help="output path (default: BENCH_ml.json / BENCH_data.json; "
-        "only valid for a single suite)",
+        help="output path (default: BENCH_<suite>.json; only valid "
+        "for a single suite)",
     )
     bench.add_argument(
         "--baseline", default=None,
-        help="data/sim suites: speedup-floor file for the regression "
-        "gate (default: bench-baseline.json when --smoke; skipped if "
+        help="sim suite: speedup-floor file for the regression gate "
+        "(default: bench-baseline.json when --smoke; skipped if "
         "missing)",
     )
 
@@ -354,7 +352,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .benchmark import run_bench, run_data_bench, run_lint_bench, run_sim_bench
+    from .benchmark import run_bench, run_lint_bench, run_sim_bench
 
     seed = args.seed if args.seed is not None else 0
     if args.suite == "all" and args.out is not None:
@@ -367,13 +365,6 @@ def _cmd_bench(args) -> int:
             n_jobs=args.n_jobs,
             smoke=args.smoke,
             out=args.out or "BENCH_ml.json",
-        )
-    if args.suite in ("data", "all"):
-        code |= run_data_bench(
-            seed=seed,
-            smoke=args.smoke,
-            out=args.out or "BENCH_data.json",
-            baseline=args.baseline,
         )
     if args.suite in ("lint", "all"):
         code |= run_lint_bench(

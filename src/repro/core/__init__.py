@@ -12,8 +12,7 @@ from .app_classifier import (
 from .app_features import (
     APP_FEATURE_NAMES,
     NEVER_REVIEWED_SENTINEL_DAYS,
-    app_feature_vector,
-    extract_app_features,
+    app_feature_matrix,
 )
 from .baselines import (
     BaselineVerdict,
@@ -34,11 +33,7 @@ from .device_classifier import (
     DeviceClassifierEvaluation,
     evaluate_device_algorithms,
 )
-from .device_features import (
-    DEVICE_FEATURE_NAMES,
-    device_feature_vector,
-    extract_device_features,
-)
+from .device_features import DEVICE_FEATURE_NAMES, device_feature_matrix
 from .labeling import LabelingConfig, LabelingResult, label_apps, split_holdout
 from .model_io import export_detector, import_detector
 from .observations import DeviceObservation, build_observations
@@ -65,8 +60,7 @@ __all__ = [
     "evaluate_baseline_on_devices",
     "export_detector",
     "import_detector",
-    "app_feature_vector",
-    "extract_app_features",
+    "app_feature_matrix",
     "AppDataset",
     "AppInstance",
     "DeviceDataset",
@@ -77,8 +71,7 @@ __all__ = [
     "DeviceClassifierEvaluation",
     "evaluate_device_algorithms",
     "DEVICE_FEATURE_NAMES",
-    "device_feature_vector",
-    "extract_device_features",
+    "device_feature_matrix",
     "LabelingConfig",
     "LabelingResult",
     "label_apps",

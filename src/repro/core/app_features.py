@@ -43,8 +43,6 @@ NEVER_REVIEWED_SENTINEL_DAYS = 999.0
 __all__ = [
     "APP_FEATURE_NAMES",
     "NEVER_REVIEWED_SENTINEL_DAYS",
-    "extract_app_features",
-    "app_feature_vector",
     "app_feature_matrix",
 ]
 
@@ -72,118 +70,6 @@ APP_FEATURE_NAMES: tuple[str, ...] = (
 )
 
 
-def _mean_or_sentinel(values: list[float]) -> float:
-    return float(np.mean(values)) if values else NEVER_REVIEWED_SENTINEL_DAYS
-
-
-def _min_or_sentinel(values: list[float]) -> float:
-    return float(min(values)) if values else NEVER_REVIEWED_SENTINEL_DAYS
-
-
-def extract_app_features(
-    obs: DeviceObservation,
-    package: str,
-    catalog: Catalog,
-    vt_client: VirusTotalClient | None = None,
-) -> dict[str, float]:
-    """Feature dict for one (app, device) instance."""
-    reviews = obs.reviews_for_app(package)
-    start, end = obs.installed_at, obs.uninstalled_at
-
-    before = {r.google_id for r in reviews if r.timestamp < start}
-    during = {r.google_id for r in reviews if start <= r.timestamp <= end}
-    after = {r.google_id for r in reviews if r.timestamp > end}
-
-    # (2) install-to-review.
-    i2r = obs.install_to_review_days(package)
-
-    # (3) inter-review gaps.
-    timestamps = sorted(r.timestamp for r in reviews)
-    gaps = [
-        (b - a) / SECONDS_PER_DAY for a, b in zip(timestamps, timestamps[1:])
-    ]
-
-    # (4)/(5) usage.
-    days_used = obs.foreground_days.get(package, set())
-    onscreen = obs.foreground_snapshots.get(package, 0)
-
-    # (7) inner retention: overlap of the app's installed interval with
-    # the RacketStore observation window.
-    install_time = obs.install_times.get(package)
-    uninstall_events = [
-        e["timestamp"]
-        for e in obs.app_changes
-        if e["action"] == "uninstall" and e["package"] == package
-    ]
-    if install_time is None:
-        retention_days = math.nan
-        spans_window = 0.0
-    else:
-        seen_from = max(install_time, start)
-        seen_to = min(uninstall_events[-1], end) if uninstall_events else end
-        retention_days = max(0.0, (seen_to - seen_from) / SECONDS_PER_DAY)
-        spans_window = float(install_time <= start and not uninstall_events)
-
-    # (8)/(9) permissions: requested from the Play listing, granted and
-    # denied from the device-side records.
-    if package in catalog:
-        profile = catalog.get(package).permissions
-        n_normal, n_dangerous = len(profile.normal), len(profile.dangerous)
-    else:
-        n_normal = n_dangerous = 0
-    granted = denied = 0
-    for app_info in obs.initial_apps:
-        if app_info["package"] == package:
-            granted, denied = app_info["n_granted"], app_info["n_denied"]
-            break
-    else:
-        for event in obs.app_changes:
-            if event["action"] == "install" and event["package"] == package:
-                granted, denied = event.get("n_granted", 0), event.get("n_denied", 0)
-
-    # (10) VirusTotal flags.
-    apk_hash = obs.apk_hashes.get(package)
-    vt_flags = (
-        float(vt_client.positives(apk_hash))
-        if vt_client is not None and apk_hash
-        else 0.0
-    )
-
-    return {
-        "accounts_reviewed_before": float(len(before)),
-        "accounts_reviewed_during": float(len(during)),
-        "accounts_reviewed_after": float(len(after)),
-        "accounts_reviewed_total": float(len(before | during | after)),
-        "install_to_review_mean_days": _mean_or_sentinel(i2r),
-        "install_to_review_min_days": _min_or_sentinel(i2r),
-        "inter_review_mean_days": _mean_or_sentinel(gaps),
-        "inter_review_min_days": _min_or_sentinel(gaps),
-        "opened_multiple_days": float(len(days_used) > 1),
-        "onscreen_snapshots_per_day": onscreen / max(obs.active_days, 1),
-        "device_snapshots_per_day": obs.snapshots_per_day,
-        "inner_retention_days": retention_days,
-        "spans_study_window": spans_window,
-        "n_normal_permissions": float(n_normal),
-        "n_dangerous_permissions": float(n_dangerous),
-        "n_permissions_granted": float(granted),
-        "n_permissions_denied": float(denied),
-        "vt_flags": vt_flags,
-        "n_install_events": float(obs.install_event_counts.get(package, 0)),
-        "n_uninstall_events": float(obs.uninstall_event_counts.get(package, 0)),
-    }
-
-
-def app_feature_vector(
-    obs: DeviceObservation,
-    package: str,
-    catalog: Catalog,
-    vt_client: VirusTotalClient | None = None,
-) -> np.ndarray:
-    """Feature dict flattened into the canonical APP_FEATURE_NAMES order."""
-    features = extract_app_features(obs, package, catalog, vt_client)
-    return np.array([features[name] for name in APP_FEATURE_NAMES], dtype=np.float64)
-
-
 _COLUMN = {name: i for i, name in enumerate(APP_FEATURE_NAMES)}
 
 
@@ -193,16 +79,18 @@ def app_feature_matrix(
     catalog: Catalog,
     vt_client: VirusTotalClient | None = None,
 ) -> np.ndarray:
-    """All of a device's (app, device) feature rows in one pass.
+    """All of a device's (app, device) feature rows in one pass, one
+    row per package in ``packages`` order, columns in
+    :data:`APP_FEATURE_NAMES` order.
 
-    Byte-identical to stacking :func:`app_feature_vector` over
-    ``packages`` (the DESIGN.md §9 contract): every float is produced
-    by the same IEEE operations on the same operands in the same order.
-    The speedup comes from hoisting the per-device work the scalar path
-    repeats per row — the ``initial_apps`` permission scan and
-    ``app_changes`` scans collapse into single-pass lookup tables, the
-    review-gap statistics run on numpy slices, and retention windows,
-    usage rates and event counts fill whole columns at once.
+    Byte-identical to stacking the per-(app, device) scalar extractor
+    in ``tests/oracles.py`` (the DESIGN.md §9 contract): every float is
+    produced by the same IEEE operations on the same operands in the
+    same order.  Per-device work is hoisted out of the per-row loop —
+    the ``initial_apps`` permission scan and ``app_changes`` scans
+    collapse into single-pass lookup tables, the review-gap statistics
+    run on numpy slices, and retention windows, usage rates and event
+    counts fill whole columns at once.
     """
     n = len(packages)
     M = np.empty((n, len(APP_FEATURE_NAMES)), dtype=np.float64)
@@ -212,9 +100,8 @@ def app_feature_matrix(
     active_days = max(obs.active_days, 1)
 
     # -- single-pass lookup tables over the device's records ------------
-    # First initial_apps entry per package (the scalar path's
-    # first-match linear scan), then the *last* install event (its
-    # no-break fallback scan).
+    # Granted/denied permissions come from a package's first
+    # initial_apps entry, else from its *last* install event.
     initial_perm: dict[str, tuple[int, int]] = {}
     for app_info in obs.initial_apps:
         initial_perm.setdefault(
@@ -242,7 +129,7 @@ def app_feature_matrix(
     for j, package in enumerate(packages):
         reviews = obs.reviews_for_app(package)
         # device_reviews lists are (timestamp, review_id)-sorted, so the
-        # timestamp column is the scalar path's sorted(timestamps).
+        # timestamp column is already in time order.
         timestamps = np.fromiter(
             (r.timestamp for r in reviews), np.float64, len(reviews)
         )

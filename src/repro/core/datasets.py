@@ -8,12 +8,8 @@ import numpy as np
 
 from ..ml.preprocessing import SimpleImputer
 from ..simulation.world import StudyData
-from .app_features import APP_FEATURE_NAMES, app_feature_matrix, app_feature_vector
-from .device_features import (
-    DEVICE_FEATURE_NAMES,
-    device_feature_matrix,
-    device_feature_vector,
-)
+from .app_features import APP_FEATURE_NAMES, app_feature_matrix
+from .device_features import DEVICE_FEATURE_NAMES, device_feature_matrix
 from .labeling import LabelingConfig, LabelingResult, label_apps
 from .observations import DeviceObservation, build_observations
 
@@ -24,13 +20,6 @@ __all__ = [
     "build_app_dataset",
     "build_device_dataset",
 ]
-
-
-def _check_features(features: str) -> None:
-    if features not in ("batch", "scalar"):
-        raise ValueError(
-            f"features must be 'batch' or 'scalar', got {features!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -85,17 +74,10 @@ def build_app_dataset(
     observations: list[DeviceObservation] | None = None,
     labeling_config: LabelingConfig | None = None,
     impute: bool = True,
-    features: str = "batch",
 ) -> AppDataset:
     """Label apps via §7.2 rules, then extract one instance per
-    (labeled app, held-out device carrying it).
-
-    ``features`` selects the extraction path: ``"batch"`` computes each
-    device's rows in one :func:`app_feature_matrix` pass over column
-    slices, ``"scalar"`` stacks per-package
-    :func:`app_feature_vector` calls.  Both are byte-identical.
-    """
-    _check_features(features)
+    (labeled app, held-out device carrying it); each device's rows come
+    from one :func:`app_feature_matrix` pass."""
     if observations is None:
         observations = build_observations(
             data, data.eligible_participants(min_days=2)
@@ -112,15 +94,7 @@ def build_app_dataset(
         packages = sorted(obs.observed_packages & label_set)
         if not packages:
             continue
-        if features == "batch":
-            rows.append(
-                app_feature_matrix(obs, packages, data.catalog, data.vt_client)
-            )
-        else:
-            rows.extend(
-                app_feature_vector(obs, package, data.catalog, data.vt_client)
-                for package in packages
-            )
+        rows.append(app_feature_matrix(obs, packages, data.catalog, data.vt_client))
         for package in packages:
             labels.append(label)
             instances.append(
@@ -154,33 +128,20 @@ def build_device_dataset(
     observations: list[DeviceObservation] | None = None,
     suspiciousness: dict[str, float] | None = None,
     impute: bool = True,
-    features: str = "batch",
 ) -> DeviceDataset:
     """One row per eligible device; label 1 = worker-controlled.
 
     ``suspiciousness`` maps install_id -> fraction of installed apps the
     app classifier flagged (feature (2) of §8.1); omitted entries are NaN.
-    ``features`` selects the (byte-identical) batch or scalar extraction
-    path.
     """
-    _check_features(features)
     if observations is None:
         observations = build_observations(
             data, data.eligible_participants(min_days=2)
         )
     suspiciousness = suspiciousness or {}
-    if features == "batch":
-        X = device_feature_matrix(
-            observations,
-            [suspiciousness.get(obs.install_id) for obs in observations],
-        )
-    else:
-        X = np.vstack(
-            [
-                device_feature_vector(obs, suspiciousness.get(obs.install_id))
-                for obs in observations
-            ]
-        )
+    X = device_feature_matrix(
+        observations, [suspiciousness.get(obs.install_id) for obs in observations]
+    )
     if impute:
         X = SimpleImputer(strategy="median").fit_transform(X)
     return DeviceDataset(

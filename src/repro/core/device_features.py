@@ -25,8 +25,6 @@ from .observations import DeviceObservation
 
 __all__ = [
     "DEVICE_FEATURE_NAMES",
-    "extract_device_features",
-    "device_feature_vector",
     "device_feature_matrix",
 ]
 
@@ -49,59 +47,18 @@ DEVICE_FEATURE_NAMES: tuple[str, ...] = (
 )
 
 
-def extract_device_features(
-    obs: DeviceObservation,
-    app_suspiciousness: float | None = None,
-) -> dict[str, float]:
-    """Feature dict for one device.
-
-    ``app_suspiciousness`` is the fraction of the device's installed apps
-    the app classifier flagged as promotion-installed; pass ``None``
-    (→ NaN, imputed downstream) when the app classifier has not run.
-    """
-    n_accounts = max(obs.n_gmail_accounts, 1)
-    return {
-        "n_preinstalled_apps": float(obs.n_preinstalled),
-        "n_user_installed_apps": float(obs.n_user_installed),
-        "app_suspiciousness": (
-            float(app_suspiciousness) if app_suspiciousness is not None else math.nan
-        ),
-        "n_stopped_apps": float(len(obs.stopped_apps_first)),
-        "daily_installs": obs.daily_installs,
-        "daily_uninstalls": obs.daily_uninstalls,
-        "n_gmail_accounts": float(obs.n_gmail_accounts),
-        "n_non_gmail_accounts": float(obs.n_non_gmail_accounts),
-        "n_account_types": float(obs.n_account_types),
-        "n_installed_and_reviewed": float(obs.n_installed_and_reviewed),
-        "total_apps_reviewed": float(obs.apps_reviewed_total),
-        "total_reviews": float(obs.total_account_reviews),
-        "reviews_per_account_mean": obs.total_account_reviews / n_accounts,
-        "apps_used_per_day": obs.apps_used_per_day,
-        "snapshots_per_day": obs.snapshots_per_day,
-    }
-
-
-def device_feature_vector(
-    obs: DeviceObservation,
-    app_suspiciousness: float | None = None,
-) -> np.ndarray:
-    features = extract_device_features(obs, app_suspiciousness)
-    return np.array(
-        [features[name] for name in DEVICE_FEATURE_NAMES], dtype=np.float64
-    )
-
-
 def device_feature_matrix(
     observations: list[DeviceObservation],
     scores: list[float | None] | None = None,
 ) -> np.ndarray:
     """One row per device, rows aligned with ``observations``.
 
-    ``scores[i]`` is device *i*'s app-suspiciousness (``None`` → NaN).
-    Byte-identical to stacking :func:`device_feature_vector` — same
-    python floats, written straight into the matrix in canonical
-    ``DEVICE_FEATURE_NAMES`` order instead of through a dict and a
-    per-row array allocation.
+    ``scores[i]`` is device *i*'s app-suspiciousness: the fraction of
+    its installed apps the §7 app classifier flagged as
+    promotion-installed; ``None`` (the app classifier has not run)
+    becomes NaN, imputed downstream.  Columns follow
+    :data:`DEVICE_FEATURE_NAMES`; byte-identical to stacking the
+    per-device scalar extractor in ``tests/oracles.py``.
     """
     n = len(observations)
     M = np.empty((n, len(DEVICE_FEATURE_NAMES)), dtype=np.float64)

@@ -18,7 +18,6 @@ from functools import cached_property
 import numpy as np
 
 from ..frames import ColumnFrame, ColumnRun, FrameRow
-from ..platform.store import ColumnarCollection
 from ..playstore.reviews import Review
 from ..simulation.clock import SECONDS_PER_DAY
 from ..simulation.world import Participant, StudyData
@@ -62,10 +61,10 @@ def _first_rows(frame: ColumnFrame) -> dict[str, FrameRow]:
 
 def _typed_run(runs) -> ColumnRun | None:
     """``runs`` as a :class:`ColumnRun` over a *typed* frame, else
-    ``None`` — the gate for the vectorized accessor paths.  Dict-backend
-    lists, truncated copies, and degraded generic frames (where a
-    missing key must honour ``.get`` defaults) all take the scalar
-    per-row path instead."""
+    ``None`` — the gate for the vectorized accessor paths.  Plain dict
+    lists (truncated copies) and degraded generic frames (where a
+    missing key must honour ``.get`` defaults) take the per-row path
+    instead."""
     if isinstance(runs, ColumnRun) and runs.frame.schema is not None:
         return runs
     return None
@@ -92,21 +91,15 @@ def _snapshot_total(runs) -> int:
 def _snapshot_getters(data: StudyData):
     """Per-install accessors for (initial, slow, fast, app_changes).
 
-    Columnar store: one pass per collection builds every install's
-    zero-copy view list.  Dict store: fall back to the server's indexed
-    per-install queries.  Both yield rows in identical order.
+    One pass per collection builds every install's zero-copy view list,
+    in the order the server's per-install queries return
+    (``server.fast_runs(install_id)`` etc.).
     """
-    server = data.server
-    names = ("initial_snapshots", "slow_runs", "fast_runs", "app_changes")
-    collections = [server.store[name] for name in names]
-    if not all(isinstance(c, ColumnarCollection) for c in collections):
-        return (
-            server.initial_snapshot,
-            server.slow_runs,
-            server.fast_runs,
-            server.app_changes,
-        )
-    initial_c, slow_c, fast_c, changes_c = collections
+    store = data.server.store
+    initial_c, slow_c, fast_c, changes_c = (
+        store[name]
+        for name in ("initial_snapshots", "slow_runs", "fast_runs", "app_changes")
+    )
     initial_map = _first_rows(initial_c.frame)
     slow_map = _partition_runs(slow_c.frame, "start")
     fast_map = _partition_runs(fast_c.frame, "start")
@@ -123,13 +116,14 @@ def _snapshot_getters(data: StudyData):
 class DeviceObservation:
     """All collected data for one device, with derived accessors.
 
-    The snapshot runs are read-only row sequences: plain dict lists
-    when the store runs the dict backend, zero-copy
+    The snapshot runs are read-only row sequences: zero-copy
     :class:`~repro.frames.ColumnRun` position runs over the ingest
-    frames when it runs the columnar backend.  Every accessor produces
-    identical values either way; the hot ones (snapshot totals,
-    foreground usage, app-change scans) read whole column slices off a
-    typed run instead of touching rows one by one.
+    frames as :func:`build_observations` assembles them, or plain dict
+    lists (:meth:`truncated` copies, or the server's per-install query
+    results).  Every accessor produces identical values either way;
+    the hot ones (snapshot totals, foreground usage, app-change scans)
+    read whole column slices off a typed run instead of touching rows
+    one by one.
     """
 
     participant: Participant
@@ -250,7 +244,7 @@ class DeviceObservation:
 
     def _change_cells(self, *fields: str) -> zip | None:
         """Parallel raw-value streams over the app-change run, or
-        ``None`` when the events are not a typed run (scalar path)."""
+        ``None`` when the events are not a typed run (per-row path)."""
         run = _typed_run(self.app_changes)
         if run is None:
             return None

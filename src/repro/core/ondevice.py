@@ -18,10 +18,11 @@ import numpy as np
 from ..playstore.catalog import Catalog
 from ..virustotal.client import VirusTotalClient
 from .app_classifier import AppClassifier
-from .app_features import app_feature_vector
+from .app_features import app_feature_matrix
 from .device_classifier import DeviceClassifier
-from .device_features import device_feature_vector
+from .device_features import device_feature_matrix
 from .observations import DeviceObservation
+from .pipeline import scored_packages
 
 __all__ = ["OnDeviceReport", "OnDeviceDetector"]
 
@@ -60,20 +61,9 @@ class OnDeviceDetector:
         vt_client: VirusTotalClient | None = None,
     ) -> OnDeviceReport:
         """Compute features locally, score, and emit only the report."""
-        packages = [
-            a["package"]
-            for a in obs.initial_apps
-            if not a["preinstalled"]
-            and a["package"] in catalog
-            and catalog.get(a["package"]).on_play_store
-        ]
+        packages = scored_packages(obs, catalog)
         if packages:
-            X = np.vstack(
-                [
-                    app_feature_vector(obs, package, catalog, vt_client)
-                    for package in packages
-                ]
-            )
+            X = app_feature_matrix(obs, packages, catalog, vt_client)
             flags = self._app_model.predict(X)
             n_flagged = int(np.sum(flags == 1))
             suspiciousness = n_flagged / len(packages)
@@ -81,7 +71,7 @@ class OnDeviceDetector:
             n_flagged = 0
             suspiciousness = 0.0
 
-        x_device = device_feature_vector(obs, suspiciousness)
+        x_device = device_feature_matrix([obs], [suspiciousness])
         proba = self._device_model.predict_proba(x_device)[0]
         classes = self._device_model._model.classes_
         worker_col = int(np.nonzero(classes == 1)[0][0]) if 1 in classes else 0

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
+from ..playstore.catalog import Catalog
 from ..simulation.world import StudyData
 from .app_classifier import AppClassifier, AppClassifierEvaluation, evaluate_app_algorithms
-from .app_features import app_feature_matrix, app_feature_vector
+from .app_features import app_feature_matrix
 from .datasets import AppDataset, DeviceDataset, build_app_dataset, build_device_dataset
 from .device_classifier import (
     DeviceClassifier,
@@ -27,7 +28,20 @@ from .device_features import device_feature_matrix
 from .labeling import LabelingConfig
 from .observations import DeviceObservation, build_observations
 
-__all__ = ["DeviceVerdict", "PipelineResult", "DetectionPipeline"]
+__all__ = ["DeviceVerdict", "PipelineResult", "DetectionPipeline", "scored_packages"]
+
+
+def scored_packages(obs: DeviceObservation, catalog: Catalog) -> list[str]:
+    """The apps the app classifier scores on one device: Play-hosted user
+    installs only.  Promotion happens on the Play Store, and side-loaded
+    apks have no Play reviews for the usage features to reason about."""
+    return [
+        a["package"]
+        for a in obs.initial_apps
+        if not a["preinstalled"]
+        and a["package"] in catalog
+        and catalog.get(a["package"]).on_play_store
+    ]
 
 
 @dataclass(frozen=True)
@@ -86,12 +100,7 @@ class DetectionPipeline:
         app_resample: str | None = None,
         random_state: int = 0,
         n_jobs: int | None = None,
-        features: str = "batch",
     ) -> None:
-        if features not in ("batch", "scalar"):
-            raise ValueError(
-                f"features must be 'batch' or 'scalar', got {features!r}"
-            )
         self.labeling = labeling
         self.app_cv_repeats = app_cv_repeats
         self.device_cv_repeats = device_cv_repeats
@@ -100,9 +109,6 @@ class DetectionPipeline:
         self.app_resample = app_resample
         self.random_state = random_state
         self.n_jobs = n_jobs
-        #: Feature-extraction path ("batch" column slices vs per-row
-        #: "scalar"); byte-identical outputs either way (DESIGN.md §9).
-        self.features = features
 
     def run(self, data: StudyData) -> PipelineResult:
         with obs.trace("pipeline"):
@@ -116,9 +122,7 @@ class DetectionPipeline:
         # is clamped to the minority-class size so tiny (e.g. evasion-
         # scenario) cohorts still cross-validate.
         with obs.trace("pipeline.app_dataset"):
-            app_dataset = build_app_dataset(
-                data, observations, self.labeling, features=self.features
-            )
+            app_dataset = build_app_dataset(data, observations, self.labeling)
         app_splits = max(
             2, min(self.n_splits, app_dataset.n_suspicious, app_dataset.n_regular)
         )
@@ -135,15 +139,11 @@ class DetectionPipeline:
 
         # Score every device's installed apps -> suspiciousness feature.
         with obs.trace("pipeline.score_devices"):
-            suspiciousness = self.score_devices(
-                data, observations, app_model, features=self.features
-            )
+            suspiciousness = self.score_devices(data, observations, app_model)
 
         # §8: device classifier with the suspiciousness feature wired in.
         with obs.trace("pipeline.device_dataset"):
-            device_dataset = build_device_dataset(
-                data, observations, suspiciousness, features=self.features
-            )
+            device_dataset = build_device_dataset(data, observations, suspiciousness)
         device_splits = max(
             2, min(self.n_splits, device_dataset.n_worker, device_dataset.n_regular)
         )
@@ -179,34 +179,16 @@ class DetectionPipeline:
         data: StudyData,
         observations: list[DeviceObservation],
         app_model: AppClassifier,
-        features: str = "batch",
     ) -> dict[str, float]:
         """install_id -> fraction of user-installed apps flagged as
         promotion-installed by the app classifier (§8.1 feature (2))."""
         suspiciousness: dict[str, float] = {}
         for obs in observations:
-            # Score Play-hosted user installs only: promotion happens on
-            # the Play Store, and side-loaded apks have no Play reviews
-            # for the usage features to reason about.
-            packages = [
-                a["package"]
-                for a in obs.initial_apps
-                if not a["preinstalled"]
-                and a["package"] in data.catalog
-                and data.catalog.get(a["package"]).on_play_store
-            ]
+            packages = scored_packages(obs, data.catalog)
             if not packages:
                 suspiciousness[obs.install_id] = 0.0
                 continue
-            if features == "batch":
-                X = app_feature_matrix(obs, packages, data.catalog, data.vt_client)
-            else:
-                X = np.vstack(
-                    [
-                        app_feature_vector(obs, package, data.catalog, data.vt_client)
-                        for package in packages
-                    ]
-                )
+            X = app_feature_matrix(obs, packages, data.catalog, data.vt_client)
             suspiciousness[obs.install_id] = app_model.flag_fraction(X)
         return suspiciousness
 

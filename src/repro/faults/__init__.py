@@ -16,6 +16,13 @@ byte-identical ``study_digest`` at any worker count.  Faults may change
 *when* data arrives; they may never change *what* the study contains.
 """
 
+# Import order matters.  This package imports repro.platform, whose
+# package import pulls in repro.simulation, whose day engine imports
+# repro.faults.errors/.plan/.transport/.server.  Loading the platform
+# package first lets that chain import each fault module from scratch;
+# starting with .errors instead would leave it half-initialized when
+# the day engine asks for it.
+from .. import platform as _platform  # noqa: F401  (see above)
 from .errors import FaultInjected, InjectedThrottle, ServerCrash, StoreRejected
 from .plan import (
     FAULT_STREAM_BACKOFF,

@@ -9,9 +9,10 @@ numpy: documents append into per-field columns, queries compile to
 vectorized boolean masks (:mod:`repro.frames.query`), and analyses read
 zero-copy :class:`FrameRow` mapping views instead of materialized dicts.
 
-The hard contract of the data plane (DESIGN.md §9): every consumer —
-feature matrices, labels, experiment reports — must be byte-identical
-whether it runs over dicts or over frames.
+The hard contract of the data plane (DESIGN.md §9): the store returns
+what a brute-force scan over plain dicts returns, and the feature
+matrices equal the per-row scalar extractors byte for byte; both
+references live in ``tests/oracles.py``.
 """
 
 from .frame import ColumnFrame, ColumnRun, FrameRow

@@ -8,8 +8,8 @@ same semantics, including the corner cases:
   which tests key *presence* (so ``field: None`` satisfies
   ``{"$exists": True}`` while an absent key does not);
 * ordering operators never match ``None``;
-* comparing incomparable types raises ``TypeError`` exactly where the
-  per-document path would.
+* comparing incomparable types raises ``TypeError`` exactly where a
+  per-document scan would.
 
 Two evaluation strategies share those semantics:
 
@@ -28,7 +28,8 @@ Two evaluation strategies share those semantics:
   skip normalization entirely.
 
 Matching positions always come back ascending, i.e. in insertion
-order — the same order the dict backend's scan produces.
+order — the same order a brute-force scan over the documents produces
+(the reference matcher in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def _iter_predicates(query: dict):
             key.startswith("$") for key in condition
         ):
             # Unknown operators pass through here and raise at
-            # evaluation time, exactly like the per-document path (a
+            # evaluation time, exactly like a per-document scan (a
             # query that never evaluates them never raises).
             yield from (
                 (fieldname, op, operand, False) for op, operand in condition.items()

@@ -27,7 +27,7 @@ from .models import (
     record_to_dict,
 )
 from .server import IngestStats, PaymentLedger, RacketStoreServer
-from .store import Collection, DocumentStore
+from .store import ColumnarCollection, DocumentStore
 from .transport import LossyTransport, Transport
 
 __all__ = [
@@ -60,7 +60,7 @@ __all__ = [
     "IngestStats",
     "PaymentLedger",
     "RacketStoreServer",
-    "Collection",
+    "ColumnarCollection",
     "DocumentStore",
     "LossyTransport",
     "Transport",

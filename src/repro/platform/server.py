@@ -291,9 +291,8 @@ class RacketStoreServer:
 
     # -- queries used by the analyses ------------------------------------------------
     def install_ids(self) -> list[str]:
-        # distinct() already deduplicates (one column pass on the
-        # columnar backend); re-sorting lexicographically preserves the
-        # historical sorted-set order exactly.
+        # distinct() already deduplicates in one column pass; it orders
+        # by repr, so re-sort lexicographically.
         return sorted(self.store["installs"].distinct("install_id"))
 
     def initial_snapshot(self, install_id: str) -> dict | None:

@@ -6,32 +6,27 @@ collections of documents, a small operator language (``$eq``, ``$ne``,
 ``$gt``, ``$gte``, ``$lt``, ``$lte``, ``$in``, ``$exists``), and
 single-field indexes for the hot lookups (by install id).
 
-Two interchangeable backends implement the same ``find`` / ``find_one``
-/ ``count`` / ``distinct`` API:
+Each collection is a :class:`ColumnarCollection`: documents live in a
+:class:`~repro.frames.ColumnFrame` (typed when the collection name has
+a declared schema, generic otherwise); queries compile once per shape
+into cached :class:`~repro.frames.QueryPlan`s that are seeded by
+incremental indexes (hash buckets for equality, a sorted run plus
+pending delta for ranges) and evaluated over progressively narrowed
+position sets.
 
-* :class:`Collection` — one python dict per document, per-document
-  query matching, hash indexes.  The historical path.
-* :class:`ColumnarCollection` — documents live in a
-  :class:`~repro.frames.ColumnFrame` (typed when the collection name
-  has a declared schema, generic otherwise); queries compile once per
-  shape into cached :class:`~repro.frames.QueryPlan`s that are seeded
-  by incremental indexes (hash buckets for equality, a sorted run plus
-  pending delta for ranges) and evaluated over progressively narrowed
-  position sets.
-
-The backend is chosen per :class:`DocumentStore` (``backend=`` or the
-``REPRO_STORE_BACKEND`` environment variable) and is contractually
-invisible: both return the same documents in the same order for any
-query (see ``tests/platform/test_store_query.py``).
+The query semantics are those of a brute-force scan that tests every
+document in insertion order (missing keys read as ``None``, ``$exists``
+tests presence, ordering operators never match ``None``).  That scan
+lives in ``tests/oracles.py``; the store must return the same documents
+in the same order for any query (``tests/platform/test_store_query.py``).
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -44,133 +39,7 @@ from ..frames import (
 )
 from ..frames.frame import _ABSENT, SchemaMismatchError
 
-__all__ = ["DocumentStore", "Collection", "ColumnarCollection"]
-
-#: Sentinel distinguishing "key absent" from an explicit ``None`` value,
-#: so ``$exists`` tests presence while every other operator keeps the
-#: historical reads-as-None behaviour for missing keys.
-_MISSING = object()
-
-
-_OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "$eq": lambda value, operand: value == operand,
-    "$ne": lambda value, operand: value != operand,
-    "$gt": lambda value, operand: value is not None and value > operand,
-    "$gte": lambda value, operand: value is not None and value >= operand,
-    "$lt": lambda value, operand: value is not None and value < operand,
-    "$lte": lambda value, operand: value is not None and value <= operand,
-    "$in": lambda value, operand: value in operand,
-    "$exists": lambda value, operand: (value is not _MISSING) == bool(operand),
-}
-
-
-def _matches(document, query: dict) -> bool:
-    for fieldname, condition in query.items():
-        raw = document.get(fieldname, _MISSING)
-        value = None if raw is _MISSING else raw
-        if isinstance(condition, dict) and any(k.startswith("$") for k in condition):
-            for op, operand in condition.items():
-                handler = _OPERATORS.get(op)
-                if handler is None:
-                    raise ValueError(f"unknown query operator {op!r}")
-                if not handler(raw if op == "$exists" else value, operand):
-                    return False
-        elif value != condition:
-            return False
-    return True
-
-
-class Collection:
-    """One named collection of dict documents (the historical backend)."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._documents: list[dict] = []
-        self._indexes: dict[str, dict[Any, list[int]]] = {}
-
-    def __len__(self) -> int:
-        return len(self._documents)
-
-    def insert(self, document: dict) -> None:
-        if not isinstance(document, dict):
-            raise TypeError("documents must be dicts")
-        position = len(self._documents)
-        self._documents.append(document)
-        for fieldname, index in self._indexes.items():
-            index[document.get(fieldname)].append(position)
-
-    def insert_many(self, documents) -> int:
-        count = 0
-        for document in documents:
-            self.insert(document)
-            count += 1
-        return count
-
-    def create_index(self, fieldname: str) -> None:
-        if fieldname in self._indexes:
-            return
-        index: dict[Any, list[int]] = defaultdict(list)
-        for position, document in enumerate(self._documents):
-            index[document.get(fieldname)].append(position)
-        self._indexes[fieldname] = index
-
-    # -- transactional marks -------------------------------------------
-    def mark(self) -> int:
-        """Watermark for :meth:`rollback_to` (current document count)."""
-        return len(self._documents)
-
-    def rollback_to(self, mark: int) -> None:
-        """Undo every insert since ``mark`` (atomic chunk commit: a
-        receive that fails mid-insert must not leave partial state).
-        Index buckets append positions in insertion order, so the
-        entries to drop are exactly each bucket's tail."""
-        while len(self._documents) > mark:
-            document = self._documents.pop()
-            for fieldname, index in self._indexes.items():
-                bucket = index.get(document.get(fieldname))
-                if bucket:
-                    bucket.pop()
-
-    def _candidates(self, query: dict) -> Iterator[dict]:
-        # Use an index when the query has an equality match on an
-        # indexed field; otherwise scan.
-        for fieldname, index in self._indexes.items():
-            condition = query.get(fieldname)
-            if condition is not None and not isinstance(condition, dict):
-                for position in index.get(condition, ()):
-                    yield self._documents[position]
-                return
-        yield from self._documents
-
-    def find(self, query: dict | None = None) -> list[dict]:
-        query = query or {}
-        return [doc for doc in self._candidates(query) if _matches(doc, query)]
-
-    def find_one(self, query: dict | None = None) -> dict | None:
-        query = query or {}
-        for doc in self._candidates(query):
-            if _matches(doc, query):
-                return doc
-        return None
-
-    def count(self, query: dict | None = None) -> int:
-        if not query:
-            return len(self._documents)
-        return sum(1 for doc in self._candidates(query) if _matches(doc, query))
-
-    def distinct(self, fieldname: str, query: dict | None = None) -> list:
-        query = query or {}
-        seen: set = set()
-        for doc in self._candidates(query):
-            if not _matches(doc, query):
-                continue
-            value = doc.get(fieldname)
-            if isinstance(value, (list, tuple)):
-                seen.update(value)
-            else:
-                seen.add(value)
-        seen.discard(None)
-        return sorted(seen, key=repr)
+__all__ = ["DocumentStore", "ColumnarCollection"]
 
 
 _ORDERING_OPS: dict[str, Callable[[Any, Any], bool]] = {
@@ -203,15 +72,13 @@ class _SortedColumnIndex:
       per query, and insert-only or equality-only workloads never pay
       the sort at all.
 
-    ``None`` keys never satisfy an ordering operator (the dict
-    backend's ``value is not None and ...`` guard), so they are
+    ``None`` keys never satisfy an ordering operator, so they are
     skipped by the delta scan and dropped at merge time — which also
     keeps the run sortable for nullable columns.
 
     Probe results are *candidates*: the caller re-verifies them
     through the query plan (e.g. a hash bucket keyed by NaN is found
-    by identity, but equality must still reject it — exactly like the
-    dict backend's probe-then-``_matches`` sequence).
+    by identity, but equality must still reject it).
     """
 
     __slots__ = ("_keys", "_positions", "_filled", "_buckets", "_numeric")
@@ -247,8 +114,7 @@ class _SortedColumnIndex:
 
     def _comparable(self, operand) -> bool:
         # Operands that cannot compare against the column never match
-        # (mirrors the historical columnar behaviour; the dict backend's
-        # hash probe likewise finds no bucket for a foreign-typed key).
+        # (a foreign-typed key is never equal to any cell).
         if self._numeric:
             return isinstance(operand, (int, float))
         return isinstance(operand, str)
@@ -345,25 +211,22 @@ def _query_cache_key(query: dict) -> tuple:
 class ColumnarCollection:
     """One named collection backed by a :class:`ColumnFrame`.
 
-    Same public API and same results as :class:`Collection`.  Reads
-    compile the query into a :class:`~repro.frames.QueryPlan` cached
-    per query *shape*, seed it from an index probe when one applies
-    (hash bucket for equality, sorted-run bisection for ranges), and
-    evaluate the remaining predicates over progressively narrowed
-    position sets.  Materialized rows are cached per position, so
-    repeated finds hand back the same dict objects — exactly what the
-    dict backend does with its stored documents.
+    Reads compile the query into a :class:`~repro.frames.QueryPlan`
+    cached per query *shape*, seed it from an index probe when one
+    applies (hash bucket for equality, sorted-run bisection for
+    ranges), and evaluate the remaining predicates over progressively
+    narrowed position sets.  Materialized rows are cached per position,
+    so repeated finds hand back the same dict objects.
 
     A collection whose name has a declared schema stores typed
     columns; if a document ever fails the schema (only possible
     outside the server's validated ingest path), the frame degrades
-    once to generic columns so the store keeps the dict backend's
-    accept-anything behaviour.
+    once to generic columns so the store still accepts any dict.
 
     Writes are *staged*: ``insert``/``insert_many`` only type-check
-    their documents (so ``TypeError`` still raises at the offending
-    record with earlier ones kept, like the dict backend) and append
-    them to a write-optimized backlog.  The first read — any query,
+    their documents (so ``TypeError`` raises at the offending record
+    with earlier ones kept) and append them to a write-optimized
+    backlog.  The first read — any query,
     index build, or ``frame`` access — merges the backlog into the
     columns and indexes in one batch (C-Store's write-store /
     read-store split).  Ingest latency is therefore O(1) per document
@@ -414,8 +277,7 @@ class ColumnarCollection:
             self._staged.extend(documents)
             return len(documents)
         # Stage per-document so the TypeError raises at the offending
-        # record with earlier ones kept — the dict backend's
-        # partial-progress behaviour.
+        # record with earlier ones kept.
         count = 0
         for document in documents:
             self.insert(document)
@@ -521,9 +383,9 @@ class ColumnarCollection:
         """Index-probe candidate positions (ascending), or ``None``
         when no index applies.
 
-        Mirrors the dict backend's selection rule — the first index
-        with a plain equality condition wins — and additionally seeds
-        ordering conditions on sorted-indexed fields by bisection.
+        The first index (in creation order) whose field carries a
+        plain equality condition, or an ordering condition on a sorted
+        index, seeds the plan: hash bucket or bisection respectively.
         Probe results are candidates only; the plan re-verifies every
         predicate including the probed one.
         """
@@ -680,34 +542,19 @@ class ColumnarCollection:
 
 
 class DocumentStore:
-    """A set of named collections (the Mongo database).
+    """A set of named collections (the Mongo database)."""
 
-    ``backend`` selects the collection implementation: ``"columnar"``
-    (the default — typed :class:`ColumnFrame` storage with vectorized
-    queries) or ``"dict"`` (one python dict per document).  The
-    ``REPRO_STORE_BACKEND`` environment variable overrides the default
-    for processes that cannot pass the argument (CLI, CI).
-    """
+    def __init__(self) -> None:
+        self._collections: dict[str, ColumnarCollection] = {}
 
-    def __init__(self, backend: str | None = None) -> None:
-        if backend is None:
-            backend = os.environ.get("REPRO_STORE_BACKEND", "columnar")
-        if backend not in ("dict", "columnar"):
-            raise ValueError(f"unknown store backend {backend!r}")
-        self.backend = backend
-        self._collections: dict[str, Collection | ColumnarCollection] = {}
-
-    def collection(self, name: str) -> Collection | ColumnarCollection:
+    def collection(self, name: str) -> ColumnarCollection:
         if name not in self._collections:
-            if self.backend == "columnar":
-                self._collections[name] = ColumnarCollection(
-                    name, schema=SCHEMA_BY_COLLECTION.get(name)
-                )
-            else:
-                self._collections[name] = Collection(name)
+            self._collections[name] = ColumnarCollection(
+                name, schema=SCHEMA_BY_COLLECTION.get(name)
+            )
         return self._collections[name]
 
-    def __getitem__(self, name: str) -> Collection | ColumnarCollection:
+    def __getitem__(self, name: str) -> ColumnarCollection:
         return self.collection(name)
 
     def collection_names(self) -> list[str]:
@@ -715,14 +562,12 @@ class DocumentStore:
 
     def compact(self) -> None:
         """Merge every collection's staged writes into its
-        read-optimized columns (the tuple-mover step; a no-op for the
-        dict backend and for already-settled collections).  Ingest
-        pipelines call this once when a load finishes so the first
-        analytical read doesn't pay the merge."""
+        read-optimized columns (the tuple-mover step; a no-op for
+        already-settled collections).  Ingest pipelines call this once
+        when a load finishes so the first analytical read doesn't pay
+        the merge."""
         for collection in self._collections.values():
-            compact = getattr(collection, "compact", None)
-            if compact is not None:
-                compact()
+            collection.compact()
 
     def total_documents(self) -> int:
         return sum(len(c) for c in self._collections.values())

@@ -88,20 +88,16 @@ class SimulationConfig:
     worker_accounts_multiplier: float = 1.0
     worker_review_volume_multiplier: float = 1.0
 
-    #: Document-store backend for the server: "columnar" (typed
-    #: ColumnFrame storage, DESIGN.md §9) or "dict"; ``None`` defers to
-    #: ``$REPRO_STORE_BACKEND`` (default columnar).  Both backends
-    #: produce byte-identical analyses — this knob exists for the
-    #: equivalence tests and the data-plane benchmark.
-    store_backend: str | None = None
-
     #: Optional seeded fault-injection plan
     #: (:class:`repro.faults.FaultPlan`).  ``None`` — the default — keeps
     #: the paper-calibrated legacy channel (loss only, drawn from the
     #: behaviour rng).  A plan reroutes the upload path through
     #: ``FaultyTransport``/``FaultableServer`` with dedicated seeded
-    #: fault streams; the chaos harness asserts the study digest is
-    #: byte-identical either way.
+    #: fault streams; the chaos harness asserts that every plan, the
+    #: clean ``FaultPlan()`` included, yields the same study digest.
+    #: The default channel is *not* digest-identical to a plan run:
+    #: its loss draws consume the behaviour rng, so the simulated days
+    #: themselves differ.
     fault_plan: "FaultPlan | None" = None
 
     def scaled(self, **overrides) -> "SimulationConfig":

@@ -163,15 +163,13 @@ def build_world(config: SimulationConfig | None = None) -> tuple[StudyData, Beha
         # commit order — so injections are identical at any n_jobs and
         # the world realization matches the clean run byte for byte.
         server: RacketStoreServer = FaultableServer(
-            DocumentStore(backend=config.store_backend),
+            DocumentStore(),
             review_crawler=review_crawler,
             plan=config.fault_plan,
             rng=np.random.default_rng([config.seed, FAULT_STREAM_SERVER]),
         )
     else:
-        server = RacketStoreServer(
-            DocumentStore(backend=config.store_backend), review_crawler=review_crawler
-        )
+        server = RacketStoreServer(DocumentStore(), review_crawler=review_crawler)
     engine = BehaviorEngine(config, catalog, review_store, board, rng)
     factory = AccountFactory(directory, rng)
 

@@ -1,4 +1,4 @@
-"""Tests for device observations and the §7.1/§8.1 feature extractors."""
+"""Tests for device observations and the §7.1/§8.1 feature matrices."""
 
 import math
 
@@ -8,15 +8,22 @@ import pytest
 from repro.core.app_features import (
     APP_FEATURE_NAMES,
     NEVER_REVIEWED_SENTINEL_DAYS,
-    app_feature_vector,
-    extract_app_features,
+    app_feature_matrix,
 )
-from repro.core.device_features import (
-    DEVICE_FEATURE_NAMES,
-    device_feature_vector,
-    extract_device_features,
-)
+from repro.core.device_features import DEVICE_FEATURE_NAMES, device_feature_matrix
 from repro.core.observations import build_observations
+
+
+def _app_row(obs, package, catalog, vt_client=None) -> dict[str, float]:
+    """One (app, device) row of :func:`app_feature_matrix`, by name."""
+    row = app_feature_matrix(obs, [package], catalog, vt_client)[0]
+    return dict(zip(APP_FEATURE_NAMES, row.tolist()))
+
+
+def _device_row(obs, app_suspiciousness=None) -> dict[str, float]:
+    """One device row of :func:`device_feature_matrix`, by name."""
+    row = device_feature_matrix([obs], [app_suspiciousness])[0]
+    return dict(zip(DEVICE_FEATURE_NAMES, row.tolist()))
 
 
 class TestObservations:
@@ -71,11 +78,13 @@ class TestObservations:
 class TestAppFeatures:
     def test_vector_matches_names(self, study, observations):
         obs = observations[0]
-        package = obs.initial_apps[0]["package"]
-        features = extract_app_features(obs, package, study.catalog, study.vt_client)
-        assert set(features) == set(APP_FEATURE_NAMES)
-        vector = app_feature_vector(obs, package, study.catalog, study.vt_client)
-        assert vector.shape == (len(APP_FEATURE_NAMES),)
+        packages = [a["package"] for a in obs.initial_apps[:3]]
+        matrix = app_feature_matrix(obs, packages, study.catalog, study.vt_client)
+        assert matrix.shape == (len(packages), len(APP_FEATURE_NAMES))
+        assert app_feature_matrix(obs, [], study.catalog).shape == (
+            0,
+            len(APP_FEATURE_NAMES),
+        )
 
     def test_never_reviewed_sentinel(self, study, observations):
         for obs in observations:
@@ -85,7 +94,7 @@ class TestAppFeatures:
                 if a["package"] not in obs.device_reviews
             ]
             if unreviewed:
-                features = extract_app_features(obs, unreviewed[0], study.catalog)
+                features = _app_row(obs, unreviewed[0], study.catalog)
                 assert features["install_to_review_mean_days"] == NEVER_REVIEWED_SENTINEL_DAYS
                 assert features["accounts_reviewed_total"] == 0.0
                 break
@@ -98,7 +107,7 @@ class TestAppFeatures:
                 continue
             for package in obs.device_reviews:
                 if obs.install_to_review_days(package):
-                    features = extract_app_features(obs, package, study.catalog)
+                    features = _app_row(obs, package, study.catalog)
                     assert features["install_to_review_mean_days"] < NEVER_REVIEWED_SENTINEL_DAYS
                     assert features["accounts_reviewed_total"] >= 1
                     return
@@ -106,7 +115,7 @@ class TestAppFeatures:
 
     def test_unknown_package_features_still_valid(self, study, observations):
         obs = observations[0]
-        features = extract_app_features(obs, "com.never.installed", study.catalog)
+        features = _app_row(obs, "com.never.installed", study.catalog)
         assert features["inner_retention_days"] != features["inner_retention_days"]  # NaN
         assert features["n_install_events"] == 0.0
 
@@ -122,7 +131,7 @@ class TestAppFeatures:
                 package = app["package"]
                 if app["preinstalled"] or package not in truth:
                     continue
-                features = extract_app_features(obs, package, study.catalog)
+                features = _app_row(obs, package, study.catalog)
                 target = promo_totals if truth[package] else personal_totals
                 target.append(features["accounts_reviewed_total"])
         assert np.mean(promo_totals) > np.mean(personal_totals) + 0.5
@@ -130,19 +139,22 @@ class TestAppFeatures:
 
 class TestDeviceFeatures:
     def test_vector_matches_names(self, observations):
-        obs = observations[0]
-        features = extract_device_features(obs, app_suspiciousness=0.5)
-        assert set(features) == set(DEVICE_FEATURE_NAMES)
-        assert device_feature_vector(obs, 0.5).shape == (len(DEVICE_FEATURE_NAMES),)
+        matrix = device_feature_matrix(observations[:4], [0.5] * 4)
+        assert matrix.shape == (4, len(DEVICE_FEATURE_NAMES))
+        assert device_feature_matrix(observations[:2]).shape == (
+            2,
+            len(DEVICE_FEATURE_NAMES),
+        )
+        assert _device_row(observations[0], 0.5)["app_suspiciousness"] == 0.5
 
     def test_suspiciousness_nan_when_missing(self, observations):
-        features = extract_device_features(observations[0], None)
+        features = _device_row(observations[0], None)
         assert math.isnan(features["app_suspiciousness"])
 
     def test_workers_dominate_review_features(self, observations):
         def mean_feature(name, worker):
             values = [
-                extract_device_features(o)[name]
+                _device_row(o)[name]
                 for o in observations
                 if o.is_worker == worker
             ]

@@ -125,3 +125,15 @@ class TestOnDeviceDetector:
             assert report.app_suspiciousness == pytest.approx(
                 report.n_apps_flagged / report.n_apps_scanned
             )
+
+    def test_scan_scores_the_same_apps_as_the_pipeline(
+        self, detector, study, pipeline_result
+    ):
+        # scan and DetectionPipeline.score_devices share the Play-hosted
+        # user-install filter and the feature path, so the on-device
+        # suspiciousness is exactly the pipeline's.
+        for obs in pipeline_result.observations:
+            report = detector.scan(obs, study.catalog, study.vt_client)
+            assert report.app_suspiciousness == pipeline_result.suspiciousness[
+                obs.install_id
+            ], obs.install_id

@@ -162,22 +162,6 @@ class TestCrashMidChunk:
         assert len(server.store["fast_runs"]) == 8
         assert_no_duplicates(server)
 
-    def test_crash_rollback_both_store_backends(self):
-        for backend in ("dict", "columnar"):
-            plan = FaultPlan(receive_crash=FaultSpec(1.0))
-            server = FaultableServer(
-                DocumentStore(backend=backend),
-                plan=plan,
-                rng=np.random.default_rng([9, 0x5E4]),
-            )
-            data = chunk_bytes()
-            with pytest.raises(ServerCrash):
-                server.receive_chunk("fast", data)
-            assert len(server.store["fast_runs"]) == 0, backend
-            server.heal()
-            server.receive_chunk("fast", data)
-            assert len(server.store["fast_runs"]) == 8, backend
-
 
 class TestStoreRejectAndRedelivery:
     def test_day_windowed_rejection_then_clean_retry(self):
@@ -288,9 +272,8 @@ class TestCorruptionEndToEnd:
 
 
 class TestStoreRollbackUnits:
-    @pytest.mark.parametrize("backend", ["dict", "columnar"])
-    def test_mark_rollback_restores_count_and_index(self, backend):
-        store = DocumentStore(backend=backend)
+    def test_mark_rollback_restores_count_and_index(self):
+        store = DocumentStore()
         coll = store.collection("things")
         coll.create_index("install_id")
         coll.insert_many([{"install_id": "a", "v": 1}, {"install_id": "b", "v": 2}])

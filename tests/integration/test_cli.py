@@ -94,7 +94,6 @@ class TestCommands:
         assert payload["n_jobs"] == 2
         assert payload["cv"] and all(row["outputs_equal"] for row in payload["cv"])
         assert payload["forest"]["outputs_equal"] is True
-        assert payload["knn"]["outputs_equal"] is True
         assert {"machine", "dataset", "seed"} <= set(payload)
         assert "serial vs" not in capsys.readouterr().err
 

@@ -1,56 +1,107 @@
-"""The data-plane hard contract (DESIGN.md §9): dict and columnar
-backends — and scalar and batch feature extraction — produce
-byte-identical analyses.
+"""The data-plane hard contract (DESIGN.md §9): the columnar store
+returns what the brute-force oracle returns, and the feature matrices
+equal the scalar oracle byte for byte (both oracles: ``tests/oracles.py``).
 
 Exact equality throughout: feature matrices compare by ``tobytes()``,
-labels and instances by ``==``, experiment reports by their rendered
-text.  Any deviation, however small, is a contract violation.
+stored documents by ``repr``, labels and instances by ``==``.  Any
+deviation, however small, is a contract violation.
+
+The store side is checked against oracles fed independently of the
+store: during a fresh study every document the server inserts is also
+copied into a per-collection oracle (``recorded_study``).
+
+Observations come in two shapes, and both must give the same bytes:
+frame-backed (``build_observations``: zero-copy column runs over the
+ingest frames) and dict-backed (the server's per-install query results,
+plain dict lists, which take ``DeviceObservation``'s per-row branches).
 """
+
+import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.core.app_features import app_feature_matrix, app_feature_vector
+from repro.core.app_features import app_feature_matrix
 from repro.core.datasets import build_app_dataset, build_device_dataset
-from repro.core.device_features import device_feature_matrix, device_feature_vector
-from repro.core.observations import build_observations
-from repro.experiments import Workbench, run_experiment
+from repro.core.device_features import device_feature_matrix
+from repro.parallel import spawn_seeds
+from repro.platform.server import _COLLECTIONS
+from repro.platform.store import ColumnarCollection, DocumentStore
 from repro.simulation import run_study
+from tests.oracles import BruteForceCollection, app_feature_vector, device_feature_vector
 
 
 @pytest.fixture(scope="module")
-def dict_study(small_config):
-    return run_study(small_config.scaled(store_backend="dict"))
+def recorded_study(small_config):
+    """A fresh small study whose every store write is also appended,
+    as a deep copy taken at insert time, to a per-collection oracle.
+
+    Returns ``(study, {collection name: BruteForceCollection})``.  The
+    copies are exact only if no chunk was rolled back, which a clean
+    study never does; the fixture asserts it."""
+    oracles: dict[ColumnarCollection, BruteForceCollection] = {}
+    insert, insert_many = ColumnarCollection.insert, ColumnarCollection.insert_many
+
+    def recording_insert(self, document):
+        insert(self, document)
+        oracles.setdefault(self, BruteForceCollection()).insert(
+            copy.deepcopy(document)
+        )
+
+    def recording_insert_many(self, documents):
+        documents = list(documents)
+        count = insert_many(self, documents)
+        oracles.setdefault(self, BruteForceCollection()).insert_many(
+            copy.deepcopy(documents)
+        )
+        return count
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ColumnarCollection, "insert", recording_insert)
+        patch.setattr(ColumnarCollection, "insert_many", recording_insert_many)
+        study = run_study(small_config)
+    assert study.server.stats.chunk_rollbacks == 0
+    store = study.server.store
+    return study, {name: oracles[store[name]] for name in store.collection_names()}
 
 
 @pytest.fixture(scope="module")
-def columnar_study(small_config):
-    return run_study(small_config.scaled(store_backend="columnar"))
+def dict_observations(study, observations):
+    """``observations`` rebuilt from the server's per-install queries."""
+    server = study.server
+    return [
+        dataclasses.replace(
+            obs,
+            initial=server.initial_snapshot(obs.install_id),
+            slow_runs=server.slow_runs(obs.install_id),
+            fast_runs=server.fast_runs(obs.install_id),
+            app_changes=server.app_changes(obs.install_id),
+        )
+        for obs in observations
+    ]
 
 
-@pytest.fixture(scope="module")
-def dict_observations(dict_study):
-    return build_observations(dict_study, dict_study.eligible_participants(min_days=2))
+def test_store_contents_identical(recorded_study):
+    study, oracles = recorded_study
+    store = study.server.store
+    install_ids = study.server.install_ids()
+    assert sorted(oracles) == sorted(("installs", *_COLLECTIONS.values()))
+    for name, oracle in sorted(oracles.items()):
+        collection = store[name]
+        # repr, not ==: an int read back as a float, or a bool as an
+        # int, would still compare equal.
+        assert repr(collection.find()) == repr(oracle.find()), name
+        for install_id in install_ids[::3]:
+            query = {"install_id": install_id}
+            assert collection.find(query) == oracle.find(query), (name, install_id)
+            assert collection.find_one(query) == oracle.find_one(query), name
+        assert collection.distinct("install_id") == oracle.distinct("install_id")
 
 
-@pytest.fixture(scope="module")
-def columnar_observations(columnar_study):
-    return build_observations(
-        columnar_study, columnar_study.eligible_participants(min_days=2)
-    )
-
-
-def test_store_contents_identical(dict_study, columnar_study):
-    names = ("installs", "initial_snapshots", "slow_runs", "fast_runs", "app_changes")
-    for name in names:
-        dict_docs = dict_study.server.store[name].find()
-        columnar_docs = columnar_study.server.store[name].find()
-        assert dict_docs == columnar_docs, name
-
-
-def test_observations_identical(dict_observations, columnar_observations):
-    assert len(dict_observations) == len(columnar_observations)
-    for d, c in zip(dict_observations, columnar_observations):
+def test_observations_identical(observations, dict_observations):
+    assert len(dict_observations) == len(observations)
+    for d, c in zip(dict_observations, observations):
         assert d.install_id == c.install_id
         assert (d.initial or {}) == dict(c.initial or {})
         assert [dict(r) for r in c.slow_runs] == d.slow_runs
@@ -60,73 +111,92 @@ def test_observations_identical(dict_observations, columnar_observations):
         assert d.device_reviews == c.device_reviews
 
 
-def test_app_feature_matrix_byte_identical(dict_study, dict_observations,
-                                           columnar_study, columnar_observations):
-    for d_obs, c_obs in zip(dict_observations, columnar_observations):
-        packages = sorted(d_obs.observed_packages)
+def test_app_feature_matrix_byte_identical(study, observations, dict_observations):
+    catalog, vt_client = study.catalog, study.vt_client
+    for f_obs, d_obs in zip(observations, dict_observations):
+        packages = sorted(f_obs.observed_packages)
+        if not packages:
+            continue
+        batch = app_feature_matrix(f_obs, packages, catalog, vt_client)
+        for obs in (f_obs, d_obs):
+            scalar = np.vstack(
+                [app_feature_vector(obs, p, catalog, vt_client) for p in packages]
+            )
+            assert scalar.tobytes() == batch.tobytes(), obs.install_id
+            assert (
+                app_feature_matrix(obs, packages, catalog, vt_client).tobytes()
+                == batch.tobytes()
+            ), obs.install_id
+
+
+def test_device_feature_matrix_byte_identical(observations, dict_observations):
+    scores = [None if i % 3 == 0 else i / 7 for i in range(len(observations))]
+    batch = device_feature_matrix(observations, scores)
+    for obs_list in (observations, dict_observations):
+        scalar = np.vstack(
+            [device_feature_vector(o, s) for o, s in zip(obs_list, scores)]
+        )
+        assert scalar.tobytes() == batch.tobytes()
+        assert device_feature_matrix(obs_list, scores).tobytes() == batch.tobytes()
+
+
+def test_truncated_observations_match_the_scalar_oracle(study, observations):
+    # truncated() copies are plain dict lists: the per-row accessor
+    # branches feed the matrices there.
+    catalog, vt_client = study.catalog, study.vt_client
+    clipped = [obs.truncated(2.0) for obs in observations]
+    for obs in clipped[::3]:
+        packages = sorted(obs.observed_packages)
         if not packages:
             continue
         scalar = np.vstack(
-            [
-                app_feature_vector(d_obs, p, dict_study.catalog, dict_study.vt_client)
-                for p in packages
-            ]
+            [app_feature_vector(obs, p, catalog, vt_client) for p in packages]
         )
-        batch = app_feature_matrix(
-            c_obs, packages, columnar_study.catalog, columnar_study.vt_client
-        )
-        assert scalar.tobytes() == batch.tobytes(), d_obs.install_id
-
-
-def test_device_feature_matrix_byte_identical(dict_observations, columnar_observations):
-    scores = [None if i % 3 == 0 else i / 7 for i in range(len(dict_observations))]
-    scalar = np.vstack(
-        [device_feature_vector(o, s) for o, s in zip(dict_observations, scores)]
-    )
-    batch = device_feature_matrix(columnar_observations, scores)
+        batch = app_feature_matrix(obs, packages, catalog, vt_client)
+        assert scalar.tobytes() == batch.tobytes(), obs.install_id
+    scalar = np.vstack([device_feature_vector(o, 0.25) for o in clipped])
+    batch = device_feature_matrix(clipped, [0.25] * len(clipped))
     assert scalar.tobytes() == batch.tobytes()
 
 
-def test_datasets_byte_identical(dict_study, dict_observations,
-                                 columnar_study, columnar_observations):
-    scalar_apps = build_app_dataset(
-        dict_study, dict_observations, features="scalar"
+def test_datasets_byte_identical(study, observations, dict_observations):
+    # Every dataset row is the scalar oracle's vector for its instance.
+    raw_apps = build_app_dataset(study, observations, impute=False)
+    by_id = {o.install_id: o for o in dict_observations}
+    scalar = np.vstack(
+        [
+            app_feature_vector(
+                by_id[i.install_id], i.package, study.catalog, study.vt_client
+            )
+            for i in raw_apps.instances
+        ]
     )
-    batch_apps = build_app_dataset(
-        columnar_study, columnar_observations, features="batch"
-    )
-    assert scalar_apps.X.tobytes() == batch_apps.X.tobytes()
-    assert scalar_apps.y.tobytes() == batch_apps.y.tobytes()
-    assert scalar_apps.instances == batch_apps.instances
+    assert scalar.tobytes() == raw_apps.X.tobytes()
+
+    # Frame- and dict-backed observations assemble the same datasets.
+    frame_apps = build_app_dataset(study, observations)
+    dict_apps = build_app_dataset(study, dict_observations)
+    assert dict_apps.X.tobytes() == frame_apps.X.tobytes()
+    assert dict_apps.y.tobytes() == frame_apps.y.tobytes()
+    assert dict_apps.instances == frame_apps.instances
 
     suspiciousness = {
-        o.install_id: i / 11 for i, o in enumerate(dict_observations) if i % 2
+        o.install_id: i / 11 for i, o in enumerate(observations) if i % 2
     }
-    scalar_devices = build_device_dataset(
-        dict_study, dict_observations, suspiciousness, features="scalar"
+    raw_devices = build_device_dataset(
+        study, dict_observations, suspiciousness, impute=False
     )
-    batch_devices = build_device_dataset(
-        columnar_study, columnar_observations, suspiciousness, features="batch"
+    scalar = np.vstack(
+        [
+            device_feature_vector(o, suspiciousness.get(o.install_id))
+            for o in dict_observations
+        ]
     )
-    assert scalar_devices.X.tobytes() == batch_devices.X.tobytes()
-    assert scalar_devices.y.tobytes() == batch_devices.y.tobytes()
-
-
-def test_invalid_features_knob_rejected(dict_study, dict_observations):
-    with pytest.raises(ValueError, match="features"):
-        build_app_dataset(dict_study, dict_observations, features="vectorised")
-    with pytest.raises(ValueError, match="features"):
-        build_device_dataset(dict_study, dict_observations, features="turbo")
-
-
-def test_experiment_report_identical(small_config):
-    # fig07 (install-to-review) consumes the full observation join; its
-    # rendered report must not depend on the store backend.
-    reports = []
-    for backend in ("dict", "columnar"):
-        workbench = Workbench(small_config.scaled(store_backend=backend))
-        reports.append(run_experiment("fig07", workbench).render())
-    assert reports[0] == reports[1]
+    assert scalar.tobytes() == raw_devices.X.tobytes()
+    frame_devices = build_device_dataset(study, observations, suspiciousness)
+    dict_devices = build_device_dataset(study, dict_observations, suspiciousness)
+    assert dict_devices.X.tobytes() == frame_devices.X.tobytes()
+    assert dict_devices.y.tobytes() == frame_devices.y.tobytes()
 
 
 # -- interleaved insert/query/ingest workloads -------------------------------
@@ -134,21 +204,47 @@ def test_experiment_report_identical(small_config):
 # The staged-write data plane defers columnarization and index
 # maintenance until a read needs them, so the contract must hold not
 # just for settled stores but at every point of an interleaved
-# write/read sequence: each query below runs against both backends
-# mid-ingest and must return byte-identical documents.
+# write/read sequence: each query below runs against the store and the
+# oracle mid-ingest and must return identical documents.
 
-from repro.benchmark import _make_fast_run_docs
-from repro.parallel import spawn_seeds
-from repro.platform.store import DocumentStore
+
+def _make_fast_run_docs(
+    n_installs: int, runs_per_install: int, root_seed: int
+) -> list[dict]:
+    """Deterministic fast-run payloads shaped like the wire records."""
+    (seed,) = spawn_seeds(root_seed, 1)
+    rng = np.random.default_rng(seed)
+    docs: list[dict] = []
+    for i in range(n_installs):
+        install_id = f"inst{i:05d}"
+        for r in range(runs_per_install):
+            start = float(r) * 120.0 + float(rng.random())
+            docs.append(
+                {
+                    "install_id": install_id,
+                    "participant_id": str(100_000 + i),
+                    "start": start,
+                    "end": start + 100.0,
+                    "period": 5.0,
+                    "foreground": (
+                        None
+                        if rng.random() < 0.3
+                        else f"app{int(rng.integers(50))}"
+                    ),
+                    "screen_on": bool(rng.random() < 0.5),
+                    "battery": float(rng.random()),
+                    "usage_permission": True,
+                    "_type": "fast_run",
+                }
+            )
+    return docs
 
 
 def _paired_fast_run_collections():
-    pair = []
-    for backend in ("dict", "columnar"):
-        collection = DocumentStore(backend=backend).collection("fast_runs")
-        collection.create_index("install_id")
-        pair.append(collection)
-    return pair
+    """(oracle, indexed columnar ``fast_runs`` collection)."""
+    collection = DocumentStore().collection("fast_runs")
+    collection.create_index("install_id")
+    return BruteForceCollection(), collection
 
 
 def test_interleaved_batch_ingest_and_queries_identical():
@@ -200,7 +296,7 @@ def test_single_inserts_interleaved_with_indexed_finds_identical():
 @pytest.mark.parametrize("root_seed", [0, 1, 2])
 def test_randomized_interleaved_workload_equivalence(root_seed):
     # Property-style replay: a seeded random interleaving of
-    # insert/insert_many/find/count/distinct against both backends.
+    # insert/insert_many/find/count/distinct against store and oracle.
     (seed,) = spawn_seeds(root_seed, 1)
     rng = np.random.default_rng(seed)
     docs = _make_fast_run_docs(10, 8, root_seed)

@@ -4,6 +4,7 @@ the length-stamped query-result cache of the columnar collections."""
 import pytest
 
 from repro.platform.store import DocumentStore, _SortedColumnIndex
+from tests.oracles import BruteForceCollection
 
 
 def _fast_run(install_id, start, foreground=None):
@@ -21,8 +22,8 @@ def _fast_run(install_id, start, foreground=None):
     }
 
 
-def _collection(backend="columnar"):
-    collection = DocumentStore(backend=backend).collection("fast_runs")
+def _collection():
+    collection = DocumentStore().collection("fast_runs")
     collection.create_index("install_id")
     return collection
 
@@ -38,25 +39,24 @@ class TestStagedWrites:
         assert len(collection._frame) == 3  # the read merged the backlog
 
     def test_compact_settles_the_backlog(self):
-        store = DocumentStore(backend="columnar")
+        store = DocumentStore()
         collection = store.collection("fast_runs")
         collection.insert_many([_fast_run("a", 0.0)])
         store.compact()
         assert len(collection._frame) == 1
-        # dict backend: compact is a no-op that must not blow up
-        DocumentStore(backend="dict").compact()
+        store.compact()  # a settled store compacts to a no-op
+        assert len(collection._frame) == 1
 
     def test_insert_many_raises_at_offending_record_keeping_earlier(self):
-        for backend in ("dict", "columnar"):
-            collection = _collection(backend)
-            with pytest.raises(TypeError):
-                collection.insert_many([_fast_run("a", 0.0), "nope"])
-            assert len(collection) == 1
-            assert collection.find_one({"install_id": "a"}) is not None
+        collection = _collection()
+        with pytest.raises(TypeError):
+            collection.insert_many([_fast_run("a", 0.0), "nope"])
+        assert len(collection) == 1
+        assert collection.find_one({"install_id": "a"}) is not None
 
     def test_schema_mismatch_degrades_at_read_with_all_documents_kept(self):
-        dict_col = _collection("dict")
-        columnar_col = _collection("columnar")
+        dict_col = BruteForceCollection()
+        columnar_col = _collection()
         docs = [_fast_run("a", 0.0), {"install_id": "b", "odd": True}]
         for collection in (dict_col, columnar_col):
             collection.insert_many(docs)
@@ -132,8 +132,8 @@ class TestSortedIndexDelta:
         assert collection._indexes["start"]._filled == 128
 
     def test_interleaved_results_keep_insertion_order(self):
-        dict_col = _collection("dict")
-        columnar_col = _collection("columnar")
+        dict_col = BruteForceCollection()
+        columnar_col = _collection()
         for k in range(40):
             doc = _fast_run("a" if k % 2 else "b", float(40 - k))
             dict_col.insert(doc)

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.platform.store import Collection, DocumentStore
+from repro.platform.store import ColumnarCollection, DocumentStore
+from tests.oracles import BruteForceCollection
 
 
 @pytest.fixture()
 def people():
-    collection = Collection("people")
+    collection = ColumnarCollection("people")
     collection.insert_many(
         [
             {"name": "ana", "age": 30, "city": "lima"},
@@ -83,13 +84,13 @@ class TestIndexes:
         st.integers(0, 5),
     )
     def test_property_indexed_equals_scanned(self, docs, key):
-        plain = Collection("plain")
-        indexed = Collection("indexed")
+        scanned = BruteForceCollection()
+        indexed = ColumnarCollection("indexed")
         indexed.create_index("k")
         for doc in docs:
-            plain.insert(dict(doc))
+            scanned.insert(dict(doc))
             indexed.insert(dict(doc))
-        assert plain.find({"k": key}) == indexed.find({"k": key})
+        assert scanned.find({"k": key}) == indexed.find({"k": key})
 
 
 class TestDocumentStore:

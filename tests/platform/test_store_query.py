@@ -1,14 +1,21 @@
-"""Dict vs columnar store backends: same query language, same results.
+"""The columnar store against the brute-force oracle: same query
+language, same results.
 
-The contract (DESIGN.md §9): for any query both backends return the
-same documents in the same order through the same public API.  Every
-``_OPERATORS`` operator is exercised on both backends, with and without
-indexes, on generic and schema-typed collections.
+The contract (DESIGN.md §9): for any query ``ColumnarCollection``
+returns the documents a full scan over a plain list of dicts returns
+(``tests.oracles.BruteForceCollection``), in the same order.  Every
+operator in ``QUERY_OPERATORS`` is exercised, with and without indexes,
+on generic and schema-typed collections.  Tests parametrized over
+``BACKENDS`` pin the reference semantics on the oracle as well as on
+the store: the ``dict`` case is the oracle (a scan over a plain list
+of dicts, with no indexes), the ``columnar`` case the store.
 """
 
 import pytest
 
-from repro.platform.store import _OPERATORS, Collection, ColumnarCollection, DocumentStore
+from repro.frames import QUERY_OPERATORS
+from repro.platform.store import DocumentStore
+from tests.oracles import OPERATORS, BruteForceCollection
 
 BACKENDS = ("dict", "columnar")
 
@@ -47,7 +54,13 @@ EXTRA_QUERIES = [
 
 
 def build(backend: str, docs=DOCS, index: str | None = None):
-    collection = DocumentStore(backend=backend).collection("people")
+    """``dict``: the oracle, which has no indexes to build;
+    ``columnar``: a store collection, indexed on ``index`` before the
+    inserts."""
+    if backend == "dict":
+        assert index is None, "the oracle has no indexes"
+        return BruteForceCollection(dict(doc) for doc in docs)
+    collection = DocumentStore().collection("people")
     if index:
         collection.create_index(index)
     collection.insert_many([dict(doc) for doc in docs])
@@ -55,11 +68,11 @@ def build(backend: str, docs=DOCS, index: str | None = None):
 
 
 def pairs(index: str | None = None):
-    return build("dict", index=index), build("columnar", index=index)
+    return build("dict"), build("columnar", index=index)
 
 
 def test_operator_queries_cover_the_language():
-    assert set(OPERATOR_QUERIES) == set(_OPERATORS)
+    assert set(OPERATOR_QUERIES) == set(QUERY_OPERATORS) == set(OPERATORS)
 
 
 @pytest.mark.parametrize("op", sorted(OPERATOR_QUERIES))
@@ -109,18 +122,19 @@ def test_missing_key_reads_as_none_for_other_operators(backend):
 
 @pytest.mark.parametrize("index", [None, "city", "age"])
 def test_indexed_and_unindexed_paths_agree(index):
-    dict_col, columnar_col = pairs(index=index)
-    baseline_dict, baseline_columnar = pairs(index=None)
+    oracle, indexed = pairs(index=index)
+    unindexed = build("columnar")
     for query in [*OPERATOR_QUERIES.values(), *EXTRA_QUERIES]:
-        expected = baseline_dict.find(query)
-        assert baseline_columnar.find(query) == expected
-        assert dict_col.find(query) == expected
-        assert columnar_col.find(query) == expected
+        expected = oracle.find(query)
+        assert unindexed.find(query) == expected
+        assert indexed.find(query) == expected
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_index_updated_after_inserts(backend):
-    collection = build(backend, index="city")
+    # The store probes its "city" index after the insert; the oracle
+    # pins the order that probe must return.
+    collection = build(backend, index="city" if backend == "columnar" else None)
     collection.insert({"name": "zoe", "age": 28, "city": "lima"})
     assert [d["name"] for d in collection.find({"city": "lima"})] == [
         "ana",
@@ -138,7 +152,22 @@ def test_distinct_agrees_including_list_flattening():
     assert dict_col.distinct("city", query) == columnar_col.distinct("city", query)
 
 
+#: OPERATOR_QUERIES over the columns of the schema-typed ``installs``
+#: collection.
+TYPED_OPERATOR_QUERIES = {
+    "$eq": {"install_id": {"$eq": "i1"}},
+    "$ne": {"android_id": {"$ne": "a5"}},
+    "$gt": {"registered_at": {"$gt": 7.0}},
+    "$gte": {"registered_at": {"$gte": 3.0}},
+    "$lt": {"install_id": {"$lt": "i2"}},
+    "$lte": {"registered_at": {"$lte": 4.0}},
+    "$in": {"install_id": {"$in": ["i0", "i2", "zzz"]}},
+    "$exists": {"android_id": {"$exists": True}},
+}
+
+
 def test_typed_collection_sorted_index_agrees():
+    assert set(TYPED_OPERATOR_QUERIES) == set(QUERY_OPERATORS)
     docs = [
         {
             "install_id": f"i{i % 3}",
@@ -148,26 +177,29 @@ def test_typed_collection_sorted_index_agrees():
         }
         for i in range(12)
     ]
-    dict_col = DocumentStore(backend="dict").collection("installs")
-    columnar_col = DocumentStore(backend="columnar").collection("installs")
-    for collection in (dict_col, columnar_col):
-        collection.create_index("install_id")
-        collection.insert_many([dict(d) for d in docs])
-    assert isinstance(columnar_col, ColumnarCollection)
-    assert columnar_col.frame.schema is not None  # typed via SCHEMA_BY_COLLECTION
-    for query in [
+    oracle = BruteForceCollection(dict(d) for d in docs)
+    queries = [
+        *TYPED_OPERATOR_QUERIES.values(),
         {"install_id": "i1"},  # sorted-index probe, duplicates in insert order
         {"install_id": "zzz"},
         {"install_id": 42},  # type-mismatched operand: no matches, no error
         {"registered_at": {"$gte": 3.0, "$lt": 9.0}},
-        {"android_id": {"$exists": True}},
+        {"android_id": {"$exists": False}},
         {"android_id": None},
-    ]:
-        assert dict_col.find(query) == columnar_col.find(query)
+    ]
+    for index in (None, "install_id", "registered_at"):
+        columnar_col = DocumentStore().collection("installs")
+        if index:
+            columnar_col.create_index(index)
+        columnar_col.insert_many([dict(d) for d in docs])
+        assert columnar_col.frame.schema is not None  # typed via SCHEMA_BY_COLLECTION
+        for query in queries:
+            assert oracle.find(query) == columnar_col.find(query), (index, query)
+            assert oracle.count(query) == columnar_col.count(query), (index, query)
 
 
 def test_columnar_degrades_to_generic_on_schema_mismatch():
-    columnar_col = DocumentStore(backend="columnar").collection("installs")
+    columnar_col = DocumentStore().collection("installs")
     columnar_col.create_index("install_id")
     conforming = {
         "install_id": "i0",
@@ -186,18 +218,7 @@ def test_columnar_degrades_to_generic_on_schema_mismatch():
 
 
 def test_find_views_are_live_mappings():
-    collection = DocumentStore(backend="columnar").collection("people")
+    collection = DocumentStore().collection("people")
     collection.insert_many([dict(d) for d in DOCS])
     views = collection.find_views({"city": "lima"})
     assert [dict(v) for v in views] == collection.find({"city": "lima"})
-
-
-def test_backend_knob_and_env(monkeypatch):
-    assert isinstance(DocumentStore(backend="dict")["c"], Collection)
-    assert isinstance(DocumentStore(backend="columnar")["c"], ColumnarCollection)
-    with pytest.raises(ValueError, match="unknown store backend"):
-        DocumentStore(backend="sqlite")
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "dict")
-    assert isinstance(DocumentStore()["c"], Collection)
-    monkeypatch.delenv("REPRO_STORE_BACKEND")
-    assert isinstance(DocumentStore()["c"], ColumnarCollection)
