@@ -1,10 +1,12 @@
 """Model serialization: export trained detectors to JSON and back.
 
 §9 proposes shipping pre-trained models inside pre-installed store
-clients; that requires a portable, dependency-free model format.  The
-boosted trees serialise to a nested-dict JSON document (feature index,
-threshold, children, leaf weight) plus the imputer statistics, so a
-deployed client can score without this library's training code.
+clients; that requires a portable, dependency-free model format.  Each
+boosted tree (a :class:`repro.ml.tree.Tree` of flat arrays in memory)
+serialises to a nested-dict JSON document: internal nodes carry
+``feature``, ``threshold``, ``left`` and ``right``, leaves carry
+``leaf``, their weight.  With the imputer statistics this lets a deployed
+client score without this library's training code.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import json
 
 import numpy as np
 
-from ..ml.gradient_boosting import GradientBoostingClassifier, _BoostNode, _BoostTree
+from ..ml.gradient_boosting import GradientBoostingClassifier
 from ..ml.preprocessing import SimpleImputer
+from ..ml.tree import Tree
 from .app_classifier import AppClassifier
 from .device_classifier import DeviceClassifier
 
@@ -28,27 +31,22 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def _node_to_dict(node: _BoostNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": node.weight}
+def _node_to_dict(tree: Tree, i: int = 0) -> dict:
+    if tree.feature[i] < 0:
+        return {"leaf": float(tree.value[i])}
     return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
+        "feature": int(tree.feature[i]),
+        "threshold": float(tree.threshold[i]),
+        "left": _node_to_dict(tree, tree.left[i]),
+        "right": _node_to_dict(tree, tree.right[i]),
     }
 
 
-def _node_from_dict(payload: dict) -> _BoostNode:
-    if "leaf" in payload:
-        return _BoostNode(weight=float(payload["leaf"]))
-    return _BoostNode(
-        weight=0.0,
-        feature=int(payload["feature"]),
-        threshold=float(payload["threshold"]),
-        left=_node_from_dict(payload["left"]),
-        right=_node_from_dict(payload["right"]),
-    )
+def _expand_node(node: dict) -> tuple:
+    """One nested node as :meth:`Tree.build` expects it."""
+    if "leaf" in node:
+        return float(node["leaf"]), None
+    return 0.0, (int(node["feature"]), float(node["threshold"]), node["left"], node["right"])
 
 
 def export_boosted_model(model: GradientBoostingClassifier) -> dict:
@@ -61,8 +59,8 @@ def export_boosted_model(model: GradientBoostingClassifier) -> dict:
         "learning_rate": model.learning_rate,
         "base_margin": model.base_margin_,
         "classes": [int(c) for c in model.classes_],
-        "n_features": model.trees_[0].n_features_ if model.trees_ else 0,
-        "trees": [_node_to_dict(tree.root_) for tree in model.trees_],
+        "n_features": model.n_features_,
+        "trees": [_node_to_dict(tree) for tree in model.trees_],
     }
 
 
@@ -76,15 +74,8 @@ def import_boosted_model(payload: dict) -> GradientBoostingClassifier:
     model.base_margin_ = float(payload["base_margin"])
     model.classes_ = np.asarray(payload["classes"])
     model._constant_class = len(model.classes_) == 1
-    model.trees_ = []
-    for tree_payload in payload["trees"]:
-        tree = _BoostTree(
-            max_depth=0, min_child_weight=0.0, reg_lambda=0.0, gamma=0.0,
-            colsample=1.0, rng=np.random.default_rng(0),
-        )
-        tree.n_features_ = int(payload["n_features"])
-        tree.root_ = _node_from_dict(tree_payload)
-        model.trees_.append(tree)
+    model.n_features_ = int(payload["n_features"])
+    model.trees_ = [Tree.build(tree, _expand_node) for tree in payload["trees"]]
     return model
 
 

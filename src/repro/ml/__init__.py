@@ -39,7 +39,7 @@ from .preprocessing import MinMaxScaler, SimpleImputer, StandardScaler
 from .sampling import class_counts, random_oversample, random_undersample, smote
 from .svm import LinearSVC
 from .tuning import GridSearchResult, grid_search
-from .tree import DecisionTreeClassifier, DecisionTreeRegressor
+from .tree import DecisionTreeClassifier
 
 __all__ = [
     "BaseEstimator",
@@ -62,7 +62,6 @@ __all__ = [
     "LVQClassifier",
     "LinearSVC",
     "DecisionTreeClassifier",
-    "DecisionTreeRegressor",
     "ClassificationReport",
     "accuracy_score",
     "classification_report",

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..parallel import draw_seeds, parallel_map
 from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, descend
 
 __all__ = ["RandomForestClassifier"]
 
@@ -127,10 +127,11 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        X = check_array(X)
-        proba = np.zeros((X.shape[0], len(self.classes_)), dtype=np.float64)
-        for tree in self.estimators_:
-            proba += tree.predict_proba(X)
+        trees = [tree.tree_ for tree in self.estimators_]
+        votes = descend(trees, check_array(X), self.n_features_)
+        proba = next(votes)  # a fresh array: descend copies leaf values out
+        for tree_proba in votes:
+            proba += tree_proba
         return proba / len(self.estimators_)
 
     @property

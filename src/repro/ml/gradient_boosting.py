@@ -10,128 +10,22 @@ second-order split gain
 and leaf weights ``w = -G / (H + lambda)`` (Chen & Guestrin, KDD 2016).
 XGB is the best-performing algorithm in both of the paper's tables, so
 this module is the one that must reproduce the headline F1 numbers.
+
+Each boosting round grows one tree with the shared kernel in
+:mod:`repro.ml.tree` -- this module contributes only the gain above,
+over ``[grad, hess]`` statistics -- and keeps it as a flat-array
+:class:`~repro.ml.tree.Tree`; the margin sums the rounds' leaf weights
+through the same descent that predicts every other tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y
+from .tree import GainFunction, Tree, descend, grow
 
 __all__ = ["GradientBoostingClassifier"]
-
-
-@dataclass
-class _BoostNode:
-    weight: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_BoostNode"] = None
-    right: Optional["_BoostNode"] = None
-    gain: float = 0.0
-    cover: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-class _BoostTree:
-    """A single regression tree over (gradient, hessian) targets."""
-
-    def __init__(
-        self,
-        max_depth: int,
-        min_child_weight: float,
-        reg_lambda: float,
-        gamma: float,
-        colsample: float,
-        rng: np.random.Generator,
-    ) -> None:
-        self.max_depth = max_depth
-        self.min_child_weight = min_child_weight
-        self.reg_lambda = reg_lambda
-        self.gamma = gamma
-        self.colsample = colsample
-        self.rng = rng
-        self.feature_gains: np.ndarray | None = None
-
-    def fit(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> "_BoostTree":
-        self.n_features_ = X.shape[1]
-        self.feature_gains = np.zeros(self.n_features_, dtype=np.float64)
-        self.root_ = self._grow(X, grad, hess, depth=0)
-        return self
-
-    def _leaf_weight(self, g_sum: float, h_sum: float) -> float:
-        return -g_sum / (h_sum + self.reg_lambda)
-
-    def _grow(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray, depth: int) -> _BoostNode:
-        g_sum = float(grad.sum())
-        h_sum = float(hess.sum())
-        node = _BoostNode(weight=self._leaf_weight(g_sum, h_sum), cover=h_sum)
-        if depth >= self.max_depth or X.shape[0] < 2:
-            return node
-
-        k = max(1, int(self.colsample * self.n_features_))
-        if k < self.n_features_:
-            feature_ids = self.rng.choice(self.n_features_, size=k, replace=False)
-        else:
-            feature_ids = np.arange(self.n_features_)
-
-        parent_score = g_sum**2 / (h_sum + self.reg_lambda)
-        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-        for feature in feature_ids:
-            order = np.argsort(X[:, feature], kind="mergesort")
-            values = X[order, feature]
-            g_csum = np.cumsum(grad[order])
-            h_csum = np.cumsum(hess[order])
-
-            positions = np.nonzero(values[1:] != values[:-1])[0]
-            if positions.size == 0:
-                continue
-            g_left = g_csum[positions]
-            h_left = h_csum[positions]
-            g_right = g_sum - g_left
-            h_right = h_sum - h_left
-            valid = (h_left >= self.min_child_weight) & (h_right >= self.min_child_weight)
-            if not valid.any():
-                continue
-            gains = 0.5 * (
-                g_left**2 / (h_left + self.reg_lambda)
-                + g_right**2 / (h_right + self.reg_lambda)
-                - parent_score
-            ) - self.gamma
-            gains[~valid] = -np.inf
-            i = int(np.argmax(gains))
-            if gains[i] > best_gain + 1e-12:
-                best_gain = float(gains[i])
-                best_feature = int(feature)
-                pos = positions[i]
-                best_threshold = float((values[pos] + values[pos + 1]) / 2.0)
-
-        if best_feature < 0:
-            return node
-
-        mask = X[:, best_feature] <= best_threshold
-        node.feature = best_feature
-        node.threshold = best_threshold
-        node.gain = best_gain
-        self.feature_gains[best_feature] += best_gain
-        node.left = self._grow(X[mask], grad[mask], hess[mask], depth + 1)
-        node.right = self._grow(X[~mask], grad[~mask], hess[~mask], depth + 1)
-        return node
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for i, row in enumerate(X):
-            node = self.root_
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.weight
-        return out
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -184,10 +78,11 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
     def fit(self, X, y) -> "GradientBoostingClassifier":
         X, y = check_X_y(X, y)
         encoded = self._encode_labels(y)
+        self.n_features_ = X.shape[1]
+        self.trees_: list[Tree] = []
         if len(self.classes_) == 1:
             # Degenerate training set: constant prediction.
             self._constant_class = True
-            self.trees_: list[_BoostTree] = []
             self.base_margin_ = 50.0  # sigmoid ~ 1 for the single class
             return self
         if len(self.classes_) != 2:
@@ -196,12 +91,13 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         rng = check_random_state(self.random_state)
         n = X.shape[0]
         target = encoded.astype(np.float64)
+        n_candidates = max(1, int(self.colsample_bytree * self.n_features_))
 
         p0 = np.clip(self.base_score, 1e-6, 1.0 - 1e-6)
         self.base_margin_ = float(np.log(p0 / (1.0 - p0)))
         margin = np.full(n, self.base_margin_, dtype=np.float64)
 
-        self.trees_ = []
+        self._tree_gains: list[np.ndarray] = []
         self.train_losses_: list[float] = []
         for _ in range(self.n_estimators):
             p = _sigmoid(margin)
@@ -215,28 +111,57 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
             else:
                 rows = np.ones(n, dtype=bool)
 
-            tree = _BoostTree(
-                max_depth=self.max_depth,
-                min_child_weight=self.min_child_weight,
-                reg_lambda=self.reg_lambda,
-                gamma=self.gamma,
-                colsample=self.colsample_bytree,
-                rng=rng,
+            tree, splits = grow(
+                X[rows], np.column_stack([grad, hess])[rows], self._node,
+                self.max_depth, n_candidates, rng,
             )
-            tree.fit(X[rows], grad[rows], hess[rows])
+            gains = np.zeros(self.n_features_, dtype=np.float64)
+            for feature, gain in splits:
+                gains[feature] += gain
             self.trees_.append(tree)
-            margin += self.learning_rate * tree.predict(X)
+            self._tree_gains.append(gains)
+            (weights,) = descend([tree], X, self.n_features_)
+            margin += self.learning_rate * weights
 
             p = np.clip(_sigmoid(margin), 1e-12, 1 - 1e-12)
             loss = float(-np.mean(target * np.log(p) + (1 - target) * np.log(1 - p)))
             self.train_losses_.append(loss)
         return self
 
+    def _node(self, stats: np.ndarray) -> tuple[float, GainFunction | None]:
+        """Leaf weight of a node over its ``[grad, hess]`` rows, and its
+        split gain unless it stays a leaf."""
+        # Each column summed on its own, as a 1-D array sums: a column sum
+        # of the whole matrix adds in another order and moves the bytes.
+        g_sum = float(stats[:, 0].sum())
+        h_sum = float(stats[:, 1].sum())
+        weight = -g_sum / (h_sum + self.reg_lambda)
+        if stats.shape[0] < 2:
+            return weight, None
+        parent_score = g_sum**2 / (h_sum + self.reg_lambda)
+
+        def gain(left: np.ndarray) -> np.ndarray:
+            g_left, h_left = left[:, 0], left[:, 1]
+            h_right = h_sum - h_left
+            valid = (h_left >= self.min_child_weight) & (h_right >= self.min_child_weight)
+            if not valid.any():  # most small nodes: skip the arithmetic
+                return np.full(valid.shape, -np.inf)
+            g_right = g_sum - g_left
+            gains = 0.5 * (
+                g_left**2 / (h_left + self.reg_lambda)
+                + g_right**2 / (h_right + self.reg_lambda)
+                - parent_score
+            ) - self.gamma
+            gains[~valid] = -np.inf
+            return gains
+
+        return weight, gain
+
     def decision_function(self, X) -> np.ndarray:
         X = check_array(X)
         margin = np.full(X.shape[0], self.base_margin_, dtype=np.float64)
-        for tree in self.trees_:
-            margin += self.learning_rate * tree.predict(X)
+        for weights in descend(self.trees_, X, self.n_features_):
+            margin += self.learning_rate * weights
         return margin
 
     def predict_proba(self, X) -> np.ndarray:
@@ -251,8 +176,8 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         """Total split gain per feature, normalised (XGBoost 'gain')."""
         if not self.trees_:
             raise RuntimeError("model has no trees (constant class?)")
-        total = np.zeros(self.trees_[0].n_features_, dtype=np.float64)
-        for tree in self.trees_:
-            total += tree.feature_gains
+        total = np.zeros(self.n_features_, dtype=np.float64)
+        for gains in self._tree_gains:
+            total += gains
         s = total.sum()
         return total / s if s else total

@@ -1,60 +1,191 @@
-"""CART decision trees (classification and regression), built from scratch.
+"""CART classification trees, and the split kernel and tree layout that
+every tree learner shares.
 
-These trees are the building blocks for :mod:`repro.ml.forest` (Random
-Forest) and :mod:`repro.ml.gradient_boosting` (the XGB-style booster).
+:func:`best_split` is the one split search in :mod:`repro.ml`.  For each
+candidate feature it sorts the node's rows, cumulates a per-row
+statistics matrix, scores every position between two distinct values
+with a gain function, and puts the threshold at the midpoint of the best
+one.  Splits are exact: for the dataset sizes in this reproduction
+(thousands of rows, tens of features) every midpoint is cheap to score
+and there is no discretisation error.  Two gain functions plug into it:
+the Gini gain over one-hot class counts here, and the booster's
+second-order gain over ``[grad, hess]`` in
+:mod:`repro.ml.gradient_boosting`.
+
+:func:`grow` grows one tree depth-first in pre-order around the kernel,
+and every fitted tree -- a CART tree, a Random Forest member, a boosting
+round -- is a :class:`Tree` of flat arrays that :func:`descend` predicts.
 The classifier records per-feature *mean decrease in Gini* importances,
 which is exactly the importance measure the paper uses for Figures 13
 and 14.
-
-Splits are exact: every feature is sorted once per node and all midpoints
-between distinct values are evaluated with vectorised prefix sums.  For
-the dataset sizes in this reproduction (thousands of rows, tens of
-features) this is fast and has no discretisation error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y
 
-__all__ = ["TreeNode", "DecisionTreeClassifier", "DecisionTreeRegressor"]
+__all__ = ["DecisionTreeClassifier", "Tree", "best_split", "descend", "grow"]
+
+#: Maps the cumulative statistics left of each candidate split to its gain.
+GainFunction = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass
-class TreeNode:
-    """One node of a fitted CART tree.
+class Tree:
+    """A fitted binary tree as flat pre-order arrays.
 
-    Leaves carry ``value`` (class-probability vector or regression mean);
-    internal nodes carry a ``feature``/``threshold`` split where samples
-    with ``x[feature] <= threshold`` go left.
+    Node 0 is the root.  Internal node ``i`` sends a row with
+    ``x[feature[i]] <= threshold[i]`` to ``left[i]`` and any other row to
+    ``right[i]``.  A leaf has ``feature == -1`` and both children pointing
+    back at itself, so a descent needs no leaf test: ``depth`` steps take
+    every row to its leaf.  ``value[i]`` is what node ``i`` predicts.
     """
 
-    value: np.ndarray
-    n_samples: int
-    impurity: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    gain: float = 0.0
+    def __init__(self, feature, threshold, left, right, value, depth: int) -> None:
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.value = np.asarray(value, dtype=np.float64)
+        self.depth = depth
+
+    @classmethod
+    def build(cls, root: object, expand: Callable[[object], tuple]) -> "Tree":
+        """Lay a tree out depth-first, in pre-order, starting from ``root``.
+
+        ``expand(item)`` returns ``(value, None)`` for a leaf and ``(value,
+        (feature, threshold, left_item, right_item))`` for a split; each
+        item is expanded before anything below it.
+        """
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        value: list[object] = []
+        depth = 0
+
+        def visit(item: object, level: int) -> None:
+            nonlocal depth
+            depth = max(depth, level)
+            i = len(feature)
+            node_value, split = expand(item)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(i)
+            right.append(i)
+            value.append(node_value)
+            if split is not None:
+                feature[i], threshold[i], left_item, right_item = split
+                left[i] = len(feature)
+                visit(left_item, level + 1)
+                right[i] = len(feature)
+                visit(right_item, level + 1)
+
+        visit(root, 0)
+        return cls(feature, threshold, left, right, value, depth)
 
     @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    def n_nodes(self) -> int:
+        return int(self.feature.shape[0])
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
 
-    def node_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.node_count() + self.right.node_count()
+def descend(trees: Sequence[Tree], X: np.ndarray, n_features: int) -> Iterator[np.ndarray]:
+    """Yield, tree by tree, the leaf value every row of ``X`` reaches.
+
+    The one predict path for every tree learner.  ``X`` is a matrix that
+    :func:`check_array` has already accepted; its column count is checked
+    here, once per call whatever the number of trees.
+    """
+    if X.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} features, got {X.shape[1]}")
+    rows = np.arange(X.shape[0])
+    for tree in trees:
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(tree.depth):
+            # A row already at a leaf reads column -1 and stays put.
+            go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+            node = np.where(go_left, tree.left[node], tree.right[node])
+        yield tree.value[node]
+
+
+def best_split(
+    X: np.ndarray,
+    stats: np.ndarray,
+    feature_ids: np.ndarray,
+    gain: GainFunction,
+) -> tuple[int, float, float]:
+    """Search ``feature_ids`` for the split with the largest gain.
+
+    ``stats`` holds one row of additive statistics per sample of the
+    node.  ``gain`` receives their cumulative sums at every position
+    after which the sorted feature value changes, and returns each
+    position's gain, ``-inf`` where a child would be too small.  Returns
+    ``(feature, threshold, gain)``; ``feature == -1`` means no split
+    gains more than zero.
+    """
+    best_feature, best_threshold, best_gain = -1, 0.0, 0.0
+    for feature in feature_ids:
+        # Methods and ``take`` rather than numpy functions and fancy
+        # indexing: most nodes are small, so call overhead dominates.
+        column = X[:, feature]
+        order = column.argsort(kind="mergesort")
+        values = column.take(order)
+        positions = (values[1:] != values[:-1]).nonzero()[0]  # left size i + 1
+        if positions.size == 0:
+            continue
+        gains = gain(stats.take(order, axis=0).cumsum(axis=0).take(positions, axis=0))
+        i = int(gains.argmax())
+        if gains[i] > best_gain + 1e-12:
+            best_gain = float(gains[i])
+            best_feature = int(feature)
+            pos = positions[i]
+            best_threshold = float((values[pos] + values[pos + 1]) / 2.0)
+    return best_feature, best_threshold, best_gain
+
+
+def grow(
+    X: np.ndarray,
+    stats: np.ndarray,
+    node: Callable[[np.ndarray], tuple[object, GainFunction | None]],
+    max_depth: int | None,
+    n_candidates: int,
+    rng: np.random.Generator,
+) -> tuple[Tree, list[tuple[int, float]]]:
+    """Grow one tree depth-first, in pre-order, with :func:`best_split`.
+
+    ``node(stats)`` returns a node's value and its gain function, or
+    ``None`` for a node that must stay a leaf.  Each node that may split
+    draws ``n_candidates`` features from ``rng`` (all features when that
+    is every one of them).  Returns the tree and its splits' ``(feature,
+    gain)`` pairs in pre-order, the order importances accumulate in.
+    """
+    n_features = X.shape[1]
+    splits: list[tuple[int, float]] = []
+
+    def expand(item: tuple[np.ndarray, np.ndarray, int]) -> tuple:
+        X, stats, depth = item
+        node_value, gain = node(stats)
+        if gain is None or (max_depth is not None and depth >= max_depth):
+            return node_value, None
+        if n_candidates < n_features:
+            feature_ids = rng.choice(n_features, size=n_candidates, replace=False)
+        else:
+            feature_ids = np.arange(n_features)
+        feature, threshold, split_gain = best_split(X, stats, feature_ids, gain)
+        if feature < 0:
+            return node_value, None
+        splits.append((feature, split_gain))
+        mask = X[:, feature] <= threshold
+        below = [
+            (X.compress(rows, axis=0), stats.compress(rows, axis=0), depth + 1)
+            for rows in (mask, ~mask)
+        ]
+        return node_value, (feature, threshold, *below)
+
+    return Tree.build((X, stats, 0), expand), splits
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -64,108 +195,6 @@ def _gini(counts: np.ndarray) -> float:
         return 0.0
     p = counts / total
     return float(1.0 - np.dot(p, p))
-
-
-def _best_split_classification(
-    X: np.ndarray,
-    onehot: np.ndarray,
-    feature_ids: np.ndarray,
-    min_samples_leaf: int,
-) -> tuple[int, float, float]:
-    """Search for the Gini-gain-maximising split among ``feature_ids``.
-
-    ``onehot`` is the one-hot label matrix for the samples at this node —
-    encoded once per fit and sliced down the recursion, rather than
-    rebuilt at every node.  Returns ``(feature, threshold, gain)``;
-    ``feature == -1`` means no valid split exists.  Gain is the
-    *unnormalised* impurity decrease ``N * (impurity_parent - weighted
-    child impurity)`` so that summing gains over a tree matches the
-    classic mean-decrease-in-Gini totals.
-    """
-    n = onehot.shape[0]
-    parent_counts = onehot.sum(axis=0)
-    parent_impurity = _gini(parent_counts)
-
-    best_feature, best_threshold, best_gain = -1, 0.0, 0.0
-    for feature in feature_ids:
-        order = np.argsort(X[:, feature], kind="mergesort")
-        values = X[order, feature]
-        counts_left = np.cumsum(onehot[order], axis=0)
-
-        # Candidate split positions: between consecutive distinct values,
-        # honouring the min_samples_leaf constraint on both sides.
-        distinct = values[1:] != values[:-1]
-        positions = np.nonzero(distinct)[0]  # split after index i -> left size i+1
-        if positions.size == 0:
-            continue
-        left_sizes = positions + 1
-        valid = (left_sizes >= min_samples_leaf) & (n - left_sizes >= min_samples_leaf)
-        positions = positions[valid]
-        if positions.size == 0:
-            continue
-
-        left = counts_left[positions]
-        right = parent_counts - left
-        n_left = left.sum(axis=1)
-        n_right = right.sum(axis=1)
-        gini_left = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        gains = n * (parent_impurity - weighted)
-
-        i = int(np.argmax(gains))
-        if gains[i] > best_gain + 1e-12:
-            best_gain = float(gains[i])
-            best_feature = int(feature)
-            pos = positions[i]
-            best_threshold = float((values[pos] + values[pos + 1]) / 2.0)
-    return best_feature, best_threshold, best_gain
-
-
-def _best_split_regression(
-    X: np.ndarray,
-    y: np.ndarray,
-    feature_ids: np.ndarray,
-    min_samples_leaf: int,
-) -> tuple[int, float, float]:
-    """Variance-reduction split search for regression trees."""
-    n = y.shape[0]
-    parent_sse = float(np.sum((y - y.mean()) ** 2))
-    best_feature, best_threshold, best_gain = -1, 0.0, 0.0
-    for feature in feature_ids:
-        order = np.argsort(X[:, feature], kind="mergesort")
-        values = X[order, feature]
-        y_sorted = y[order]
-        csum = np.cumsum(y_sorted)
-        csum2 = np.cumsum(y_sorted**2)
-
-        distinct = values[1:] != values[:-1]
-        positions = np.nonzero(distinct)[0]
-        if positions.size == 0:
-            continue
-        left_sizes = positions + 1
-        valid = (left_sizes >= min_samples_leaf) & (n - left_sizes >= min_samples_leaf)
-        positions = positions[valid]
-        if positions.size == 0:
-            continue
-
-        n_left = positions + 1.0
-        n_right = n - n_left
-        sum_left = csum[positions]
-        sum2_left = csum2[positions]
-        sum_right = csum[-1] - sum_left
-        sum2_right = csum2[-1] - sum2_left
-        sse_left = sum2_left - sum_left**2 / n_left
-        sse_right = sum2_right - sum_right**2 / n_right
-        gains = parent_sse - (sse_left + sse_right)
-
-        i = int(np.argmax(gains))
-        if gains[i] > best_gain + 1e-12:
-            best_gain = float(gains[i])
-            best_feature = int(feature)
-            pos = positions[i]
-            best_threshold = float((values[pos] + values[pos + 1]) / 2.0)
-    return best_feature, best_threshold, best_gain
 
 
 class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
@@ -202,18 +231,33 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
 
     # -- fitting -----------------------------------------------------------
     def fit(self, X, y, sample_classes: int | None = None) -> "DecisionTreeClassifier":
+        """Grow the tree.
+
+        A forest passes labels it has already encoded as ``0..K-1``
+        together with ``sample_classes=K``; they are used as class
+        indices as they are, so a bootstrap sample that misses a class
+        keeps every class in its own column.
+        """
         X, y = check_X_y(X, y)
-        encoded = self._encode_labels(y)
-        self.n_classes_ = sample_classes or len(self.classes_)
+        if sample_classes is None:
+            encoded = self._encode_labels(y)
+        else:
+            self.classes_, encoded = np.arange(sample_classes), y
+        self.n_classes_ = len(self.classes_)
         self.n_features_ = X.shape[1]
-        self._rng = check_random_state(self.random_state)
-        self._importances = np.zeros(self.n_features_, dtype=np.float64)
-        self._n_fit_samples = X.shape[0]
-        # One-hot encode labels once per fit; the recursion slices this
-        # matrix down alongside X instead of rebuilding it at every node.
+        # One-hot encode labels once per fit; growth slices this matrix
+        # down alongside X instead of rebuilding it at every node.
         onehot = np.zeros((X.shape[0], self.n_classes_), dtype=np.float64)
         onehot[np.arange(X.shape[0]), encoded] = 1.0
-        self.root_ = self._grow(X, encoded, onehot, depth=0)
+        self.tree_, splits = grow(
+            X, onehot, self._node, self.max_depth, self._resolve_max_features(),
+            check_random_state(self.random_state),
+        )
+        self._importances = np.zeros(self.n_features_, dtype=np.float64)
+        for feature, gain in splits:
+            # Mean decrease in Gini: impurity decrease weighted by the
+            # fraction of training samples that reach the node.
+            self._importances[feature] += gain / X.shape[0]
         return self
 
     def _resolve_max_features(self) -> int:
@@ -228,59 +272,38 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             return max(1, int(m * self.n_features_))
         return max(1, min(int(m), self.n_features_))
 
-    def _leaf(self, y: np.ndarray) -> TreeNode:
-        counts = np.bincount(y, minlength=self.n_classes_).astype(np.float64)
-        return TreeNode(value=counts / counts.sum(), n_samples=y.shape[0], impurity=_gini(counts))
+    def _node(self, onehot: np.ndarray) -> tuple[np.ndarray, GainFunction | None]:
+        """Class proportions of a node, and its Gini gain unless it stays a leaf.
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, onehot: np.ndarray, depth: int) -> TreeNode:
-        node = self._leaf(y)
-        if (
-            (self.max_depth is not None and depth >= self.max_depth)
-            or y.shape[0] < self.min_samples_split
-            or node.impurity == 0.0
-        ):
-            return node
+        The gain is the *unnormalised* impurity decrease ``N *
+        (impurity_parent - weighted child impurity)``, so that summing
+        gains over a tree matches the classic mean-decrease-in-Gini
+        totals.
+        """
+        n = onehot.shape[0]
+        counts = onehot.sum(axis=0)
+        proportions = counts / counts.sum()
+        if n < self.min_samples_split or np.count_nonzero(counts) < 2:  # pure
+            return proportions, None
+        impurity = _gini(counts)
 
-        k = self._resolve_max_features()
-        if k < self.n_features_:
-            feature_ids = self._rng.choice(self.n_features_, size=k, replace=False)
-        else:
-            feature_ids = np.arange(self.n_features_)
+        def gain(left: np.ndarray) -> np.ndarray:
+            right = counts - left
+            n_left = left.sum(axis=1)
+            n_right = right.sum(axis=1)
+            gini_left = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
+            gini_right = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
+            weighted = (n_left * gini_left + n_right * gini_right) / n
+            gains = n * (impurity - weighted)
+            valid = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
+            gains[~valid] = -np.inf
+            return gains
 
-        feature, threshold, gain = _best_split_classification(
-            X, onehot, feature_ids, self.min_samples_leaf
-        )
-        if feature < 0:
-            return node
-
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.gain = gain
-        # Mean decrease in Gini: impurity decrease weighted by the fraction
-        # of training samples that reach this node.
-        self._importances[feature] += gain / self._n_fit_samples
-        node.left = self._grow(X[mask], y[mask], onehot[mask], depth + 1)
-        node.right = self._grow(X[~mask], y[~mask], onehot[~mask], depth + 1)
-        return node
+        return proportions, gain
 
     # -- prediction --------------------------------------------------------
-    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty((X.shape[0], self.n_classes_), dtype=np.float64)
-        for i, row in enumerate(X):
-            node = self.root_
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
-
     def predict_proba(self, X) -> np.ndarray:
-        X = check_array(X)
-        if X.shape[1] != self.n_features_:
-            raise ValueError(
-                f"expected {self.n_features_} features, got {X.shape[1]}"
-            )
-        return self._leaf_values(X)
+        return next(descend([self.tree_], check_array(X), self.n_features_))
 
     @property
     def feature_importances_(self) -> np.ndarray:
@@ -291,88 +314,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         return self._importances / total
 
     def get_depth(self) -> int:
-        return self.root_.depth()
+        return self.tree_.depth
 
     def get_n_nodes(self) -> int:
-        return self.root_.node_count()
-
-
-class DecisionTreeRegressor(BaseEstimator):
-    """CART regressor with variance-reduction splits (used in tests and
-    as a reference implementation for the boosted trees)."""
-
-    def __init__(
-        self,
-        max_depth: int | None = None,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-        max_features: int | float | str | None = None,
-        random_state: int | None = None,
-    ) -> None:
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.random_state = random_state
-
-    def fit(self, X, y) -> "DecisionTreeRegressor":
-        X = check_array(X)
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape[0] != X.shape[0]:
-            raise ValueError("X and y length mismatch")
-        self.n_features_ = X.shape[1]
-        self._rng = check_random_state(self.random_state)
-        self.root_ = self._grow(X, y, depth=0)
-        return self
-
-    def _resolve_max_features(self) -> int:
-        m = self.max_features
-        if m is None:
-            return self.n_features_
-        if m == "sqrt":
-            return max(1, int(np.sqrt(self.n_features_)))
-        if m == "log2":
-            return max(1, int(np.log2(self.n_features_)))
-        if isinstance(m, float):
-            return max(1, int(m * self.n_features_))
-        return max(1, min(int(m), self.n_features_))
-
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> TreeNode:
-        mean = float(y.mean())
-        sse = float(np.sum((y - mean) ** 2))
-        node = TreeNode(value=np.array([mean]), n_samples=y.shape[0], impurity=sse)
-        if (
-            (self.max_depth is not None and depth >= self.max_depth)
-            or y.shape[0] < self.min_samples_split
-            or sse <= 1e-12
-        ):
-            return node
-
-        k = self._resolve_max_features()
-        if k < self.n_features_:
-            feature_ids = self._rng.choice(self.n_features_, size=k, replace=False)
-        else:
-            feature_ids = np.arange(self.n_features_)
-
-        feature, threshold, gain = _best_split_regression(
-            X, y, feature_ids, self.min_samples_leaf
-        )
-        if feature < 0:
-            return node
-        mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.gain = gain
-        node.left = self._grow(X[mask], y[mask], depth + 1)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1)
-        return node
-
-    def predict(self, X) -> np.ndarray:
-        X = check_array(X)
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for i, row in enumerate(X):
-            node = self.root_
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value[0]
-        return out
+        return self.tree_.n_nodes

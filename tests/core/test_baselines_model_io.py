@@ -109,11 +109,42 @@ class TestModelIO:
     def test_booster_roundtrip_predictions(self, blobs):
         X, y = blobs
         model = GradientBoostingClassifier(n_estimators=15, random_state=0).fit(X, y)
-        clone = import_boosted_model(export_boosted_model(model))
-        np.testing.assert_allclose(
-            clone.decision_function(X), model.decision_function(X), rtol=1e-12
-        )
+        clone = import_boosted_model(json.loads(json.dumps(export_boosted_model(model))))
+        assert clone.decision_function(X).tobytes() == model.decision_function(X).tobytes()
         np.testing.assert_array_equal(clone.predict(X), model.predict(X))
+
+    def test_version_1_payload_keeps_its_meaning(self):
+        # A hand-written FORMAT_VERSION 1 document: nested split nodes
+        # and leaf weights, as every earlier export wrote them.
+        payload = {
+            "format_version": 1,
+            "type": "gradient_boosting",
+            "learning_rate": 0.5,
+            "base_margin": 0.0,
+            "classes": [0, 1],
+            "n_features": 2,
+            "trees": [
+                {
+                    "feature": 0,
+                    "threshold": 1.0,
+                    "left": {"leaf": -1.0},
+                    "right": {
+                        "feature": 1,
+                        "threshold": 0.0,
+                        "left": {"leaf": 0.5},
+                        "right": {"leaf": 2.0},
+                    },
+                },
+                {"leaf": 0.25},
+            ],
+        }
+        model = import_boosted_model(payload)
+        X = np.array([[0.0, 5.0], [2.0, -1.0], [2.0, 3.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(model.decision_function(X), [-0.375, 0.375, 1.125, -0.375])
+        np.testing.assert_array_equal(model.predict(X), [0, 1, 1, 0])
+        assert export_boosted_model(model) == payload
+        with pytest.raises(ValueError, match="expected 2 features"):
+            model.predict(np.zeros((1, 3)))
 
     def test_export_is_json_serializable(self, blobs):
         X, y = blobs

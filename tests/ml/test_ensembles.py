@@ -52,6 +52,12 @@ class TestRandomForest:
         with pytest.raises(RuntimeError):
             model.oob_score()
 
+    def test_feature_count_validated_at_predict(self, blobs):
+        X, y = blobs
+        model = RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y)
+        with pytest.raises(ValueError, match="expected"):
+            model.predict_proba(np.zeros((2, X.shape[1] + 1)))
+
     def test_proba_rows_sum_to_one(self, blobs):
         X, y = blobs
         proba = RandomForestClassifier(n_estimators=10, random_state=0).fit(X, y).predict_proba(X)
@@ -105,11 +111,16 @@ class TestGradientBoosting:
         pruned = GradientBoostingClassifier(n_estimators=5, gamma=1e9, random_state=0).fit(X, y)
 
         def total_nodes(model):
-            def count(node):
-                return 1 if node.is_leaf else 1 + count(node.left) + count(node.right)
-            return sum(count(t.root_) for t in model.trees_)
+            return sum(tree.n_nodes for tree in model.trees_)
 
         assert total_nodes(pruned) < total_nodes(free)
+
+    def test_feature_count_validated_at_predict(self, rng):
+        X = rng.normal(0, 1, (60, 3))
+        model = GradientBoostingClassifier(n_estimators=3, random_state=0).fit(X, X[:, 0] > 0)
+        for bad in (np.zeros((2, 4)), np.zeros((2, 1)), [0.0, 1.0]):
+            with pytest.raises(ValueError, match="expected 3 features"):
+                model.decision_function(bad)
 
     def test_feature_importances_focus_on_signal(self, rng):
         signal = rng.normal(0, 1, 300)

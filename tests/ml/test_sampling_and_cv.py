@@ -162,7 +162,7 @@ class TestCrossValidate:
         X, y = blobs
         proto = DecisionTreeClassifier(max_depth=2)
         cross_validate(proto, X, y, n_splits=3, random_state=0)
-        assert not hasattr(proto, "root_")
+        assert not hasattr(proto, "tree_")
 
     def test_clone_copies_params(self):
         proto = DecisionTreeClassifier(max_depth=4, min_samples_leaf=3)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.forest import _fit_tree
+from repro.ml.tree import DecisionTreeClassifier
+from tests.oracles import leaf_index
 
 
 class TestDecisionTreeClassifier:
@@ -19,8 +21,8 @@ class TestDecisionTreeClassifier:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
         tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.root_.feature == 0
-        assert tree.root_.threshold == pytest.approx(1.5)
+        assert tree.tree_.feature[0] == 0
+        assert tree.tree_.threshold[0] == pytest.approx(1.5)
         assert (tree.predict([[1.4], [1.6]]) == [0, 1]).all()
 
     def test_max_depth_limits_tree(self, blobs):
@@ -31,19 +33,14 @@ class TestDecisionTreeClassifier:
     def test_min_samples_leaf_respected(self, blobs):
         X, y = blobs
         tree = DecisionTreeClassifier(min_samples_leaf=20).fit(X, y)
-
-        def leaf_sizes(node):
-            if node.is_leaf:
-                return [node.n_samples]
-            return leaf_sizes(node.left) + leaf_sizes(node.right)
-
-        assert min(leaf_sizes(tree.root_)) >= 20
+        _, leaf_sizes = np.unique(leaf_index(tree.tree_, X), return_counts=True)
+        assert leaf_sizes.min() >= 20
 
     def test_pure_node_is_leaf(self):
         X = np.array([[1.0], [2.0], [3.0]])
         y = np.array([1, 1, 1])
         tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.root_.is_leaf
+        assert tree.get_n_nodes() == 1 and tree.get_depth() == 0
 
     def test_importances_sum_to_one(self, blobs):
         X, y = blobs
@@ -76,6 +73,15 @@ class TestDecisionTreeClassifier:
         with pytest.raises(ValueError):
             tree.predict(np.zeros((2, X.shape[1] + 1)))
 
+    def test_forest_label_codes_are_class_columns(self):
+        # A bootstrap sample holding only class 1 must still vote class 1.
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        encoded = np.array([0, 0, 1, 1])
+        tree, _, _ = _fit_tree(
+            X, encoded, np.array([2, 3, 3, 2]), seed=0, params={}, n_classes=2, bootstrap=False
+        )
+        np.testing.assert_array_equal(tree.predict_proba(X[2:]), [[0.0, 1.0], [0.0, 1.0]])
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             DecisionTreeClassifier().fit(np.array([[np.nan], [1.0]]), [0, 1])
@@ -89,27 +95,3 @@ class TestDecisionTreeClassifier:
         shallow = DecisionTreeClassifier(max_depth=depth).fit(X, y).score(X, y)
         deeper = DecisionTreeClassifier(max_depth=depth + 2).fit(X, y).score(X, y)
         assert deeper >= shallow - 1e-12
-
-
-class TestDecisionTreeRegressor:
-    def test_step_function_fit(self):
-        X = np.arange(20, dtype=float).reshape(-1, 1)
-        y = (X.ravel() >= 10).astype(float) * 5.0
-        model = DecisionTreeRegressor(max_depth=1).fit(X, y)
-        pred = model.predict(X)
-        np.testing.assert_allclose(pred, y)
-
-    def test_constant_target_single_leaf(self):
-        X = np.arange(10, dtype=float).reshape(-1, 1)
-        model = DecisionTreeRegressor().fit(X, np.full(10, 3.14))
-        assert model.root_.is_leaf
-        assert model.predict([[5.0]])[0] == pytest.approx(3.14)
-
-    def test_deeper_reduces_train_mse(self, rng):
-        X = rng.uniform(-3, 3, (300, 1))
-        y = np.sin(X.ravel())
-        mse = []
-        for depth in (1, 3, 6):
-            pred = DecisionTreeRegressor(max_depth=depth).fit(X, y).predict(X)
-            mse.append(float(np.mean((pred - y) ** 2)))
-        assert mse[0] >= mse[1] >= mse[2]

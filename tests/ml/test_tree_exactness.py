@@ -1,17 +1,14 @@
-"""Exactness checks: the vectorised CART split search against a
-brute-force reference on small random datasets."""
+"""Exactness checks: the split kernel, with each of its two gain
+functions, against brute-force references on small random datasets."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.tree import (
-    DecisionTreeClassifier,
-    _best_split_classification,
-    _best_split_regression,
-    _gini,
-)
+from repro.ml import DecisionTreeClassifier, GradientBoostingClassifier
+from repro.ml.tree import _gini, best_split
+from tests.oracles import leaf_index
 
 
 def brute_force_best_gini_split(X, y, n_classes):
@@ -37,43 +34,85 @@ def brute_force_best_gini_split(X, y, n_classes):
     return best
 
 
+def boost_split_gain(X, grad, hess, feature, threshold, reg_lambda, gamma, min_child_weight):
+    """Second-order gain of one split by direct sums; ``None`` when a
+    child's hessian mass is below ``min_child_weight``."""
+    left = X[:, feature] <= threshold
+    g_left, h_left = grad[left].sum(), hess[left].sum()
+    g_right, h_right = grad[~left].sum(), hess[~left].sum()
+    if h_left < min_child_weight or h_right < min_child_weight:
+        return None
+    g, h = grad.sum(), hess.sum()
+    return 0.5 * (
+        g_left**2 / (h_left + reg_lambda)
+        + g_right**2 / (h_right + reg_lambda)
+        - g**2 / (h + reg_lambda)
+    ) - gamma
+
+
+def brute_force_best_boost_split(X, grad, hess, reg_lambda, gamma, min_child_weight):
+    best = (-1, 0.0, 0.0)
+    for feature in range(X.shape[1]):
+        values = np.unique(X[:, feature])
+        for a, b in zip(values, values[1:]):
+            threshold = (a + b) / 2.0
+            gain = boost_split_gain(
+                X, grad, hess, feature, threshold, reg_lambda, gamma, min_child_weight
+            )
+            if gain is not None and gain > best[2] + 1e-12:
+                best = (feature, threshold, gain)
+    return best
+
+
 class TestSplitExactness:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(6, 30), st.integers(1, 3))
-    def test_classification_split_matches_brute_force(self, seed, n, d):
+    @given(st.integers(0, 10_000), st.integers(6, 30), st.integers(1, 3), st.integers(2, 3))
+    def test_classification_split_matches_brute_force(self, seed, n, d, n_classes):
         rng = np.random.default_rng(seed)
         X = rng.normal(0, 1, (n, d)).round(1)  # rounding creates ties
-        y = rng.integers(0, 2, n)
-        onehot = np.zeros((n, 2), dtype=np.float64)
+        y = rng.integers(0, n_classes, n)
+        onehot = np.zeros((n, n_classes), dtype=np.float64)
         onehot[np.arange(n), y] = 1.0
-        fast = _best_split_classification(
-            X, onehot, np.arange(d), min_samples_leaf=1
-        )
-        slow = brute_force_best_gini_split(X, y, 2)
+        slow = brute_force_best_gini_split(X, y, n_classes)
+        _, gain = DecisionTreeClassifier()._node(onehot)
+        if gain is None:  # a pure node never splits
+            assert slow[0] == -1
+            return
+        fast = best_split(X, onehot, np.arange(d), gain)
         assert fast[2] == pytest.approx(slow[2], abs=1e-9)
         if slow[0] >= 0:
             # Equal-gain ties may pick different features; the gains match.
             left_fast = np.sum(X[:, fast[0]] <= fast[1])
             assert 0 < left_fast < n
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(6, 25))
-    def test_regression_split_reduces_sse(self, seed, n):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(6, 30),
+        st.integers(1, 3),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.0, 0.05]),
+        st.sampled_from([0.0, 0.5, 2.0]),
+    )
+    def test_boosting_split_matches_brute_force(
+        self, seed, n, d, reg_lambda, gamma, min_child_weight
+    ):
         rng = np.random.default_rng(seed)
-        X = rng.normal(0, 1, (n, 2))
-        y = rng.normal(0, 1, n)
-        feature, threshold, gain = _best_split_regression(
-            X, y, np.arange(2), min_samples_leaf=1
-        )
-        if feature < 0:
-            return
-        mask = X[:, feature] <= threshold
-        parent_sse = np.sum((y - y.mean()) ** 2)
-        child_sse = np.sum((y[mask] - y[mask].mean()) ** 2) + np.sum(
-            (y[~mask] - y[~mask].mean()) ** 2
-        )
-        assert gain == pytest.approx(parent_sse - child_sse, abs=1e-8)
-        assert gain >= -1e-9
+        X = rng.normal(0, 1, (n, d)).round(1)  # rounding creates ties
+        p = rng.uniform(0.05, 0.95, n)
+        grad = p - rng.integers(0, 2, n)
+        hess = p * (1.0 - p)
+        params = {"reg_lambda": reg_lambda, "gamma": gamma, "min_child_weight": min_child_weight}
+        _, gain = GradientBoostingClassifier(**params)._node(np.column_stack([grad, hess]))
+        fast = best_split(X, np.column_stack([grad, hess]), np.arange(d), gain)
+        slow = brute_force_best_boost_split(X, grad, hess, **params)
+        assert fast[2] == pytest.approx(slow[2], abs=1e-9)
+        assert (fast[0] >= 0) == (slow[0] >= 0)
+        if fast[0] >= 0:
+            # The reported gain is the gain of the split returned, and
+            # that split respects min_child_weight.
+            realised = boost_split_gain(X, grad, hess, fast[0], fast[1], **params)
+            assert realised == pytest.approx(fast[2], abs=1e-9)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -82,12 +121,5 @@ class TestSplitExactness:
         X = rng.normal(0, 1, (40, 3))
         y = rng.integers(0, 2, 40)
         tree = DecisionTreeClassifier(min_samples_leaf=7).fit(X, y)
-
-        def check(node):
-            if node.is_leaf:
-                assert node.n_samples >= 7 or node is tree.root_
-                return
-            check(node.left)
-            check(node.right)
-
-        check(tree.root_)
+        _, leaf_sizes = np.unique(leaf_index(tree.tree_, X), return_counts=True)
+        assert leaf_sizes.min() >= 7

@@ -13,17 +13,26 @@ obvious way, that the equivalence tests compare against:
   §7.1/§8.1 features computed one (app, device) instance or one device
   at a time.  ``app_feature_matrix`` and ``device_feature_matrix`` must
   equal the stacked vectors byte for byte.
+* :class:`GiniTree`, :class:`BoostTree`, :class:`Forest` and
+  :class:`Booster` — the tree learners as they were before one split
+  kernel and one array descent replaced them: node objects grown by
+  recursion, each with its own split loop, predicted one row at a time
+  by :func:`walk`.  ``repro.ml``'s trees must have the same pre-order
+  splits and give byte-identical probabilities, margins and
+  importances.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
 from repro.core.app_features import APP_FEATURE_NAMES, NEVER_REVIEWED_SENTINEL_DAYS
 from repro.core.device_features import DEVICE_FEATURE_NAMES
+from repro.parallel import draw_seeds
 from repro.simulation.clock import SECONDS_PER_DAY
 
 # -- the store's query language ------------------------------------------------
@@ -241,3 +250,372 @@ def device_feature_vector(obs, app_suspiciousness=None) -> np.ndarray:
     return np.array(
         [features[name] for name in DEVICE_FEATURE_NAMES], dtype=np.float64
     )
+
+
+# -- tree learners, node by node -------------------------------------------------
+
+
+@dataclass
+class Node:
+    """A node of an oracle tree: a class-probability vector or a leaf
+    weight in ``value``, and a split unless it is a leaf."""
+
+    value: Any
+    feature: int = -1
+    threshold: float = 0.0
+    left: Optional["Node"] = None
+    right: Optional["Node"] = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+    def preorder(self) -> Iterator["Node"]:
+        yield self
+        if not self.is_leaf:
+            yield from self.left.preorder()
+            yield from self.right.preorder()
+
+
+def walk(root: Node, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf value, found by walking the nodes one row at a time."""
+    out = []
+    for row in X:
+        node = root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        out.append(node.value)
+    return np.array(out, dtype=np.float64)
+
+
+def leaf_index(tree, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf in a flat ``repro.ml.tree.Tree``, one row at a time."""
+    out = []
+    for row in X:
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out.append(node)
+    return np.array(out, dtype=np.intp)
+
+
+def gini(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.dot(p, p))
+
+
+def best_split_classification(
+    X: np.ndarray, onehot: np.ndarray, feature_ids: np.ndarray, min_samples_leaf: int
+) -> tuple[int, float, float]:
+    """The Gini-gain-maximising split among ``feature_ids``, as
+    ``(feature, threshold, gain)``; ``feature == -1`` when none exists."""
+    n = onehot.shape[0]
+    parent_counts = onehot.sum(axis=0)
+    parent_impurity = gini(parent_counts)
+
+    best_feature, best_threshold, best_gain = -1, 0.0, 0.0
+    for feature in feature_ids:
+        order = np.argsort(X[:, feature], kind="mergesort")
+        values = X[order, feature]
+        counts_left = np.cumsum(onehot[order], axis=0)
+
+        distinct = values[1:] != values[:-1]
+        positions = np.nonzero(distinct)[0]  # split after index i -> left size i+1
+        if positions.size == 0:
+            continue
+        left_sizes = positions + 1
+        valid = (left_sizes >= min_samples_leaf) & (n - left_sizes >= min_samples_leaf)
+        positions = positions[valid]
+        if positions.size == 0:
+            continue
+
+        left = counts_left[positions]
+        right = parent_counts - left
+        n_left = left.sum(axis=1)
+        n_right = right.sum(axis=1)
+        gini_left = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
+        gini_right = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
+        weighted = (n_left * gini_left + n_right * gini_right) / n
+        gains = n * (parent_impurity - weighted)
+
+        i = int(np.argmax(gains))
+        if gains[i] > best_gain + 1e-12:
+            best_gain = float(gains[i])
+            best_feature = int(feature)
+            pos = positions[i]
+            best_threshold = float((values[pos] + values[pos + 1]) / 2.0)
+    return best_feature, best_threshold, best_gain
+
+
+def _n_candidates(max_features: int | float | str | None, n_features: int) -> int:
+    if max_features is None:
+        return n_features
+    if max_features == "sqrt":
+        return max(1, int(np.sqrt(n_features)))
+    if max_features == "log2":
+        return max(1, int(np.log2(n_features)))
+    if isinstance(max_features, float):
+        return max(1, int(max_features * n_features))
+    return max(1, min(int(max_features), n_features))
+
+
+class GiniTree:
+    """CART by recursion: the class codes ``y`` (``0..n_classes-1``) index
+    the one-hot columns, and ``importances`` accumulates each split's
+    Gini gain over the training-set size."""
+
+    def __init__(
+        self, max_depth=None, min_samples_split=2, min_samples_leaf=1,
+        max_features=None, random_state=None,
+    ) -> None:
+        self.max_depth = max_depth
+        self.min_samples_split = min_samples_split
+        self.min_samples_leaf = min_samples_leaf
+        self.max_features = max_features
+        self.rng = np.random.default_rng(random_state)
+
+    def fit(self, X: np.ndarray, y: np.ndarray, n_classes: int) -> "GiniTree":
+        self.n_classes = n_classes
+        self.n_features = X.shape[1]
+        self.importances = np.zeros(self.n_features, dtype=np.float64)
+        self.n_fit = X.shape[0]
+        onehot = np.zeros((X.shape[0], n_classes), dtype=np.float64)
+        onehot[np.arange(X.shape[0]), y] = 1.0
+        self.root = self._grow(X, y, onehot, depth=0)
+        return self
+
+    def _grow(self, X, y, onehot, depth) -> Node:
+        counts = np.bincount(y, minlength=self.n_classes).astype(np.float64)
+        node = Node(value=counts / counts.sum())
+        if (
+            (self.max_depth is not None and depth >= self.max_depth)
+            or y.shape[0] < self.min_samples_split
+            or gini(counts) == 0.0
+        ):
+            return node
+
+        k = _n_candidates(self.max_features, self.n_features)
+        if k < self.n_features:
+            feature_ids = self.rng.choice(self.n_features, size=k, replace=False)
+        else:
+            feature_ids = np.arange(self.n_features)
+
+        feature, threshold, gain = best_split_classification(
+            X, onehot, feature_ids, self.min_samples_leaf
+        )
+        if feature < 0:
+            return node
+        mask = X[:, feature] <= threshold
+        node.feature, node.threshold = feature, threshold
+        self.importances[feature] += gain / self.n_fit
+        node.left = self._grow(X[mask], y[mask], onehot[mask], depth + 1)
+        node.right = self._grow(X[~mask], y[~mask], onehot[~mask], depth + 1)
+        return node
+
+    @property
+    def feature_importances(self) -> np.ndarray:
+        total = self.importances.sum()
+        return self.importances.copy() if total == 0.0 else self.importances / total
+
+
+class Forest:
+    """Bagged :class:`GiniTree` s, drawing samples and seeds in the
+    forest's order: per tree, the bootstrap sample, then the seed."""
+
+    def __init__(self, n_estimators, random_state, bootstrap=True, **tree_params) -> None:
+        self.n_estimators = n_estimators
+        self.random_state = random_state
+        self.bootstrap = bootstrap
+        self.tree_params = tree_params
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "Forest":
+        self.classes, encoded = np.unique(y, return_inverse=True)
+        n, n_classes = X.shape[0], len(self.classes)
+        rng = np.random.default_rng(self.random_state)
+        self.trees: list[GiniTree] = []
+        self.oob_votes = np.zeros((n, n_classes), dtype=np.float64)
+        self.oob_counts = np.zeros(n, dtype=np.int64)
+        self.oob_truth = encoded
+        for _ in range(self.n_estimators):
+            sample = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            (seed,) = draw_seeds(rng, 1)
+            tree = GiniTree(random_state=seed, **self.tree_params)
+            self.trees.append(tree.fit(X[sample], encoded[sample], n_classes))
+            oob = np.setdiff1d(np.arange(n), np.unique(sample))
+            if self.bootstrap and oob.size:
+                self.oob_votes[oob] += walk(tree.root, X[oob])
+                self.oob_counts[oob] += 1
+        return self
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        proba = np.zeros((X.shape[0], len(self.classes)), dtype=np.float64)
+        for tree in self.trees:
+            proba += walk(tree.root, X)
+        return proba / len(self.trees)
+
+    @property
+    def feature_importances(self) -> np.ndarray:
+        total = np.zeros(self.trees[0].n_features, dtype=np.float64)
+        for tree in self.trees:
+            total += tree.feature_importances
+        total /= len(self.trees)
+        s = total.sum()
+        return total / s if s else total
+
+    def oob_score(self) -> float:
+        seen = self.oob_counts > 0
+        votes = np.argmax(self.oob_votes[seen], axis=1)
+        return float(np.mean(votes == self.oob_truth[seen]))
+
+
+class BoostTree:
+    """One boosting round's regression tree over (gradient, hessian)
+    targets, with its own second-order split loop."""
+
+    def __init__(self, max_depth, min_child_weight, reg_lambda, gamma, colsample, rng) -> None:
+        self.max_depth = max_depth
+        self.min_child_weight = min_child_weight
+        self.reg_lambda = reg_lambda
+        self.gamma = gamma
+        self.colsample = colsample
+        self.rng = rng
+
+    def fit(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> "BoostTree":
+        self.n_features = X.shape[1]
+        self.feature_gains = np.zeros(self.n_features, dtype=np.float64)
+        self.root = self._grow(X, grad, hess, depth=0)
+        return self
+
+    def _grow(self, X, grad, hess, depth) -> Node:
+        g_sum = float(grad.sum())
+        h_sum = float(hess.sum())
+        node = Node(value=-g_sum / (h_sum + self.reg_lambda))
+        if depth >= self.max_depth or X.shape[0] < 2:
+            return node
+
+        k = max(1, int(self.colsample * self.n_features))
+        if k < self.n_features:
+            feature_ids = self.rng.choice(self.n_features, size=k, replace=False)
+        else:
+            feature_ids = np.arange(self.n_features)
+
+        parent_score = g_sum**2 / (h_sum + self.reg_lambda)
+        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+        for feature in feature_ids:
+            order = np.argsort(X[:, feature], kind="mergesort")
+            values = X[order, feature]
+            g_csum = np.cumsum(grad[order])
+            h_csum = np.cumsum(hess[order])
+
+            positions = np.nonzero(values[1:] != values[:-1])[0]
+            if positions.size == 0:
+                continue
+            g_left = g_csum[positions]
+            h_left = h_csum[positions]
+            g_right = g_sum - g_left
+            h_right = h_sum - h_left
+            valid = (h_left >= self.min_child_weight) & (h_right >= self.min_child_weight)
+            if not valid.any():
+                continue
+            gains = 0.5 * (
+                g_left**2 / (h_left + self.reg_lambda)
+                + g_right**2 / (h_right + self.reg_lambda)
+                - parent_score
+            ) - self.gamma
+            gains[~valid] = -np.inf
+            i = int(np.argmax(gains))
+            if gains[i] > best_gain + 1e-12:
+                best_gain = float(gains[i])
+                best_feature = int(feature)
+                pos = positions[i]
+                best_threshold = float((values[pos] + values[pos + 1]) / 2.0)
+
+        if best_feature < 0:
+            return node
+        mask = X[:, best_feature] <= best_threshold
+        node.feature, node.threshold = best_feature, best_threshold
+        self.feature_gains[best_feature] += best_gain
+        node.left = self._grow(X[mask], grad[mask], hess[mask], depth + 1)
+        node.right = self._grow(X[~mask], grad[~mask], hess[~mask], depth + 1)
+        return node
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    expz = np.exp(z[~positive])
+    out[~positive] = expz / (1.0 + expz)
+    return out
+
+
+class Booster:
+    """The binary logistic booster fit with :class:`BoostTree` rounds,
+    drawing from one ``rng`` in the booster's order: per round the row
+    subsample, then each node's feature subsample in pre-order."""
+
+    def __init__(
+        self, n_estimators=200, learning_rate=0.1, max_depth=4, reg_lambda=1.0,
+        gamma=0.0, min_child_weight=1.0, subsample=1.0, colsample_bytree=1.0,
+        base_score=0.5, random_state=None,
+    ) -> None:
+        self.n_estimators = n_estimators
+        self.learning_rate = learning_rate
+        self.max_depth = max_depth
+        self.reg_lambda = reg_lambda
+        self.gamma = gamma
+        self.min_child_weight = min_child_weight
+        self.subsample = subsample
+        self.colsample_bytree = colsample_bytree
+        self.base_score = base_score
+        self.random_state = random_state
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "Booster":
+        _, encoded = np.unique(y, return_inverse=True)
+        rng = np.random.default_rng(self.random_state)
+        n = X.shape[0]
+        target = encoded.astype(np.float64)
+        p0 = np.clip(self.base_score, 1e-6, 1.0 - 1e-6)
+        self.base_margin = float(np.log(p0 / (1.0 - p0)))
+        margin = np.full(n, self.base_margin, dtype=np.float64)
+        self.trees: list[BoostTree] = []
+        self.train_losses: list[float] = []
+        for _ in range(self.n_estimators):
+            p = _sigmoid(margin)
+            grad = p - target
+            hess = p * (1.0 - p)
+            if self.subsample < 1.0:
+                rows = rng.random(n) < self.subsample
+                if not rows.any():
+                    rows[rng.integers(0, n)] = True
+            else:
+                rows = np.ones(n, dtype=bool)
+            tree = BoostTree(
+                self.max_depth, self.min_child_weight, self.reg_lambda, self.gamma,
+                self.colsample_bytree, rng,
+            )
+            self.trees.append(tree.fit(X[rows], grad[rows], hess[rows]))
+            margin += self.learning_rate * walk(tree.root, X)
+            p = np.clip(_sigmoid(margin), 1e-12, 1 - 1e-12)
+            self.train_losses.append(
+                float(-np.mean(target * np.log(p) + (1 - target) * np.log(1 - p)))
+            )
+        return self
+
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
+        margin = np.full(X.shape[0], self.base_margin, dtype=np.float64)
+        for tree in self.trees:
+            margin += self.learning_rate * walk(tree.root, X)
+        return margin
+
+    @property
+    def feature_importances(self) -> np.ndarray:
+        total = np.zeros(self.trees[0].n_features, dtype=np.float64)
+        for tree in self.trees:
+            total += tree.feature_gains
+        s = total.sum()
+        return total / s if s else total

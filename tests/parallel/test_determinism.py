@@ -88,8 +88,9 @@ class TestForestDeterminism:
         X, y = dataset
         baseline = RandomForestClassifier(n_estimators=8, random_state=9).fit(X, y)
         parallel = RandomForestClassifier(n_estimators=8, random_state=9, n_jobs=2).fit(X, y)
-        for a, b in zip(baseline.estimators_, parallel.estimators_):
-            assert a.get_n_nodes() == b.get_n_nodes()
+        for a, b in zip(baseline.estimators_, parallel.estimators_, strict=True):
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert getattr(a.tree_, name).tobytes() == getattr(b.tree_, name).tobytes()
             assert np.array_equal(a.feature_importances_, b.feature_importances_)
 
 
