@@ -5,9 +5,10 @@ snapshots, §3) a dict-per-document store and per-row feature loops are
 the dominant cost of everything §6–§8 computes.  This package declares
 the record schemas for the snapshot families the platform handles and
 provides :class:`ColumnFrame`, a struct-of-arrays container built on
-numpy: documents append into per-field columns, queries compile to
-vectorized boolean masks (:mod:`repro.frames.query`), and analyses read
-zero-copy :class:`FrameRow` mapping views instead of materialized dicts.
+numpy: documents append into per-field columns, one evaluator answers
+queries over them (:func:`matching_positions`, in
+:mod:`repro.frames.query`), and analyses read zero-copy
+:class:`FrameRow` mapping views instead of materialized dicts.
 
 The hard contract of the data plane (DESIGN.md §9): the store returns
 what a brute-force scan over plain dicts returns, and the feature
@@ -16,7 +17,7 @@ references live in ``tests/oracles.py``.
 """
 
 from .frame import ColumnFrame, ColumnRun, FrameRow
-from .query import QUERY_OPERATORS, QueryPlan, compile_plan, mask_for, plan_key
+from .query import QUERY_OPERATORS, matching_positions
 from .schema import (
     APP_CHANGE_SCHEMA,
     FAST_RUN_SCHEMA,
@@ -33,10 +34,7 @@ __all__ = [
     "ColumnFrame",
     "ColumnRun",
     "FrameRow",
-    "mask_for",
-    "compile_plan",
-    "plan_key",
-    "QueryPlan",
+    "matching_positions",
     "QUERY_OPERATORS",
     "Field",
     "RecordSchema",

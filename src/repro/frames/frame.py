@@ -4,12 +4,10 @@ A :class:`ColumnFrame` holds N records as per-field columns instead of
 N dicts.  Values are kept as python objects in per-column lists (the
 source of truth, so a reconstructed row is exactly what was appended —
 same objects for nested values, bit-identical scalars) and materialize
-on demand into *incrementally maintained* numpy buffers for vectorized
-query masks and batch feature extraction.  Appends never throw the
-materialized arrays away: each column keeps an amortized-growth buffer
-(capacity doubling, one dtype-coercion pass per unread tail), so an
-interleaved insert/query workload re-coerces only the rows appended
-since the last read instead of the whole column.
+on demand into read-only numpy arrays for query evaluation and batch
+feature extraction.  An array is built once per (column, frame length):
+reads between two appends share it, and the first read after an append
+builds a fresh one.
 
 Frames come in two modes:
 
@@ -52,9 +50,6 @@ __all__ = ["ColumnFrame", "ColumnRun", "FrameRow", "SchemaMismatchError"]
 _ABSENT = object()
 
 _NUMPY_DTYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
-
-#: Smallest buffer allocation; doubles from here.
-_MIN_CAPACITY = 16
 
 
 class SchemaMismatchError(ValueError):
@@ -136,37 +131,6 @@ class ColumnRun(Sequence):
         return [self.frame.row(position) for position in self.positions.tolist()]
 
 
-class _ColumnBuffer:
-    """Amortized-growth numpy shadow of one value list.
-
-    ``array[:filled]`` always mirrors the first ``filled`` entries of
-    the backing list; reads coerce only the unseen tail.  Returned
-    views are read-only slices of the shared buffer — safe because
-    filled positions are never rewritten (the frame is append-only).
-    """
-
-    __slots__ = ("array", "filled")
-
-    def __init__(self, dtype) -> None:
-        self.array = np.empty(_MIN_CAPACITY, dtype=dtype)
-        self.filled = 0
-
-    def _reserve(self, length: int) -> None:
-        capacity = len(self.array)
-        if capacity >= length:
-            return
-        while capacity < length:
-            capacity *= 2
-        grown = np.empty(capacity, dtype=self.array.dtype)
-        grown[: self.filled] = self.array[: self.filled]
-        self.array = grown
-
-    def view(self, length: int) -> np.ndarray:
-        view = self.array[:length]
-        view.flags.writeable = False
-        return view
-
-
 class ColumnFrame:
     """Columnar storage for homogeneous (typed) or ad-hoc (generic) records."""
 
@@ -174,12 +138,10 @@ class ColumnFrame:
         self.schema = schema
         self._length = 0
         self._columns: dict[str, list] = {}
-        # name -> (view, length-at-build): reads reuse the view until
+        # name -> (array, length-at-build): reads reuse the array until
         # the frame grows, preserving identity between appends.
         self._views: dict[str, tuple[np.ndarray, int]] = {}
         self._present_views: dict[str, tuple[np.ndarray, int]] = {}
-        self._buffers: dict[str, _ColumnBuffer] = {}
-        self._present_buffers: dict[str, _ColumnBuffer] = {}
         if schema is not None:
             for field in schema.fields:
                 self._columns[field.name] = []
@@ -301,16 +263,6 @@ class ColumnFrame:
             raise KeyError(name)
         return value
 
-    def cell_or_none(self, name: str, index: int) -> Any:
-        """One cell; absent keys and unknown columns read as ``None``
-        (the ``dict.get`` view every query operator except ``$exists``
-        sees)."""
-        column = self._columns.get(name)
-        if column is None:
-            return None
-        value = column[index]
-        return None if value is _ABSENT else value
-
     def row_keys(self, index: int) -> Iterator[str]:
         for name, column in self._columns.items():
             if column[index] is not _ABSENT:
@@ -333,42 +285,25 @@ class ColumnFrame:
 
     # -- numpy materialization -----------------------------------------
     def column(self, name: str) -> np.ndarray:
-        """The column as a numpy array (incrementally maintained).
+        """The column as a read-only numpy array.
 
         Typed non-nullable ``float``/``int``/``bool`` fields come back
         with their native dtype; everything else is an ``object`` array
         in which absent cells read as ``None`` (mirroring ``dict.get``).
-        An unknown column reads as all-``None``.  Successive reads with
-        no intervening append return the same (read-only) view; after
-        appends only the new tail is coerced.
+        An unknown column reads as all-``None``.  Reads with no append
+        in between return the same array.
         """
         cached = self._views.get(name)
         if cached is not None and cached[1] == self._length:
             return cached[0]
-        values = self._columns.get(name)
-        if values is None:
-            view = np.full(self._length, None, dtype=object)
-            view.flags.writeable = False
+        dtype = self._native_dtype(name)
+        if dtype is not None:
+            array = np.array(self._columns[name], dtype=dtype)
         else:
-            buffer = self._buffers.get(name)
-            if buffer is None:
-                dtype = self._native_dtype(name)
-                buffer = _ColumnBuffer(dtype if dtype is not None else object)
-                self._buffers[name] = buffer
-            if buffer.filled < self._length:
-                tail = values[buffer.filled : self._length]
-                if buffer.array.dtype == object:
-                    coerced = np.empty(len(tail), dtype=object)
-                    for i, value in enumerate(tail):
-                        coerced[i] = None if value is _ABSENT else value
-                else:
-                    coerced = np.asarray(tail, dtype=buffer.array.dtype)
-                buffer._reserve(self._length)
-                buffer.array[buffer.filled : self._length] = coerced
-                buffer.filled = self._length
-            view = buffer.view(self._length)
-        self._views[name] = (view, self._length)
-        return view
+            array = np.fromiter(self.cells(name), dtype=object, count=self._length)
+        array.flags.writeable = False
+        self._views[name] = (array, self._length)
+        return array
 
     def present(self, name: str) -> np.ndarray:
         """Boolean mask of rows whose document carried ``name`` at all."""
@@ -377,26 +312,16 @@ class ColumnFrame:
             return cached[0]
         values = self._columns.get(name)
         if values is None:
-            view = np.zeros(self._length, dtype=bool)
-            view.flags.writeable = False
+            array = np.zeros(self._length, dtype=bool)
         elif self.schema is not None:
-            view = np.ones(self._length, dtype=bool)
-            view.flags.writeable = False
+            array = np.ones(self._length, dtype=bool)
         else:
-            buffer = self._present_buffers.get(name)
-            if buffer is None:
-                buffer = _ColumnBuffer(np.bool_)
-                self._present_buffers[name] = buffer
-            if buffer.filled < self._length:
-                tail = values[buffer.filled : self._length]
-                buffer._reserve(self._length)
-                buffer.array[buffer.filled : self._length] = np.fromiter(
-                    (value is not _ABSENT for value in tail), np.bool_, len(tail)
-                )
-                buffer.filled = self._length
-            view = buffer.view(self._length)
-        self._present_views[name] = (view, self._length)
-        return view
+            array = np.fromiter(
+                (value is not _ABSENT for value in values), np.bool_, self._length
+            )
+        array.flags.writeable = False
+        self._present_views[name] = (array, self._length)
+        return array
 
     def cells(self, name: str) -> Iterator[Any]:
         """Iterate effective cell values (absent/unknown keys -> ``None``)."""
@@ -414,11 +339,12 @@ class ColumnFrame:
         return _NUMPY_DTYPES.get(field.kind)
 
     def native_kind(self, name: str) -> str | None:
-        """The schema kind when the column materializes with a native
-        numpy dtype (``float``/``int``/``bool``); ``None`` otherwise."""
+        """The schema kind of a non-nullable scalar field (``float``,
+        ``int``, ``bool`` or ``str``), whose column holds no ``None``;
+        ``None`` for nullable, ``object`` and undeclared fields."""
         if self.schema is None or name not in self.schema:
             return None
         field = self.schema.field(name)
-        if field.nullable:
-            return "str" if field.kind == "str" else None
-        return field.kind if field.kind != "object" else None
+        if field.nullable or field.kind == "object":
+            return None
+        return field.kind

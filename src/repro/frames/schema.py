@@ -52,11 +52,6 @@ class Field:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
-    @property
-    def sortable(self) -> bool:
-        """Whether a column-sorted index can be built on this field."""
-        return self.kind in ("float", "int", "str") and not self.nullable
-
 
 @dataclass(frozen=True)
 class RecordSchema:

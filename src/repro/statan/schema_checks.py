@@ -137,7 +137,7 @@ class SchemaQueryCheck(_SchemaRule):
             for node in ast.walk(ctx.tree):
                 if not isinstance(node, ast.Call):
                     continue
-                yield from self._check_mask_for(ctx, node)
+                yield from self._check_matching_positions(ctx, node)
                 matched = _collection_call(node, project)
                 if matched is None:
                     continue
@@ -159,16 +159,16 @@ class SchemaQueryCheck(_SchemaRule):
                 if isinstance(query, ast.Dict):
                     yield from self._check_query(ctx, collection, schema, query)
 
-    def _check_mask_for(
+    def _check_matching_positions(
         self, ctx: ModuleContext, node: ast.Call
     ) -> Iterator[Finding]:
-        """Operator-name check for direct ``mask_for(frame, {...})``
-        calls — the frame's schema is rarely statically known, but a
-        bad ``$op`` is wrong against any schema."""
+        """Operator-name check for direct ``matching_positions(frame,
+        {...})`` calls — the frame's schema is rarely statically known,
+        but a bad ``$op`` is wrong against any schema."""
         resolved = ctx.resolve(node.func) or (
             node.func.id if isinstance(node.func, ast.Name) else None
         )
-        if not matches_tail(resolved, "mask_for") or len(node.args) < 2:
+        if not matches_tail(resolved, "matching_positions") or len(node.args) < 2:
             return
         query = node.args[1]
         if not isinstance(query, ast.Dict):

@@ -1,18 +1,14 @@
-"""Tests for the batch append fast path, the selectivity-aware query
-planner, and contiguous column runs."""
+"""Tests for the batch append fast path, the query evaluator's
+candidate seeding, and contiguous column runs."""
 
-import numpy as np
 import pytest
 
 from repro.frames import (
     ColumnFrame,
     ColumnRun,
     Field,
-    QueryPlan,
     RecordSchema,
-    compile_plan,
-    mask_for,
-    plan_key,
+    matching_positions,
 )
 from repro.frames.frame import SchemaMismatchError
 
@@ -112,73 +108,25 @@ class TestExtendBatch:
 
 
 class TestPlanner:
-    def test_plan_key_is_shape_not_values(self):
-        a = {"install_id": "i1", "start": {"$gte": 1.0}}
-        b = {"install_id": "i2", "start": {"$gte": 99.0}}
-        assert plan_key(a) == plan_key(b)
-        assert plan_key(a) != plan_key({"install_id": "i1"})
-
-    def test_predicates_ordered_by_selectivity(self):
-        query = {
-            "label": {"$exists": True},
-            "start": {"$gte": 10.0},
-            "install_id": "i1",
-            "count": {"$ne": 3},
-        }
-        plan = compile_plan(query)
-        ops = [op for _field, op, _plain in plan.entries]
-        assert ops == ["$eq", "$gte", "$exists", "$ne"]
-
-    @pytest.mark.parametrize(
-        "query",
-        [
-            {"install_id": "i1"},
-            {"start": {"$gte": 20.0, "$lt": 60.0}},
-            {"active": True, "count": {"$gt": 2}},
-            {"label": {"$exists": False}},
-            {"install_id": {"$in": ["i0", "i2"]}, "start": {"$lte": 50.0}},
-            {"count": {"$ne": 4}},
-        ],
-    )
-    def test_positions_match_mask_for(self, query):
-        frame = _typed()
-        plan = compile_plan(query)
-        expected = np.nonzero(mask_for(frame, query))[0]
-        assert plan.positions(frame, query).tolist() == expected.tolist()
-        assert plan.count(frame, query) == len(expected)
+    """``matching_positions`` with and without index candidates."""
 
     def test_seed_is_reverified_not_trusted(self):
-        # A seed is a candidate superset: positions that fail the
-        # predicates must be filtered out, whatever the seed claims.
+        # Candidates are a superset: positions that fail the
+        # predicates must be filtered out, whatever the caller claims.
         frame = _typed()
         query = {"install_id": "i1"}
-        expected = np.nonzero(mask_for(frame, query))[0].tolist()
-        seeded = compile_plan(query).positions(
-            frame, query, seed=list(range(len(frame)))
-        )
-        assert seeded.tolist() == expected
-
-    def test_narrow_paths_agree_with_and_without_column_shadow(self):
-        docs = _docs(12)
-        query = {"start": {"$gte": 30.0}, "install_id": "i0"}
-        fresh = _typed(docs)
-        seed = list(range(len(fresh)))
-        raw = compile_plan(query).positions(fresh, query, seed=seed).tolist()
-        warmed = _typed(docs)
-        warmed.column("start")  # materialize the numpy shadow
-        warmed.column("install_id")
-        vectorized = (
-            compile_plan(query).positions(warmed, query, seed=seed).tolist()
-        )
-        assert raw == vectorized
+        seeded = matching_positions(frame, query, candidates=range(len(frame)))
+        assert seeded.tolist() == matching_positions(frame, query).tolist() == [1, 4, 7]
 
     def test_unknown_operator_raises_at_evaluation_not_compile(self):
+        # Like a per-document scan: the unknown operator raises once a
+        # row reaches it, and never when no row does.
         frame = _typed()
         query = {"install_id": {"$regex": "i.*"}}
-        plan = compile_plan(query)  # must not raise
-        assert isinstance(plan, QueryPlan)
+        assert matching_positions(frame, query, candidates=[]).tolist() == []
+        assert matching_positions(frame, {"count": -1, **query}).tolist() == []
         with pytest.raises(ValueError, match="regex"):
-            plan.positions(frame, query)
+            matching_positions(frame, query)
 
 
 class TestColumnRun:

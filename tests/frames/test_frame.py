@@ -1,4 +1,4 @@
-"""Tests for the columnar record frames (schema, frame, query masks)."""
+"""Tests for the columnar record frames (schema, frame, query evaluation)."""
 
 import math
 
@@ -11,7 +11,7 @@ from repro.frames import (
     Field,
     FrameRow,
     RecordSchema,
-    mask_for,
+    matching_positions,
 )
 from repro.frames.frame import SchemaMismatchError
 
@@ -60,13 +60,6 @@ class TestSchema:
     def test_duplicate_field_names_rejected(self):
         with pytest.raises(ValueError):
             RecordSchema("dup", (Field("a", "int"), Field("a", "str")))
-
-    def test_sortable(self):
-        assert POINT_SCHEMA.field("x").sortable
-        assert POINT_SCHEMA.field("name").sortable
-        assert not POINT_SCHEMA.field("tag").sortable  # nullable
-        assert not POINT_SCHEMA.field("flag").sortable  # bool
-        assert not POINT_SCHEMA.field("payload").sortable  # object
 
     def test_contains_and_lookup(self):
         assert "x" in POINT_SCHEMA
@@ -120,14 +113,12 @@ class TestGenericFrame:
         # Row 1 never carried "b": cell raises like a dict, get -> None.
         with pytest.raises(KeyError):
             frame.cell("b", 1)
-        assert frame.cell_or_none("b", 1) is None
         # Row 2 carries an explicit None.
         assert frame.cell("b", 2) is None
         assert list(frame.present("b")) == [True, False, True]
 
     def test_backfill_of_late_columns(self):
         frame = make_generic()
-        assert frame.cell_or_none("c", 0) is None
         assert frame.row(0) == {"a": 1, "b": "x"}
         assert frame.row(2) == {"a": 3, "b": None, "c": [1, 2]}
 
@@ -157,6 +148,13 @@ class TestFrameRow:
         row = frame.view(1)
         assert "b" not in row
         assert dict(row) == {"a": 2}
+
+
+def mask_for(frame: ColumnFrame, query) -> np.ndarray:
+    """Boolean row mask of the rows ``matching_positions`` returns."""
+    mask = np.zeros(len(frame), dtype=bool)
+    mask[matching_positions(frame, query)] = True
+    return mask
 
 
 class TestMaskFor:

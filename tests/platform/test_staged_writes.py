@@ -1,9 +1,9 @@
-"""Tests for the staged write path, the incremental sorted index, and
-the length-stamped query-result cache of the columnar collections."""
+"""Tests for the staged write path of the columnar collections, and
+for query results (and the per-position row cache) across inserts."""
 
 import pytest
 
-from repro.platform.store import DocumentStore, _SortedColumnIndex
+from repro.platform.store import DocumentStore
 from tests.oracles import BruteForceCollection
 
 
@@ -67,6 +67,8 @@ class TestStagedWrites:
 
 
 class TestResultCache:
+    """Query results across inserts, and the per-position row cache."""
+
     def test_repeated_find_returns_fresh_list_of_same_rows(self):
         collection = _collection()
         collection.insert_many([_fast_run("a", 0.0), _fast_run("a", 10.0)])
@@ -97,13 +99,7 @@ class TestResultCache:
 
 
 class TestSortedIndexDelta:
-    def test_equality_probes_never_pay_the_sort(self):
-        collection = _collection()
-        collection.insert_many([_fast_run("a", float(k)) for k in range(100)])
-        collection.find({"install_id": "a"})
-        index = collection._indexes["install_id"]
-        assert isinstance(index, _SortedColumnIndex)
-        assert index._filled == 0  # no range probe -> no sorted run yet
+    """Range queries on an indexed field, interleaved with inserts."""
 
     def test_small_delta_probed_without_merge(self):
         collection = _collection()
@@ -112,14 +108,10 @@ class TestSortedIndexDelta:
         assert [
             d["start"] for d in collection.find({"start": {"$gte": 900.0}})
         ] == [900.0, 910.0, 920.0, 930.0, 940.0, 950.0, 960.0, 970.0, 980.0, 990.0]
-        index = collection._indexes["start"]
-        merged_at = index._filled
-        assert merged_at == 100  # first probe merged the whole backlog
-        for k in range(5):  # below the merge threshold
+        for k in range(5):
             collection.insert(_fast_run("b", 1000.0 + k))
         found = collection.find({"start": {"$gt": 985.0}})
         assert [d["start"] for d in found] == [990.0, 1000.0, 1001.0, 1002.0, 1003.0, 1004.0]
-        assert collection._indexes["start"]._filled == merged_at  # delta scanned, not merged
 
     def test_large_delta_merges_and_stays_correct(self):
         collection = _collection()
@@ -129,7 +121,6 @@ class TestSortedIndexDelta:
         collection.insert_many([_fast_run("b", float(k) + 0.5) for k in range(64)])
         found = collection.find({"start": {"$gte": 60.0}})
         assert [d["start"] for d in found] == [60.0, 61.0, 62.0, 63.0, 60.5, 61.5, 62.5, 63.5]
-        assert collection._indexes["start"]._filled == 128
 
     def test_interleaved_results_keep_insertion_order(self):
         dict_col = BruteForceCollection()

@@ -97,6 +97,24 @@ def test_unknown_operator_raises(backend):
         build(backend).find({"age": {"$regex": ".*"}})
 
 
+@pytest.mark.parametrize(
+    "query, index, error",
+    [
+        ({"age": {"$bogus": 1}, "name": "zed"}, None, ValueError),
+        ({"name": {"$gt": 1}, "age": 99}, None, TypeError),
+        ({"age": {"$bogus": 1}, "name": "zed"}, "name", ValueError),
+    ],
+)
+def test_raises_where_the_scan_raises(query, index, error):
+    # The first predicate raises on every row; a later one matches no
+    # row, so evaluating it first would return [] instead of raising.
+    docs = [{"name": "ana", "age": 30}, {"name": "bob", "age": 25}]
+    with pytest.raises(error):
+        build("dict", docs).find(query)
+    with pytest.raises(error):
+        build("columnar", docs, index=index).find(query)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_exists_distinguishes_none_from_missing(backend):
     collection = build(backend)
@@ -166,17 +184,21 @@ TYPED_OPERATOR_QUERIES = {
 }
 
 
+#: Rows for the schema-typed ``installs`` collection.
+INSTALL_DOCS = [
+    {
+        "install_id": f"i{i % 3}",
+        "participant_id": str(100 + i),
+        "android_id": None if i % 4 == 0 else f"a{i}",
+        "registered_at": float(i),
+    }
+    for i in range(12)
+]
+
+
 def test_typed_collection_sorted_index_agrees():
     assert set(TYPED_OPERATOR_QUERIES) == set(QUERY_OPERATORS)
-    docs = [
-        {
-            "install_id": f"i{i % 3}",
-            "participant_id": str(100 + i),
-            "android_id": None if i % 4 == 0 else f"a{i}",
-            "registered_at": float(i),
-        }
-        for i in range(12)
-    ]
+    docs = INSTALL_DOCS
     oracle = BruteForceCollection(dict(d) for d in docs)
     queries = [
         *TYPED_OPERATOR_QUERIES.values(),
@@ -186,6 +208,8 @@ def test_typed_collection_sorted_index_agrees():
         {"registered_at": {"$gte": 3.0, "$lt": 9.0}},
         {"android_id": {"$exists": False}},
         {"android_id": None},
+        {"android_id": {"$gte": "a3"}},  # ordering on a nullable column
+        {"install_id": ["i1"]},  # unhashable operand: no index bucket
     ]
     for index in (None, "install_id", "registered_at"):
         columnar_col = DocumentStore().collection("installs")
@@ -196,6 +220,24 @@ def test_typed_collection_sorted_index_agrees():
         for query in queries:
             assert oracle.find(query) == columnar_col.find(query), (index, query)
             assert oracle.count(query) == columnar_col.count(query), (index, query)
+
+
+def test_distinct_on_typed_columns_agrees():
+    # Repeated and signed-zero floats on the native float64 column.
+    docs = [
+        *INSTALL_DOCS,
+        {**INSTALL_DOCS[3], "install_id": "i9"},
+        {**INSTALL_DOCS[0], "registered_at": -0.0},
+    ]
+    oracle = BruteForceCollection(dict(d) for d in docs)
+    columnar_col = DocumentStore().collection("installs")
+    columnar_col.insert_many([dict(d) for d in docs])
+    for fieldname in ("registered_at", "install_id", "android_id"):
+        assert oracle.distinct(fieldname) == columnar_col.distinct(fieldname)
+    query = {"install_id": {"$in": ["i0", "i9"]}}
+    assert oracle.distinct("registered_at", query) == columnar_col.distinct(
+        "registered_at", query
+    )
 
 
 def test_columnar_degrades_to_generic_on_schema_mismatch():

@@ -87,6 +87,26 @@ class TestSch001:
         ))
         assert rules_fired(root, "SCH001") == []
 
+    def test_direct_evaluator_call_with_unknown_operator(self, write_tree):
+        root = write_tree(tree_with(
+            "from repro.frames.query import matching_positions\n"
+            "\n"
+            "def q(frame):\n"
+            '    return matching_positions(frame, {"n": {"$regex": "x"}})\n'
+        ))
+        findings = rules_fired(root, "SCH001")
+        assert len(findings) == 1
+        assert "$regex" in findings[0].message
+
+    def test_direct_evaluator_call_with_known_operators_is_silent(self, write_tree):
+        root = write_tree(tree_with(
+            "from repro.frames.query import matching_positions\n"
+            "\n"
+            "def q(frame):\n"
+            '    return matching_positions(frame, {"n": {"$gte": 1, "$ne": 4}})\n'
+        ))
+        assert rules_fired(root, "SCH001") == []
+
     def test_unknown_collection_is_ignored(self, write_tree):
         root = write_tree(tree_with(
             "def q(store):\n"
