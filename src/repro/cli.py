@@ -12,10 +12,8 @@ Commands
 ``export-figures``  write the raw series behind each figure as CSV
 ``profile``     run a full study + report with tracing on; print the
                 span-tree timing report and the top-N slowest spans
-``bench``       speedup/determinism suites: ``ml`` (CV/forest serial vs
-                parallel -> BENCH_ml.json), ``lint`` (serial vs parallel
-                statan analysis -> BENCH_lint.json), ``sim`` (serial vs
-                sharded day phases -> BENCH_sim.json), or ``all``; the
+``bench sim``   time the day engine serial vs sharded, assert identical
+                studies and gate the speedup (-> BENCH_sim.json); the
                 end-to-end, per-layer benchmark is ``bench/run.py``
 ``chaos``       fault-injection gate: run the same seeded study under a
                 clean plan and escalating fault plans (loss, corruption,
@@ -31,9 +29,8 @@ Commands
 FILE`` to enable the metrics registry and archive its JSON export.
 The global ``--n-jobs N`` flag (default: the ``REPRO_N_JOBS``
 environment variable, else serial) fans simulation day phases, CV
-folds, forest trees, and experiment cells out across N worker
-processes; outputs are bit-identical at any worker count (DESIGN.md
-§8, §12).
+folds and forest trees out across N worker processes; outputs are
+bit-identical at any worker count (DESIGN.md §8, §12).
 """
 
 from __future__ import annotations
@@ -78,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     parser.add_argument(
         "--n-jobs", type=int, default=None, metavar="N",
-        help="worker processes for CV folds / forest trees / experiment "
-        "cells (default: $REPRO_N_JOBS, else serial; <= 0 means all "
-        "cores); outputs are identical at any worker count",
+        help="worker processes for simulation day phases / CV folds / "
+        "forest trees (default: $REPRO_N_JOBS, else serial; <= 0 means "
+        "all cores); outputs are identical at any worker count",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -120,29 +117,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="speedup/determinism benchmarks; writes BENCH_<suite>.json",
+        help="day-engine speedup/identity gate; writes BENCH_sim.json",
     )
     bench.add_argument(
-        "suite", nargs="?", choices=("ml", "lint", "sim", "all"),
-        default="ml",
-        help="ml: serial-vs-parallel ML workloads; lint: "
-        "serial-vs-parallel statan analysis; sim: serial-vs-sharded "
-        "simulation day phases; all: every suite (default: ml)",
+        "suite", choices=("sim",),
+        help="sim: serial-vs-sharded simulation day phases",
     )
     bench.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized workload (ml suite defaults to two workers)",
+        "--smoke", action="store_true", help="CI-sized study",
     )
     bench.add_argument(
-        "--out", default=None,
-        help="output path (default: BENCH_<suite>.json; only valid "
-        "for a single suite)",
+        "--out", default="BENCH_sim.json",
+        help="output path (default: BENCH_sim.json)",
     )
     bench.add_argument(
         "--baseline", default=None,
-        help="sim suite: speedup-floor file for the regression gate "
-        "(default: bench-baseline.json when --smoke; skipped if "
-        "missing)",
+        help="speedup-floor file for the regression gate (default: "
+        "bench-baseline.json when --smoke; skipped if missing)",
     )
 
     classify = sub.add_parser("classify", help="scan a fresh cohort with exported models")
@@ -225,7 +216,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_report(args) -> int:
     workbench = Workbench(_config_for(args.scale, args.seed), n_jobs=args.n_jobs)
-    for report in run_many(list(EXPERIMENTS), workbench, n_jobs=args.n_jobs):
+    for report in run_many(list(EXPERIMENTS), workbench):
         print(report.render())
         print()
     return 0
@@ -352,35 +343,15 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .benchmark import run_bench, run_lint_bench, run_sim_bench
+    from .benchmark import run_sim_bench
 
-    seed = args.seed if args.seed is not None else 0
-    if args.suite == "all" and args.out is not None:
-        print("error: --out is ambiguous with suite 'all'", file=sys.stderr)
-        return 2
-    code = 0
-    if args.suite in ("ml", "all"):
-        code |= run_bench(
-            seed=seed,
-            n_jobs=args.n_jobs,
-            smoke=args.smoke,
-            out=args.out or "BENCH_ml.json",
-        )
-    if args.suite in ("lint", "all"):
-        code |= run_lint_bench(
-            n_jobs=args.n_jobs,
-            smoke=args.smoke,
-            out=args.out or "BENCH_lint.json",
-        )
-    if args.suite in ("sim", "all"):
-        code |= run_sim_bench(
-            seed=seed,
-            n_jobs=args.n_jobs,
-            smoke=args.smoke,
-            out=args.out or "BENCH_sim.json",
-            baseline=args.baseline,
-        )
-    return code
+    return run_sim_bench(
+        seed=args.seed if args.seed is not None else 0,
+        n_jobs=args.n_jobs,
+        smoke=args.smoke,
+        out=args.out,
+        baseline=args.baseline,
+    )
 
 
 def _cmd_chaos(args) -> int:

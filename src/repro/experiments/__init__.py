@@ -2,7 +2,7 @@
 
 from .common import ExperimentReport, Workbench, shared_workbench
 from .findings import FINDINGS, Finding, FindingResult, check_findings
-from .registry import EXPERIMENTS, run_all, run_experiment, run_many
+from .registry import EXPERIMENTS, run_experiment, run_many
 from .report_writer import generate_experiments_md
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "Workbench",
     "shared_workbench",
     "EXPERIMENTS",
-    "run_all",
     "run_experiment",
     "run_many",
     "generate_experiments_md",

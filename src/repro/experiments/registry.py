@@ -10,8 +10,6 @@ from __future__ import annotations
 from typing import Callable
 
 from .. import obs
-from ..parallel import parallel_map, resolve_n_jobs
-from ..simulation.config import SimulationConfig
 from .classifiers import (
     run_fig13_app_importance,
     run_fig14_device_importance,
@@ -35,7 +33,7 @@ from .measurements import (
     run_fig12_malware,
 )
 
-__all__ = ["EXPERIMENTS", "run_experiment", "run_many", "run_all"]
+__all__ = ["EXPERIMENTS", "run_experiment", "run_many"]
 
 EXPERIMENTS: dict[str, Callable[[Workbench], ExperimentReport]] = {
     "fig00": run_fig00_dataset_overview,
@@ -78,62 +76,22 @@ def run_experiment(experiment_id: str, workbench: Workbench | None = None) -> Ex
     return report
 
 
-# Per-process workbench cache for experiment-cell workers, keyed by the
-# (frozen, hashable) simulation config.  Each worker process lazily
-# builds at most one workbench per config; with the fork start method it
-# additionally shares the parent's already-simulated study copy-on-write.
-_WORKBENCHES: dict[SimulationConfig, Workbench] = {}
-
-
-def _cell_workbench(config: SimulationConfig) -> Workbench:
-    workbench = _WORKBENCHES.get(config)
-    if workbench is None:
-        workbench = _WORKBENCHES[config] = Workbench(config)
-    return workbench
-
-
-def _run_cell(experiment_id: str, config: SimulationConfig) -> ExperimentReport:
-    """One experiment cell, runnable in a worker process.
-
-    Every report is a pure function of ``config`` (simulation, pipeline,
-    and experiment maths are all seeded from it), so cells computed in
-    different processes are byte-identical to a serial run.
-    """
-    return run_experiment(experiment_id, _cell_workbench(config))
-
-
 def run_many(
     experiment_ids: list[str] | tuple[str, ...],
     workbench: Workbench | None = None,
     n_jobs: int | None = None,
 ) -> list[ExperimentReport]:
-    """Run several experiment cells, optionally across worker processes.
+    """Run several experiments in order against one workbench.
 
-    Reports come back in ``experiment_ids`` order regardless of which
-    cell finishes first.  Determinism contract (DESIGN.md §8): each cell
-    derives everything from the workbench's frozen config, so the worker
-    count never changes a report.  Worker-side metrics (``ml_fit_seconds``
-    etc.) are merged back into the parent registry.
+    Every report reads the same lazily built study and pipeline result,
+    so they run in this process; parallelism lives inside the
+    workbench, whose own ``n_jobs`` fans out the day engine's shards,
+    CV folds and forest trees (DESIGN.md §8).  ``n_jobs`` is accepted
+    and ignored: worker processes would each rebuild the pipeline
+    result, fitting every CV fold once per worker.
     """
     unknown = [eid for eid in experiment_ids if eid not in EXPERIMENTS]
     if unknown:
         raise KeyError(f"unknown experiments {unknown!r}; known: {sorted(EXPERIMENTS)}")
     workbench = workbench or shared_workbench()
-    if resolve_n_jobs(n_jobs) == 1 or len(experiment_ids) < 2:
-        return [run_experiment(eid, workbench) for eid in experiment_ids]
-    # Warm the simulation before fan-out: with fork workers the study is
-    # then shared copy-on-write instead of re-simulated per worker.
-    workbench.data
-    _WORKBENCHES.setdefault(workbench.config, workbench)
-    return parallel_map(
-        _run_cell,
-        [(eid, workbench.config) for eid in experiment_ids],
-        n_jobs=n_jobs,
-    )
-
-
-def run_all(
-    workbench: Workbench | None = None, n_jobs: int | None = None
-) -> list[ExperimentReport]:
-    """Run every registered experiment in id order."""
-    return run_many(list(EXPERIMENTS), workbench=workbench, n_jobs=n_jobs)
+    return [run_experiment(eid, workbench) for eid in experiment_ids]

@@ -8,7 +8,7 @@ has:
 
 ``spawn_seeds``
     Statistically independent streams for *new* top-level workloads
-    (the bench harness, ad-hoc fan-outs), via
+    (synthetic test datasets, ad-hoc fan-outs), via
     ``numpy.random.SeedSequence.spawn`` — the recommended numpy
     mechanism for parallel stream splitting.
 

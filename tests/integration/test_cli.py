@@ -19,6 +19,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_bench_accepts_only_the_sim_suite(self):
+        parser = build_parser()
+        args = parser.parse_args(
+            ["bench", "sim", "--smoke", "--baseline", "bench-baseline.json",
+             "--out", "BENCH_sim.json"]
+        )
+        assert (args.suite, args.smoke, args.baseline, args.out) == (
+            "sim", True, "bench-baseline.json", "BENCH_sim.json"
+        )
+        for suite in ("ml", "lint", "all"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["bench", suite])
+
 
 class TestCommands:
     def test_simulate(self, capsys):
@@ -85,17 +98,6 @@ class TestCommands:
         assert "fig15_suspiciousness.csv" in files
         header = (out / "fig09_churn.csv").read_text().splitlines()[0]
         assert header == "install_id,group,daily_installs,daily_uninstalls"
-
-    def test_bench_smoke(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_ml.json"
-        assert main(["--n-jobs", "2", "bench", "--smoke", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["smoke"] is True
-        assert payload["n_jobs"] == 2
-        assert payload["cv"] and all(row["outputs_equal"] for row in payload["cv"])
-        assert payload["forest"]["outputs_equal"] is True
-        assert {"machine", "dataset", "seed"} <= set(payload)
-        assert "serial vs" not in capsys.readouterr().err
 
     def test_report_accepts_n_jobs(self, capsys):
         assert main(["--scale", "small", "--n-jobs", "1", "report"]) == 0

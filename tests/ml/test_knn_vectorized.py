@@ -3,9 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.benchmark import make_bench_dataset
 from repro.ml import KNeighborsClassifier
 from repro.ml.base import check_array
+from repro.parallel import spawn_seeds
+
+
+def make_bench_dataset(
+    n_samples: int, n_features: int, root_seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Synthetic two-class task shaped like the app/device feature
+    matrices (a few informative dimensions, the rest noise)."""
+    data_seed, label_seed = spawn_seeds(root_seed, 2)
+    rng = np.random.default_rng(data_seed)
+    y = (np.arange(n_samples) % 3 == 0).astype(np.int64)  # ~1:2 imbalance
+    y = np.random.default_rng(label_seed).permutation(y)
+    X = rng.normal(size=(n_samples, n_features))
+    informative = max(2, n_features // 4)
+    X[:, :informative] += 1.5 * y[:, None]
+    return X, y
 
 
 def _reference_knn_votes(model: KNeighborsClassifier, X: np.ndarray) -> np.ndarray:

@@ -11,8 +11,17 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.experiments import Workbench, run_experiment, run_many
-from repro.ml import RandomForestClassifier, cross_validate
+from repro.core.pipeline import DetectionPipeline
+from repro.experiments import Workbench, run_many
+from repro.ml import (
+    GradientBoostingClassifier,
+    KNeighborsClassifier,
+    LinearSVC,
+    LogisticRegression,
+    LVQClassifier,
+    RandomForestClassifier,
+    cross_validate,
+)
 from repro.ml.model_selection import train_test_split
 from repro.ml.tree import DecisionTreeClassifier
 from repro.parallel import spawn_seeds
@@ -31,7 +40,41 @@ def dataset():
     return X, y
 
 
+# The paper's Table 1/2 algorithm suite, shrunk to test size.
+PAPER_ALGORITHMS = {
+    "XGB": lambda: GradientBoostingClassifier(
+        n_estimators=20, max_depth=3, learning_rate=0.15, random_state=0
+    ),
+    "RF": lambda: RandomForestClassifier(n_estimators=24, random_state=0),
+    "LR": lambda: LogisticRegression(C=1.0),
+    "KNN": lambda: KNeighborsClassifier(n_neighbors=5),
+    "LVQ": lambda: LVQClassifier(prototypes_per_class=5, epochs=25, random_state=0),
+    "SVM": lambda: LinearSVC(C=1.0, epochs=40, random_state=0),
+}
+
+
+def _small_workbench(n_jobs: int) -> Workbench:
+    """The small study with a 3-fold pipeline, every fan-out at ``n_jobs``."""
+    return Workbench(
+        SimulationConfig.small(),
+        pipeline=DetectionPipeline(n_splits=3, n_jobs=n_jobs),
+        n_jobs=n_jobs,
+    )
+
+
 class TestCrossValidationDeterminism:
+    @pytest.mark.parametrize("name", sorted(PAPER_ALGORITHMS))
+    def test_paper_algorithms_identical_across_worker_counts(self, dataset, name):
+        X, y = dataset
+        serial, parallel = (
+            cross_validate(
+                PAPER_ALGORITHMS[name](), X, y,
+                n_splits=5, random_state=3, name=name, n_jobs=n_jobs,
+            )
+            for n_jobs in (1, 2)
+        )
+        assert serial.summary() == parallel.summary()
+
     def test_summary_identical_across_worker_counts(self, dataset):
         X, y = dataset
         kwargs = dict(n_splits=5, n_repeats=2, random_state=7)
@@ -96,14 +139,32 @@ class TestForestDeterminism:
 
 class TestExperimentDeterminism:
     def test_reports_identical_across_worker_counts(self):
-        ids = ["fig04", "fig07", "fig09"]
-        serial_bench = Workbench(SimulationConfig.small())
-        serial = [run_experiment(eid, serial_bench) for eid in ids]
-        parallel = run_many(ids, Workbench(SimulationConfig.small()), n_jobs=2)
-        for s, p in zip(serial, parallel):
+        # Day-engine shards, CV folds and importance-forest trees all fan
+        # out inside the n_jobs=2 workbench.
+        ids = ["fig04", "fig07", "fig09", "table1", "fig13", "table2", "fig14"]
+        serial = run_many(ids, _small_workbench(1))
+        parallel = run_many(ids, _small_workbench(2))
+        for s, p in zip(serial, parallel, strict=True):
             assert s.experiment_id == p.experiment_id
             assert s.render() == p.render()
             assert s.metrics == p.metrics
+
+    def test_each_cv_fold_is_fitted_once(self):
+        # All reports share one pipeline result, so fanning the cells out
+        # would refit every fold once per worker process.
+        registry = obs.configure(
+            metrics=True, tracing=False, registry=obs.MetricsRegistry()
+        )
+        try:
+            run_many(["table1", "table2"], _small_workbench(2), n_jobs=2)
+        finally:
+            obs.reset()
+        folds = {
+            model: registry.value("ml_folds_total", {"model": model})
+            for model in PAPER_ALGORITHMS
+        }
+        # Three folds per dataset; LR is app-only, SVM device-only.
+        assert folds == {"XGB": 6, "RF": 6, "LR": 3, "KNN": 6, "LVQ": 6, "SVM": 3}
 
     def test_run_many_rejects_unknown_ids(self):
         with pytest.raises(KeyError, match="unknown experiments"):

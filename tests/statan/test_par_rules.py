@@ -61,8 +61,8 @@ class TestPar001:
         assert "_RESULTS" in findings[0].message
 
     def test_per_process_memo_cache_is_allowed(self, write_tree):
-        # Subscript-assign caches (the `_WORKBENCHES[key] = value` idiom)
-        # are deliberate per-process memoisation, not lost results.
+        # Subscript-assign caches (`_CACHE[key] = value`) are deliberate
+        # per-process memoisation, not lost results.
         root = write_tree({
             "ml/jobs.py": (
                 "from repro.parallel import parallel_map\n"

@@ -13,15 +13,25 @@ SRC = REPO_ROOT / "src"
 BASELINE = REPO_ROOT / "statan-baseline.json"
 
 
+@pytest.fixture(scope="module")
+def src_findings():
+    return analyze_paths([SRC], n_jobs=1)
+
+
 class TestSelfLint:
-    def test_src_is_clean_modulo_committed_baseline(self):
-        findings = analyze_paths([SRC])
-        new, _grandfathered, stale = partition(findings, load_baseline(BASELINE))
+    def test_src_is_clean_modulo_committed_baseline(self, src_findings):
+        new, _grandfathered, stale = partition(src_findings, load_baseline(BASELINE))
         assert new == [], "\n".join(f.format_text() for f in new)
         assert stale == [], (
             "baseline entries no longer match the tree; run "
             "`python -m repro lint --update-baseline`"
         )
+
+    def test_src_findings_identical_across_worker_counts(self, src_findings):
+        # The whole shipped tree, not only a toy one: rules, positions,
+        # messages and fingerprints, byte for byte.
+        parallel = analyze_paths([SRC], n_jobs=2)
+        assert [f.to_json() for f in parallel] == [f.to_json() for f in src_findings]
 
     def test_committed_baseline_is_warning_only(self):
         # Errors (DET/BUG rules) must be fixed, never grandfathered.
