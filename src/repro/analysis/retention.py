@@ -87,10 +87,6 @@ class RetentionResult:
     regular_curve: RetentionCurve
     lifetime_comparison: GroupComparison
 
-    def worker_churns_faster(self, day: int = 3) -> bool:
-        """Workers uninstall (post-retention) promos more aggressively."""
-        return self.worker_curve.at(day) <= self.regular_curve.at(day)
-
 
 def compute_retention(
     observations: list[DeviceObservation], horizon_days: int = 7

@@ -246,9 +246,6 @@ class ColumnFrame:
     def column_names(self) -> tuple[str, ...]:
         return tuple(self._columns)
 
-    def has_column(self, name: str) -> bool:
-        return name in self._columns
-
     def values(self, name: str) -> list:
         """The raw value list backing one column (do not mutate)."""
         return self._columns[name]

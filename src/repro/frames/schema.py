@@ -19,11 +19,16 @@ bool      ``bool_``
 str       ``object`` (python strings; nullable allowed)
 object    ``object`` (nested lists / dicts, kept by reference)
 ========  =================================================
+
+:meth:`RecordSchema.validate` checks a decoded JSON record against the
+same kinds before the server stores it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "Field",
@@ -38,6 +43,15 @@ __all__ = [
 ]
 
 _KINDS = ("float", "int", "bool", "str", "object")
+
+#: The ``type()`` a decoded JSON value of each scalar kind may have.
+#: Types match exactly, so ``bool`` is neither an ``int`` nor a ``float``.
+_JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "float": (float, int),
+    "int": (int,),
+    "bool": (bool,),
+    "str": (str,),
+}
 
 
 @dataclass(frozen=True)
@@ -77,6 +91,33 @@ class RecordSchema:
 
     def __contains__(self, name: str) -> bool:
         return any(f.name == name for f in self.fields)
+
+    @cached_property
+    def _names(self) -> frozenset[str]:
+        return frozenset(self.field_names)
+
+    @cached_property
+    def _scalar_types(self) -> tuple[tuple[str, tuple[type, ...]], ...]:
+        return tuple(
+            (f.name, _JSON_TYPES[f.kind] + ((type(None),) if f.nullable else ()))
+            for f in self.fields
+            if f.kind != "object"
+        )
+
+    def validate(self, row: Mapping) -> None:
+        """Raise ``TypeError`` unless ``row`` has exactly this schema's
+        fields and every ``float``/``int``/``bool``/``str`` value is of
+        its kind: ``float`` takes ints too, and ``None`` passes only
+        where the field is nullable.  ``object`` values are not checked.
+        """
+        if row.keys() != self._names:
+            raise TypeError(f"keys do not match schema {self.name!r} fields")
+        for name, types in self._scalar_types:
+            if type(row[name]) not in types:
+                raise TypeError(
+                    f"{self.name}.{name}: {type(row[name]).__name__} value "
+                    f"for a {self.field(name).kind} field"
+                )
 
 
 SLOW_RUN_SCHEMA = RecordSchema(

@@ -108,8 +108,13 @@ class DataBuffer:
         if not lines:
             return
         raw = ("\n".join(lines) + "\n").encode()
+        # mtime=0: by default gzip stamps the wall clock into the header,
+        # and the chunk bytes (and so their SHA-256 acks) must depend on
+        # the records alone.
         self._pending.append(
-            BufferedChunk(kind=kind, data=gzip.compress(raw), n_records=len(lines))
+            BufferedChunk(
+                kind=kind, data=gzip.compress(raw, mtime=0), n_records=len(lines)
+            )
         )
         self._accumulating[kind] = []
         self._accumulated_bytes[kind] = 0

@@ -15,7 +15,7 @@ Table 3's PII inventory is reproduced as :data:`PII_REGISTRY`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any
 
 __all__ = [
@@ -158,17 +158,29 @@ _RECORD_TYPES = {
     "initial": InitialSnapshot,
 }
 _TYPE_NAMES = {cls: name for name, cls in _RECORD_TYPES.items()}
+_FIELD_NAMES = {
+    cls: tuple(f.name for f in fields(cls)) for cls in (*_TYPE_NAMES, InstalledAppInfo)
+}
 
 
 def record_to_dict(record: Any) -> dict:
-    """Serialise a snapshot record to a JSON-compatible dict with a type tag."""
+    """Serialise a snapshot record to a JSON-compatible dict with a type tag.
+
+    Keys follow the dataclass field order, with ``_type`` last, and
+    values are the record's own (immutable) field values, not copies.
+    The JSON line of every record must equal, byte for byte, the one
+    built from the deep-copying reference in ``tests/oracles.py``.
+    """
     cls = type(record)
     if cls not in _TYPE_NAMES:
         raise TypeError(f"not a snapshot record: {cls.__name__}")
-    payload = asdict(record)
+    payload = {name: getattr(record, name) for name in _FIELD_NAMES[cls]}
     if cls is InitialSnapshot:
-        payload["installed_apps"] = [asdict(a) if not isinstance(a, dict) else a
-                                     for a in record.installed_apps]
+        app_fields = _FIELD_NAMES[InstalledAppInfo]
+        payload["installed_apps"] = [
+            {name: getattr(app, name) for name in app_fields}
+            for app in record.installed_apps
+        ]
     payload["_type"] = _TYPE_NAMES[cls]
     return payload
 

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .. import obs
+from ..frames import SCHEMA_BY_COLLECTION
 from ..obs.metrics import MetricsRegistry
 from ..simulation.clock import SECONDS_PER_DAY
 from .buffer import chunk_hash
@@ -30,6 +31,9 @@ _COLLECTIONS = {
     "fast_run": "fast_runs",
     "slow_run": "slow_runs",
     "app_change": "app_changes",
+}
+_SCHEMAS = {
+    type_name: SCHEMA_BY_COLLECTION[name] for type_name, name in _COLLECTIONS.items()
 }
 
 
@@ -238,7 +242,8 @@ class RacketStoreServer:
                     continue
                 try:
                     payload = json.loads(line)
-                    record_from_dict(payload)  # schema validation
+                    record_from_dict(payload)  # type tag, action, nested values
+                    _SCHEMAS[payload["_type"]].validate(payload)  # keys, kinds
                 except (ValueError, TypeError):
                     self._c_malformed_records.inc()
                     obs.get_logger("ingest").warning("malformed_record", kind=kind)

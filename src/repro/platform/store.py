@@ -47,9 +47,13 @@ class ColumnarCollection:
     dict objects.
 
     A collection whose name has a declared schema stores typed
-    columns; if a document ever fails the schema (only possible
-    outside the server's validated ingest path), the frame degrades
-    once to generic columns so the store still accepts any dict.
+    columns.  A document whose keys differ from the schema's makes the
+    frame degrade once to generic columns, so the store still accepts
+    any dict; a value of the wrong kind is stored as given, and reading
+    its column as an array then raises.  Neither happens to documents
+    that arrive through the server's ingest path, which checks keys and
+    value kinds against the same schema
+    (:meth:`~repro.frames.schema.RecordSchema.validate`).
 
     Writes are *staged*: ``insert``/``insert_many`` only type-check
     their documents (so ``TypeError`` raises at the offending record

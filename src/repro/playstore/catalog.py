@@ -249,9 +249,6 @@ class Catalog:
     def preinstalled(self) -> list[App]:
         return [a for a in self._apps.values() if a.preinstalled]
 
-    def by_category(self, category: AppCategory) -> list[App]:
-        return [a for a in self._apps.values() if a.category == category]
-
     def antivirus_apps(self) -> list[App]:
         """The §6.4 AV-app join: all catalog apps in the ANTIVIRUS category."""
         return [a for a in self._apps.values() if a.is_antivirus]

@@ -48,9 +48,6 @@ class GmailDirectory:
             raise KeyError(email)
         self._suspended.add(email)
 
-    def is_registered(self, email: str) -> bool:
-        return email in self._ids
-
     def is_suspended(self, email: str) -> bool:
         return email in self._suspended
 

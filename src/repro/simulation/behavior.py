@@ -311,6 +311,3 @@ class BehaviorEngine:
                 review_time,
             )
             posted += 1
-
-    def pending_reviews(self, device_id: str) -> list[PendingReview]:
-        return sorted(self._pending.get(device_id, []))

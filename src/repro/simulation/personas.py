@@ -128,10 +128,6 @@ class Persona:
             extra = int(rng.lognormal(np.log(self.hoarder_extra_median), 0.6))
         return base, extra
 
-    def sample_initial_user_apps(self, rng: np.random.Generator) -> int:
-        base, extra = self.sample_initial_app_mix(rng)
-        return base + extra
-
     def sample_third_party_apps(self, rng: np.random.Generator) -> int:
         return int(rng.poisson(self.third_party_apps_mean))
 

@@ -20,12 +20,16 @@ obvious way, that the equivalence tests compare against:
   by :func:`walk`.  ``repro.ml``'s trees must have the same pre-order
   splits and give byte-identical probabilities, margins and
   importances.
+* :func:`record_to_dict` — a snapshot record's wire dict built with
+  ``dataclasses.asdict``, which deep-copies every field.
+  ``repro.platform.models.record_to_dict`` reads the fields directly;
+  the JSON line of every record must be the same bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
@@ -33,6 +37,12 @@ import numpy as np
 from repro.core.app_features import APP_FEATURE_NAMES, NEVER_REVIEWED_SENTINEL_DAYS
 from repro.core.device_features import DEVICE_FEATURE_NAMES
 from repro.parallel import draw_seeds
+from repro.platform.models import (
+    AppChangeEvent,
+    FastSnapshotRun,
+    InitialSnapshot,
+    SlowSnapshotRun,
+)
 from repro.simulation.clock import SECONDS_PER_DAY
 
 # -- the store's query language ------------------------------------------------
@@ -111,6 +121,29 @@ class BruteForceCollection:
                 seen.add(value)
         seen.discard(None)
         return sorted(seen, key=repr)
+
+
+# -- snapshot wire records -------------------------------------------------------
+
+
+_TYPE_NAMES = {
+    SlowSnapshotRun: "slow_run",
+    FastSnapshotRun: "fast_run",
+    AppChangeEvent: "app_change",
+    InitialSnapshot: "initial",
+}
+
+
+def record_to_dict(record: Any) -> dict:
+    """Serialise a snapshot record to a JSON-compatible dict with a type tag."""
+    cls = type(record)
+    if cls not in _TYPE_NAMES:
+        raise TypeError(f"not a snapshot record: {cls.__name__}")
+    payload = asdict(record)
+    if cls is InitialSnapshot:
+        payload["installed_apps"] = [asdict(a) for a in record.installed_apps]
+    payload["_type"] = _TYPE_NAMES[cls]
+    return payload
 
 
 # -- §7.1 app features, one instance at a time -----------------------------------

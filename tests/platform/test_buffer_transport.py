@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import time
 
 import numpy as np
 import pytest
@@ -79,6 +80,28 @@ class TestDataBuffer:
         assert delivered == 5
         assert buffer.pending_chunks == 0
         assert receiver.records() == originals
+
+    @staticmethod
+    def sealed_chunks(n_records: int) -> list[bytes]:
+        receiver = Receiver()
+        buffer = DataBuffer(fast_threshold_bytes=300, slow_threshold_bytes=300)
+        for i in range(n_records):
+            buffer.append("fast" if i % 3 else "slow", fast_run(i))
+        buffer.seal_all()
+        buffer.flush(Transport(receiver))
+        return [data for _kind, data in receiver.chunks]
+
+    def test_sealed_chunks_carry_no_timestamp(self):
+        chunks = self.sealed_chunks(12)
+        assert len(chunks) > 2
+        # RFC 1952: header bytes 4-7 are MTIME; zero means "not stamped".
+        assert [data[4:8] for data in chunks] == [b"\0\0\0\0"] * len(chunks)
+
+    def test_same_records_seal_same_bytes_at_any_wall_time(self, monkeypatch):
+        monkeypatch.setattr(time, "time", lambda: 1_600_000_000.0)
+        first = self.sealed_chunks(12)
+        monkeypatch.setattr(time, "time", lambda: 1_700_000_000.0)
+        assert self.sealed_chunks(12) == first
 
     def test_chunks_deleted_only_after_hash_match(self):
         receiver = Receiver()

@@ -1,5 +1,8 @@
 """Tests for snapshot models, the backend server, and the mobile app."""
 
+import gzip
+import json
+
 import numpy as np
 import pytest
 
@@ -173,3 +176,79 @@ class TestServerQueries:
         payout = server.total_payout_usd()
         # $1 install + $0.20/day for 2-3 observed days.
         assert 1.2 <= payout <= 1.8
+
+
+IID, PID = "0123456789", "100001"
+FAST = FastSnapshotRun(IID, PID, 0.0, 60.0, 5.0, "com.app", True, 0.8)
+SLOW = SlowSnapshotRun(IID, PID, None, 0.0, 240.0, 120.0, (), False, ())
+CHANGE = AppChangeEvent(IID, PID, 10.0, "install", "com.app", 1.0, "h", 3, 1)
+INITIAL = InitialSnapshot(IID, PID, None, 28, "SM-A105F", "Samsung", 0.0, ())
+_DELETE = object()
+
+
+def edited_line(record, **changes) -> str:
+    payload = record_to_dict(record)
+    for key, value in changes.items():
+        if value is _DELETE:
+            del payload[key]
+        else:
+            payload[key] = value
+    return json.dumps(payload)
+
+
+#: Lines ingest must skip and count: a value of the wrong kind for its
+#: field in ``repro.frames.schema`` first, then the shape failures.
+MALFORMED_LINES = {
+    "str-for-float": edited_line(FAST, start="abc"),
+    "null-for-float": edited_line(FAST, battery=None),
+    "bool-for-float": edited_line(FAST, battery=True),
+    "str-for-bool": edited_line(FAST, screen_on="yes"),
+    "int-for-bool": edited_line(SLOW, save_mode=1),
+    "bool-for-int": edited_line(CHANGE, n_granted=True),
+    "float-for-int": edited_line(INITIAL, api_level=28.0),
+    "int-for-nullable-str": edited_line(SLOW, android_id=7),
+    "null-for-str": edited_line(CHANGE, package=None),
+    "missing-defaulted-key": edited_line(FAST, usage_permission=_DELETE),
+    "missing-key": edited_line(FAST, start=_DELETE),
+    "extra-key": edited_line(SLOW, extra=1),
+    "unknown-type": edited_line(FAST, _type="mystery"),
+    "bad-action": edited_line(CHANGE, action="sideload"),
+    "json-array": "[1, 2]",
+    "json-array-of-pairs": json.dumps(list(record_to_dict(FAST).items())),
+}
+
+
+def ingest(server, *lines: str) -> None:
+    server.receive_chunk("fast", gzip.compress("\n".join(lines).encode()))
+
+
+class TestIngestValidation:
+    @pytest.mark.parametrize(
+        "line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys()
+    )
+    def test_malformed_line_skipped_and_counted(self, server, line):
+        ingest(server, edited_line(FAST), line, edited_line(SLOW))
+        assert server.stats.malformed_records == 1
+        assert server.stats.records_inserted == 2
+        assert [run["start"] for run in server.fast_runs(IID)] == [0.0]
+        assert server.observation_interval(IID) == (0.0, 240.0)
+        fast_runs = server.store["fast_runs"]
+        assert fast_runs.find({"start": {"$gte": 0.0}}) == server.fast_runs(IID)
+        # Every stored document matched its schema, so no typed frame
+        # fell back to generic columns.
+        for name in ("fast_runs", "slow_runs", "app_changes", "initial_snapshots"):
+            assert server.store[name].frame.schema is not None
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            edited_line(FAST, start=0, end=60, foreground=None),
+            edited_line(CHANGE, timestamp=10, install_time=None, apk_hash=None),
+            edited_line(INITIAL, android_id="a1b2c3d4e5f60718", timestamp=0),
+        ],
+        ids=["int-for-float-and-null-foreground", "null-install-time-and-hash", "initial"],
+    )
+    def test_int_for_float_and_null_for_nullable_accepted(self, server, line):
+        ingest(server, line)
+        assert server.stats.malformed_records == 0
+        assert server.stats.records_inserted == 1
