@@ -1,23 +1,17 @@
 """Benchmark fixtures: one paper-calibrated study + pipeline per session.
 
-Every bench regenerates one table/figure of the paper, printing a
-paper-vs-measured report (bypassing pytest capture so `pytest
-benchmarks/ --benchmark-only | tee ...` records them) and timing the
-representative computation with pytest-benchmark.
+Every bench regenerates one table/figure of the paper and prints a
+paper-vs-measured report past pytest's output capture, so that
+`pytest benchmarks -q | tee ...` records every report.
 """
 
 from __future__ import annotations
-
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.core import DetectionPipeline
 from repro.experiments import ExperimentReport, Workbench
 from repro.simulation import SimulationConfig
-
-REPORT_DIR = Path(__file__).parent / "reports"
 
 
 @pytest.fixture(scope="session")
@@ -37,16 +31,15 @@ def pipeline_result(workbench):
     return workbench.pipeline_result
 
 
-@pytest.fixture(scope="session")
-def emit():
-    """Write a report to benchmarks/reports/ and to the real stdout."""
-    REPORT_DIR.mkdir(exist_ok=True)
+@pytest.fixture
+def emit(capsys):
+    """Print a report to the real stdout."""
 
     def _emit(report: ExperimentReport) -> ExperimentReport:
-        text = report.render()
-        (REPORT_DIR / f"{report.experiment_id}.txt").write_text(text + "\n")
-        sys.__stdout__.write("\n" + text + "\n")
-        sys.__stdout__.flush()
+        # pytest captures file descriptor 1 while a test runs;
+        # capsys.disabled() lets the report through to the terminal.
+        with capsys.disabled():
+            print("\n" + report.render(), flush=True)
         return report
 
     return _emit

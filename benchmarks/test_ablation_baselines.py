@@ -15,7 +15,7 @@ from repro.experiments.common import ExperimentReport
 from repro.reporting import render_table
 
 
-def test_ablation_baselines(benchmark, workbench, pipeline_result, emit):
+def test_ablation_baselines(workbench, pipeline_result, emit):
     store = workbench.data.review_store
     observations = pipeline_result.observations
 
@@ -41,13 +41,6 @@ def test_ablation_baselines(benchmark, workbench, pipeline_result, emit):
         "recall_dedicated": detected["dedicated_worker"] / max(totals["dedicated_worker"], 1),
         "fpr_regular": detected["regular"] / max(totals["regular"], 1),
     }
-
-    benchmark.pedantic(
-        evaluate_baseline_on_devices,
-        args=(BurstDetector(), store, observations),
-        rounds=1,
-        iterations=1,
-    )
 
     rows = [
         ("review bursts", burst["recall_organic"], burst["recall_dedicated"], burst["fpr_regular"]),

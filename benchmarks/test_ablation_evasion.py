@@ -25,7 +25,7 @@ def _run(delay_mult: float, volume_mult: float) -> tuple[float, float]:
     return recall, reviews
 
 
-def test_ablation_evasion_cost(benchmark, emit):
+def test_ablation_evasion_cost(emit):
     scenarios = [
         ("baseline", 1.0, 1.0),
         ("3x slower reviews", 3.0, 1.0),
@@ -39,7 +39,6 @@ def test_ablation_evasion_cost(benchmark, emit):
         metrics[f"recall[{label}]"] = recall
         metrics[f"reviews[{label}]"] = reviews
 
-    benchmark.pedantic(_run, args=(1.0, 1.0), rounds=1, iterations=1)
     emit(
         ExperimentReport(
             "ablation_evasion",

@@ -40,7 +40,7 @@ def _subset(dataset, names):
     return dataset.X[:, columns]
 
 
-def test_ablation_feature_families(benchmark, workbench, pipeline_result, emit):
+def test_ablation_feature_families(workbench, pipeline_result, emit):
     dataset = pipeline_result.device_dataset
     results = {}
     rows = []
@@ -60,13 +60,6 @@ def test_ablation_feature_families(benchmark, workbench, pipeline_result, emit):
         results[label] = cv.f1
         rows.append((label, len(names), cv.precision, cv.recall, cv.f1))
 
-    benchmark.pedantic(
-        cross_validate,
-        args=(DEVICE_ALGORITHMS(0)["XGB"], _subset(dataset, ENGAGEMENT_FEATURES), dataset.y),
-        kwargs={"n_splits": 10, "resample": "smote", "random_state": 0},
-        rounds=1,
-        iterations=1,
-    )
     emit(
         ExperimentReport(
             "ablation_features",

@@ -17,7 +17,7 @@ from repro.reporting import render_table
 from repro.simulation import SimulationConfig, run_study
 
 
-def test_ablation_cross_cohort(benchmark, workbench, pipeline_result, emit):
+def test_ablation_cross_cohort(workbench, pipeline_result, emit):
     # Frozen models from the session's default cohort.
     app_model = pipeline_result.app_model
     device_model = pipeline_result.device_model
@@ -42,7 +42,6 @@ def test_ablation_cross_cohort(benchmark, workbench, pipeline_result, emit):
     report_metrics = classification_report(y, y_pred)
 
     in_sample = pipeline_result.device_evaluation.results["XGB"]
-    benchmark.pedantic(device_model.predict, args=(X,), rounds=1, iterations=1)
     emit(
         ExperimentReport(
             "ablation_generalization",

@@ -7,15 +7,17 @@ from repro.ml.tuning import grid_search
 from repro.reporting import render_table
 
 
-def test_ablation_knn_k(benchmark, workbench, pipeline_result, emit):
+def test_ablation_knn_k(workbench, pipeline_result, emit):
     dataset = pipeline_result.device_dataset
     grid = {"n_neighbors": [1, 3, 5, 9, 15, 25]}
-    result = benchmark.pedantic(
-        grid_search,
-        args=(KNeighborsClassifier(), grid, dataset.X, dataset.y),
-        kwargs={"n_splits": 10, "resample": "smote", "random_state": 0},
-        rounds=1,
-        iterations=1,
+    result = grid_search(
+        KNeighborsClassifier(),
+        grid,
+        dataset.X,
+        dataset.y,
+        n_splits=10,
+        resample="smote",
+        random_state=0,
     )
     rows = [(params["n_neighbors"], cv.f1, cv.auc) for params, cv in sorted(
         result.entries, key=lambda e: e[0]["n_neighbors"]

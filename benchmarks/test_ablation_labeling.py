@@ -13,7 +13,7 @@ from repro.ml import cross_validate
 from repro.reporting import render_table
 
 
-def test_ablation_labeling_thresholds(benchmark, workbench, emit):
+def test_ablation_labeling_thresholds(workbench, emit):
     data = workbench.data
     observations = workbench.observations
     rows = []
@@ -44,9 +44,6 @@ def test_ablation_labeling_thresholds(benchmark, workbench, emit):
         metrics[f"f1_min{min_devices}"] = cv.f1
         metrics[f"instances_min{min_devices}"] = float(len(dataset.y))
 
-    benchmark.pedantic(
-        build_app_dataset, args=(data, observations), rounds=1, iterations=1
-    )
     emit(
         ExperimentReport(
             "ablation_labeling",

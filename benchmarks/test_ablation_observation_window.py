@@ -14,7 +14,7 @@ from repro.ml import cross_validate
 from repro.reporting import render_table
 
 
-def test_ablation_observation_window(benchmark, workbench, pipeline_result, emit):
+def test_ablation_observation_window(workbench, pipeline_result, emit):
     data = workbench.data
     observations = pipeline_result.observations
     suspiciousness = pipeline_result.suspiciousness
@@ -35,9 +35,6 @@ def test_ablation_observation_window(benchmark, workbench, pipeline_result, emit
         rows.append((days, cv.precision, cv.recall, cv.f1))
         metrics[f"f1_{days}d"] = cv.f1
 
-    benchmark.pedantic(
-        lambda: [obs.truncated(2) for obs in observations], rounds=1, iterations=1
-    )
     emit(
         ExperimentReport(
             "ablation_window",

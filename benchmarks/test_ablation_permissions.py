@@ -24,7 +24,7 @@ def _f1_at(accounts_prob: float, usage_prob: float) -> float:
     return result.device_evaluation.results["XGB"].f1
 
 
-def test_ablation_permission_denial(benchmark, emit):
+def test_ablation_permission_denial(emit):
     scenarios = [
         ("all granted (pre-installed client, §9)", 1.0, 1.0),
         ("paper-like grant rates", 0.8, 0.96),
@@ -37,7 +37,6 @@ def test_ablation_permission_denial(benchmark, emit):
         rows.append((label, accounts, usage, f1))
         metrics[label] = f1
 
-    benchmark.pedantic(_f1_at, args=(1.0, 1.0), rounds=1, iterations=1)
     emit(
         ExperimentReport(
             "ablation_permissions",

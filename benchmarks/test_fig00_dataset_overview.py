@@ -3,10 +3,8 @@
 from repro.experiments import run_experiment
 
 
-def test_fig00_dataset_overview(benchmark, workbench, emit):
-    report = benchmark.pedantic(
-        lambda: run_experiment("fig00", workbench), rounds=1, iterations=1
-    )
+def test_fig00_dataset_overview(workbench, emit):
+    report = run_experiment("fig00", workbench)
     emit(report)
     # Coalescing must fold the repeat installs back into unique devices.
     assert report.metrics["installs"] > report.metrics["unique_devices"]

@@ -1,13 +1,9 @@
 """Bench: Figure 1 per-app interaction timelines."""
 
-from repro.analysis import app_timeline
 from repro.experiments import run_experiment
 
 
-def test_fig01_timelines(benchmark, workbench, emit):
-    obs = next(o for o in workbench.observations if o.is_worker and o.device_reviews)
-    package = next(iter(obs.device_reviews))
-    benchmark(app_timeline, obs, package)
+def test_fig01_timelines(workbench, emit):
     report = emit(run_experiment("fig01", workbench))
     assert report.metrics["worker_timelines"] == 2
     assert report.metrics["regular_timelines"] == 1

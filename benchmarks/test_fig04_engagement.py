@@ -1,11 +1,9 @@
 """Bench: Figure 4 snapshots/day vs active days."""
 
-from repro.analysis import compute_engagement
 from repro.experiments import run_experiment
 
 
-def test_fig04_engagement(benchmark, workbench, emit):
-    benchmark(compute_engagement, workbench.all_observations)
+def test_fig04_engagement(workbench, emit):
     report = emit(run_experiment("fig04", workbench))
     # Paper: most devices report at least 100 snapshots per day.
     assert report.metrics["frac_over_100"] >= 0.9

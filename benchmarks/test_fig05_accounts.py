@@ -1,12 +1,10 @@
 """Bench: Figure 5 registered accounts (Gmail / types / non-Gmail)."""
 
-from repro.analysis import compute_accounts
 from repro.experiments import run_experiment
 from repro.simulation.calibration import ACCOUNTS
 
 
-def test_fig05_accounts(benchmark, workbench, emit):
-    benchmark(compute_accounts, workbench.observations)
+def test_fig05_accounts(workbench, emit):
     report = emit(run_experiment("fig05", workbench))
     # Shape: worker Gmail median within 50% of the paper's 21; regular
     # median at the paper's 2; contrast significant.

@@ -1,11 +1,9 @@
 """Bench: Figure 6 installed vs installed-and-reviewed vs total reviews."""
 
-from repro.analysis import compute_installed_apps
 from repro.experiments import run_experiment
 
 
-def test_fig06_installed_reviewed(benchmark, workbench, emit):
-    benchmark(compute_installed_apps, workbench.observations)
+def test_fig06_installed_reviewed(workbench, emit):
     report = emit(run_experiment("fig06", workbench))
     # The paper's "dramatic difference": workers review ~58x more of
     # their installed apps (40.51 vs 0.7).

@@ -1,11 +1,9 @@
 """Bench: Figure 7 install-to-review delay distributions."""
 
-from repro.analysis import compute_install_to_review
 from repro.experiments import run_experiment
 
 
-def test_fig07_install_to_review(benchmark, workbench, emit):
-    benchmark(compute_install_to_review, workbench.observations)
+def test_fig07_install_to_review(workbench, emit):
     report = emit(run_experiment("fig07", workbench))
     # Workers post far more install-time-joined reviews and much sooner.
     assert report.metrics["worker_n"] > 100 * report.metrics["regular_n"]

@@ -1,11 +1,9 @@
 """Bench: Figure 8 stopped-apps boxplot."""
 
-from repro.analysis import compute_stopped_apps
 from repro.experiments import run_experiment
 
 
-def test_fig08_stopped_apps(benchmark, workbench, emit):
-    benchmark(compute_stopped_apps, workbench.observations)
+def test_fig08_stopped_apps(workbench, emit):
     report = emit(run_experiment("fig08", workbench))
     assert report.metrics["worker_median"] > report.metrics["regular_median"]
     assert report.metrics["significant"] == 1.0

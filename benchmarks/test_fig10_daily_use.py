@@ -1,11 +1,9 @@
 """Bench: Figure 10 apps used/day vs installed (the overlap finding)."""
 
-from repro.analysis import compute_daily_use
 from repro.experiments import run_experiment
 
 
-def test_fig10_daily_use(benchmark, workbench, emit):
-    benchmark(compute_daily_use, workbench.observations)
+def test_fig10_daily_use(workbench, emit):
     report = emit(run_experiment("fig10", workbench))
     # The paper's point is *overlap*: daily used-app counts cannot
     # separate the cohorts on their own.

@@ -1,11 +1,9 @@
 """Bench: Figure 11 permissions of cohort-exclusive apps."""
 
-from repro.analysis import compute_app_permissions
 from repro.experiments import run_experiment
 
 
-def test_fig11_permissions(benchmark, workbench, emit):
-    benchmark(compute_app_permissions, workbench.observations, workbench.data.catalog)
+def test_fig11_permissions(workbench, emit):
     report = emit(run_experiment("fig11", workbench))
     # Similar typical profiles; worker-exclusive apps own the extreme
     # dangerous-permission tail.

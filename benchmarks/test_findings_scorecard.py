@@ -5,8 +5,8 @@ from repro.experiments.findings import check_findings
 from repro.reporting import render_table
 
 
-def test_findings_scorecard(benchmark, workbench, pipeline_result, emit):
-    results = benchmark.pedantic(check_findings, args=(workbench,), rounds=1, iterations=1)
+def test_findings_scorecard(workbench, pipeline_result, emit):
+    results = check_findings(workbench)
     holding = sum(r.holds for r in results)
     report = ExperimentReport(
         "findings",

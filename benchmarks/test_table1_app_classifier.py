@@ -7,17 +7,7 @@ from repro.ml import cross_validate
 from repro.reporting import render_table
 
 
-def test_table1_app_classifier(benchmark, workbench, pipeline_result, emit):
-    dataset = pipeline_result.app_dataset
-    # Time one 10-fold CV of the winning algorithm (the representative
-    # unit of Table 1's work).
-    benchmark.pedantic(
-        cross_validate,
-        args=(APP_ALGORITHMS(0)["XGB"], dataset.X, dataset.y),
-        kwargs={"n_splits": 10, "random_state": 0},
-        rounds=1,
-        iterations=1,
-    )
+def test_table1_app_classifier(workbench, emit):
     report = emit(run_experiment("table1", workbench))
     # Shape: XGB wins (or ties within noise) with a very high F1; every
     # algorithm lands in the 90s — as in the paper.
@@ -30,13 +20,12 @@ def test_table1_app_classifier(benchmark, workbench, pipeline_result, emit):
     )
 
 
-def test_table1_balanced_variants(benchmark, workbench, pipeline_result, emit):
+def test_table1_balanced_variants(workbench, pipeline_result, emit):
     """§7.2 'Performance Under Balanced Datasets': under- and over-
     sampling keep XGB's F1 within about a point of the unbalanced run."""
     from repro.experiments.common import ExperimentReport
 
     dataset = pipeline_result.app_dataset
-    benchmark(lambda: dataset.X.shape)  # registers under --benchmark-only
     rows = []
     metrics = {}
     for strategy in ("none", "undersample", "oversample", "smote"):

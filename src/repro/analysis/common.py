@@ -23,16 +23,6 @@ class GroupComparison:
     def significant(self, alpha: float = 0.05) -> bool:
         return self.tests.all_significant(alpha)
 
-    def paper_style_rows(self) -> list[str]:
-        return [
-            f"{self.feature} [worker]  : {self.worker.paper_style()}",
-            f"{self.feature} [regular] : {self.regular.paper_style()}",
-            f"  KS p={self.tests.ks.pvalue:.3g}, ANOVA p={self.tests.anova.pvalue:.3g}, "
-            f"Kruskal p={self.tests.kruskal.pvalue:.3g}",
-            f"  effect: Cliff's delta={self.effects.cliffs_delta:+.2f} "
-            f"({self.effects.magnitude()}), Cohen's d={self.effects.cohens_d:+.2f}",
-        ]
-
 
 def compare_feature(feature: str, worker_values, regular_values) -> GroupComparison:
     """Summaries + KS/ANOVA/Kruskal battery for one feature."""

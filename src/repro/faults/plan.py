@@ -127,10 +127,6 @@ class FaultPlan:
             if spec_field.type == "FaultSpec"
         ]
 
-    @property
-    def any_enabled(self) -> bool:
-        return any(spec.enabled for _name, spec in self._sites())
-
     def describe(self) -> str:
         """Compact one-line summary, e.g. ``loss=0.2 ack_loss=0.25``."""
         parts = []

@@ -243,9 +243,6 @@ class ColumnFrame:
     def __len__(self) -> int:
         return self._length
 
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(self._columns)
-
     def values(self, name: str) -> list:
         """The raw value list backing one column (do not mutate)."""
         return self._columns[name]

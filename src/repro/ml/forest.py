@@ -9,8 +9,8 @@ Trees are independent once their bootstrap sample and seed are fixed, so
 Determinism contract (DESIGN.md §8): every bootstrap sample and per-tree
 seed is drawn from ``random_state`` *before* any fan-out, in the exact
 order the serial loop has always drawn them, and trees (with their
-out-of-bag votes and Gini importances) are merged back in tree order —
-the same seed yields byte-identical forests at any worker count.
+Gini importances) are merged back in tree order — the same seed yields
+byte-identical forests at any worker count.
 """
 
 from __future__ import annotations
@@ -31,19 +31,12 @@ def _fit_tree(
     seed: int,
     params: dict,
     n_classes: int,
-    bootstrap: bool,
-) -> tuple[DecisionTreeClassifier, np.ndarray | None, np.ndarray | None]:
-    """Grow one pre-seeded tree; return it with its out-of-bag votes."""
+) -> DecisionTreeClassifier:
+    """Grow one pre-seeded tree on its sample."""
     tree = DecisionTreeClassifier(random_state=seed, **params)
     # Fit on encoded labels so every tree shares the class space even if
     # a bootstrap sample misses a class.
-    tree.fit(X[sample], encoded[sample], sample_classes=n_classes)
-    if not bootstrap:
-        return tree, None, None
-    oob = np.setdiff1d(np.arange(X.shape[0]), np.unique(sample))
-    if not oob.size:
-        return tree, oob, None
-    return tree, oob, tree.predict_proba(X[oob])
+    return tree.fit(X[sample], encoded[sample], sample_classes=n_classes)
 
 
 class RandomForestClassifier(BaseEstimator, ClassifierMixin):
@@ -104,26 +97,16 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             "max_features": self.max_features,
         }
         n_classes = len(self.classes_)
-        fitted = parallel_map(
+        # Collection is in submission (= tree) order, so importance
+        # accumulation reproduces the serial float-summation order.
+        self.estimators_ = parallel_map(
             _fit_tree,
             [
-                (X, encoded, samples[i], seeds[i], params, n_classes, self.bootstrap)
+                (X, encoded, samples[i], seeds[i], params, n_classes)
                 for i in range(self.n_estimators)
             ],
             n_jobs=self.n_jobs,
         )
-
-        self.estimators_ = []
-        self._oob_votes = np.zeros((n, n_classes), dtype=np.float64)
-        self._oob_counts = np.zeros(n, dtype=np.int64)
-        self._oob_truth = encoded
-        # Collection is in submission (= tree) order, so vote/importance
-        # accumulation reproduces the serial float-summation order.
-        for tree, oob, oob_proba in fitted:
-            self.estimators_.append(tree)
-            if oob is not None and oob.size:
-                self._oob_votes[oob] += oob_proba
-                self._oob_counts[oob] += 1
         return self
 
     def predict_proba(self, X) -> np.ndarray:
@@ -143,11 +126,3 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         total /= len(self.estimators_)
         s = total.sum()
         return total / s if s else total
-
-    def oob_score(self) -> float:
-        """Out-of-bag accuracy over samples that were left out at least once."""
-        seen = self._oob_counts > 0
-        if not seen.any():
-            raise RuntimeError("no out-of-bag samples; was bootstrap=False?")
-        votes = np.argmax(self._oob_votes[seen], axis=1)
-        return float(np.mean(votes == self._oob_truth[seen]))

@@ -154,16 +154,6 @@ class ClassificationReport:
     support_positive: int
     support_negative: int
 
-    def as_row(self) -> dict[str, float]:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "fpr": self.false_positive_rate,
-        }
-
 
 def classification_report(y_true, y_pred, y_score=None, pos_label=1) -> ClassificationReport:
     """Compute the full per-run report; AUC falls back to hard labels."""

@@ -1,7 +1,9 @@
 """Cross-validation machinery matching the paper's protocol.
 
-Both tables use 10-fold cross-validation; Table 1 repeats it 5 times
-("repeated 10-fold cross-validation (n=5)").  Resampling (SMOTE /
+Both tables use 10-fold cross-validation; the paper repeats Table 1's
+5 times ("repeated 10-fold cross-validation (n=5)"), which ``n_repeats``
+supports, while the experiments run one repeat (DESIGN.md §2).
+Resampling (SMOTE /
 over / under) is applied *inside* each fold, to the training split
 only, so no synthetic point ever leaks into validation.
 

@@ -312,9 +312,3 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         if total == 0.0:
             return self._importances.copy()
         return self._importances / total
-
-    def get_depth(self) -> int:
-        return self.tree_.depth
-
-    def get_n_nodes(self) -> int:
-        return self.tree_.n_nodes

@@ -27,10 +27,6 @@ class GridSearchResult:
     def best_params(self) -> dict:
         return self.entries[0][0]
 
-    @property
-    def best_result(self) -> CrossValidationResult:
-        return self.entries[0][1]
-
     def table(self) -> list[tuple[str, float, float]]:
         return [
             (", ".join(f"{k}={v}" for k, v in params.items()), cv.f1, cv.auc)

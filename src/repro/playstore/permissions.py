@@ -109,9 +109,6 @@ class PermissionProfile:
     def dangerous_ratio(self) -> float:
         return self.n_dangerous / self.total if self.total else 0.0
 
-    def all_permissions(self) -> tuple[str, ...]:
-        return self.normal + self.dangerous
-
 
 def sample_permission_profile(
     rng: np.random.Generator,

@@ -94,10 +94,6 @@ class RankTracker:
     def series(self, package: str, keyword: str) -> list[RankSample]:
         return list(self._series.get((package, keyword), ()))
 
-    def best_rank(self, package: str, keyword: str) -> int | None:
-        series = self.series(package, keyword)
-        return min((s.rank for s in series), default=None)
-
     def detect_jumps(self, min_places: int = 10, window_days: int = 3) -> list[RankJump]:
         """Rank improvements of >= ``min_places`` within ``window_days``
         — the burst-like aggregate signal a store-side monitor would

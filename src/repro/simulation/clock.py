@@ -55,14 +55,6 @@ class SimClock:
         self._now += delta
         return self._now
 
-    def advance_to(self, timestamp: float) -> float:
-        if timestamp < self._now:
-            raise ValueError(
-                f"cannot move clock backwards ({timestamp} < {self._now})"
-            )
-        self._now = float(timestamp)
-        return self._now
-
     @property
     def day(self) -> int:
         return day_index(self._now)

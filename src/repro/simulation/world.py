@@ -92,20 +92,6 @@ class StudyData:
     rank_tracker: RankTracker | None = None
 
     # -- cohort views ----------------------------------------------------
-    def worker_participants(self, min_days: int = 0) -> list[Participant]:
-        return [
-            p
-            for p in self.participants
-            if p.is_worker and p.active_days >= min_days
-        ]
-
-    def regular_participants(self, min_days: int = 0) -> list[Participant]:
-        return [
-            p
-            for p in self.participants
-            if not p.is_worker and p.active_days >= min_days
-        ]
-
     def eligible_participants(self, min_days: int = 2) -> list[Participant]:
         """Devices with >= ``min_days`` of snapshots (§7.2/§8.2 filter)."""
         return [p for p in self.participants if p.active_days >= min_days]

@@ -418,11 +418,6 @@ class SignificanceBattery:
             and self.kruskal.significant(alpha)
         )
 
-    def distribution_tests_significant(self, alpha: float = 0.05) -> bool:
-        """KS and Kruskal-Wallis reject (the robust pair); ANOVA may not —
-        this is the Fig. 6 'installed apps' pattern."""
-        return self.ks.significant(alpha) and self.kruskal.significant(alpha)
-
 
 def compare_groups(feature: str, sample_a, sample_b) -> SignificanceBattery:
     """Run the §6 protocol on two samples: Shapiro per group, Fligner,

@@ -24,7 +24,6 @@ class TestCompareFeature:
         comparison = compare_feature("x", rng.normal(5, 1, 100), rng.normal(0, 1, 100))
         assert comparison.worker.mean > comparison.regular.mean
         assert comparison.significant()
-        assert len(comparison.paper_style_rows()) == 4
         assert comparison.effects.magnitude() == "large"
         assert comparison.effects.cohens_d > 3
 

@@ -12,9 +12,9 @@ class TestEscalatingPlans:
         names = [name for name, _plan in plans]
         assert names[0] == "clean"
         assert len(plans) >= 4
-        assert not plans[0][1].any_enabled
+        assert plans[0][1].describe() == "clean"
         for _name, plan in plans[1:]:
-            assert plan.any_enabled
+            assert plan.describe() != "clean"
         # The top rung exercises every server-side site.
         _, mayhem = plans[-1]
         assert mayhem.receive_crash.enabled

@@ -55,7 +55,6 @@ class TestFaultSpec:
 class TestFaultPlan:
     def test_defaults_are_clean(self):
         plan = FaultPlan()
-        assert not plan.any_enabled
         assert plan.describe() == "clean"
 
     def test_any_enabled_and_describe(self):
@@ -63,7 +62,6 @@ class TestFaultPlan:
             transport_loss=FaultSpec(0.2),
             overload=FaultSpec(1.0, days=(1, 2)),
         )
-        assert plan.any_enabled
         described = plan.describe()
         assert "transport_loss=0.2" in described
         assert "overload=1@days(1, 2)" in described

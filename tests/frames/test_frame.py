@@ -130,7 +130,8 @@ class TestGenericFrame:
 
     def test_column_order_follows_first_seen(self):
         frame = make_generic()
-        assert frame.column_names() == ("a", "b", "c")
+        frame.extend([{"c": [3], "b": "y", "a": 4}])
+        assert list(frame.row(3)) == ["a", "b", "c"]
 
 
 class TestFrameRow:

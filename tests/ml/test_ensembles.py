@@ -39,19 +39,6 @@ class TestRandomForest:
         model = RandomForestClassifier(n_estimators=40, random_state=0).fit(X, y)
         assert int(np.argmax(model.feature_importances_)) == 1
 
-    def test_oob_score_reasonable(self, blobs):
-        X, y = blobs
-        model = RandomForestClassifier(n_estimators=40, random_state=0).fit(X, y)
-        assert model.oob_score() >= 0.9
-
-    def test_oob_unavailable_without_bootstrap(self, blobs):
-        X, y = blobs
-        model = RandomForestClassifier(
-            n_estimators=5, bootstrap=False, random_state=0
-        ).fit(X, y)
-        with pytest.raises(RuntimeError):
-            model.oob_score()
-
     def test_feature_count_validated_at_predict(self, blobs):
         X, y = blobs
         model = RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y)

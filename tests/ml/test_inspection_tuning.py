@@ -81,7 +81,8 @@ class TestGridSearch:
         result = grid_search(
             LogisticRegression(), {"C": [0.01, 10.0]}, X, y, n_splits=3, random_state=0
         )
-        assert result.best_result.f1 == max(cv.f1 for _, cv in result.entries)
+        best_params, _ = max(result.entries, key=lambda entry: entry[1].f1)
+        assert result.best_params == best_params
 
     def test_table_rendering(self, blobs):
         X, y = blobs

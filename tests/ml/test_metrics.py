@@ -126,8 +126,6 @@ class TestClassificationReport:
         assert report.accuracy == pytest.approx(accuracy_score(y_true, y_pred))
         assert report.support_positive == 4
         assert report.support_negative == 2
-        row = report.as_row()
-        assert set(row) == {"precision", "recall", "f1", "accuracy", "auc", "fpr"}
 
     def test_scores_improve_auc_over_hard_labels(self, rng):
         y = np.r_[np.zeros(50, int), np.ones(50, int)]

@@ -28,7 +28,7 @@ class TestDecisionTreeClassifier:
     def test_max_depth_limits_tree(self, blobs):
         X, y = blobs
         tree = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        assert tree.get_depth() <= 2
+        assert tree.tree_.depth <= 2
 
     def test_min_samples_leaf_respected(self, blobs):
         X, y = blobs
@@ -40,7 +40,7 @@ class TestDecisionTreeClassifier:
         X = np.array([[1.0], [2.0], [3.0]])
         y = np.array([1, 1, 1])
         tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.get_n_nodes() == 1 and tree.get_depth() == 0
+        assert tree.tree_.n_nodes == 1 and tree.tree_.depth == 0
 
     def test_importances_sum_to_one(self, blobs):
         X, y = blobs
@@ -77,9 +77,7 @@ class TestDecisionTreeClassifier:
         # A bootstrap sample holding only class 1 must still vote class 1.
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         encoded = np.array([0, 0, 1, 1])
-        tree, _, _ = _fit_tree(
-            X, encoded, np.array([2, 3, 3, 2]), seed=0, params={}, n_classes=2, bootstrap=False
-        )
+        tree = _fit_tree(X, encoded, np.array([2, 3, 3, 2]), seed=0, params={}, n_classes=2)
         np.testing.assert_array_equal(tree.predict_proba(X[2:]), [[0.0, 1.0], [0.0, 1.0]])
 
     def test_nan_rejected(self):

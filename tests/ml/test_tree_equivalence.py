@@ -76,8 +76,6 @@ def test_forest_matches_oracle(seed, n_classes, decimals, params):
         assert splits(tree.tree_) == oracle_splits(oracle_tree.root)
     assert same_bytes(model.predict_proba(X), oracle.predict_proba(X))
     assert same_bytes(model.feature_importances_, oracle.feature_importances)
-    if model.bootstrap:
-        assert model.oob_score() == oracle.oob_score()
 
 
 @pytest.mark.parametrize("seed,decimals", [(seed, decimals) for seed in (0, 1, 2) for decimals in (None, 1)])

@@ -470,18 +470,11 @@ class Forest:
         n, n_classes = X.shape[0], len(self.classes)
         rng = np.random.default_rng(self.random_state)
         self.trees: list[GiniTree] = []
-        self.oob_votes = np.zeros((n, n_classes), dtype=np.float64)
-        self.oob_counts = np.zeros(n, dtype=np.int64)
-        self.oob_truth = encoded
         for _ in range(self.n_estimators):
             sample = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             (seed,) = draw_seeds(rng, 1)
             tree = GiniTree(random_state=seed, **self.tree_params)
             self.trees.append(tree.fit(X[sample], encoded[sample], n_classes))
-            oob = np.setdiff1d(np.arange(n), np.unique(sample))
-            if self.bootstrap and oob.size:
-                self.oob_votes[oob] += walk(tree.root, X[oob])
-                self.oob_counts[oob] += 1
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -498,11 +491,6 @@ class Forest:
         total /= len(self.trees)
         s = total.sum()
         return total / s if s else total
-
-    def oob_score(self) -> float:
-        seen = self.oob_counts > 0
-        votes = np.argmax(self.oob_votes[seen], axis=1)
-        return float(np.mean(votes == self.oob_truth[seen]))
 
 
 class BoostTree:

@@ -117,12 +117,11 @@ class TestCrossValidationDeterminism:
 
 
 class TestForestDeterminism:
-    def test_importances_and_oob_identical(self, dataset):
+    def test_importances_and_predictions_identical(self, dataset):
         X, y = dataset
         serial = RandomForestClassifier(n_estimators=20, random_state=5, n_jobs=1).fit(X, y)
         parallel = RandomForestClassifier(n_estimators=20, random_state=5, n_jobs=4).fit(X, y)
         assert np.array_equal(serial.feature_importances_, parallel.feature_importances_)
-        assert serial.oob_score() == parallel.oob_score()
         assert np.array_equal(serial.predict(X), parallel.predict(X))
 
     def test_forest_unchanged_by_n_jobs_attribute(self, dataset):

@@ -92,7 +92,7 @@ class TestPermissions:
             profile = sample_permission_profile(rng)
             assert set(profile.dangerous) <= set(DANGEROUS_PERMISSIONS)
             assert set(profile.normal) <= set(NORMAL_PERMISSIONS)
-            assert len(set(profile.all_permissions())) == profile.total
+            assert len(set(profile.normal + profile.dangerous)) == profile.total
 
     def test_aggressive_profiles_request_more_dangerous(self, rng):
         normal_mean = np.mean(

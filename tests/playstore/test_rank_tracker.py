@@ -48,7 +48,6 @@ class TestRankTracker:
         tracker.record_day(1)
         series = tracker.series(app.package, keyword)
         assert series[1].rank < series[0].rank
-        assert tracker.best_rank(app.package, keyword) == series[1].rank
 
     def test_jump_detection(self, world):
         catalog, app = world
@@ -76,7 +75,6 @@ class TestRankTracker:
         catalog, _ = world
         tracker = RankTracker(catalog)
         assert tracker.series("com.none", "kw") == []
-        assert tracker.best_rank("com.none", "kw") is None
 
 
 class TestBatchRankEquivalence:

@@ -40,8 +40,6 @@ class TestClock:
         assert clock.now == 10.0
         with pytest.raises(ValueError):
             clock.advance(-1.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(5.0)
 
 
 class TestEvents:

@@ -9,8 +9,8 @@ from repro.simulation.world import build_world
 
 class TestStudyStructure:
     def test_cohort_sizes(self, study, small_config):
-        workers = study.worker_participants()
-        regulars = study.regular_participants()
+        workers = [p for p in study.participants if p.is_worker]
+        regulars = [p for p in study.participants if not p.is_worker]
         assert len(workers) >= small_config.n_worker_devices
         assert len(regulars) >= small_config.n_regular_devices // 2
 
@@ -34,15 +34,15 @@ class TestStudyStructure:
 
     def test_worker_devices_have_more_accounts(self, study):
         worker_gmail = [
-            len(p.device.gmail_accounts()) for p in study.worker_participants()
+            len(p.device.gmail_accounts()) for p in study.participants if p.is_worker
         ]
         regular_gmail = [
-            len(p.device.gmail_accounts()) for p in study.regular_participants()
+            len(p.device.gmail_accounts()) for p in study.participants if not p.is_worker
         ]
         assert np.median(worker_gmail) > np.median(regular_gmail) * 2
 
     def test_promo_installs_only_on_worker_devices(self, study):
-        for participant in study.regular_participants():
+        for participant in (p for p in study.participants if not p.is_worker):
             assert participant.device.promo_installed() == []
 
     def test_campaign_board_delivered_work(self, study):
@@ -103,7 +103,7 @@ class TestBuildWorld:
 
         def worker_reviews(data):
             total = 0
-            for p in data.worker_participants():
+            for p in (p for p in data.participants if p.is_worker):
                 for a in p.device.gmail_accounts():
                     total += len(data.review_store.reviews_by_google_id(a.google_id))
             return total

@@ -140,7 +140,6 @@ class TestCompareGroups:
         battery = compare_groups("feature_x", a, b)
         assert battery.feature == "feature_x"
         assert battery.all_significant()
-        assert battery.distribution_tests_significant()
 
     def test_paper_pattern_installed_apps(self, rng):
         """Same means, different shapes: KS rejects, ANOVA does not —
@@ -151,4 +150,3 @@ class TestCompareGroups:
         assert battery.ks.significant()
         assert not battery.anova.significant()
         assert not battery.all_significant()
-        assert battery.distribution_tests_significant() == battery.kruskal.significant()
