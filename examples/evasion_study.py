@@ -4,9 +4,9 @@
 The paper argues the engagement features impose a detectability /
 profit tradeoff: to evade, workers must wait longer before reviewing,
 register fewer accounts, and post fewer reviews — all of which cut the
-fraud they can deliver.  This example sweeps evasion strength and
-measures (a) device-classifier recall against the evading workers and
-(b) the review volume those workers still deliver.
+fraud they can deliver.  This example sweeps the review delay and the
+review volume and measures (a) device-classifier recall against the
+evading workers and (b) the review volume those workers still deliver.
 
 Run:  python examples/evasion_study.py
 """

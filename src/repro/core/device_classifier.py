@@ -55,6 +55,7 @@ class DeviceClassifierEvaluation:
     feature_importances: dict[str, float]
     n_worker: int
     n_regular: int
+    #: The resampling inside every CV training fold, as Table 2 reports it.
     sampling: str = "smote"
 
     def table_rows(self) -> list[tuple[str, float, float, float]]:
@@ -72,39 +73,30 @@ class DeviceClassifierEvaluation:
 
 
 def evaluate_device_algorithms(
-    dataset: DeviceDataset,
-    n_splits: int = 10,
-    n_repeats: int = 1,
-    resample: str | None = "smote",
-    random_state: int = 0,
-    algorithms: dict[str, object] | None = None,
-    n_jobs: int | None = None,
+    dataset: DeviceDataset, n_splits: int = 10, n_jobs: int | None = None
 ) -> DeviceClassifierEvaluation:
-    """Run the §8.2 protocol (10-fold CV, SMOTE by default).
+    """Run the §8.2 protocol over the Table 2 suite: one stratified
+    ``n_splits``-fold CV with SMOTE inside every training fold, seed 0.
 
     ``n_jobs`` fans the CV folds (and the importance forest's trees) out
     across worker processes without changing any reported number.
     """
-    algorithms = algorithms or DEVICE_ALGORITHMS(random_state)
     results: dict[str, CrossValidationResult] = {}
-    for name, estimator in algorithms.items():
+    for name, estimator in DEVICE_ALGORITHMS().items():
         with obs.trace(f"ml.cv.device.{name}"):
             results[name] = cross_validate(
                 estimator,
                 dataset.X,
                 dataset.y,
                 n_splits=n_splits,
-                n_repeats=n_repeats,
-                resample=resample,
-                random_state=random_state,
+                resample="smote",
+                random_state=0,
                 name=name,
                 n_jobs=n_jobs,
             )
 
     with obs.trace("ml.importances.device"):
-        forest = RandomForestClassifier(
-            n_estimators=150, random_state=random_state, n_jobs=n_jobs
-        )
+        forest = RandomForestClassifier(n_estimators=150, random_state=0, n_jobs=n_jobs)
         forest.fit(dataset.X, dataset.y)
     importances = dict(zip(dataset.feature_names, forest.feature_importances_))
 
@@ -113,7 +105,6 @@ def evaluate_device_algorithms(
         feature_importances=importances,
         n_worker=dataset.n_worker,
         n_regular=dataset.n_regular,
-        sampling=resample or "none",
     )
 
 

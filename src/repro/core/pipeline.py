@@ -25,7 +25,6 @@ from .device_classifier import (
     evaluate_device_algorithms,
 )
 from .device_features import device_feature_matrix
-from .labeling import LabelingConfig
 from .observations import DeviceObservation, build_observations
 
 __all__ = ["DeviceVerdict", "PipelineResult", "DetectionPipeline", "scored_packages"]
@@ -88,26 +87,17 @@ class PipelineResult:
 
 
 class DetectionPipeline:
-    """Configurable end-to-end run of the paper's detection system."""
+    """End-to-end run of the paper's detection system.
 
-    def __init__(
-        self,
-        labeling: LabelingConfig | None = None,
-        app_cv_repeats: int = 1,
-        device_cv_repeats: int = 1,
-        n_splits: int = 10,
-        device_resample: str | None = "smote",
-        app_resample: str | None = None,
-        random_state: int = 0,
-        n_jobs: int | None = None,
-    ) -> None:
-        self.labeling = labeling
-        self.app_cv_repeats = app_cv_repeats
-        self.device_cv_repeats = device_cv_repeats
+    The labeling (§7.2) and the CV protocols (§7.2, §8.2) are the
+    paper's and live with the code that applies them: ``label_apps``,
+    :func:`evaluate_app_algorithms` and :func:`evaluate_device_algorithms`.
+    Only the fold count (clamped to each minority class) and the worker
+    count are chosen per run.
+    """
+
+    def __init__(self, n_splits: int = 10, n_jobs: int | None = None) -> None:
         self.n_splits = n_splits
-        self.device_resample = device_resample
-        self.app_resample = app_resample
-        self.random_state = random_state
         self.n_jobs = n_jobs
 
     def run(self, data: StudyData) -> PipelineResult:
@@ -122,20 +112,15 @@ class DetectionPipeline:
         # is clamped to the minority-class size so tiny (e.g. evasion-
         # scenario) cohorts still cross-validate.
         with obs.trace("pipeline.app_dataset"):
-            app_dataset = build_app_dataset(data, observations, self.labeling)
+            app_dataset = build_app_dataset(data, observations)
         app_splits = max(
             2, min(self.n_splits, app_dataset.n_suspicious, app_dataset.n_regular)
         )
         with obs.trace("pipeline.app_eval"):
             app_evaluation = evaluate_app_algorithms(
-                app_dataset,
-                n_splits=app_splits,
-                n_repeats=self.app_cv_repeats,
-                resample=self.app_resample,
-                random_state=self.random_state,
-                n_jobs=self.n_jobs,
+                app_dataset, n_splits=app_splits, n_jobs=self.n_jobs
             )
-            app_model = AppClassifier(self.random_state).fit(app_dataset)
+            app_model = AppClassifier().fit(app_dataset)
 
         # Score every device's installed apps -> suspiciousness feature.
         with obs.trace("pipeline.score_devices"):
@@ -149,14 +134,9 @@ class DetectionPipeline:
         )
         with obs.trace("pipeline.device_eval"):
             device_evaluation = evaluate_device_algorithms(
-                device_dataset,
-                n_splits=device_splits,
-                n_repeats=self.device_cv_repeats,
-                resample=self.device_resample,
-                random_state=self.random_state,
-                n_jobs=self.n_jobs,
+                device_dataset, n_splits=device_splits, n_jobs=self.n_jobs
             )
-            device_model = DeviceClassifier(self.random_state).fit(device_dataset)
+            device_model = DeviceClassifier().fit(device_dataset)
 
         result = PipelineResult(
             observations=observations,

@@ -68,8 +68,8 @@ _DEVIATIONS = """\
   algorithm ranking (XGB/RF at the top, then SVM/KNN, LVQ last with a
   recall deficit) and the low-FPR regime match.
 * **Table 1 CV repeats.**  The paper repeats Table 1's 10-fold
-  cross-validation five times; the reproduction runs it once
-  (`DetectionPipeline`'s `app_cv_repeats=1`), so every Table 1 and F14
+  cross-validation five times; the reproduction runs it once (the
+  protocol `evaluate_app_algorithms` holds), so every Table 1 and F14
   number comes from a single 10-fold pass.
 * **Install-to-review joins.**  Counts scale with the cohort (the paper
   joined 40,397 worker reviews; we join ~14k on the default cohort) —

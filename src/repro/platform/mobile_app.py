@@ -93,8 +93,6 @@ class RacketStoreApp:
         rng: np.random.Generator | None = None,
         grant_usage_stats: bool = True,
         grant_get_accounts: bool = True,
-        fast_buffer_bytes: int = 100 * 1024,
-        slow_buffer_bytes: int = 8 * 1024,
     ) -> None:
         if rng is None:
             # No hidden fallback Generator (statan DET001): the caller
@@ -106,7 +104,7 @@ class RacketStoreApp:
         self._transport = transport
         self._rng = rng
         self.permissions = _Permissions(grant_usage_stats, grant_get_accounts)
-        self.buffer = DataBuffer(fast_buffer_bytes, slow_buffer_bytes)
+        self.buffer = DataBuffer()
         self.install_id: str | None = None
         self.installed_at: float | None = None
         self.uninstalled_at: float | None = None

@@ -48,8 +48,7 @@ class IngestStats:
 
     ``malformed_chunks`` counts transport-level corruption (bad gzip /
     undecodable bytes); ``malformed_records`` counts schema drift (a
-    JSON line that fails validation).  ``malformed_total`` preserves the
-    pre-split semantics, which lumped both into one counter.
+    JSON line that fails validation).
     """
 
     __slots__ = ("_registry",)
@@ -76,11 +75,6 @@ class IngestStats:
     @property
     def malformed_records(self) -> int:
         return int(self._registry.value("ingest_malformed_records_total"))
-
-    @property
-    def malformed_total(self) -> int:
-        """Backwards-compatible pre-split count (chunks + records)."""
-        return self.malformed_chunks + self.malformed_records
 
     @property
     def duplicate_chunks(self) -> int:

@@ -190,22 +190,22 @@ class Catalog:
         self.version += 1
         return app
 
-    def add_third_party_app(self, modded: bool = True) -> App:
-        """Apk hosted outside Google Play (§6.3), often a modded clone."""
+    def add_third_party_app(self) -> App:
+        """Modded apk clone hosted outside Google Play (§6.3)."""
         package, title = self._new_package("mod")
         app = App(
             package=package,
-            title=title + (" Mod" if modded else ""),
+            title=title + " Mod",
             category=str(self._rng.choice(("ENTERTAINMENT", "GAMES", "VIDEO_PLAYERS"))),
             developer="unknown",
             on_play_store=False,
             install_count=0,
             review_count=0,
             aggregate_rating=0.0,
-            permissions=sample_permission_profile(self._rng, aggressive=modded),
+            permissions=sample_permission_profile(self._rng, aggressive=True),
             apk_hashes=(_apk_hash(package, 1),),
             is_malware=bool(self._rng.random() < 0.3),
-            is_modded=modded,
+            is_modded=True,
         )
         self._apps[package] = app
         self.version += 1

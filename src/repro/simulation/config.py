@@ -8,6 +8,11 @@ paper's per-device and per-app statistics while running in seconds.
 The scale-sensitive labeling threshold of §7.2 (apps with >= 15,000
 reviews count as popular) is carried here as ``popular_review_threshold``
 because the synthetic catalog's absolute review volumes are scaled too.
+
+Values the paper fixes are not knobs here: the §3 snapshot cadences are
+``RacketStoreApp.FAST_PERIOD_S``/``SLOW_PERIOD_S``, the §3 buffer
+thresholds are ``DataBuffer``'s defaults, and the other §7.2 labeling
+thresholds are ``LabelingConfig``'s.
 """
 
 from __future__ import annotations
@@ -56,14 +61,6 @@ class SimulationConfig:
     n_third_party_apps: int = 30
     n_antivirus_apps: int = 25
 
-    # Snapshot cadences (§3).
-    fast_period_s: float = 5.0
-    slow_period_s: float = 120.0
-
-    # Buffer thresholds (§3): fast file 100 KB, slow file 8 KB.
-    fast_buffer_bytes: int = 100 * 1024
-    slow_buffer_bytes: int = 8 * 1024
-
     #: Per-chunk loss probability of the device->server channel (§3
     #: "resilient communications"; the buffer retries until the hash
     #: acknowledgement matches).
@@ -76,16 +73,15 @@ class SimulationConfig:
     grant_usage_stats_prob: float = 0.96
     grant_get_accounts_prob: float = 0.80
 
-    # Labeling rules (§7.2), review threshold scaled with the catalog.
-    min_worker_devices_for_suspicious: int = 5
+    # §7.2 "popular" review threshold, scaled with the catalog.
     popular_review_threshold: int = 15_000
 
     # VirusTotal report availability (§6.4: 12431/18079).
     vt_availability: float = 12_431 / 18_079
 
-    # Evasion study knobs (§9): multipliers applied to worker behaviour.
+    # Evasion study knobs (§9): multipliers on worker devices' install-
+    # to-review delay and on the number of reviews they post.
     worker_review_delay_multiplier: float = 1.0
-    worker_accounts_multiplier: float = 1.0
     worker_review_volume_multiplier: float = 1.0
 
     #: Optional seeded fault-injection plan

@@ -103,12 +103,6 @@ class SimDevice:
     def gmail_accounts(self) -> list[DeviceAccount]:
         return [a for a in self.accounts if a.is_gmail]
 
-    def non_gmail_accounts(self) -> list[DeviceAccount]:
-        return [a for a in self.accounts if not a.is_gmail]
-
-    def account_types(self) -> set[str]:
-        return {a.service for a in self.accounts}
-
     # -- install lifecycle ----------------------------------------------------
     def install(
         self,
@@ -237,9 +231,6 @@ class SimDevice:
 
     def promo_installed(self) -> list[InstalledApp]:
         return [rec for rec in self.installed.values() if rec.promo_install]
-
-    def apk_hashes(self) -> set[str]:
-        return {rec.apk_hash for rec in self.installed.values() if rec.apk_hash}
 
     def timeline(self, package: str) -> list[DeviceEvent]:
         """Figure-1-style per-app event timeline."""

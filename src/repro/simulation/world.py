@@ -96,16 +96,9 @@ class StudyData:
         """Devices with >= ``min_days`` of snapshots (§7.2/§8.2 filter)."""
         return [p for p in self.participants if p.active_days >= min_days]
 
-    def apk_hash_oracle(self) -> dict[str, bool]:
-        """apk hash -> is-malware ground truth for the VT panel."""
-        return {
-            h: app.is_malware
-            for app in self.catalog.all_apps()
-            for h in app.apk_hashes
-        }
-
 
 def _malware_oracle_factory(catalog: Catalog):
+    """apk hash -> is-malware ground truth, as the VT panel's oracle."""
     lookup = {
         h: app.is_malware for app in catalog.all_apps() for h in app.apk_hashes
     }
@@ -216,8 +209,6 @@ def _enroll(
         # sizes of Figs 5/6 (not every device reports accounts/usage).
         grant_usage_stats=bool(rng.random() < config.grant_usage_stats_prob),
         grant_get_accounts=bool(rng.random() < config.grant_get_accounts_prob),
-        fast_buffer_bytes=config.fast_buffer_bytes,
-        slow_buffer_bytes=config.slow_buffer_bytes,
     )
     # Sign-in (and the initial snapshot) happens on the enrollment day
     # inside the study loop, so repeat installs capture the device state

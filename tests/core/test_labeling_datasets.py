@@ -40,8 +40,8 @@ class TestLabelingRules:
     def test_suspicious_and_regular_disjoint(self, labeling):
         assert not labeling.suspicious_apps & labeling.regular_apps
 
-    def test_suspicious_coinstall_threshold(self, study, labeling):
-        config_min = study.config.min_worker_devices_for_suspicious
+    def test_suspicious_coinstall_threshold(self, labeling):
+        config_min = LabelingConfig().min_worker_devices
         for package in labeling.suspicious_apps:
             count = sum(
                 1 for obs in labeling.holdout_worker if package in obs.observed_packages

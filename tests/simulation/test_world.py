@@ -63,11 +63,6 @@ class TestStudyStructure:
                 pairs = [(r.app_package, r.google_id) for r in reviews]
                 assert len(pairs) == len(set(pairs))
 
-    def test_apk_hash_oracle_covers_catalog(self, study):
-        oracle = study.apk_hash_oracle()
-        for app in study.catalog.all_apps():
-            assert app.current_apk_hash in oracle
-
 
 class TestDeterminism:
     def test_same_seed_same_world(self):
