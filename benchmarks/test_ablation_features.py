@@ -54,7 +54,7 @@ def test_ablation_feature_families(workbench, pipeline_result, emit):
             cv = pipeline_result.device_evaluation.results["XGB"]
         else:
             cv = cross_validate(
-                DEVICE_ALGORITHMS(0)["XGB"],
+                DEVICE_ALGORITHMS()["XGB"],
                 _subset(dataset, names),
                 dataset.y,
                 n_splits=10,

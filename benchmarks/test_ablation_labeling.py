@@ -25,7 +25,7 @@ def test_ablation_labeling_thresholds(workbench, emit):
         )
         dataset = build_app_dataset(data, observations, config)
         cv = cross_validate(
-            APP_ALGORITHMS(0)["XGB"],
+            APP_ALGORITHMS()["XGB"],
             dataset.X,
             dataset.y,
             n_splits=min(10, dataset.n_regular),

@@ -25,7 +25,7 @@ def test_ablation_observation_window(workbench, pipeline_result, emit):
         truncated = [obs.truncated(days) for obs in observations]
         dataset = build_device_dataset(data, truncated, suspiciousness)
         cv = cross_validate(
-            DEVICE_ALGORITHMS(0)["XGB"],
+            DEVICE_ALGORITHMS()["XGB"],
             dataset.X,
             dataset.y,
             n_splits=10,

@@ -34,7 +34,7 @@ def test_table1_balanced_variants(workbench, pipeline_result, emit):
             cv = pipeline_result.app_evaluation.results["XGB"]
         else:
             cv = cross_validate(
-                APP_ALGORITHMS(0)["XGB"],
+                APP_ALGORITHMS()["XGB"],
                 dataset.X,
                 dataset.y,
                 n_splits=10,

@@ -33,7 +33,7 @@ def test_table2_sampling_variants(workbench, pipeline_result, emit):
             cv = pipeline_result.device_evaluation.results["XGB"]
         else:
             cv = cross_validate(
-                DEVICE_ALGORITHMS(0)["XGB"],
+                DEVICE_ALGORITHMS()["XGB"],
                 dataset.X,
                 dataset.y,
                 n_splits=10,

@@ -28,16 +28,16 @@ from .datasets import AppDataset
 __all__ = ["APP_ALGORITHMS", "AppClassifierEvaluation", "AppClassifier", "evaluate_app_algorithms"]
 
 
-def APP_ALGORITHMS(random_state: int = 0) -> dict[str, object]:
+def APP_ALGORITHMS() -> dict[str, object]:
     """The Table 1 algorithm suite (KNN uses K=5 per the paper)."""
     return {
         "XGB": GradientBoostingClassifier(
-            n_estimators=150, max_depth=4, learning_rate=0.15, random_state=random_state
+            n_estimators=150, max_depth=4, learning_rate=0.15, random_state=0
         ),
-        "RF": RandomForestClassifier(n_estimators=120, random_state=random_state),
+        "RF": RandomForestClassifier(n_estimators=120, random_state=0),
         "LR": LogisticRegression(C=1.0),
         "KNN": KNeighborsClassifier(n_neighbors=5),
-        "LVQ": LVQClassifier(prototypes_per_class=6, epochs=25, random_state=random_state),
+        "LVQ": LVQClassifier(prototypes_per_class=6, epochs=25, random_state=0),
     }
 
 
@@ -108,10 +108,10 @@ class AppClassifier:
     accept raw (possibly NaN) feature vectors in APP_FEATURE_NAMES order.
     """
 
-    def __init__(self, random_state: int = 0) -> None:
+    def __init__(self) -> None:
         self._imputer = SimpleImputer(strategy="median")
         self._model = GradientBoostingClassifier(
-            n_estimators=150, max_depth=4, learning_rate=0.15, random_state=random_state
+            n_estimators=150, max_depth=4, learning_rate=0.15, random_state=0
         )
         self.feature_names: tuple[str, ...] = ()
 
@@ -126,11 +126,3 @@ class AppClassifier:
 
     def predict_proba(self, X) -> np.ndarray:
         return self._model.predict_proba(self._imputer.transform(np.atleast_2d(X)))
-
-    def flag_fraction(self, X) -> float:
-        """Fraction of instances flagged as promotion (the per-device
-        'app suspiciousness' of §8.1)."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[0] == 0:
-            return 0.0
-        return float(np.mean(self.predict(X) == 1))

@@ -34,16 +34,16 @@ __all__ = [
 ]
 
 
-def DEVICE_ALGORITHMS(random_state: int = 0) -> dict[str, object]:
+def DEVICE_ALGORITHMS() -> dict[str, object]:
     """The Table 2 algorithm suite (KNN uses K=5 per the paper)."""
     return {
         "XGB": GradientBoostingClassifier(
-            n_estimators=120, max_depth=3, learning_rate=0.15, random_state=random_state
+            n_estimators=120, max_depth=3, learning_rate=0.15, random_state=0
         ),
-        "RF": RandomForestClassifier(n_estimators=120, random_state=random_state),
-        "SVM": LinearSVC(C=1.0, epochs=40, random_state=random_state),
+        "RF": RandomForestClassifier(n_estimators=120, random_state=0),
+        "SVM": LinearSVC(C=1.0, epochs=40, random_state=0),
         "KNN": KNeighborsClassifier(n_neighbors=5),
-        "LVQ": LVQClassifier(prototypes_per_class=5, epochs=25, random_state=random_state),
+        "LVQ": LVQClassifier(prototypes_per_class=5, epochs=25, random_state=0),
     }
 
 
@@ -111,10 +111,10 @@ def evaluate_device_algorithms(
 class DeviceClassifier:
     """Deployable worker-device detector (XGB, the Table 2 winner)."""
 
-    def __init__(self, random_state: int = 0) -> None:
+    def __init__(self) -> None:
         self._imputer = SimpleImputer(strategy="median")
         self._model = GradientBoostingClassifier(
-            n_estimators=120, max_depth=3, learning_rate=0.15, random_state=random_state
+            n_estimators=120, max_depth=3, learning_rate=0.15, random_state=0
         )
         self.feature_names: tuple[str, ...] = ()
 

@@ -161,15 +161,25 @@ class DetectionPipeline:
         app_model: AppClassifier,
     ) -> dict[str, float]:
         """install_id -> fraction of user-installed apps flagged as
-        promotion-installed by the app classifier (§8.1 feature (2))."""
-        suspiciousness: dict[str, float] = {}
+        promotion-installed by the app classifier (§8.1 feature (2)).
+
+        Every device's rows are scored in one ``predict`` call: the
+        imputer and the trees treat each row on its own, so the flags are
+        the ones a call per device gives.
+        """
+        matrices = []
+        bounds = [0]
         for obs in observations:
             packages = scored_packages(obs, data.catalog)
-            if not packages:
-                suspiciousness[obs.install_id] = 0.0
-                continue
-            X = app_feature_matrix(obs, packages, data.catalog, data.vt_client)
-            suspiciousness[obs.install_id] = app_model.flag_fraction(X)
+            if packages:
+                matrices.append(app_feature_matrix(obs, packages, data.catalog, data.vt_client))
+            bounds.append(bounds[-1] + len(packages))
+        flagged = app_model.predict(np.vstack(matrices)) == 1 if matrices else None
+        suspiciousness: dict[str, float] = {}
+        for obs, start, stop in zip(observations, bounds, bounds[1:]):
+            suspiciousness[obs.install_id] = (
+                float(np.mean(flagged[start:stop])) if stop > start else 0.0
+            )
         return suspiciousness
 
     def _verdicts(
@@ -181,14 +191,12 @@ class DetectionPipeline:
     ) -> list[DeviceVerdict]:
         verdicts = []
         scores = [suspiciousness.get(o.install_id, 0.0) for o in observations]
-        X = device_feature_matrix(observations, scores)
-        for i, obs in enumerate(observations):
-            score = scores[i]
-            # Per-row predict keeps the probability arithmetic identical
-            # to the pre-batch path regardless of the model's internals.
-            proba = device_model.predict_proba(X[i])[0]
-            worker_col = int(np.nonzero(device_model._model.classes_ == 1)[0][0])
-            p_worker = float(proba[worker_col])
+        # One call for every device: each row's probability depends on
+        # that row alone.
+        proba = device_model.predict_proba(device_feature_matrix(observations, scores))
+        worker_col = int(np.nonzero(device_model._model.classes_ == 1)[0][0])
+        for obs, score, row in zip(observations, scores, proba):
+            p_worker = float(row[worker_col])
             verdicts.append(
                 DeviceVerdict(
                     install_id=obs.install_id,

@@ -15,7 +15,12 @@ Each boosting round grows one tree with the shared kernel in
 :mod:`repro.ml.tree` -- this module contributes only the gain above,
 over ``[grad, hess]`` statistics -- and keeps it as a flat-array
 :class:`~repro.ml.tree.Tree`; the margin sums the rounds' leaf weights
-through the same descent that predicts every other tree.
+through the same descent that predicts every other tree.  Every round
+sees the same matrix, so when every node searches every feature
+(``colsample_bytree=1``) ``fit`` sorts its columns once and every round
+starts from that order, as XGBoost's exact greedy algorithm keeps its
+sorted column blocks (KDD 2016, §4.1); a round with ``subsample < 1``
+takes its rows' order with the kernel's stable partition.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y
-from .tree import GainFunction, Tree, descend, grow
+from .tree import GainFunction, Tree, descend, grow, partition, presort
 
 __all__ = ["GradientBoostingClassifier"]
 
@@ -96,6 +101,9 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         p0 = np.clip(self.base_score, 1e-6, 1.0 - 1e-6)
         self.base_margin_ = float(np.log(p0 / (1.0 - p0)))
         margin = np.full(n, self.base_margin_, dtype=np.float64)
+        # Every round sees the same X: with every feature searched at every
+        # node, sort its columns once here instead of in every round.
+        order = presort(X) if n_candidates == self.n_features_ else None
 
         self._tree_gains: list[np.ndarray] = []
         self.train_losses_: list[float] = []
@@ -108,12 +116,14 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
                 rows = rng.random(n) < self.subsample
                 if not rows.any():
                     rows[rng.integers(0, n)] = True
+                round_order = None if order is None else partition(order, rows)[0]
             else:
                 rows = np.ones(n, dtype=bool)
+                round_order = order
 
             tree, splits = grow(
                 X[rows], np.column_stack([grad, hess])[rows], self._node,
-                self.max_depth, n_candidates, rng,
+                self.max_depth, n_candidates, rng, round_order,
             )
             gains = np.zeros(self.n_features_, dtype=np.float64)
             for feature, gain in splits:

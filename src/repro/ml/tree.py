@@ -1,21 +1,27 @@
 """CART classification trees, and the split kernel and tree layout that
 every tree learner shares.
 
-:func:`best_split` is the one split search in :mod:`repro.ml`.  For each
-candidate feature it sorts the node's rows, cumulates a per-row
-statistics matrix, scores every position between two distinct values
-with a gain function, and puts the threshold at the midpoint of the best
-one.  Splits are exact: for the dataset sizes in this reproduction
-(thousands of rows, tens of features) every midpoint is cheap to score
-and there is no discretisation error.  Two gain functions plug into it:
-the Gini gain over one-hot class counts here, and the booster's
-second-order gain over ``[grad, hess]`` in
-:mod:`repro.ml.gradient_boosting`.
+:func:`best_split` is the one split search in :mod:`repro.ml`.  It takes
+the node's rows already sorted by each candidate feature and searches all
+candidates in one pass: it finds every position between two distinct
+values, cumulates a per-row statistics matrix along each order, scores
+every such position of every candidate with one call of a gain function,
+and puts the threshold at the midpoint of the best one.  Splits are
+exact: for the dataset sizes in this reproduction (thousands of rows,
+tens of features) every midpoint is cheap to score and there is no
+discretisation error.  Two gain functions plug into it: the Gini gain
+over one-hot class counts here, and the booster's second-order gain over
+``[grad, hess]`` in :mod:`repro.ml.gradient_boosting`.
 
-:func:`grow` grows one tree depth-first in pre-order around the kernel,
-and every fitted tree -- a CART tree, a Random Forest member, a boosting
-round -- is a :class:`Tree` of flat arrays that :func:`descend` predicts.
-The classifier records per-feature *mean decrease in Gini* importances,
+:func:`grow` grows one tree depth-first in pre-order around the kernel.
+Where every node searches every feature, it sorts the columns once
+(:func:`presort`) and hands each child its rows' orders by a stable
+:func:`partition` of its parent's, the column-block reuse of XGBoost's
+exact greedy algorithm (Chen & Guestrin, KDD 2016, §4.1); where nodes
+sample features, each node sorts only its candidates.  Every fitted tree
+-- a CART tree, a Random Forest member, a boosting round -- is a
+:class:`Tree` of flat arrays that :func:`descend` predicts.  The
+classifier records per-feature *mean decrease in Gini* importances,
 which is exactly the importance measure the paper uses for Figures 13
 and 14.
 """
@@ -28,7 +34,9 @@ import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y
 
-__all__ = ["DecisionTreeClassifier", "Tree", "best_split", "descend", "grow"]
+__all__ = [
+    "DecisionTreeClassifier", "Tree", "best_split", "descend", "grow", "partition", "presort",
+]
 
 #: Maps the cumulative statistics left of each candidate split to its gain.
 GainFunction = Callable[[np.ndarray], np.ndarray]
@@ -111,39 +119,73 @@ def descend(trees: Sequence[Tree], X: np.ndarray, n_features: int) -> Iterator[n
         yield tree.value[node]
 
 
+def presort(X: np.ndarray) -> np.ndarray:
+    """Each column's rows in stable ascending order: row ``f`` of the
+    ``(F, n)`` result sorts column ``f`` of ``X``."""
+    return X.T.argsort(axis=1, kind="mergesort")
+
+
+def partition(order: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide a node's ``(F, n)`` column orders between its two children.
+
+    Returns the orders of the rows where ``mask`` holds and of the rest,
+    each renumbered to its child's rows.  A child keeps its rows in the
+    parent's order (``compress``), so its stable order of a column is the
+    subsequence of the parent's that falls in it: nothing is sorted again.
+    """
+    goes_left = mask.take(order)
+    rank = mask.cumsum()  # left rows up to and including each row
+    child_row = np.where(mask, rank - 1, np.arange(mask.size) - rank)
+    n_features = order.shape[0]
+    return (
+        child_row.take(order[goes_left]).reshape(n_features, -1),
+        child_row.take(order[~goes_left]).reshape(n_features, -1),
+    )
+
+
 def best_split(
     X: np.ndarray,
     stats: np.ndarray,
+    order: np.ndarray,
     feature_ids: np.ndarray,
     gain: GainFunction,
 ) -> tuple[int, float, float]:
     """Search ``feature_ids`` for the split with the largest gain.
 
-    ``stats`` holds one row of additive statistics per sample of the
-    node.  ``gain`` receives their cumulative sums at every position
-    after which the sorted feature value changes, and returns each
-    position's gain, ``-inf`` where a child would be too small.  Returns
-    ``(feature, threshold, gain)``; ``feature == -1`` means no split
-    gains more than zero.
+    ``order[c]`` lists the node's rows in stable ascending order of column
+    ``feature_ids[c]``, and ``stats`` holds one row of additive statistics
+    per row of the node.  One ``gain`` call scores every candidate: it
+    receives the cumulative sums at each position after which a
+    candidate's sorted value changes, and returns each position's gain,
+    ``-inf`` where a child would be too small.  Candidates are then taken
+    in order, each at its first maximum, and one is kept when it beats
+    the best so far by more than ``1e-12``.  Returns ``(feature,
+    threshold, gain)`` with the threshold at the midpoint; ``feature ==
+    -1`` means no split gains more than zero.
     """
-    best_feature, best_threshold, best_gain = -1, 0.0, 0.0
-    for feature in feature_ids:
-        # Methods and ``take`` rather than numpy functions and fancy
-        # indexing: most nodes are small, so call overhead dominates.
-        column = X[:, feature]
-        order = column.argsort(kind="mergesort")
-        values = column.take(order)
-        positions = (values[1:] != values[:-1]).nonzero()[0]  # left size i + 1
-        if positions.size == 0:
-            continue
-        gains = gain(stats.take(order, axis=0).cumsum(axis=0).take(positions, axis=0))
-        i = int(gains.argmax())
-        if gains[i] > best_gain + 1e-12:
-            best_gain = float(gains[i])
-            best_feature = int(feature)
-            pos = positions[i]
-            best_threshold = float((values[pos] + values[pos + 1]) / 2.0)
-    return best_feature, best_threshold, best_gain
+    n = order.shape[1]
+    # Methods and ``take`` rather than numpy functions and fancy indexing:
+    # most nodes are small, so call overhead dominates.
+    values = X.take(order * X.shape[1] + feature_ids[:, None])  # (C, n)
+    candidate, position = (values[:, 1:] != values[:, :-1]).nonzero()  # left size position + 1
+    if position.size == 0:
+        return -1, 0.0, 0.0
+    cumulative = stats.take(order, axis=0).cumsum(axis=1).reshape(-1, stats.shape[1])
+    gains = gain(cumulative.take(candidate * n + position, axis=0))
+    # Boundaries come feature-major, so each candidate's gains are one run.
+    run_starts = (candidate[1:] != candidate[:-1]).nonzero()[0] + 1
+    edges = [0, *run_starts.tolist(), gains.size]
+    winner, best_gain = -1, 0.0
+    for run, run_gain in enumerate(np.maximum.reduceat(gains, edges[:-1]).tolist()):
+        if run_gain > best_gain + 1e-12:
+            winner, best_gain = run, run_gain
+    if winner < 0:
+        return -1, 0.0, 0.0
+    start, stop = edges[winner], edges[winner + 1]
+    i = start + int(gains[start:stop].argmax())
+    c, pos = candidate[i], position[i]
+    threshold = float((values[c, pos] + values[c, pos + 1]) / 2.0)
+    return int(feature_ids[c]), threshold, best_gain
 
 
 def grow(
@@ -153,39 +195,51 @@ def grow(
     max_depth: int | None,
     n_candidates: int,
     rng: np.random.Generator,
+    order: np.ndarray | None = None,
 ) -> tuple[Tree, list[tuple[int, float]]]:
     """Grow one tree depth-first, in pre-order, with :func:`best_split`.
 
     ``node(stats)`` returns a node's value and its gain function, or
     ``None`` for a node that must stay a leaf.  Each node that may split
-    draws ``n_candidates`` features from ``rng`` (all features when that
-    is every one of them).  Returns the tree and its splits' ``(feature,
-    gain)`` pairs in pre-order, the order importances accumulate in.
+    draws ``n_candidates`` features from ``rng`` and sorts just those
+    columns.  When that is every feature, nothing is drawn and nothing
+    below the root is sorted: the root's column orders are ``order``
+    (:func:`presort` of ``X`` when not given), and every split hands its
+    children theirs through :func:`partition`.  Returns the tree and its
+    splits' ``(feature, gain)`` pairs in pre-order, the order importances
+    accumulate in.
     """
     n_features = X.shape[1]
+    every_feature = n_candidates >= n_features
+    if every_feature:
+        feature_ids = np.arange(n_features)
+        if order is None:
+            order = presort(X)
     splits: list[tuple[int, float]] = []
 
-    def expand(item: tuple[np.ndarray, np.ndarray, int]) -> tuple:
-        X, stats, depth = item
+    def expand(item: tuple[np.ndarray, np.ndarray, np.ndarray | None, int]) -> tuple:
+        X, stats, order, depth = item
         node_value, gain = node(stats)
         if gain is None or (max_depth is not None and depth >= max_depth):
             return node_value, None
-        if n_candidates < n_features:
-            feature_ids = rng.choice(n_features, size=n_candidates, replace=False)
+        if every_feature:
+            candidates = feature_ids
         else:
-            feature_ids = np.arange(n_features)
-        feature, threshold, split_gain = best_split(X, stats, feature_ids, gain)
+            candidates = rng.choice(n_features, size=n_candidates, replace=False)
+            order = presort(X.take(candidates, axis=1))
+        feature, threshold, split_gain = best_split(X, stats, order, candidates, gain)
         if feature < 0:
             return node_value, None
         splits.append((feature, split_gain))
         mask = X[:, feature] <= threshold
+        child_orders = partition(order, mask) if every_feature else (None, None)
         below = [
-            (X.compress(rows, axis=0), stats.compress(rows, axis=0), depth + 1)
-            for rows in (mask, ~mask)
+            (X.compress(rows, axis=0), stats.compress(rows, axis=0), child_order, depth + 1)
+            for rows, child_order in zip((mask, ~mask), child_orders)
         ]
         return node_value, (feature, threshold, *below)
 
-    return Tree.build((X, stats, 0), expand), splits
+    return Tree.build((X, stats, order, 0), expand), splits
 
 
 def _gini(counts: np.ndarray) -> float:

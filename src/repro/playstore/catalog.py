@@ -81,7 +81,6 @@ class App:
     permissions: PermissionProfile = field(default_factory=PermissionProfile)
     apk_hashes: tuple[str, ...] = field(default_factory=tuple)
     is_malware: bool = False
-    is_modded: bool = False
     is_antivirus: bool = False
 
     @property
@@ -205,7 +204,6 @@ class Catalog:
             permissions=sample_permission_profile(self._rng, aggressive=True),
             apk_hashes=(_apk_hash(package, 1),),
             is_malware=bool(self._rng.random() < 0.3),
-            is_modded=True,
         )
         self._apps[package] = app
         self.version += 1

@@ -161,8 +161,6 @@ class ENGAGEMENT:
     WORKER_SNAPSHOTS_PER_DAY_MEDIAN = 3_669
     WORKER_SNAPSHOTS_PER_DAY_SD = 10_303.42
     DEVICES_OVER_100_PER_DAY = 529
-    FAST_PERIOD_SECONDS = 5.0
-    SLOW_PERIOD_SECONDS = 120.0
 
 
 class MALWARE:

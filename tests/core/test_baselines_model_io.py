@@ -162,7 +162,7 @@ class TestModelIO:
 
     def test_detector_roundtrip(self, study, observations):
         dataset = build_app_dataset(study, observations)
-        detector = AppClassifier(random_state=0).fit(dataset)
+        detector = AppClassifier().fit(dataset)
         restored = import_detector(export_detector(detector))
         np.testing.assert_array_equal(
             restored.predict(dataset.X), detector.predict(dataset.X)
@@ -171,7 +171,7 @@ class TestModelIO:
 
     def test_detector_roundtrip_handles_nan(self, study, observations):
         dataset = build_app_dataset(study, observations, impute=False)
-        detector = AppClassifier(random_state=0).fit(dataset)
+        detector = AppClassifier().fit(dataset)
         restored = import_detector(export_detector(detector))
         row = dataset.X[:3].copy()
         np.testing.assert_array_equal(restored.predict(row), detector.predict(row))

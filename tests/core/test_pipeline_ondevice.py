@@ -72,20 +72,14 @@ class TestPipelineResult:
 class TestAppClassifierModel:
     def test_fit_predict_roundtrip(self, study, observations):
         dataset = build_app_dataset(study, observations)
-        model = AppClassifier(random_state=0).fit(dataset)
+        model = AppClassifier().fit(dataset)
         predictions = model.predict(dataset.X)
         assert set(np.unique(predictions)) <= {0, 1}
         assert np.mean(predictions == dataset.y) >= 0.95
 
-    def test_flag_fraction_bounds(self, study, observations):
-        dataset = build_app_dataset(study, observations)
-        model = AppClassifier(random_state=0).fit(dataset)
-        assert 0.0 <= model.flag_fraction(dataset.X) <= 1.0
-        assert model.flag_fraction(np.empty((0, dataset.X.shape[1]))) == 0.0
-
     def test_handles_nan_input(self, study, observations):
         dataset = build_app_dataset(study, observations)
-        model = AppClassifier(random_state=0).fit(dataset)
+        model = AppClassifier().fit(dataset)
         row = dataset.X[0].copy()
         row[0] = np.nan
         assert model.predict(row).shape == (1,)

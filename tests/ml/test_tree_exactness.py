@@ -1,5 +1,6 @@
 """Exactness checks: the split kernel, with each of its two gain
-functions, against brute-force references on small random datasets."""
+functions, against brute-force references on small random datasets, and
+the stable partition of presorted row orders against fresh sorts."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml import DecisionTreeClassifier, GradientBoostingClassifier
-from repro.ml.tree import _gini, best_split
+from repro.ml.tree import _gini, best_split, partition, presort
 from tests.oracles import leaf_index
 
 
@@ -78,7 +79,7 @@ class TestSplitExactness:
         if gain is None:  # a pure node never splits
             assert slow[0] == -1
             return
-        fast = best_split(X, onehot, np.arange(d), gain)
+        fast = best_split(X, onehot, presort(X), np.arange(d), gain)
         assert fast[2] == pytest.approx(slow[2], abs=1e-9)
         if slow[0] >= 0:
             # Equal-gain ties may pick different features; the gains match.
@@ -104,7 +105,7 @@ class TestSplitExactness:
         hess = p * (1.0 - p)
         params = {"reg_lambda": reg_lambda, "gamma": gamma, "min_child_weight": min_child_weight}
         _, gain = GradientBoostingClassifier(**params)._node(np.column_stack([grad, hess]))
-        fast = best_split(X, np.column_stack([grad, hess]), np.arange(d), gain)
+        fast = best_split(X, np.column_stack([grad, hess]), presort(X), np.arange(d), gain)
         slow = brute_force_best_boost_split(X, grad, hess, **params)
         assert fast[2] == pytest.approx(slow[2], abs=1e-9)
         assert (fast[0] >= 0) == (slow[0] >= 0)
@@ -123,3 +124,28 @@ class TestSplitExactness:
         tree = DecisionTreeClassifier(min_samples_leaf=7).fit(X, y)
         _, leaf_sizes = np.unique(leaf_index(tree.tree_, X), return_counts=True)
         assert leaf_sizes.min() >= 7
+
+
+class TestPartition:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 6), st.integers(1, 4),
+        st.integers(1, 4),
+    )
+    def test_child_orders_equal_fresh_stable_sorts(self, seed, n, d, n_values, depth):
+        rng = np.random.default_rng(seed)
+        # Few values per column, and rows drawn with replacement as a
+        # bootstrap sample draws them: heavy ties and duplicated rows.
+        X = rng.integers(0, n_values, (n, d)).astype(np.float64)
+        X = X[rng.integers(0, n, n)]
+        order = presort(X)
+        for _ in range(depth):
+            mask = rng.random(X.shape[0]) < 0.5
+            children = partition(order, mask)
+            child_X = [X[mask], X[~mask]]
+            for child_order, rows in zip(children, child_X):
+                fresh = [rows[:, f].argsort(kind="mergesort") for f in range(d)]
+                assert child_order.shape == (d, rows.shape[0])
+                assert all(np.array_equal(a, b) for a, b in zip(child_order, fresh))
+            side = int(rng.integers(0, 2))
+            order, X = children[side], child_X[side]
