@@ -11,7 +11,7 @@ quantities the measurements and feature extractors need.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,33 +59,29 @@ def _first_rows(frame: ColumnFrame) -> dict[str, FrameRow]:
     return first
 
 
-def _typed_run(runs) -> ColumnRun | None:
-    """``runs`` as a :class:`ColumnRun` over a *typed* frame, else
-    ``None`` — the gate for the vectorized accessor paths.  Plain dict
-    lists (truncated copies) and degraded generic frames (where a
-    missing key must honour ``.get`` defaults) take the per-row path
-    instead."""
-    if isinstance(runs, ColumnRun) and runs.frame.schema is not None:
-        return runs
-    return None
-
-
-def _snapshot_total(runs) -> int:
+def _snapshot_total(run: ColumnRun) -> int:
     """Sum of ``1 + (end - start) // period`` over the runs.
 
-    The vectorized branch is exact: numpy's float64 ``floor_divide``
-    matches CPython's ``//`` result bit for bit, and truncating the
-    already-floored quotient equals ``int(...)``.
+    Exact: numpy's float64 ``floor_divide`` matches CPython's ``//``
+    result bit for bit, and truncating the already-floored quotient
+    equals ``int(...)``.
     """
-    run = _typed_run(runs)
-    if run is None:
-        return sum(
-            1 + int((r["end"] - r["start"]) // r["period"]) for r in runs
-        )
-    if not len(run):
-        return 0
     counts = (run.column("end") - run.column("start")) // run.column("period")
     return int(len(run) + counts.astype(np.int64).sum())
+
+
+def _clip_runs(runs: ColumnRun, cutoff: float) -> ColumnRun:
+    """The runs that start before ``cutoff``, each ending by it, copied
+    into a small frame of the same schema."""
+    frame = ColumnFrame(runs.frame.schema)
+    frame.extend_batch(
+        [
+            {**run, "end": min(run["end"], cutoff)}
+            for run in runs
+            if run["start"] < cutoff
+        ]
+    )
+    return frame.run(np.arange(len(frame)))
 
 
 def _snapshot_getters(data: StudyData):
@@ -93,22 +89,26 @@ def _snapshot_getters(data: StudyData):
 
     One pass per collection builds every install's zero-copy view list,
     in the order the server's per-install queries return
-    (``server.fast_runs(install_id)`` etc.).
+    (``server.fast_runs(install_id)`` etc.); an install with no rows
+    gets an empty run.  Ingest writes only schema-valid records, so
+    every frame is typed; an untyped one (a direct ``store.insert`` of
+    an off-schema document) raises ``TypeError``.
     """
     store = data.server.store
-    initial_c, slow_c, fast_c, changes_c = (
-        store[name]
-        for name in ("initial_snapshots", "slow_runs", "fast_runs", "app_changes")
-    )
-    initial_map = _first_rows(initial_c.frame)
-    slow_map = _partition_runs(slow_c.frame, "start")
-    fast_map = _partition_runs(fast_c.frame, "start")
-    change_map = _partition_runs(changes_c.frame, "timestamp")
+    names = ("initial_snapshots", "slow_runs", "fast_runs", "app_changes")
+    for name in names:
+        if store[name].frame.schema is None:
+            raise TypeError(f"collection {name!r} holds off-schema documents")
+    initial, slow, fast, changes = (store[name].frame for name in names)
+    slow_map = _partition_runs(slow, "start")
+    fast_map = _partition_runs(fast, "start")
+    change_map = _partition_runs(changes, "timestamp")
+    no_slow, no_fast, no_changes = slow.run(()), fast.run(()), changes.run(())
     return (
-        initial_map.get,
-        lambda install_id: slow_map.get(install_id, []),
-        lambda install_id: fast_map.get(install_id, []),
-        lambda install_id: change_map.get(install_id, []),
+        _first_rows(initial).get,
+        lambda install_id: slow_map.get(install_id, no_slow),
+        lambda install_id: fast_map.get(install_id, no_fast),
+        lambda install_id: change_map.get(install_id, no_changes),
     )
 
 
@@ -116,22 +116,21 @@ def _snapshot_getters(data: StudyData):
 class DeviceObservation:
     """All collected data for one device, with derived accessors.
 
-    The snapshot runs are read-only row sequences: zero-copy
-    :class:`~repro.frames.ColumnRun` position runs over the ingest
-    frames as :func:`build_observations` assembles them, or plain dict
-    lists (:meth:`truncated` copies, or the server's per-install query
-    results).  Every accessor produces identical values either way;
-    the hot ones (snapshot totals, foreground usage, app-change scans)
-    read whole column slices off a typed run instead of touching rows
-    one by one.
+    The snapshot runs are :class:`~repro.frames.ColumnRun` position runs
+    over typed frames: zero-copy views of the ingest frames as
+    :func:`build_observations` assembles them, or small frames of the
+    same schemas (:meth:`truncated`).  The hot accessors (snapshot
+    totals, foreground usage, app-change scans) read whole column
+    slices instead of touching rows one by one; the per-row reference
+    they must equal lives in ``tests/oracles.py``.
     """
 
     participant: Participant
     install_id: str
     initial: Mapping | None
-    slow_runs: Sequence[Mapping]
-    fast_runs: Sequence[Mapping]
-    app_changes: Sequence[Mapping]
+    slow_runs: ColumnRun
+    fast_runs: ColumnRun
+    app_changes: ColumnRun
     #: Google IDs of the Gmail accounts seen in slow snapshots, resolved
     #: through the ID crawler (§5).
     google_ids: frozenset[str]
@@ -168,29 +167,18 @@ class DeviceObservation:
     @cached_property
     def reported_accounts(self) -> tuple[tuple[str, str], ...]:
         """Accounts from the latest slow run that carried the permission."""
-        run = _typed_run(self.slow_runs)
-        if run is not None:
-            frame = run.frame
-            permissions = frame.values("accounts_permission")
-            accounts = frame.values("accounts")
-            for position in reversed(run.positions.tolist()):
-                if permissions[position] and accounts[position]:
-                    return tuple(tuple(pair) for pair in accounts[position])
-            return ()
-        for run in reversed(self.slow_runs):
-            if run.get("accounts_permission", True) and run["accounts"]:
-                return tuple(tuple(pair) for pair in run["accounts"])
+        frame = self.slow_runs.frame
+        permissions = frame.values("accounts_permission")
+        accounts = frame.values("accounts")
+        for position in reversed(self.slow_runs.positions.tolist()):
+            if permissions[position] and accounts[position]:
+                return tuple(tuple(pair) for pair in accounts[position])
         return ()
 
     @property
     def reported_account_data(self) -> bool:
         """Whether GET_ACCOUNTS data ever arrived for this device."""
-        run = _typed_run(self.slow_runs)
-        if run is not None:
-            return bool(len(run)) and bool(
-                run.column("accounts_permission").any()
-            )
-        return any(run.get("accounts_permission", True) for run in self.slow_runs)
+        return bool(self.slow_runs.column("accounts_permission").any())
 
     @cached_property
     def gmail_addresses(self) -> tuple[str, ...]:
@@ -242,28 +230,20 @@ class DeviceObservation:
             return tuple(run["stopped_apps"])
         return ()
 
-    def _change_cells(self, *fields: str) -> zip | None:
-        """Parallel raw-value streams over the app-change run, or
-        ``None`` when the events are not a typed run (per-row path)."""
-        run = _typed_run(self.app_changes)
-        if run is None:
-            return None
-        return zip(*(run.cells(name) for name in fields))
+    def _change_cells(self, *fields: str) -> zip:
+        """Parallel raw-value streams over the app-change run."""
+        return zip(*(self.app_changes.cells(name) for name in fields))
 
     @cached_property
     def install_times(self) -> dict[str, float]:
         """package -> last known Android install time (initial snapshot,
         overridden by any install events during the study)."""
         times = {a["package"]: a["install_time"] for a in self.initial_apps}
-        cells = self._change_cells("action", "package", "install_time")
-        if cells is not None:
-            for action, package, install_time in cells:
-                if action == "install" and install_time is not None:
-                    times[package] = install_time
-            return times
-        for event in self.app_changes:
-            if event["action"] == "install" and event.get("install_time") is not None:
-                times[event["package"]] = event["install_time"]
+        for action, package, install_time in self._change_cells(
+            "action", "package", "install_time"
+        ):
+            if action == "install" and install_time is not None:
+                times[package] = install_time
         return times
 
     @cached_property
@@ -271,43 +251,29 @@ class DeviceObservation:
         hashes = {
             a["package"]: a["apk_hash"] for a in self.initial_apps if a["apk_hash"]
         }
-        cells = self._change_cells("action", "package", "apk_hash")
-        if cells is not None:
-            for action, package, apk_hash in cells:
-                if action == "install" and apk_hash:
-                    hashes[package] = apk_hash
-            return hashes
-        for event in self.app_changes:
-            if event["action"] == "install" and event.get("apk_hash"):
-                hashes[event["package"]] = event["apk_hash"]
+        for action, package, apk_hash in self._change_cells(
+            "action", "package", "apk_hash"
+        ):
+            if action == "install" and apk_hash:
+                hashes[package] = apk_hash
         return hashes
 
     @cached_property
     def observed_packages(self) -> frozenset[str]:
         """Every package seen installed at any point during the study."""
         packages = set(self.initial_packages)
-        cells = self._change_cells("action", "package")
-        if cells is not None:
-            packages.update(
-                package for action, package in cells if action == "install"
-            )
-        else:
-            packages.update(
-                e["package"] for e in self.app_changes if e["action"] == "install"
-            )
+        packages.update(
+            package
+            for action, package in self._change_cells("action", "package")
+            if action == "install"
+        )
         return frozenset(packages)
 
     def _event_counts(self, wanted: str) -> dict[str, int]:
         counts: dict[str, int] = defaultdict(int)
-        cells = self._change_cells("action", "package")
-        if cells is not None:
-            for action, package in cells:
-                if action == wanted:
-                    counts[package] += 1
-        else:
-            for event in self.app_changes:
-                if event["action"] == wanted:
-                    counts[event["package"]] += 1
+        for action, package in self._change_cells("action", "package"):
+            if action == wanted:
+                counts[package] += 1
         return dict(counts)
 
     @cached_property
@@ -331,63 +297,31 @@ class DeviceObservation:
     def foreground_days(self) -> dict[str, set[int]]:
         """package -> set of day indexes on which it held the foreground."""
         out: dict[str, set[int]] = defaultdict(set)
-        run = _typed_run(self.fast_runs)
-        if run is not None:
-            if len(run):
-                packages = run.cells("foreground")
-                firsts = (
-                    (run.column("start") // SECONDS_PER_DAY)
-                    .astype(np.int64)
-                    .tolist()
-                )
-                lasts = (
-                    (run.column("end") // SECONDS_PER_DAY)
-                    .astype(np.int64)
-                    .tolist()
-                )
-                for package, first, last in zip(packages, firsts, lasts):
-                    if package is None:
-                        continue
-                    days = out[package]
-                    for day in range(first, last + 1):
-                        days.add(day)
-        else:
-            for run in self.fast_runs:
-                package = run["foreground"]
-                if package is None:
-                    continue
-                first = int(run["start"] // SECONDS_PER_DAY)
-                last = int(run["end"] // SECONDS_PER_DAY)
-                for day in range(first, last + 1):
-                    out[package].add(day)
+        run = self.fast_runs
+        firsts = (run.column("start") // SECONDS_PER_DAY).astype(np.int64).tolist()
+        lasts = (run.column("end") // SECONDS_PER_DAY).astype(np.int64).tolist()
+        for package, first, last in zip(run.cells("foreground"), firsts, lasts):
+            if package is None:
+                continue
+            days = out[package]
+            for day in range(first, last + 1):
+                days.add(day)
         return dict(out)
 
     @cached_property
     def foreground_snapshots(self) -> dict[str, int]:
         """package -> total number of fast snapshots with it on screen."""
         out: dict[str, int] = defaultdict(int)
-        run = _typed_run(self.fast_runs)
-        if run is not None:
-            if len(run):
-                packages = run.cells("foreground")
-                counts = (
-                    (
-                        (run.column("end") - run.column("start"))
-                        // run.column("period")
-                    )
-                    .astype(np.int64)
-                    .tolist()
-                )
-                for package, count in zip(packages, counts):
-                    if package is None:
-                        continue
-                    out[package] += 1 + count
-        else:
-            for run in self.fast_runs:
-                package = run["foreground"]
-                if package is None:
-                    continue
-                out[package] += 1 + int((run["end"] - run["start"]) // run["period"])
+        run = self.fast_runs
+        counts = (
+            ((run.column("end") - run.column("start")) // run.column("period"))
+            .astype(np.int64)
+            .tolist()
+        )
+        for package, count in zip(run.cells("foreground"), counts):
+            if package is None:
+                continue
+            out[package] += 1 + count
         return dict(out)
 
     @property
@@ -441,23 +375,16 @@ class DeviceObservation:
         available regardless of how long RacketStore ran.
         """
         cutoff = self.installed_at + days * SECONDS_PER_DAY
+        changes = self.app_changes
         clipped = DeviceObservation(
             participant=self.participant,
             install_id=self.install_id,
             initial=self.initial,
-            slow_runs=[
-                {**run, "end": min(run["end"], cutoff)}
-                for run in self.slow_runs
-                if run["start"] < cutoff
-            ],
-            fast_runs=[
-                {**run, "end": min(run["end"], cutoff)}
-                for run in self.fast_runs
-                if run["start"] < cutoff
-            ],
-            app_changes=[
-                event for event in self.app_changes if event["timestamp"] < cutoff
-            ],
+            slow_runs=_clip_runs(self.slow_runs, cutoff),
+            fast_runs=_clip_runs(self.fast_runs, cutoff),
+            app_changes=changes.frame.run(
+                changes.positions[changes.column("timestamp") < cutoff]
+            ),
             google_ids=self.google_ids,
             device_reviews=self.device_reviews,
             all_account_reviews=self.all_account_reviews,

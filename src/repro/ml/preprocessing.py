@@ -35,10 +35,6 @@ class StandardScaler(BaseEstimator):
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
 
-    def inverse_transform(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return X * self.scale_ + self.mean_
-
 
 class MinMaxScaler(BaseEstimator):
     """Scale features to [0, 1] using the training range."""

@@ -345,8 +345,8 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             right = counts - left
             n_left = left.sum(axis=1)
             n_right = right.sum(axis=1)
-            gini_left = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
-            gini_right = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
+            gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
+            gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
             weighted = (n_left * gini_left + n_right * gini_right) / n
             gains = n * (impurity - weighted)
             valid = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)

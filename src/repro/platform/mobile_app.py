@@ -74,11 +74,11 @@ class AppState:
 class RacketStoreApp:
     """One install of the RacketStore app on one device.
 
-    The server, transport, and Generator bound at construction are
-    defaults for standalone use; the study loop instead injects a
-    per-device-day rng and a recording uplink into each call
-    (:meth:`sign_in` / :meth:`collect_day` / :meth:`uninstall`), which
-    is what makes a device-day a pure function of its pre-drawn seed.
+    The install holds no server, transport or Generator: every I/O call
+    (:meth:`sign_in` / :meth:`collect_day` / :meth:`uninstall`) takes
+    the ones it uses.  The study loop passes a per-device-day rng and a
+    recording uplink, which is what makes a device-day a pure function
+    of its pre-drawn seed.
     """
 
     FAST_PERIOD_S = 5.0
@@ -88,8 +88,6 @@ class RacketStoreApp:
         self,
         device: SimDevice,
         participant_id: str,
-        server=None,
-        transport=None,
         rng: np.random.Generator | None = None,
         grant_usage_stats: bool = True,
         grant_get_accounts: bool = True,
@@ -100,9 +98,6 @@ class RacketStoreApp:
             raise ValueError("RacketStoreApp requires an explicit rng")
         self.device = device
         self.participant_id = participant_id
-        self._server = server
-        self._transport = transport
-        self._rng = rng
         self.permissions = _Permissions(grant_usage_stats, grant_get_accounts)
         self.buffer = DataBuffer()
         self.install_id: str | None = None
@@ -129,13 +124,10 @@ class RacketStoreApp:
 
     @classmethod
     def from_state(cls, device: SimDevice, state: AppState) -> "RacketStoreApp":
-        """Rebuild a detached app (no server/transport/rng) in a worker."""
+        """Rebuild a detached app in a worker."""
         app = object.__new__(cls)
         app.device = device
         app.participant_id = state.participant_id
-        app._server = None
-        app._transport = None
-        app._rng = None
         app.permissions = _Permissions(state.usage_stats, state.get_accounts)
         app.buffer = state.buffer
         app.install_id = state.install_id
@@ -156,9 +148,9 @@ class RacketStoreApp:
         self,
         timestamp: float,
         *,
-        rng: np.random.Generator | None = None,
-        server=None,
-        transport=None,
+        rng: np.random.Generator,
+        server,
+        transport,
         backoff_rng: np.random.Generator | None = None,
     ) -> str:
         """Validate the participant code with the server and mint the
@@ -167,9 +159,6 @@ class RacketStoreApp:
         ``backoff_rng`` (optional) jitters upload retry backoff; it is a
         dedicated stream so retry scheduling never perturbs behaviour
         draws from ``rng``."""
-        rng = rng if rng is not None else self._rng
-        server = server if server is not None else self._server
-        transport = transport if transport is not None else self._transport
         if not server.is_valid_participant(self.participant_id):
             raise SignInError(f"unknown participant id {self.participant_id!r}")
         self.install_id = f"{rng.integers(10**9, 10**10 - 1):010d}"
@@ -187,10 +176,9 @@ class RacketStoreApp:
         self,
         timestamp: float,
         *,
-        transport=None,
+        transport,
         backoff_rng: np.random.Generator | None = None,
     ) -> None:
-        transport = transport if transport is not None else self._transport
         self.buffer.seal_all()
         self.buffer.drain(
             transport,
@@ -257,15 +245,13 @@ class RacketStoreApp:
         self,
         day_start: float,
         *,
-        rng: np.random.Generator | None = None,
-        transport=None,
+        rng: np.random.Generator,
+        transport,
         backoff_rng: np.random.Generator | None = None,
     ) -> None:
         """Run both collectors over one study day and upload."""
         if not self.active:
             raise RuntimeError("collect_day on an inactive install")
-        rng = rng if rng is not None else self._rng
-        transport = transport if transport is not None else self._transport
         day_end = day_start + SECONDS_PER_DAY
         windows = self._coverage_windows(day_start, day_end, rng)
         self._emit_fast_runs(windows, rng)

@@ -92,12 +92,3 @@ class GoogleIdCrawler:
             self.stats.hits += 1
         self._cache[email] = google_id
         return google_id
-
-    def lookup_many(self, emails) -> dict[str, str]:
-        """Resolve a batch, returning only the successful mappings."""
-        out: dict[str, str] = {}
-        for email in emails:
-            google_id = self.lookup(email)
-            if google_id is not None:
-                out[email] = google_id
-        return out

@@ -68,23 +68,10 @@ class ReviewStore:
         self._by_google_id.setdefault(google_id, {})[app_package] = review
         return review
 
-    def delete_review(self, app_package: str, google_id: str) -> bool:
-        review = self._by_google_id.get(google_id, {}).pop(app_package, None)
-        if review is None:
-            return False
-        self._by_app[app_package].remove(review)
-        return True
-
     # -- queries -----------------------------------------------------------
     def reviews_for_app(self, app_package: str) -> list[Review]:
         """All live reviews for an app, oldest first."""
         return list(self._by_app.get(app_package, []))
-
-    def recent_reviews(self, app_package: str, limit: int) -> list[Review]:
-        """The ``limit`` most recent reviews, newest first — this is the
-        'sorted by timestamp' crawl the paper's crawler issues."""
-        reviews = self._by_app.get(app_package, [])
-        return list(reversed(reviews[-limit:])) if limit > 0 else []
 
     def reviews_by_google_id(self, google_id: str) -> list[Review]:
         """Every live review posted by one Google account."""

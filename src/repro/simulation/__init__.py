@@ -10,7 +10,7 @@ full ecosystem and returns the collected :class:`StudyData`.
 from .accounts import AccountFactory, DeviceAccount
 from .behavior import BehaviorEngine, PendingReview
 from .campaigns import Campaign, CampaignBoard, PromoJob
-from .clock import SECONDS_PER_DAY, SimClock, day_index, days, hours, minutes
+from .clock import SECONDS_PER_DAY, day_index, days, hours, minutes
 from .config import DEFAULT_SEED, SimulationConfig
 from .device import DEVICE_MODELS, InstalledApp, SimDevice
 from .events import DeviceEvent, EventType, ForegroundSession
@@ -27,7 +27,6 @@ __all__ = [
     "CampaignBoard",
     "PromoJob",
     "SECONDS_PER_DAY",
-    "SimClock",
     "day_index",
     "days",
     "hours",

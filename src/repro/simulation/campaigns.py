@@ -94,9 +94,11 @@ class CampaignBoard:
     """The Facebook-group-like job board.
 
     Tracks every campaign ever advertised (``advertised_packages`` feeds
-    the suspicious-label rule) and hands out jobs, preferring campaigns
+    the suspicious-label rule).  Workers pick jobs from a start-of-day
+    :meth:`freeze` (``phases.ShardBoardView``), preferring campaigns
     with the most remaining work so installs spread across many worker
-    devices — the co-install pattern the labeling rule exploits.
+    devices — the co-install pattern the labeling rule exploits — and
+    the phase-2 commit credits each take with :meth:`apply_delivery`.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
@@ -137,35 +139,6 @@ class CampaignBoard:
     def advertised_packages(self) -> set[str]:
         """Every package ever promoted on the board (§7.2 label source)."""
         return {c.app_package for c in self._campaigns.values()}
-
-    def next_job(self, exclude_packages: set[str] | None = None) -> PromoJob | None:
-        """Hand out the next install job, skipping apps the worker's
-        device already has installed."""
-        exclude = exclude_packages or set()
-        open_campaigns = [
-            c
-            for c in self._campaigns.values()
-            if c.installs_remaining > 0 and c.app_package not in exclude
-        ]
-        if not open_campaigns:
-            return None
-        # Most-remaining-first with random tie-breaking spreads installs
-        # across devices.
-        weights = np.array([c.installs_remaining for c in open_campaigns], dtype=float)
-        chosen = open_campaigns[
-            int(self._rng.choice(len(open_campaigns), p=weights / weights.sum()))
-        ]
-        chosen.delivered_installs += 1
-        wants_review = chosen.reviews_remaining > 0
-        if wants_review:
-            chosen.delivered_reviews += 1
-        return PromoJob(
-            campaign_id=chosen.campaign_id,
-            app_package=chosen.app_package,
-            wants_review=wants_review,
-            min_rating=chosen.min_rating,
-            retention_days=chosen.retention_days,
-        )
 
     def freeze(self) -> FrozenBoard:
         """Immutable snapshot of remaining work, ordered by campaign id."""

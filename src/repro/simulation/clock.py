@@ -14,7 +14,6 @@ __all__ = [
     "hours",
     "minutes",
     "day_index",
-    "SimClock",
 ]
 
 SECONDS_PER_DAY = 86_400.0
@@ -37,24 +36,3 @@ def minutes(n: float) -> float:
 def day_index(timestamp: float) -> int:
     """Calendar day containing ``timestamp`` (day 0 starts at t=0)."""
     return int(timestamp // SECONDS_PER_DAY)
-
-
-class SimClock:
-    """A monotonically advancing simulation clock."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, delta: float) -> float:
-        if delta < 0:
-            raise ValueError(f"cannot advance clock by negative delta {delta}")
-        self._now += delta
-        return self._now
-
-    @property
-    def day(self) -> int:
-        return day_index(self._now)

@@ -85,15 +85,17 @@ class SimulationConfig:
     worker_review_volume_multiplier: float = 1.0
 
     #: Optional seeded fault-injection plan
-    #: (:class:`repro.faults.FaultPlan`).  ``None`` — the default — keeps
-    #: the paper-calibrated legacy channel (loss only, drawn from the
-    #: behaviour rng).  A plan reroutes the upload path through
-    #: ``FaultyTransport``/``FaultableServer`` with dedicated seeded
-    #: fault streams; the chaos harness asserts that every plan, the
-    #: clean ``FaultPlan()`` included, yields the same study digest.
-    #: The default channel is *not* digest-identical to a plan run:
-    #: its loss draws consume the behaviour rng, so the simulated days
-    #: themselves differ.
+    #: (:class:`repro.faults.FaultPlan`).  Every study's server is a
+    #: ``FaultableServer`` running this plan, or the clean
+    #: ``FaultPlan()`` (no injection, no draws) when it is ``None``.
+    #: ``None`` — the default — picks only the client channel: the
+    #: paper-calibrated legacy ``LossyTransport`` (loss only, drawn
+    #: from the behaviour rng).  A plan routes uploads through
+    #: ``FaultyTransport`` with dedicated seeded fault streams; the
+    #: chaos harness asserts that every plan, the clean ``FaultPlan()``
+    #: included, yields the same study digest.  The default channel is
+    #: *not* digest-identical to a plan run: its loss draws consume the
+    #: behaviour rng, so the simulated days themselves differ.
     fault_plan: "FaultPlan | None" = None
 
     def scaled(self, **overrides) -> "SimulationConfig":

@@ -201,11 +201,11 @@ class RecordingUplink:
 class ShardBoardView:
     """Device-local view over a :class:`FrozenBoard`.
 
-    Job selection reproduces :meth:`CampaignBoard.next_job` (weighted
-    most-remaining-first) against the start-of-day remaining counts,
-    with a local overlay so one device's own takes reduce what it sees.
-    Other devices' same-day takes are invisible by design — the
-    frozen-view consistency model (module docstring).
+    Job selection is weighted most-remaining-first (random tie-breaking
+    spreads installs across devices) against the start-of-day remaining
+    counts, with a local overlay so one device's own takes reduce what
+    it sees.  Other devices' same-day takes are invisible by design —
+    the frozen-view consistency model (module docstring).
     """
 
     __slots__ = ("_campaigns", "_taken_installs", "_taken_reviews")

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..faults.plan import FAULT_STREAM_SERVER
+from ..faults.plan import FAULT_STREAM_SERVER, FaultPlan
 from ..faults.server import FaultableServer
 from ..parallel import draw_seeds, parallel_map, resolve_n_jobs
 from ..platform.mobile_app import RacketStoreApp
-from ..platform.server import RacketStoreServer
 from ..platform.store import DocumentStore
 from ..playstore.catalog import Catalog
 from ..playstore.google_id import GmailDirectory, GoogleIdCrawler
@@ -84,7 +83,7 @@ class StudyData:
     id_crawler: GoogleIdCrawler
     vt_client: VirusTotalClient
     board: CampaignBoard
-    server: RacketStoreServer
+    server: FaultableServer
     rank_model: SearchRankModel
     participants: list[Participant] = field(default_factory=list)
     #: Daily keyword-rank series for every advertised package, advanced
@@ -136,19 +135,17 @@ def build_world(config: SimulationConfig | None = None) -> tuple[StudyData, Beha
         panel, _malware_oracle_factory(catalog), availability=config.vt_availability
     )
 
-    if config.fault_plan is not None:
-        # Server-side fault draws come from a dedicated per-study stream
-        # (never the world rng), consumed in deterministic phase-2
-        # commit order — so injections are identical at any n_jobs and
-        # the world realization matches the clean run byte for byte.
-        server: RacketStoreServer = FaultableServer(
-            DocumentStore(),
-            review_crawler=review_crawler,
-            plan=config.fault_plan,
-            rng=np.random.default_rng([config.seed, FAULT_STREAM_SERVER]),
-        )
-    else:
-        server = RacketStoreServer(DocumentStore(), review_crawler=review_crawler)
+    # Server-side fault draws come from a dedicated per-study stream
+    # (never the world rng), consumed in deterministic phase-2 commit
+    # order — so injections are identical at any n_jobs and the world
+    # realization matches the clean run byte for byte.  Without a plan
+    # no site fires and no draw is made.
+    server = FaultableServer(
+        DocumentStore(),
+        review_crawler=review_crawler,
+        plan=config.fault_plan or FaultPlan(),
+        rng=np.random.default_rng([config.seed, FAULT_STREAM_SERVER]),
+    )
     engine = BehaviorEngine(config, catalog, review_store, board, rng)
     factory = AccountFactory(directory, rng)
 
@@ -198,9 +195,9 @@ def _enroll(
     # the world rng stream — and with it every paper-calibrated
     # realization downstream — byte-identical to the calibrated seed.
     rng.integers(2**31)
-    # The app gets no server/transport binding: during the study every
-    # sign-in/collect/uninstall call runs in phase 1 against a per-day
-    # rng and a recording uplink whose chunks replay at commit time.
+    # Every sign-in/collect/uninstall call runs in phase 1 against a
+    # per-day rng and a recording uplink whose chunks replay at commit
+    # time; the app itself holds neither.
     app = RacketStoreApp(
         device=device,
         participant_id=participant_id,
@@ -285,19 +282,16 @@ def _run_study_traced(
         device_days_counter = obs.counter("sim_device_days_total")
         days_counter = obs.counter("sim_days_total")
 
-    faultable = isinstance(data.server, FaultableServer)
-
     # -- study days ------------------------------------------------------
     with obs.trace("simulate.days"):
         for day in range(config.study_days):
             day_start = day * SECONDS_PER_DAY
             with obs.trace("simulate.day"):
-                if faultable:
-                    # Start-of-day reconciliation: chunks whose commit
-                    # failed on an earlier day are redelivered before
-                    # anything else happens today.
-                    data.server.set_day(day)
-                    data.server.redeliver_pending()
+                # Start-of-day reconciliation: chunks whose commit
+                # failed on an earlier day are redelivered before
+                # anything else happens today.
+                data.server.set_day(day)
+                data.server.redeliver_pending()
                 # Phase 1 (device-local): one task and one pre-drawn seed
                 # per active device-day, in participant order — the
                 # historical RNG order the seeds contract requires.
@@ -347,7 +341,7 @@ def _run_study_traced(
                     review_store=data.review_store,
                     server=data.server,
                 )
-                if faultable and day == config.study_days - 1:
+                if day == config.study_days - 1:
                     # Study close: deliver every still-parked chunk with
                     # injection off *before* the final crawl rounds, so
                     # late-tracked apps still get their first crawl and

@@ -1,5 +1,6 @@
 """Tests for device observations and the §7.1/§8.1 feature matrices."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,9 @@ from repro.core.app_features import (
 )
 from repro.core.device_features import DEVICE_FEATURE_NAMES, device_feature_matrix
 from repro.core.observations import build_observations
+from repro.frames import ColumnRun
+from repro.platform.mobile_app import RacketStoreApp
+from repro.simulation import SimulationConfig, build_world
 
 
 def _app_row(obs, package, catalog, vt_client=None) -> dict[str, float]:
@@ -73,6 +77,31 @@ class TestObservations:
             has_fg = any(run["foreground"] for run in obs.fast_runs)
             if not any(run.get("usage_permission", True) for run in obs.fast_runs):
                 assert not has_fg
+
+    def test_install_without_rows_gets_empty_runs(self, study):
+        participant = study.participants[0]
+        state = dataclasses.replace(
+            participant.app.snapshot_state(), install_id="0000000000"
+        )
+        silent = dataclasses.replace(
+            participant, app=RacketStoreApp.from_state(participant.device, state)
+        )
+        (obs,) = build_observations(study, [silent])
+        for runs in (obs.slow_runs, obs.fast_runs, obs.app_changes):
+            assert isinstance(runs, ColumnRun) and len(runs) == 0
+            assert runs.frame.schema is not None
+        assert obs.initial is None
+        assert obs.total_snapshots == 0
+        assert obs.foreground_days == {}
+        assert not obs.reported_account_data
+
+    def test_off_schema_snapshot_collection_raises(self):
+        # Ingest checks every record against its schema, so only a
+        # direct insert can leave a snapshot frame untyped.
+        data, *_ = build_world(SimulationConfig.small())
+        data.server.store["fast_runs"].insert({"install_id": "0123456789"})
+        with pytest.raises(TypeError, match="fast_runs"):
+            build_observations(data)
 
 
 class TestAppFeatures:
@@ -176,7 +205,7 @@ class TestTruncation:
         obs = max(observations, key=lambda o: o.active_days)
         clipped = obs.truncated(2.0)
         cutoff = obs.installed_at + 2.0 * 86_400.0
-        for run in clipped.fast_runs + clipped.slow_runs:
+        for run in [*clipped.fast_runs, *clipped.slow_runs]:
             assert run["start"] < cutoff
             assert run["end"] <= cutoff
         for event in clipped.app_changes:

@@ -10,14 +10,14 @@ The store side is checked against oracles fed independently of the
 store: during a fresh study every document the server inserts is also
 copied into a per-collection oracle (``recorded_study``).
 
-Observations come in two shapes, and both must give the same bytes:
-frame-backed (``build_observations``: zero-copy column runs over the
-ingest frames) and dict-backed (the server's per-install query results,
-plain dict lists, which take ``DeviceObservation``'s per-row branches).
+Observation accessors are checked against the per-row reference
+``RowObservation``: ``build_observations``' column runs over the ingest
+frames must give what the reference gives over the server's per-install
+query results (plain dict lists), and ``truncated()`` copies what the
+reference truncation gives.
 """
 
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
@@ -29,7 +29,38 @@ from repro.parallel import spawn_seeds
 from repro.platform.server import _COLLECTIONS
 from repro.platform.store import ColumnarCollection, DocumentStore
 from repro.simulation import run_study
-from tests.oracles import BruteForceCollection, app_feature_vector, device_feature_vector
+from tests.oracles import (
+    BruteForceCollection,
+    RowObservation,
+    app_feature_vector,
+    device_feature_vector,
+)
+
+#: Every ``DeviceObservation`` value computed from the snapshot runs.
+ACCESSORS = (
+    "reported_accounts",
+    "reported_account_data",
+    "gmail_addresses",
+    "initial_packages",
+    "n_preinstalled",
+    "stopped_apps_first",
+    "install_times",
+    "apk_hashes",
+    "observed_packages",
+    "install_event_counts",
+    "uninstall_event_counts",
+    "daily_installs",
+    "daily_uninstalls",
+    "foreground_days",
+    "foreground_snapshots",
+    "apps_used_per_day",
+    "total_snapshots",
+    "snapshots_per_day",
+    "active_days",
+)
+
+#: Observation windows in days, from under one day to past the study.
+WINDOWS = (0.5, 1.0, 2.0, 3.0, 5.0, 100.0)
 
 
 @pytest.fixture(scope="module")
@@ -68,18 +99,17 @@ def recorded_study(small_config):
 
 @pytest.fixture(scope="module")
 def dict_observations(study, observations):
-    """``observations`` rebuilt from the server's per-install queries."""
-    server = study.server
-    return [
-        dataclasses.replace(
-            obs,
-            initial=server.initial_snapshot(obs.install_id),
-            slow_runs=server.slow_runs(obs.install_id),
-            fast_runs=server.fast_runs(obs.install_id),
-            app_changes=server.app_changes(obs.install_id),
-        )
-        for obs in observations
-    ]
+    """``observations`` rebuilt from the server's per-install queries,
+    with the per-row reference accessors."""
+    return [RowObservation.from_server(obs, study.server) for obs in observations]
+
+
+def assert_same_accessors(reference, observation):
+    for name in ACCESSORS:
+        expected = getattr(reference, name)
+        actual = getattr(observation, name)
+        assert type(actual) is type(expected), (observation.install_id, name)
+        assert actual == expected, (observation.install_id, name)
 
 
 def test_store_contents_identical(recorded_study):
@@ -109,6 +139,35 @@ def test_observations_identical(observations, dict_observations):
         assert [dict(r) for r in c.app_changes] == d.app_changes
         assert d.google_ids == c.google_ids
         assert d.device_reviews == c.device_reviews
+
+
+def test_accessors_equal_the_per_row_reference(observations, dict_observations):
+    for d, c in zip(dict_observations, observations):
+        assert_same_accessors(d, c)
+
+
+@pytest.mark.parametrize("days", WINDOWS)
+def test_truncated_observations_equal_the_reference_truncation(
+    study, observations, dict_observations, days
+):
+    catalog, vt_client = study.catalog, study.vt_client
+    clipped = [obs.truncated(days) for obs in observations]
+    reference = [obs.truncated(days) for obs in dict_observations]
+    for d, c in zip(reference, clipped):
+        assert [dict(r) for r in c.slow_runs] == d.slow_runs
+        assert [dict(r) for r in c.fast_runs] == d.fast_runs
+        assert [dict(r) for r in c.app_changes] == d.app_changes
+        assert_same_accessors(d, c)
+        packages = sorted(c.observed_packages)
+        assert (
+            app_feature_matrix(c, packages, catalog, vt_client).tobytes()
+            == app_feature_matrix(d, packages, catalog, vt_client).tobytes()
+        ), c.install_id
+    scores = [0.25] * len(clipped)
+    assert (
+        device_feature_matrix(clipped, scores).tobytes()
+        == device_feature_matrix(reference, scores).tobytes()
+    )
 
 
 def test_app_feature_matrix_byte_identical(study, observations, dict_observations):
@@ -141,8 +200,8 @@ def test_device_feature_matrix_byte_identical(observations, dict_observations):
 
 
 def test_truncated_observations_match_the_scalar_oracle(study, observations):
-    # truncated() copies are plain dict lists: the per-row accessor
-    # branches feed the matrices there.
+    # truncated() copies its clipped runs into small frames of their
+    # own, so the matrices read those instead of the ingest frames.
     catalog, vt_client = study.catalog, study.vt_client
     clipped = [obs.truncated(2.0) for obs in observations]
     for obs in clipped[::3]:

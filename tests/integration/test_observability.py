@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.benchmark import study_digest
 from repro.cli import main
 from repro.core.pipeline import DetectionPipeline
 from repro.experiments import EXPERIMENTS, Workbench, run_experiment
@@ -25,11 +26,11 @@ def _clean_obs_state():
     obs.reset()
 
 
-def _run(experiment_ids) -> dict[str, str]:
+def _run(experiment_ids) -> tuple[Workbench, dict[str, str]]:
     workbench = Workbench(
         SimulationConfig.small(), pipeline=DetectionPipeline(n_splits=4)
     )
-    return {
+    return workbench, {
         eid: run_experiment(eid, workbench).render() for eid in experiment_ids
     }
 
@@ -103,11 +104,12 @@ class TestInstrumentedStudy:
         assert any(k.startswith("ml_fit_seconds_bucket") for k in samples)
 
     def test_seeded_output_identical_with_obs_disabled(self, instrumented):
-        _wb, _registry, _tracer, renders = instrumented
+        workbench, _registry, _tracer, renders = instrumented
         obs.reset()
-        plain = _run(_COMPARED)
+        plain_workbench, plain = _run(_COMPARED)
         for eid in _COMPARED:
             assert renders[eid] == plain[eid], f"{eid} output changed under obs"
+        assert study_digest(workbench.data) == study_digest(plain_workbench.data)
 
 
 class TestMalformedSplit:

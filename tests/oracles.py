@@ -8,6 +8,11 @@ obvious way, that the equivalence tests compare against:
   plans, no caches, no ``mark``/``rollback_to``.
   ``repro.platform.store.ColumnarCollection`` must return the same
   documents in the same order for every query.
+* :class:`RowObservation` — ``DeviceObservation``'s snapshot accessors
+  and its :meth:`~RowObservation.truncated` copy over plain dict lists,
+  one row at a time.  The column accessors of
+  ``repro.core.observations.DeviceObservation`` must return the same
+  values, for ingest-built and truncated observations alike.
 * :func:`extract_app_features` / :func:`app_feature_vector` and
   :func:`extract_device_features` / :func:`device_feature_vector` — the
   §7.1/§8.1 features computed one (app, device) instance or one device
@@ -29,13 +34,16 @@ obvious way, that the equivalence tests compare against:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import defaultdict
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
 from repro.core.app_features import APP_FEATURE_NAMES, NEVER_REVIEWED_SENTINEL_DAYS
 from repro.core.device_features import DEVICE_FEATURE_NAMES
+from repro.core.observations import DeviceObservation
 from repro.parallel import draw_seeds
 from repro.platform.models import (
     AppChangeEvent,
@@ -144,6 +152,128 @@ def record_to_dict(record: Any) -> dict:
         payload["installed_apps"] = [asdict(a) for a in record.installed_apps]
     payload["_type"] = _TYPE_NAMES[cls]
     return payload
+
+
+# -- observation accessors, one row at a time ------------------------------------
+
+
+class RowObservation(DeviceObservation):
+    """:class:`DeviceObservation` whose snapshot runs are plain dict lists
+    (the server's per-install query results) and whose accessors read
+    them one row at a time.  :meth:`truncated` copies the clipped rows
+    into new dict lists."""
+
+    @classmethod
+    def from_server(cls, obs: DeviceObservation, server) -> "RowObservation":
+        """``obs`` with its runs re-read through the server's queries."""
+        values = {f.name: getattr(obs, f.name) for f in fields(obs)}
+        values.update(
+            initial=server.initial_snapshot(obs.install_id),
+            slow_runs=server.slow_runs(obs.install_id),
+            fast_runs=server.fast_runs(obs.install_id),
+            app_changes=server.app_changes(obs.install_id),
+        )
+        return cls(**values)
+
+    @cached_property
+    def reported_accounts(self) -> tuple[tuple[str, str], ...]:
+        for run in reversed(self.slow_runs):
+            if run.get("accounts_permission", True) and run["accounts"]:
+                return tuple(tuple(pair) for pair in run["accounts"])
+        return ()
+
+    @property
+    def reported_account_data(self) -> bool:
+        return any(run.get("accounts_permission", True) for run in self.slow_runs)
+
+    @cached_property
+    def install_times(self) -> dict[str, float]:
+        times = {a["package"]: a["install_time"] for a in self.initial_apps}
+        for event in self.app_changes:
+            if event["action"] == "install" and event.get("install_time") is not None:
+                times[event["package"]] = event["install_time"]
+        return times
+
+    @cached_property
+    def apk_hashes(self) -> dict[str, str]:
+        hashes = {
+            a["package"]: a["apk_hash"] for a in self.initial_apps if a["apk_hash"]
+        }
+        for event in self.app_changes:
+            if event["action"] == "install" and event.get("apk_hash"):
+                hashes[event["package"]] = event["apk_hash"]
+        return hashes
+
+    @cached_property
+    def observed_packages(self) -> frozenset[str]:
+        packages = set(self.initial_packages)
+        packages.update(
+            e["package"] for e in self.app_changes if e["action"] == "install"
+        )
+        return frozenset(packages)
+
+    def _event_counts(self, wanted: str) -> dict[str, int]:
+        counts: dict[str, int] = defaultdict(int)
+        for event in self.app_changes:
+            if event["action"] == wanted:
+                counts[event["package"]] += 1
+        return dict(counts)
+
+    @cached_property
+    def foreground_days(self) -> dict[str, set[int]]:
+        out: dict[str, set[int]] = defaultdict(set)
+        for run in self.fast_runs:
+            package = run["foreground"]
+            if package is None:
+                continue
+            first = int(run["start"] // SECONDS_PER_DAY)
+            last = int(run["end"] // SECONDS_PER_DAY)
+            for day in range(first, last + 1):
+                out[package].add(day)
+        return dict(out)
+
+    @cached_property
+    def foreground_snapshots(self) -> dict[str, int]:
+        out: dict[str, int] = defaultdict(int)
+        for run in self.fast_runs:
+            package = run["foreground"]
+            if package is None:
+                continue
+            out[package] += 1 + int((run["end"] - run["start"]) // run["period"])
+        return dict(out)
+
+    @cached_property
+    def total_snapshots(self) -> int:
+        return sum(
+            1 + int((r["end"] - r["start"]) // r["period"])
+            for r in (*self.fast_runs, *self.slow_runs)
+        )
+
+    def truncated(self, days: float) -> "RowObservation":
+        cutoff = self.installed_at + days * SECONDS_PER_DAY
+        clipped = RowObservation(
+            participant=self.participant,
+            install_id=self.install_id,
+            initial=self.initial,
+            slow_runs=[
+                {**run, "end": min(run["end"], cutoff)}
+                for run in self.slow_runs
+                if run["start"] < cutoff
+            ],
+            fast_runs=[
+                {**run, "end": min(run["end"], cutoff)}
+                for run in self.fast_runs
+                if run["start"] < cutoff
+            ],
+            app_changes=[
+                event for event in self.app_changes if event["timestamp"] < cutoff
+            ],
+            google_ids=self.google_ids,
+            device_reviews=self.device_reviews,
+            all_account_reviews=self.all_account_reviews,
+        )
+        clipped._active_days_override = max(1, int(min(days, self.active_days)))
+        return clipped
 
 
 # -- §7.1 app features, one instance at a time -----------------------------------

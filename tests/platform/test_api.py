@@ -151,11 +151,10 @@ class TestDashboardRoutes:
         from repro.simulation.device import SimDevice
 
         device = SimDevice("regular", is_worker=False, rng=rng)
-        app = RacketStoreApp(
-            device, server.issue_participant_id(), server, Transport(server), rng
-        )
-        app.sign_in(0.0)
-        app.collect_day(0.0)
+        app = RacketStoreApp(device, server.issue_participant_id(), rng)
+        transport = Transport(server)
+        app.sign_in(0.0, rng=rng, server=server, transport=transport)
+        app.collect_day(0.0, rng=rng, transport=transport)
         response = api.handle(
             ApiRequest("GET", f"/dashboard/installs/{app.install_id}")
         )

@@ -94,11 +94,10 @@ class TestValidation:
 
         server = RacketStoreServer()
         device = SimDevice("regular", is_worker=False, rng=rng)
-        app = RacketStoreApp(
-            device, server.issue_participant_id(), server, Transport(server), rng
-        )
-        app.sign_in(0.0)
-        app.collect_day(0.0)
+        app = RacketStoreApp(device, server.issue_participant_id(), rng)
+        transport = Transport(server)
+        app.sign_in(0.0, rng=rng, server=server, transport=transport)
+        app.collect_day(0.0, rng=rng, transport=transport)
         server.store["app_changes"].insert(
             {
                 "_type": "app_change",

@@ -78,82 +78,82 @@ def device(rng):
     return SimDevice("regular", is_worker=False, rng=rng)
 
 
+@pytest.fixture()
+def transport(server):
+    return Transport(server)
+
+
 def make_app(server, device, rng, **kwargs):
     pid = server.issue_participant_id()
-    return RacketStoreApp(
-        device=device,
-        participant_id=pid,
-        server=server,
-        transport=Transport(server),
-        rng=rng,
-        **kwargs,
-    )
+    return RacketStoreApp(device=device, participant_id=pid, rng=rng, **kwargs)
 
 
 class TestSignIn:
-    def test_valid_code_registers_install(self, server, device, rng):
+    def test_valid_code_registers_install(self, server, device, rng, transport):
         app = make_app(server, device, rng)
-        install_id = app.sign_in(0.0)
+        install_id = app.sign_in(0.0, rng=rng, server=server, transport=transport)
         assert len(install_id) == 10
         assert install_id in server.install_ids()
 
-    def test_invalid_code_rejected_and_nothing_collected(self, server, device, rng):
-        app = RacketStoreApp(device, "999999", server, Transport(server), rng)
+    def test_invalid_code_rejected_and_nothing_collected(
+        self, server, device, rng, transport
+    ):
+        app = RacketStoreApp(device, "999999", rng)
         with pytest.raises(SignInError):
-            app.sign_in(0.0)
+            app.sign_in(0.0, rng=rng, server=server, transport=transport)
         assert server.install_ids() == []
         assert server.store.total_documents() == 0
 
-    def test_initial_snapshot_uploaded_at_signin(self, server, device, rng):
+    def test_initial_snapshot_uploaded_at_signin(self, server, device, rng, transport):
         app = make_app(server, device, rng)
-        app.sign_in(0.0)
+        app.sign_in(0.0, rng=rng, server=server, transport=transport)
         initial = server.initial_snapshot(app.install_id)
         assert initial is not None
         assert initial["manufacturer"] == device.manufacturer
 
 
 class TestCollection:
-    def test_collect_day_uploads_runs(self, server, device, rng, blobs):
+    def test_collect_day_uploads_runs(self, server, device, rng, transport, blobs):
         app = make_app(server, device, rng)
-        app.sign_in(0.0)
+        app.sign_in(0.0, rng=rng, server=server, transport=transport)
         device.open_app  # device has no apps yet; still collects idle runs
-        app.collect_day(0.0)
+        app.collect_day(0.0, rng=rng, transport=transport)
         assert len(server.fast_runs(app.install_id)) >= 1
         assert len(server.slow_runs(app.install_id)) >= 1
         assert server.snapshot_count(app.install_id) > 0
 
-    def test_usage_permission_denied_blanks_foreground(self, server, rng):
+    def test_usage_permission_denied_blanks_foreground(self, server, rng, transport):
         device = SimDevice("regular", is_worker=False, rng=rng)
         app = make_app(server, device, rng, grant_usage_stats=False)
-        app.sign_in(0.0)
-        app.collect_day(0.0)
+        app.sign_in(0.0, rng=rng, server=server, transport=transport)
+        app.collect_day(0.0, rng=rng, transport=transport)
         for run in server.fast_runs(app.install_id):
             assert run["foreground"] is None
             assert run["usage_permission"] is False
 
-    def test_accounts_permission_denied_blanks_accounts(self, server, rng):
+    def test_accounts_permission_denied_blanks_accounts(self, server, rng, transport):
         from repro.simulation.accounts import DeviceAccount
 
         device = SimDevice("regular", is_worker=False, rng=rng)
         device.register_account(DeviceAccount("com.google", "a@gmail.com", "1" * 21))
         app = make_app(server, device, rng, grant_get_accounts=False)
-        app.sign_in(0.0)
-        app.collect_day(0.0)
+        app.sign_in(0.0, rng=rng, server=server, transport=transport)
+        app.collect_day(0.0, rng=rng, transport=transport)
         for run in server.slow_runs(app.install_id):
             assert run["accounts"] == []
             assert run["accounts_permission"] is False
 
-    def test_collect_after_uninstall_fails(self, server, device, rng):
+    def test_collect_after_uninstall_fails(self, server, device, rng, transport):
         app = make_app(server, device, rng)
-        app.sign_in(0.0)
-        app.uninstall(SECONDS_PER_DAY)
+        app.sign_in(0.0, rng=rng, server=server, transport=transport)
+        app.uninstall(SECONDS_PER_DAY, transport=transport)
         with pytest.raises(RuntimeError):
-            app.collect_day(SECONDS_PER_DAY)
+            app.collect_day(SECONDS_PER_DAY, rng=rng, transport=transport)
 
-    def test_observation_interval_spans_collection(self, server, device, rng):
+    def test_observation_interval_spans_collection(self, server, device, rng, transport):
         app = make_app(server, device, rng)
-        app.sign_in(0.0)
-        app.collect_day(0.0)
+        app.sign_in(0.0, rng=rng, server=server, transport=transport)
+        app.collect_day(0.0, rng=rng, transport=transport)
         first, last = server.observation_interval(app.install_id)
         assert first <= last <= SECONDS_PER_DAY
 
@@ -168,11 +168,11 @@ class TestServerQueries:
         assert isinstance(ack, str) and len(ack) == 64
         assert server.stats.malformed_chunks == 1
 
-    def test_payments(self, server, device, rng):
+    def test_payments(self, server, device, rng, transport):
         app = make_app(server, device, rng)
-        app.sign_in(0.0)
+        app.sign_in(0.0, rng=rng, server=server, transport=transport)
         for day in range(3):
-            app.collect_day(day * SECONDS_PER_DAY)
+            app.collect_day(day * SECONDS_PER_DAY, rng=rng, transport=transport)
         payout = server.total_payout_usd()
         # $1 install + $0.20/day for 2-3 observed days.
         assert 1.2 <= payout <= 1.8

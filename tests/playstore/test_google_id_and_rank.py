@@ -60,13 +60,6 @@ class TestGoogleIdCrawler:
         assert crawler.stats.requests == 1
         assert crawler.stats.cached == 1
 
-    def test_lookup_many_filters_failures(self):
-        directory = GmailDirectory()
-        directory.register("a@gmail.com")
-        crawler = GoogleIdCrawler(directory)
-        result = crawler.lookup_many(["a@gmail.com", "b@gmail.com"])
-        assert set(result) == {"a@gmail.com"}
-
 
 class TestSearchRank:
     @pytest.fixture()

@@ -5,7 +5,7 @@ import pytest
 from repro.playstore.catalog import Catalog
 from repro.playstore.google_id import GmailDirectory
 from repro.simulation.accounts import AccountFactory
-from repro.simulation.clock import SECONDS_PER_DAY, SimClock, day_index, days, hours
+from repro.simulation.clock import SECONDS_PER_DAY, day_index, days, hours
 from repro.simulation.device import SimDevice
 from repro.simulation.events import DeviceEvent, EventType, ForegroundSession
 from repro.simulation.personas import dedicated_worker, organic_worker, regular_user
@@ -33,13 +33,6 @@ class TestClock:
     def test_conversions(self):
         assert days(2) == 2 * SECONDS_PER_DAY
         assert hours(3) == 10_800.0
-
-    def test_clock_monotonic(self):
-        clock = SimClock()
-        clock.advance(10.0)
-        assert clock.now == 10.0
-        with pytest.raises(ValueError):
-            clock.advance(-1.0)
 
 
 class TestEvents:

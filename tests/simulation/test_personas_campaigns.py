@@ -6,7 +6,17 @@ import pytest
 from repro.playstore.catalog import Catalog
 from repro.simulation.campaigns import CampaignBoard
 from repro.simulation.personas import dedicated_worker, organic_worker, regular_user
+from repro.simulation.phases import ShardBoardView
 from repro.simulation.recruitment import simulate_funnel
+
+
+def take_job(board, rng, exclude_packages=None):
+    """One job as a device picks it in phase 1 (from a view over the
+    board's current state) and the phase-2 commit credits it."""
+    job = ShardBoardView(board.freeze()).next_job(rng, exclude_packages)
+    if job is not None:
+        board.apply_delivery(job.campaign_id, review=job.wants_review)
+    return job
 
 
 class TestPersonas:
@@ -82,31 +92,31 @@ class TestCampaignBoard:
         board, apps = board_with_apps
         assert board.advertised_packages() == {a.package for a in apps}
 
-    def test_job_decrements_remaining(self, board_with_apps):
+    def test_job_decrements_remaining(self, board_with_apps, rng):
         board, _ = board_with_apps
-        job = board.next_job()
+        job = take_job(board, rng)
         campaign = board.get(job.campaign_id)
         assert campaign.delivered_installs == 1
         assert job.wants_review
 
-    def test_jobs_exhaust_eventually(self, board_with_apps):
+    def test_jobs_exhaust_eventually(self, board_with_apps, rng):
         board, _ = board_with_apps
         jobs = 0
-        while board.next_job() is not None:
+        while take_job(board, rng) is not None:
             jobs += 1
             assert jobs <= 50
         assert jobs == 50  # 5 campaigns x 10 installs
 
-    def test_exclusion_respected(self, board_with_apps):
+    def test_exclusion_respected(self, board_with_apps, rng):
         board, apps = board_with_apps
         exclude = {a.package for a in apps[:4]}
-        job = board.next_job(exclude_packages=exclude)
+        job = take_job(board, rng, exclude_packages=exclude)
         assert job.app_package == apps[4].package
 
-    def test_reviews_capped_at_target(self, board_with_apps):
+    def test_reviews_capped_at_target(self, board_with_apps, rng):
         board, _ = board_with_apps
         review_jobs = 0
-        while (job := board.next_job()) is not None:
+        while (job := take_job(board, rng)) is not None:
             review_jobs += job.wants_review
         assert review_jobs == 30  # 5 campaigns x 6 reviews
 
@@ -116,8 +126,8 @@ class TestCampaignBoard:
         campaign = board.post_campaign(
             catalog.add_promoted_app(), target_installs=2, target_reviews=1
         )
-        board.next_job()
-        board.next_job()
+        take_job(board, rng)
+        take_job(board, rng)
         expected = 2 * campaign.pay_per_install_usd + 1 * campaign.pay_per_review_usd
         assert board.total_payout_usd() == pytest.approx(expected)
 
@@ -128,7 +138,7 @@ class TestCampaignBoard:
             catalog.add_promoted_app(), target_installs=1, target_reviews=1
         )
         assert not campaign.complete
-        board.next_job()
+        take_job(board, rng)
         assert campaign.complete
 
 

@@ -95,7 +95,8 @@ class TestFrozenViewStaleness:
         # Another device's same-day deliveries exhaust the live board...
         for _ in range(campaign.target_installs):
             assert board.apply_delivery(campaign.campaign_id)
-        assert board.next_job() is None
+        live = ShardBoardView(board.freeze())
+        assert live.next_job(np.random.default_rng(0)) is None
         # ...but a view over the start-of-day snapshot still offers work.
         view = ShardBoardView(frozen)
         job = view.next_job(np.random.default_rng(0))
