@@ -90,15 +90,10 @@ def _snapshot_getters(data: StudyData):
     One pass per collection builds every install's zero-copy view list,
     in the order the server's per-install queries return
     (``server.fast_runs(install_id)`` etc.); an install with no rows
-    gets an empty run.  Ingest writes only schema-valid records, so
-    every frame is typed; an untyped one (a direct ``store.insert`` of
-    an off-schema document) raises ``TypeError``.
+    gets an empty run.
     """
     store = data.server.store
     names = ("initial_snapshots", "slow_runs", "fast_runs", "app_changes")
-    for name in names:
-        if store[name].frame.schema is None:
-            raise TypeError(f"collection {name!r} holds off-schema documents")
     initial, slow, fast, changes = (store[name].frame for name in names)
     slow_map = _partition_runs(slow, "start")
     fast_map = _partition_runs(fast, "start")

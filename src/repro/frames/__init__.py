@@ -5,7 +5,8 @@ snapshots, §3) a dict-per-document store and per-row feature loops are
 the dominant cost of everything §6–§8 computes.  This package declares
 the record schemas for the snapshot families the platform handles and
 provides :class:`ColumnFrame`, a struct-of-arrays container built on
-numpy: documents append into per-field columns, one evaluator answers
+numpy: every frame has one schema, documents carrying exactly its
+fields append into per-field columns, one evaluator answers equality
 queries over them (:func:`matching_positions`, in
 :mod:`repro.frames.query`), and analyses read zero-copy
 :class:`FrameRow` mapping views instead of materialized dicts.
@@ -17,13 +18,12 @@ references live in ``tests/oracles.py``.
 """
 
 from .frame import ColumnFrame, ColumnRun, FrameRow
-from .query import QUERY_OPERATORS, matching_positions
+from .query import matching_positions
 from .schema import (
     APP_CHANGE_SCHEMA,
     FAST_RUN_SCHEMA,
     INITIAL_SCHEMA,
     INSTALL_SCHEMA,
-    REVIEW_SCHEMA,
     SCHEMA_BY_COLLECTION,
     SLOW_RUN_SCHEMA,
     Field,
@@ -35,7 +35,6 @@ __all__ = [
     "ColumnRun",
     "FrameRow",
     "matching_positions",
-    "QUERY_OPERATORS",
     "Field",
     "RecordSchema",
     "SLOW_RUN_SCHEMA",
@@ -43,6 +42,5 @@ __all__ = [
     "APP_CHANGE_SCHEMA",
     "INITIAL_SCHEMA",
     "INSTALL_SCHEMA",
-    "REVIEW_SCHEMA",
     "SCHEMA_BY_COLLECTION",
 ]

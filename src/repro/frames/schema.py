@@ -2,8 +2,7 @@
 
 One :class:`RecordSchema` per wire record type the server ingests
 (§3: initial, slow run, fast run, app change), plus the sign-in
-``installs`` registry and the Play review records the crawlers join
-against.  Field order matches the dataclasses in
+``installs`` registry.  Field order matches the dataclasses in
 :mod:`repro.platform.models` (with the ``_type`` wire tag last), so a
 row reconstructed from a frame carries its keys in the same order as
 the ingested payload dict.
@@ -38,7 +37,6 @@ __all__ = [
     "APP_CHANGE_SCHEMA",
     "INITIAL_SCHEMA",
     "INSTALL_SCHEMA",
-    "REVIEW_SCHEMA",
     "SCHEMA_BY_COLLECTION",
 ]
 
@@ -196,18 +194,7 @@ INSTALL_SCHEMA = RecordSchema(
     ),
 )
 
-REVIEW_SCHEMA = RecordSchema(
-    "review",
-    (
-        Field("timestamp", "float"),
-        Field("review_id", "int"),
-        Field("app_package", "str"),
-        Field("google_id", "str"),
-        Field("rating", "int"),
-    ),
-)
-
-#: Store collection name -> schema, for the collections the server owns.
+#: Store collection name -> schema: the only collections the store builds.
 SCHEMA_BY_COLLECTION: dict[str, RecordSchema] = {
     "initial_snapshots": INITIAL_SCHEMA,
     "slow_runs": SLOW_RUN_SCHEMA,

@@ -87,11 +87,11 @@ class Dashboard:
             slow_runs=len(slow),
             app_changes=len(self._server.app_changes(install_id)),
             reported_accounts=any(
-                run.get("accounts_permission", True) and run["accounts"]
+                run["accounts_permission"] and run["accounts"]
                 for run in slow
             ),
             reported_usage=any(
-                run.get("usage_permission", True) and run["foreground"]
+                run["usage_permission"] and run["foreground"]
                 for run in fast
             ),
             largest_gap_hours=largest_gap / 3600.0,
@@ -113,26 +113,27 @@ class Dashboard:
             ]
         return self._healths
 
-    def overview(self) -> dict[str, float]:
+    def overview(self) -> dict[str, int | float]:
         """Fleet-level numbers: the dashboard's landing page.
 
         Ingest counters come straight from the server's metrics registry
         (via its :class:`~repro.platform.server.IngestStats` view) rather
-        than being recomputed from stored documents.
+        than being recomputed from stored documents.  Counts are ints;
+        ``healthy_fraction`` is the one float.
         """
         healths = self.fleet_health()
         stats = self._server.stats
         healthy = sum(1 for h in healths if h.healthy)
         return {
-            "installs": float(len(healths)),
-            "healthy_installs": float(healthy),
+            "installs": len(healths),
+            "healthy_installs": healthy,
             "healthy_fraction": healthy / len(healths) if healths else 0.0,
-            "total_snapshots": float(sum(h.snapshots for h in healths)),
-            "chunks_received": float(stats.chunks_received),
-            "bytes_received": float(stats.bytes_received),
-            "malformed_chunks": float(stats.malformed_chunks),
-            "malformed_records": float(stats.malformed_records),
-            "records_inserted": float(stats.records_inserted),
+            "total_snapshots": sum(h.snapshots for h in healths),
+            "chunks_received": stats.chunks_received,
+            "bytes_received": stats.bytes_received,
+            "malformed_chunks": stats.malformed_chunks,
+            "malformed_records": stats.malformed_records,
+            "records_inserted": stats.records_inserted,
         }
 
     def lagging_installs(self, min_snapshots_per_day: float = 100.0) -> list[InstallHealth]:

@@ -57,14 +57,6 @@ class DeviceCluster:
     def install_ids(self) -> list[str]:
         return sorted(f.install_id for f in self.installs)
 
-    @property
-    def participant_ids(self) -> set[str]:
-        return {f.participant_id for f in self.installs}
-
-    @property
-    def android_ids(self) -> set[str]:
-        return {f.android_id for f in self.installs if f.android_id}
-
 
 def jaccard(a: frozenset, b: frozenset) -> float:
     """Jaccard similarity |a ∩ b| / |a ∪ b| (0.0 for two empty sets)."""

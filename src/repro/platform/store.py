@@ -1,22 +1,22 @@
-"""In-memory document store with Mongo-like query operators.
+"""In-memory document store of typed collections answering equality
+queries.
 
 The paper's backend persists snapshots into MongoDB (§3).  This store
-provides the same access pattern for the analysis code: named
-collections of documents, a small operator language (``$eq``, ``$ne``,
-``$gt``, ``$gte``, ``$lt``, ``$lte``, ``$in``, ``$exists``), and
-single-field hash indexes for the hot lookups (by install id).
+provides the access pattern the analysis code uses: named collections
+of documents, equality queries (``{"install_id": i, "_type": t}``),
+and single-field hash indexes for the hot lookups (by install id).
 
-Each collection is a :class:`ColumnarCollection`: documents live in a
-:class:`~repro.frames.ColumnFrame` (typed when the collection name has
-a declared schema, generic otherwise), and every query runs through
-:func:`~repro.frames.matching_positions`, starting from an index
-bucket when the query opens with a plain equality on an indexed field.
+Each collection is a :class:`ColumnarCollection` over one of the
+schemas :data:`~repro.frames.SCHEMA_BY_COLLECTION` declares: documents
+live in a typed :class:`~repro.frames.ColumnFrame`, and every query
+runs through :func:`~repro.frames.matching_positions`, starting from an
+index bucket when the query opens with a field that has an index.
 
 The query semantics are those of a brute-force scan that tests every
-document in insertion order (missing keys read as ``None``, ``$exists``
-tests presence, ordering operators never match ``None``).  That scan
-lives in ``tests/oracles.py``; the store must return the same documents
-in the same order for any query (``tests/platform/test_store_query.py``).
+document in insertion order (a ``$`` operator raises ``ValueError``).
+That scan lives in ``tests/oracles.py``; the store must return the same
+documents in the same order for any query
+(``tests/platform/test_store_query.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,12 @@ from typing import Any
 
 import numpy as np
 
-from ..frames import SCHEMA_BY_COLLECTION, ColumnFrame, matching_positions
+from ..frames import (
+    SCHEMA_BY_COLLECTION,
+    ColumnFrame,
+    RecordSchema,
+    matching_positions,
+)
 from ..frames.frame import SchemaMismatchError
 
 __all__ = ["DocumentStore", "ColumnarCollection"]
@@ -37,40 +42,32 @@ class ColumnarCollection:
 
     An index is a hash map ``value -> [positions]`` (ascending, i.e.
     insertion order) over one field, kept current on every merge.  A
-    query whose *first* predicate is a plain equality on an indexed
-    field starts from that value's bucket; only the first, because a
-    scan tests predicates in query order, and a bucket for a later one
-    could skip a row that raises on an earlier predicate.  Every
-    candidate is re-checked, so a bucket may over-approximate (a NaN
-    key is found by identity, but equality rejects it).  Materialized
-    rows are cached per position, so repeated finds hand back the same
-    dict objects.
+    query whose *first* field has an index starts from that value's
+    bucket; only the first, because a scan tests predicates in query
+    order, and a bucket for a later one could skip a row that raises
+    on an earlier predicate.  Every candidate is re-checked, so a
+    bucket may over-approximate (a NaN key is found by identity, but
+    equality rejects it).  Materialized rows are cached per position,
+    so repeated finds hand back the same dict objects.
 
-    A collection whose name has a declared schema stores typed
-    columns.  A document whose keys differ from the schema's makes the
-    frame degrade once to generic columns, so the store still accepts
-    any dict; a value of the wrong kind is stored as given, and reading
-    its column as an array then raises.  Neither happens to documents
-    that arrive through the server's ingest path, which checks keys and
-    value kinds against the same schema
-    (:meth:`~repro.frames.schema.RecordSchema.validate`).
-
-    Writes are *staged*: ``insert``/``insert_many`` only type-check
-    their documents (so ``TypeError`` raises at the offending record
-    with earlier ones kept) and append them to a write-optimized
-    backlog.  The first read — any query,
-    index build, or ``frame`` access — merges the backlog into the
-    columns and indexes in one batch (C-Store's write-store /
-    read-store split).  Ingest latency is therefore O(1) per document
-    and the row-to-column transposition is paid once per
-    ingest-then-read cycle, at full batch width.  A schema mismatch
-    surfaces at merge time as the same degrade-to-generic the eager
-    path performed; the observable store state is identical.
+    Writes are *staged*: ``insert``/``insert_many`` only check that
+    each document is a dict carrying exactly the schema's fields
+    (raising ``TypeError`` or :class:`SchemaMismatchError` at the
+    offending document, with earlier ones kept) and append them to a
+    write-optimized backlog.  A value of the wrong kind is stored as
+    given; the server's ingest path checks kinds too
+    (:meth:`~repro.frames.schema.RecordSchema.validate`).  The first
+    read — any query, index build, or ``frame`` access — merges the
+    backlog into the columns and indexes in one batch (C-Store's
+    write-store / read-store split).  Ingest latency is therefore O(1)
+    per document and the row-to-column transposition is paid once per
+    ingest-then-read cycle, at full batch width.
     """
 
-    def __init__(self, name: str, schema=None) -> None:
+    def __init__(self, name: str, schema: RecordSchema) -> None:
         self.name = name
         self._frame = ColumnFrame(schema)
+        self._keys = frozenset(schema.field_names)
         self._staged: list[dict] = []
         self._indexes: dict[str, defaultdict[Any, list[int]]] = {}
         self._rows: dict[int, dict] = {}
@@ -92,9 +89,17 @@ class ColumnarCollection:
         return len(self._frame) + len(self._staged)
 
     # -- writes ---------------------------------------------------------
-    def insert(self, document: dict) -> None:
+    def _check(self, document: dict) -> None:
         if not isinstance(document, dict):
             raise TypeError("documents must be dicts")
+        if document.keys() != self._keys:
+            raise SchemaMismatchError(
+                f"collection {self.name!r}: document keys {list(document)} "
+                f"do not match schema {self._frame.schema.name!r} fields"
+            )
+
+    def insert(self, document: dict) -> None:
+        self._check(document)
         self._staged.append(document)
 
     def insert_many(self, documents) -> int:
@@ -103,46 +108,22 @@ class ColumnarCollection:
             if isinstance(documents, (list, tuple))
             else list(documents)
         )
-        if all(isinstance(document, dict) for document in documents):
-            self._staged.extend(documents)
-            return len(documents)
-        # Stage per-document so the TypeError raises at the offending
-        # record with earlier ones kept.
-        count = 0
-        for document in documents:
-            self.insert(document)
-            count += 1
-        return count
+        checked = 0
+        try:
+            for document in documents:
+                self._check(document)
+                checked += 1
+        finally:
+            self._staged.extend(documents[:checked])
+        return checked
 
     def _flush(self) -> None:
         staged, self._staged = self._staged, []
-        try:
-            self._insert_batch(staged)
-            return
-        except SchemaMismatchError:
-            # Frame untouched (extend_batch stages or rolls back before
-            # raising); replay per-document to degrade at exactly the
-            # offending record.
-            pass
-        for document in staged:
-            self._insert_one(document)
-
-    def _insert_one(self, document: dict) -> None:
-        try:
-            self._frame.append(document)
-        except SchemaMismatchError:
-            self._degrade_to_generic()
-            self._frame.append(document)
-        position = len(self._frame) - 1
-        for fieldname, index in self._indexes.items():
-            index[document.get(fieldname)].append(position)
-
-    def _insert_batch(self, documents: list[dict]) -> None:
         start = len(self._frame)
-        self._frame.extend_batch(documents)
+        self._frame.extend_batch(staged)
         for fieldname, index in self._indexes.items():
-            for position, document in enumerate(documents, start):
-                index[document.get(fieldname)].append(position)
+            for position, document in enumerate(staged, start):
+                index[document[fieldname]].append(position)
 
     # -- transactional marks -------------------------------------------
     def mark(self) -> tuple[int, int]:
@@ -163,19 +144,12 @@ class ColumnarCollection:
             )
         del self._staged[staged_len:]
 
-    def _degrade_to_generic(self) -> None:
-        # Rows keep their positions, so the indexes stay valid.
-        generic = ColumnFrame()
-        for i in range(len(self._frame)):
-            generic.append(self._frame.row(i))
-        self._frame = generic
-
     # -- indexes --------------------------------------------------------
     def create_index(self, fieldname: str) -> None:
         if fieldname in self._indexes:
             return
         index = defaultdict(list)
-        for position, value in enumerate(self.frame.cells(fieldname)):
+        for position, value in enumerate(self.frame.values(fieldname)):
             index[value].append(position)
         self._indexes[fieldname] = index
 
@@ -184,12 +158,12 @@ class ColumnarCollection:
         frame = self.frame  # merges staged writes into the indexes too
         candidates = None
         if query:
-            fieldname, condition = next(iter(query.items()))
+            fieldname, value = next(iter(query.items()))
             index = self._indexes.get(fieldname)
-            if index is not None and not isinstance(condition, dict):
+            if index is not None:
                 try:
-                    candidates = index.get(condition, ())
-                except TypeError:  # unhashable operand: no bucket to seed from
+                    candidates = index.get(value, ())
+                except TypeError:  # unhashable value: no bucket to seed from
                     pass
         return matching_positions(frame, query, candidates)
 
@@ -214,31 +188,24 @@ class ColumnarCollection:
     def count(self, query: dict | None = None) -> int:
         return len(self._positions(query)) if query else len(self.frame)
 
-    def distinct(self, fieldname: str, query: dict | None = None) -> list:
-        if query:
-            values = self.frame.run(self._positions(query)).cells(fieldname)
-        else:
-            values = self.frame.cells(fieldname)
-        seen: set = set()
-        for value in values:
-            if isinstance(value, (list, tuple)):
-                seen.update(value)
-            else:
-                seen.add(value)
+    def distinct(self, fieldname: str) -> list:
+        seen = set(self.frame.values(fieldname))
         seen.discard(None)
         return sorted(seen, key=repr)
 
 
 class DocumentStore:
-    """A set of named collections (the Mongo database)."""
+    """The set of declared collections (the Mongo database)."""
 
     def __init__(self) -> None:
         self._collections: dict[str, ColumnarCollection] = {}
 
     def collection(self, name: str) -> ColumnarCollection:
+        """The collection ``name``, built on first access; ``KeyError``
+        unless ``SCHEMA_BY_COLLECTION`` declares it."""
         if name not in self._collections:
             self._collections[name] = ColumnarCollection(
-                name, schema=SCHEMA_BY_COLLECTION.get(name)
+                name, SCHEMA_BY_COLLECTION[name]
             )
         return self._collections[name]
 

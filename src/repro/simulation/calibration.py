@@ -12,10 +12,7 @@ references are given inline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
-    "PaperStat",
     "RECRUITMENT",
     "DATASET",
     "ACCOUNTS",
@@ -28,15 +25,6 @@ __all__ = [
     "DEVICE_CLASSIFIER",
     "SUSPICIOUSNESS",
 ]
-
-
-@dataclass(frozen=True)
-class PaperStat:
-    """One reported statistic with its provenance."""
-
-    name: str
-    value: float
-    source: str
 
 
 class RECRUITMENT:

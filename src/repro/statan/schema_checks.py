@@ -8,9 +8,9 @@ then resolve every ``store["collection"].find({...})``-shaped call
 against the declared schema:
 
 ========  ==========================================================
-SCH001    query literal uses an unknown field, an unknown ``$op``,
-          or an ordering operator whose literal operand cannot match
-          the field's declared kind
+SCH001    query literal uses an unknown field, a ``$op`` (the store
+          answers plain equality only), or a literal value that
+          cannot equal the field's declared kind
 SCH002    ingest writes (``insert``/``insert_many`` dict literals) or
           row reads (``row["field"]`` on results of ``find``-family
           calls) touch fields the schema does not declare
@@ -39,16 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
 
 __all__ = ["SchemaQueryCheck", "SchemaFieldCheck"]
 
-#: Mirror of repro.frames.query.QUERY_OPERATORS (kept literal so the
-#: scanned tree is never imported).
-QUERY_OPERATORS = ("$eq", "$ne", "$gt", "$gte", "$lt", "$lte", "$in", "$exists")
-
-_ORDERING_OPS = ("$gt", "$gte", "$lt", "$lte")
-_SCALAR_OPS = ("$eq", "$ne") + _ORDERING_OPS
 _NUMERIC_KINDS = ("float", "int", "bool")
 
 #: Store methods that take a query dict as their first argument.
-_QUERY_METHODS = ("find", "find_one", "find_views", "count", "distinct", "delete")
+_QUERY_METHODS = ("find", "find_one", "find_views", "count")
 #: Store methods whose results are schema-shaped rows.
 _ROW_METHODS = ("find", "find_one", "find_views")
 
@@ -102,6 +96,20 @@ def _kind_mismatch(field_kind: str, operand_kind: str) -> bool:
     return False
 
 
+def _operator_keys(value: ast.AST) -> Iterator[tuple[ast.AST, str]]:
+    """The ``$``-prefixed string keys of a dict-literal query value."""
+    if not isinstance(value, ast.Dict):
+        return
+    for key_node in value.keys:
+        op = _const_str(key_node)
+        if op is not None and op.startswith("$"):
+            yield key_node, op
+
+
+def _operator_message(op: str) -> str:
+    return f"query operator {op!r}: the store answers plain equality only"
+
+
 class _SchemaRule(ProjectRule):
     """Shared finding helper for the SCH rules."""
 
@@ -142,8 +150,6 @@ class SchemaQueryCheck(_SchemaRule):
                 if matched is None:
                     continue
                 collection, method, schema = matched
-                if method not in _QUERY_METHODS:
-                    continue
                 if method == "distinct":
                     fieldname = _const_str(node.args[0]) if node.args else None
                     if fieldname is not None and fieldname not in schema:
@@ -153,18 +159,17 @@ class SchemaQueryCheck(_SchemaRule):
                             f"'{collection}': field is not declared by "
                             f"{_declared(schema)}",
                         )
-                    query = node.args[1] if len(node.args) > 1 else None
-                else:
-                    query = node.args[0] if node.args else None
-                if isinstance(query, ast.Dict):
-                    yield from self._check_query(ctx, collection, schema, query)
+                elif method in _QUERY_METHODS and node.args:
+                    query = node.args[0]
+                    if isinstance(query, ast.Dict):
+                        yield from self._check_query(ctx, collection, schema, query)
 
     def _check_matching_positions(
         self, ctx: ModuleContext, node: ast.Call
     ) -> Iterator[Finding]:
-        """Operator-name check for direct ``matching_positions(frame,
-        {...})`` calls — the frame's schema is rarely statically known,
-        but a bad ``$op`` is wrong against any schema."""
+        """Operator check for direct ``matching_positions(frame, {...})``
+        calls — the frame's schema is rarely statically known, but a
+        ``$op`` is wrong against any schema."""
         resolved = ctx.resolve(node.func) or (
             node.func.id if isinstance(node.func, ast.Name) else None
         )
@@ -174,16 +179,8 @@ class SchemaQueryCheck(_SchemaRule):
         if not isinstance(query, ast.Dict):
             return
         for value in query.values:
-            if not isinstance(value, ast.Dict):
-                continue
-            for op_key in value.keys:
-                op = _const_str(op_key)
-                if op and op.startswith("$") and op not in QUERY_OPERATORS:
-                    yield self._finding(
-                        ctx, op_key,
-                        f"unknown query operator {op!r}; the store "
-                        f"understands {', '.join(QUERY_OPERATORS)}",
-                    )
+            for op_node, op in _operator_keys(value):
+                yield self._finding(ctx, op_node, _operator_message(op))
 
     def _check_query(
         self,
@@ -204,39 +201,23 @@ class SchemaQueryCheck(_SchemaRule):
                     f"field {fieldname!r}; not declared by {_declared(schema)}",
                 )
                 continue
-            if not isinstance(value, ast.Dict):
-                operand_kind = _operand_kind(value)
-                if operand_kind and _kind_mismatch(field.kind, operand_kind):
-                    yield self._finding(
-                        ctx, value,
-                        f"field {fieldname!r} on collection '{collection}' "
-                        f"is declared {field.kind!r} but is matched against "
-                        f"a {operand_kind} literal; the filter can never "
-                        "match",
-                    )
-                continue
-            for op_node, operand in zip(value.keys, value.values):
-                op = _const_str(op_node)
-                if op is None:
-                    continue
-                if op.startswith("$") and op not in QUERY_OPERATORS:
+            if isinstance(value, ast.Dict):
+                for op_node, op in _operator_keys(value):
                     yield self._finding(
                         ctx, op_node,
-                        f"unknown query operator {op!r} on field "
-                        f"{fieldname!r}; the store understands "
-                        f"{', '.join(QUERY_OPERATORS)}",
+                        f"{_operator_message(op)} (field {fieldname!r} on "
+                        f"collection '{collection}')",
                     )
-                    continue
-                if op in _SCALAR_OPS:
-                    operand_kind = _operand_kind(operand)
-                    if operand_kind and _kind_mismatch(field.kind, operand_kind):
-                        yield self._finding(
-                            ctx, operand,
-                            f"field {fieldname!r} on collection "
-                            f"'{collection}' is declared {field.kind!r} but "
-                            f"{op} compares it to a {operand_kind} literal; "
-                            "ordering/equality can never match",
-                        )
+                continue
+            operand_kind = _operand_kind(value)
+            if operand_kind and _kind_mismatch(field.kind, operand_kind):
+                yield self._finding(
+                    ctx, value,
+                    f"field {fieldname!r} on collection '{collection}' "
+                    f"is declared {field.kind!r} but is matched against "
+                    f"a {operand_kind} literal; the filter can never "
+                    "match",
+                )
 
 
 @register_project

@@ -76,12 +76,3 @@ class VirusTotalClient:
         §7.1 feature extractor uses)."""
         result = self.report(apk_hash)
         return result.positives if result else 0
-
-    def flagged_hashes(self, hashes, min_flags: int = 1) -> dict[str, int]:
-        """Filter a hash collection to those with >= min_flags detections."""
-        out: dict[str, int] = {}
-        for apk_hash in hashes:
-            count = self.positives(apk_hash)
-            if count >= min_flags:
-                out[apk_hash] = count
-        return out

@@ -63,10 +63,6 @@ class ScanResult:
     total_engines: int
     flagged_by: tuple[str, ...]
 
-    @property
-    def detection_ratio(self) -> str:
-        return f"{self.positives}/{self.total_engines}"
-
 
 class EnginePanel:
     """The 62-engine scanning panel."""

@@ -24,7 +24,8 @@ from repro.faults import (
 from repro.platform.buffer import DataBuffer, chunk_hash
 from repro.platform.models import FastSnapshotRun
 from repro.platform.server import _COLLECTIONS
-from repro.platform.store import DocumentStore
+from repro.frames import Field, RecordSchema
+from repro.platform.store import ColumnarCollection, DocumentStore
 from repro.platform.transport import Transport
 
 DAY_S = 86_400.0
@@ -273,8 +274,8 @@ class TestCorruptionEndToEnd:
 
 class TestStoreRollbackUnits:
     def test_mark_rollback_restores_count_and_index(self):
-        store = DocumentStore()
-        coll = store.collection("things")
+        thing = RecordSchema("thing", (Field("install_id", "str"), Field("v", "int")))
+        coll = ColumnarCollection("things", thing)
         coll.create_index("install_id")
         coll.insert_many([{"install_id": "a", "v": 1}, {"install_id": "b", "v": 2}])
         mark = coll.mark()

@@ -49,7 +49,7 @@ class TestExtendBatch:
         batch = _typed(docs)
         serial = ColumnFrame(RUN_SCHEMA)
         for doc in docs:
-            serial.append(doc)
+            serial.extend_batch([doc])
         assert len(batch) == len(serial) == len(docs)
         assert [batch.row(i) for i in range(len(docs))] == docs
         assert [serial.row(i) for i in range(len(docs))] == docs
@@ -90,21 +90,18 @@ class TestExtendBatch:
         with pytest.raises(SchemaMismatchError):
             frame.extend_batch([_docs(1)[0], 42])
 
-    def test_generic_batch_discovers_columns_with_backfill(self):
-        frame = ColumnFrame()
-        frame.extend_batch([{"a": 1}, {"a": 2, "b": "x"}])
-        frame.extend_batch([{"c": True}])
-        assert frame.row(0) == {"a": 1}
-        assert frame.row(1) == {"a": 2, "b": "x"}
-        assert frame.row(2) == {"c": True}
-
-    def test_generic_non_mapping_raises_before_mutation(self):
-        frame = ColumnFrame()
-        frame.extend_batch([{"a": 1}])
+    def test_non_mapping_of_schema_width_rolls_back(self):
+        # A five-character string passes the key-count check for the
+        # five-field schema; the column extraction then fails on it
+        # after earlier columns were extended, and must undo them.
+        frame = _typed()
+        before = [frame.row(i) for i in range(len(frame))]
         with pytest.raises(SchemaMismatchError):
-            frame.extend_batch([{"b": 2}, "not-a-mapping"])
-        assert len(frame) == 1
-        assert frame.row(0) == {"a": 1}
+            frame.extend_batch([_docs(1)[0], "abcde"])
+        assert len(frame) == len(before)
+        for name in RUN_SCHEMA.field_names:
+            assert len(frame.values(name)) == len(before)
+        assert [frame.row(i) for i in range(len(frame))] == before
 
 
 class TestPlanner:
@@ -117,6 +114,17 @@ class TestPlanner:
         query = {"install_id": "i1"}
         seeded = matching_positions(frame, query, candidates=range(len(frame)))
         assert seeded.tolist() == matching_positions(frame, query).tolist() == [1, 4, 7]
+
+    def test_candidates_limit_the_rows_considered(self):
+        frame = _typed()
+        query = {"install_id": "i1"}
+        assert matching_positions(frame, query, candidates=[1, 4]).tolist() == [1, 4]
+        assert matching_positions(frame, query, candidates=[0, 2, 3]).tolist() == []
+
+    def test_empty_query_returns_every_row_or_the_candidates(self):
+        frame = _typed()
+        assert matching_positions(frame, None).tolist() == list(range(len(frame)))
+        assert matching_positions(frame, {}, candidates=[2, 5]).tolist() == [2, 5]
 
     def test_unknown_operator_raises_at_evaluation_not_compile(self):
         # Like a per-document scan: the unknown operator raises once a

@@ -1,12 +1,9 @@
 """Tests for the columnar record frames (schema, frame, query evaluation)."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.frames import (
-    QUERY_OPERATORS,
     ColumnFrame,
     Field,
     FrameRow,
@@ -30,23 +27,11 @@ POINT_SCHEMA = RecordSchema(
 
 def make_typed() -> ColumnFrame:
     frame = ColumnFrame(POINT_SCHEMA)
-    frame.extend(
+    frame.extend_batch(
         [
             {"name": "a", "x": 1.5, "n": 1, "flag": True, "tag": "t1", "payload": [1]},
             {"name": "b", "x": -2.0, "n": 2, "flag": False, "tag": None, "payload": {}},
             {"name": "c", "x": 0.0, "n": 3, "flag": True, "tag": "t2", "payload": ()},
-        ]
-    )
-    return frame
-
-
-def make_generic() -> ColumnFrame:
-    frame = ColumnFrame()
-    frame.extend(
-        [
-            {"a": 1, "b": "x"},
-            {"a": 2},
-            {"a": 3, "b": None, "c": [1, 2]},
         ]
     )
     return frame
@@ -72,8 +57,8 @@ class TestTypedFrame:
     def test_roundtrip_preserves_rows_and_objects(self):
         frame = make_typed()
         payload = [1]
-        frame.append(
-            {"name": "d", "x": 9.0, "n": 4, "flag": False, "tag": None, "payload": payload}
+        frame.extend_batch(
+            [{"name": "d", "x": 9.0, "n": 4, "flag": False, "tag": None, "payload": payload}]
         )
         row = frame.row(3)
         assert row["payload"] is payload  # nested values kept by reference
@@ -81,10 +66,12 @@ class TestTypedFrame:
 
     def test_schema_mismatch_raises(self):
         frame = make_typed()
+        before = [frame.row(i) for i in range(len(frame))]
         with pytest.raises(SchemaMismatchError):
-            frame.append({"name": "e", "x": 1.0})  # missing fields
+            frame.extend_batch([{"name": "e", "x": 1.0}])  # missing fields
         with pytest.raises(SchemaMismatchError):
-            frame.append({**frame.row(0), "extra": 1})  # extra field
+            frame.extend_batch([{**frame.row(0), "extra": 1}])  # extra field
+        assert [frame.row(i) for i in range(len(frame))] == before
 
     def test_native_dtype_columns(self):
         frame = make_typed()
@@ -97,58 +84,38 @@ class TestTypedFrame:
         frame = make_typed()
         first = frame.column("x")
         assert frame.column("x") is first  # cached
-        frame.append(
-            {"name": "d", "x": 7.0, "n": 4, "flag": True, "tag": None, "payload": None}
+        frame.extend_batch(
+            [{"name": "d", "x": 7.0, "n": 4, "flag": True, "tag": None, "payload": None}]
         )
         assert len(frame.column("x")) == 4
 
-    def test_present_is_all_true(self):
+    def test_undeclared_field_raises_key_error(self):
         frame = make_typed()
-        assert frame.present("x").all()
-
-
-class TestGenericFrame:
-    def test_absent_vs_none(self):
-        frame = make_generic()
-        # Row 1 never carried "b": cell raises like a dict, get -> None.
         with pytest.raises(KeyError):
-            frame.cell("b", 1)
-        # Row 2 carries an explicit None.
-        assert frame.cell("b", 2) is None
-        assert list(frame.present("b")) == [True, False, True]
-
-    def test_backfill_of_late_columns(self):
-        frame = make_generic()
-        assert frame.row(0) == {"a": 1, "b": "x"}
-        assert frame.row(2) == {"a": 3, "b": None, "c": [1, 2]}
-
-    def test_unknown_column_reads_as_none(self):
-        frame = make_generic()
-        assert list(frame.cells("zzz")) == [None, None, None]
-        assert not frame.present("zzz").any()
-        assert frame.column("zzz").dtype == object
-
-    def test_column_order_follows_first_seen(self):
-        frame = make_generic()
-        frame.extend([{"c": [3], "b": "y", "a": 4}])
-        assert list(frame.row(3)) == ["a", "b", "c"]
+            frame.cell("zzz", 0)
+        with pytest.raises(KeyError):
+            frame.column("zzz")
+        with pytest.raises(KeyError):
+            frame.run([0, 1]).cells("zzz")
 
 
 class TestFrameRow:
     def test_mapping_protocol(self):
-        frame = make_generic()
+        frame = make_typed()
         row = frame.view(2)
         assert isinstance(row, FrameRow)
-        assert row["a"] == 3
+        assert row["n"] == 3
         assert row.get("missing") is None
-        assert {**row} == {"a": 3, "b": None, "c": [1, 2]}
-        assert len(row) == 3
+        assert {**row} == frame.row(2)
+        assert list(row) == list(POINT_SCHEMA.field_names)
+        assert len(row) == len(POINT_SCHEMA.fields)
 
-    def test_row_without_key_skips_it(self):
-        frame = make_generic()
-        row = frame.view(1)
-        assert "b" not in row
-        assert dict(row) == {"a": 2}
+    def test_undeclared_key_is_not_in_the_row(self):
+        row = make_typed().view(1)
+        assert "missing" not in row
+        with pytest.raises(KeyError):
+            row["missing"]
+        assert dict(row) == make_typed().row(1)
 
 
 def mask_for(frame: ColumnFrame, query) -> np.ndarray:
@@ -159,34 +126,23 @@ def mask_for(frame: ColumnFrame, query) -> np.ndarray:
 
 
 class TestMaskFor:
-    def test_every_operator_matches_scalar_semantics(self):
+    def test_equality_on_native_and_object_columns(self):
         frame = make_typed()
-        cases = {
-            "$eq": ({"x": {"$eq": 1.5}}, [True, False, False]),
-            "$ne": ({"x": {"$ne": 1.5}}, [False, True, True]),
-            "$gt": ({"x": {"$gt": 0.0}}, [True, False, False]),
-            "$gte": ({"x": {"$gte": 0.0}}, [True, False, True]),
-            "$lt": ({"n": {"$lt": 3}}, [True, True, False]),
-            "$lte": ({"n": {"$lte": 2}}, [True, True, False]),
-            "$in": ({"name": {"$in": ["a", "c"]}}, [True, False, True]),
-            "$exists": ({"tag": {"$exists": True}}, [True, True, True]),
-        }
-        assert set(cases) == set(QUERY_OPERATORS)
-        for op, (query, expected) in cases.items():
-            assert list(mask_for(frame, query)) == expected, op
-
-    def test_exists_distinguishes_none_from_absent(self):
-        frame = make_generic()
-        assert list(mask_for(frame, {"b": {"$exists": True}})) == [True, False, True]
-        assert list(mask_for(frame, {"b": {"$exists": False}})) == [False, True, False]
-
-    def test_ordering_never_matches_none_or_absent(self):
-        frame = make_generic()
-        assert list(mask_for(frame, {"b": {"$gt": ""}})) == [True, False, False]
+        cases = [
+            ({"x": -2.0}, [False, True, False]),  # float64 column
+            ({"n": 2.0}, [False, True, False]),  # int64 column, float value
+            ({"flag": True}, [True, False, True]),  # bool_ column
+            ({"name": "c"}, [False, False, True]),  # str column
+            ({"tag": None}, [False, True, False]),  # nullable column
+            ({"payload": {}}, [False, True, False]),  # a dict with no $ key
+            ({"name": 1}, [False, False, False]),  # value of another kind
+        ]
+        for query, expected in cases:
+            assert list(mask_for(frame, query)) == expected, query
 
     def test_plain_equality_and_combined(self):
         frame = make_typed()
-        assert list(mask_for(frame, {"flag": True, "n": {"$gt": 1}})) == [
+        assert list(mask_for(frame, {"flag": True, "n": 3})) == [
             False,
             False,
             True,
@@ -198,10 +154,12 @@ class TestMaskFor:
         assert mask_for(frame, {}).all()
 
     def test_unknown_operator_raises(self):
-        with pytest.raises(ValueError, match="unknown query operator"):
-            mask_for(make_typed(), {"x": {"$regex": ".*"}})
+        for operand in ({"$regex": ".*"}, {"$gte": 0.0}, {"$eq": 1.5}):
+            with pytest.raises(ValueError, match="unknown query operator"):
+                mask_for(make_typed(), {"x": operand})
 
-    def test_incomparable_types_raise_like_scalar_path(self):
+    def test_undeclared_field_raises_once_a_row_reaches_it(self):
         frame = make_typed()
-        with pytest.raises(TypeError):
-            mask_for(frame, {"name": {"$gt": 1}})
+        with pytest.raises(KeyError):
+            mask_for(frame, {"zzz": 1})
+        assert matching_positions(frame, {"name": "none", "zzz": 1}).tolist() == []

@@ -3,9 +3,9 @@
 Neither runs in the product.  They are the semantics, written the
 obvious way, that the equivalence tests compare against:
 
-* :class:`BruteForceCollection` — the document store's query language
-  as a scan over a plain list of dicts: no indexes, no staging, no
-  plans, no caches, no ``mark``/``rollback_to``.
+* :class:`BruteForceCollection` — the document store's equality
+  queries as a scan over a plain list of dicts: no schema, no indexes,
+  no staging, no caches, no ``mark``/``rollback_to``.
   ``repro.platform.store.ColumnarCollection`` must return the same
   documents in the same order for every query.
 * :class:`RowObservation` — ``DeviceObservation``'s snapshot accessors
@@ -37,7 +37,7 @@ import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -55,35 +55,19 @@ from repro.simulation.clock import SECONDS_PER_DAY
 
 # -- the store's query language ------------------------------------------------
 
-#: Sentinel distinguishing "key absent" from an explicit ``None`` value,
-#: so ``$exists`` tests presence while every other operator reads a
-#: missing key as ``None``.
-_MISSING = object()
-
-OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "$eq": lambda value, operand: value == operand,
-    "$ne": lambda value, operand: value != operand,
-    "$gt": lambda value, operand: value is not None and value > operand,
-    "$gte": lambda value, operand: value is not None and value >= operand,
-    "$lt": lambda value, operand: value is not None and value < operand,
-    "$lte": lambda value, operand: value is not None and value <= operand,
-    "$in": lambda value, operand: value in operand,
-    "$exists": lambda value, operand: (value is not _MISSING) == bool(operand),
-}
-
 
 def matches(document: dict, query: dict) -> bool:
-    for fieldname, condition in query.items():
-        raw = document.get(fieldname, _MISSING)
-        value = None if raw is _MISSING else raw
-        if isinstance(condition, dict) and any(k.startswith("$") for k in condition):
-            for op, operand in condition.items():
-                handler = OPERATORS.get(op)
-                if handler is None:
-                    raise ValueError(f"unknown query operator {op!r}")
-                if not handler(raw if op == "$exists" else value, operand):
-                    return False
-        elif value != condition:
+    """Whether every queried field of ``document`` equals its value.
+
+    A value that is a dict with a ``$`` key is an operator the store
+    does not answer (``ValueError``); a field the document lacks raises
+    ``KeyError``, as the store does for a field its schema lacks."""
+    for fieldname, value in query.items():
+        if isinstance(value, dict):
+            for key in value:
+                if key.startswith("$"):
+                    raise ValueError(f"unknown query operator {key!r}")
+        if not document[fieldname] == value:
             return False
     return True
 
@@ -119,14 +103,8 @@ class BruteForceCollection:
     def count(self, query: dict | None = None) -> int:
         return len(self.find(query))
 
-    def distinct(self, fieldname: str, query: dict | None = None) -> list:
-        seen: set = set()
-        for doc in self.find(query):
-            value = doc.get(fieldname)
-            if isinstance(value, (list, tuple)):
-                seen.update(value)
-            else:
-                seen.add(value)
+    def distinct(self, fieldname: str) -> list:
+        seen = {doc[fieldname] for doc in self._documents}
         seen.discard(None)
         return sorted(seen, key=repr)
 

@@ -25,6 +25,14 @@ class TestMonitoring:
         assert 0.0 <= overview["healthy_fraction"] <= 1.0
         assert overview["records_inserted"] > 0
 
+    def test_overview_counts_are_ints(self, dashboard):
+        overview = dashboard.overview()
+        counts = {k: v for k, v in overview.items() if k != "healthy_fraction"}
+        assert len(counts) == 8
+        for name, value in counts.items():
+            assert type(value) is int, name
+        assert type(overview["healthy_fraction"]) is float
+
     def test_most_installs_healthy(self, dashboard):
         overview = dashboard.overview()
         assert overview["healthy_fraction"] >= 0.9
@@ -106,6 +114,12 @@ class TestValidation:
                 "timestamp": 1.0,
                 "action": "uninstall",
                 "package": "com.never.seen.pkg",
+                "install_time": None,
+                "apk_hash": None,
+                "n_granted": 0,
+                "n_denied": 0,
+                "n_normal_permissions": 0,
+                "n_dangerous_permissions": 0,
             }
         )
         issues = Dashboard(server).validate()

@@ -94,13 +94,6 @@ class TestCoalescing:
         assert len(clusters) == 1
         assert clusters[0].install_ids == ["1", "2", "3"]
 
-    def test_cluster_metadata(self):
-        a = fp("1", 0, 10, android_id="X")
-        b = fp("2", 20, 30, android_id="X")
-        cluster = coalesce_installs([a, b])[0]
-        assert cluster.participant_ids == {"p1", "p2"}
-        assert cluster.android_ids == {"X"}
-
     def test_empty_input(self):
         assert coalesce_installs([]) == []
 

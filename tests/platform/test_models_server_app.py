@@ -233,9 +233,9 @@ class TestIngestValidation:
         assert [run["start"] for run in server.fast_runs(IID)] == [0.0]
         assert server.observation_interval(IID) == (0.0, 240.0)
         fast_runs = server.store["fast_runs"]
-        assert fast_runs.find({"start": {"$gte": 0.0}}) == server.fast_runs(IID)
-        # Every stored document matched its schema, so no typed frame
-        # fell back to generic columns.
+        assert fast_runs.find({"start": 0.0}) == server.fast_runs(IID)
+        # Every stored document matched its schema, so every frame is
+        # typed.
         for name in ("fast_runs", "slow_runs", "app_changes", "initial_snapshots"):
             assert server.store[name].frame.schema is not None
 

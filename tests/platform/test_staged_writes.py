@@ -3,6 +3,7 @@ for query results (and the per-position row cache) across inserts."""
 
 import pytest
 
+from repro.frames.frame import SchemaMismatchError
 from repro.platform.store import DocumentStore
 from tests.oracles import BruteForceCollection
 
@@ -54,16 +55,16 @@ class TestStagedWrites:
         assert len(collection) == 1
         assert collection.find_one({"install_id": "a"}) is not None
 
-    def test_schema_mismatch_degrades_at_read_with_all_documents_kept(self):
-        dict_col = BruteForceCollection()
-        columnar_col = _collection()
-        docs = [_fast_run("a", 0.0), {"install_id": "b", "odd": True}]
-        for collection in (dict_col, columnar_col):
-            collection.insert_many(docs)
-        assert dict_col.find() == columnar_col.find()
-        assert dict_col.find({"install_id": "b"}) == columnar_col.find(
-            {"install_id": "b"}
-        )
+    def test_off_schema_insert_raises_at_the_call_keeping_earlier(self):
+        collection = _collection()
+        collection.insert(_fast_run("a", 0.0))
+        with pytest.raises(SchemaMismatchError, match="fast_runs"):
+            collection.insert({"install_id": "b", "odd": True})
+        with pytest.raises(SchemaMismatchError, match="fast_runs"):
+            collection.insert_many([_fast_run("c", 10.0), {"install_id": "d"}])
+        assert len(collection) == 2
+        assert [d["install_id"] for d in collection.find()] == ["a", "c"]
+        assert collection.find({"install_id": "b"}) == []
 
 
 class TestResultCache:
@@ -89,39 +90,6 @@ class TestResultCache:
         assert len(collection.find({"install_id": "a"})) == 2
         assert collection.distinct("install_id") == sorted(["a", "b"], key=repr)
 
-    def test_unhashable_operand_bypasses_cache(self):
-        collection = _collection()
-        collection.insert_many([_fast_run("a", 0.0, foreground="app1")])
-        query = {"foreground": {"$in": ["app1", "app2"]}}
-        assert len(collection.find(query)) == 1
-        collection.insert(_fast_run("b", 10.0, foreground="app2"))
-        assert len(collection.find(query)) == 2
-
-
-class TestSortedIndexDelta:
-    """Range queries on an indexed field, interleaved with inserts."""
-
-    def test_small_delta_probed_without_merge(self):
-        collection = _collection()
-        collection.create_index("start")
-        collection.insert_many([_fast_run("a", float(k) * 10.0) for k in range(100)])
-        assert [
-            d["start"] for d in collection.find({"start": {"$gte": 900.0}})
-        ] == [900.0, 910.0, 920.0, 930.0, 940.0, 950.0, 960.0, 970.0, 980.0, 990.0]
-        for k in range(5):
-            collection.insert(_fast_run("b", 1000.0 + k))
-        found = collection.find({"start": {"$gt": 985.0}})
-        assert [d["start"] for d in found] == [990.0, 1000.0, 1001.0, 1002.0, 1003.0, 1004.0]
-
-    def test_large_delta_merges_and_stays_correct(self):
-        collection = _collection()
-        collection.create_index("start")
-        collection.insert_many([_fast_run("a", float(k)) for k in range(64)])
-        collection.find({"start": {"$lt": 10.0}})
-        collection.insert_many([_fast_run("b", float(k) + 0.5) for k in range(64)])
-        found = collection.find({"start": {"$gte": 60.0}})
-        assert [d["start"] for d in found] == [60.0, 61.0, 62.0, 63.0, 60.5, 61.5, 62.5, 63.5]
-
     def test_interleaved_results_keep_insertion_order(self):
         dict_col = BruteForceCollection()
         columnar_col = _collection()
@@ -129,5 +97,49 @@ class TestSortedIndexDelta:
             doc = _fast_run("a" if k % 2 else "b", float(40 - k))
             dict_col.insert(doc)
             columnar_col.insert(doc)
-            query = {"start": {"$lte": float(40 - k) + 5.0}}
+            query = {"install_id": doc["install_id"]}
             assert dict_col.find(query) == columnar_col.find(query)
+
+
+class TestIndexAcrossMerges:
+    """Index probes interleaved with inserts: each merge extends the
+    buckets, and a probe returns its rows in insertion order."""
+
+    def test_probe_after_a_small_merge(self):
+        collection = _collection()
+        collection.insert_many(
+            [_fast_run(f"i{k % 10}", float(k)) for k in range(100)]
+        )
+        assert [d["start"] for d in collection.find({"install_id": "i9"})] == [
+            float(k) for k in range(9, 100, 10)
+        ]
+        for k in range(5):
+            collection.insert(_fast_run("i9", 1000.0 + k))
+        found = collection.find({"install_id": "i9"})
+        assert [d["start"] for d in found][-6:] == [
+            99.0,
+            1000.0,
+            1001.0,
+            1002.0,
+            1003.0,
+            1004.0,
+        ]
+        assert len(found) == 15
+
+    def test_index_built_on_staged_rows_then_extended(self):
+        first = [_fast_run("a", float(k)) for k in range(3)]
+        later = [_fast_run("b", 10.0), _fast_run("a", 20.0)]
+        collection = DocumentStore().collection("fast_runs")
+        collection.insert_many(first)
+        collection.create_index("install_id")  # merges the backlog first
+        collection.insert_many(later)
+        oracle = BruteForceCollection([*first, *later])
+        for install_id in ("a", "b", "c"):
+            query = {"install_id": install_id}
+            assert collection.find(query) == oracle.find(query)
+        assert [d["start"] for d in collection.find({"install_id": "a"})] == [
+            0.0,
+            1.0,
+            2.0,
+            20.0,
+        ]

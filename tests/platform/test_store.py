@@ -1,22 +1,42 @@
-"""Tests for the Mongo-like document store."""
+"""Tests for the document store's typed collections."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.frames import SCHEMA_BY_COLLECTION, Field, RecordSchema
+from repro.frames.frame import SchemaMismatchError
 from repro.platform.store import ColumnarCollection, DocumentStore
 from tests.oracles import BruteForceCollection
+
+PEOPLE_SCHEMA = RecordSchema(
+    "person",
+    (
+        Field("name", "str"),
+        Field("age", "int"),
+        Field("city", "str", nullable=True),
+    ),
+)
+
+KV_SCHEMA = RecordSchema("kv", (Field("k", "int"), Field("v", "int")))
+
+INSTALL = {
+    "install_id": "i0",
+    "participant_id": "100",
+    "android_id": None,
+    "registered_at": 0.0,
+}
 
 
 @pytest.fixture()
 def people():
-    collection = ColumnarCollection("people")
+    collection = ColumnarCollection("people", PEOPLE_SCHEMA)
     collection.insert_many(
         [
             {"name": "ana", "age": 30, "city": "lima"},
             {"name": "bob", "age": 25, "city": "dhaka"},
             {"name": "eve", "age": 35, "city": "lima"},
-            {"name": "sam", "age": 25},
+            {"name": "sam", "age": 25, "city": None},
         ]
     )
     return collection
@@ -26,19 +46,8 @@ class TestQueries:
     def test_equality(self, people):
         assert len(people.find({"city": "lima"})) == 2
 
-    def test_operators(self, people):
-        assert len(people.find({"age": {"$gt": 25}})) == 2
-        assert len(people.find({"age": {"$gte": 25}})) == 4
-        assert len(people.find({"age": {"$lt": 30}})) == 2
-        assert len(people.find({"age": {"$ne": 25}})) == 2
-        assert len(people.find({"age": {"$in": [25, 35]}})) == 3
-
-    def test_exists(self, people):
-        assert len(people.find({"city": {"$exists": True}})) == 3
-        assert len(people.find({"city": {"$exists": False}})) == 1
-
     def test_combined_conditions(self, people):
-        results = people.find({"city": "lima", "age": {"$gte": 33}})
+        results = people.find({"city": "lima", "age": 35})
         assert [doc["name"] for doc in results] == ["eve"]
 
     def test_find_one(self, people):
@@ -54,8 +63,10 @@ class TestQueries:
         with pytest.raises(ValueError):
             people.find({"age": {"$regex": ".*"}})
 
-    def test_missing_field_equality_no_match(self, people):
-        assert people.find({"country": "pe"}) == []
+    def test_undeclared_field_equality_raises(self, people):
+        with pytest.raises(KeyError):
+            people.find({"country": "pe"})
+        assert people.find({"name": "nobody", "country": "pe"}) == []
 
 
 class TestIndexes:
@@ -70,10 +81,12 @@ class TestIndexes:
         people.insert({"name": "zoe", "city": "lima", "age": 28})
         assert len(people.find({"city": "lima"})) == 3
 
-    def test_index_with_range_condition_falls_back(self, people):
+    def test_index_with_operator_raises(self, people):
+        # An operator dict has no index bucket; the scan then reaches
+        # it and raises instead of answering an empty list.
         people.create_index("age")
-        # Range queries cannot use the equality index; must still work.
-        assert len(people.find({"age": {"$gt": 24}})) == 4
+        with pytest.raises(ValueError, match="unknown query operator"):
+            people.find({"age": {"$gt": 24}})
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -85,7 +98,7 @@ class TestIndexes:
     )
     def test_property_indexed_equals_scanned(self, docs, key):
         scanned = BruteForceCollection()
-        indexed = ColumnarCollection("indexed")
+        indexed = ColumnarCollection("indexed", KV_SCHEMA)
         indexed.create_index("k")
         for doc in docs:
             scanned.insert(dict(doc))
@@ -96,14 +109,43 @@ class TestIndexes:
 class TestDocumentStore:
     def test_collection_created_on_access(self):
         store = DocumentStore()
-        store["events"].insert({"x": 1})
-        assert store.collection_names() == ["events"]
+        store["installs"].insert(dict(INSTALL))
+        assert store.collection_names() == ["installs"]
         assert store.total_documents() == 1
 
     def test_same_collection_returned(self):
         store = DocumentStore()
-        assert store["a"] is store["a"]
+        assert store["installs"] is store["installs"]
+
+    def test_undeclared_collection_raises(self):
+        with pytest.raises(KeyError):
+            DocumentStore().collection("people")
+        with pytest.raises(KeyError):
+            DocumentStore()["events"]
 
     def test_non_dict_rejected(self):
         with pytest.raises(TypeError):
-            DocumentStore()["a"].insert([1, 2])
+            DocumentStore()["installs"].insert([1, 2])
+
+    def test_collection_requires_a_schema(self):
+        with pytest.raises(TypeError):
+            ColumnarCollection("people")
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_BY_COLLECTION))
+    def test_declared_collection_is_typed(self, name):
+        collection = DocumentStore().collection(name)
+        assert collection.name == name
+        assert collection.frame.schema is SCHEMA_BY_COLLECTION[name]
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_BY_COLLECTION))
+    def test_off_schema_document_rejected(self, name):
+        collection = DocumentStore().collection(name)
+        fields = SCHEMA_BY_COLLECTION[name].field_names
+        document = dict.fromkeys(fields)
+        with pytest.raises(SchemaMismatchError, match=name):
+            collection.insert({k: v for k, v in document.items() if k != fields[0]})
+        with pytest.raises(SchemaMismatchError, match=name):
+            collection.insert_many([{**document, "extra": 1}])
+        assert len(collection) == 0
+        collection.insert(document)  # exactly the schema's keys
+        assert len(collection) == 1

@@ -1,5 +1,7 @@
 """SCH001/SCH002: schema-aware query and field checking."""
 
+import pytest
+
 from repro.statan.engine import analyze_tree
 
 
@@ -25,6 +27,20 @@ def tree_with(query_module: str) -> dict[str, str]:
     return {"frames/schema.py": SCHEMA_MODULE, "frames/use.py": query_module}
 
 
+#: Mongo's comparison, membership and existence operators, each with an
+#: operand of the right kind for the float field ``elapsed``.
+WELL_TYPED_OPERANDS = {
+    "$eq": "1.5",
+    "$ne": "1.5",
+    "$gt": "1.5",
+    "$gte": "1.5",
+    "$lt": "1.5",
+    "$lte": "1.5",
+    "$in": "[1.5, 2.0]",
+    "$exists": "True",
+}
+
+
 class TestSch001:
     def test_unknown_query_field(self, write_tree):
         root = write_tree(tree_with(
@@ -45,14 +61,19 @@ class TestSch001:
         assert len(findings) == 1
         assert "$regex" in findings[0].message
 
-    def test_ordering_operator_dtype_mismatch(self, write_tree):
+    @pytest.mark.parametrize("op", sorted(WELL_TYPED_OPERANDS))
+    def test_every_operator_is_flagged(self, write_tree, op):
+        # Well-typed operands of Mongo's operators: the store answers
+        # none of them, so each is a finding on its own.
+        operand = WELL_TYPED_OPERANDS[op]
         root = write_tree(tree_with(
             "def q(store):\n"
-            '    return store["runs"].find({"elapsed": {"$lt": "fast"}})\n'
+            f'    return store["runs"].find({{"elapsed": {{"{op}": {operand}}}}})\n'
         ))
         findings = rules_fired(root, "SCH001")
         assert len(findings) == 1
-        assert "'float'" in findings[0].message and "str" in findings[0].message
+        assert repr(op) in findings[0].message
+        assert "equality" in findings[0].message
 
     def test_bare_equality_dtype_mismatch(self, write_tree):
         root = write_tree(tree_with(
@@ -70,11 +91,11 @@ class TestSch001:
         assert len(findings) == 1
         assert "distinct" in findings[0].message
 
-    def test_declared_fields_and_operators_are_silent(self, write_tree):
+    def test_declared_fields_and_equalities_are_silent(self, write_tree):
         root = write_tree(tree_with(
             "def q(store):\n"
-            '    runs = store["runs"].find({"elapsed": {"$gte": 1.5}})\n'
-            '    total = store["runs"].count({"run_id": "a", "n": {"$in": [1, 2]}})\n'
+            '    runs = store["runs"].find({"elapsed": 1.5})\n'
+            '    total = store["runs"].count({"run_id": "a", "n": 1})\n'
             '    names = store["runs"].distinct("run_id")\n'
             "    return runs, total, names\n"
         ))
@@ -98,14 +119,24 @@ class TestSch001:
         assert len(findings) == 1
         assert "$regex" in findings[0].message
 
-    def test_direct_evaluator_call_with_known_operators_is_silent(self, write_tree):
+    def test_direct_evaluator_call_with_equality_is_silent(self, write_tree):
+        root = write_tree(tree_with(
+            "from repro.frames.query import matching_positions\n"
+            "\n"
+            "def q(frame):\n"
+            '    return matching_positions(frame, {"n": 1, "run_id": "a"})\n'
+        ))
+        assert rules_fired(root, "SCH001") == []
+
+    def test_direct_evaluator_call_flags_every_operator(self, write_tree):
         root = write_tree(tree_with(
             "from repro.frames.query import matching_positions\n"
             "\n"
             "def q(frame):\n"
             '    return matching_positions(frame, {"n": {"$gte": 1, "$ne": 4}})\n'
         ))
-        assert rules_fired(root, "SCH001") == []
+        findings = rules_fired(root, "SCH001")
+        assert [f.message.split("'")[1] for f in findings] == ["$gte", "$ne"]
 
     def test_unknown_collection_is_ignored(self, write_tree):
         root = write_tree(tree_with(

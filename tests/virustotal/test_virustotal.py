@@ -32,10 +32,6 @@ class TestEnginePanel:
         assert np.mean(malware) > 20
         assert np.mean(benign) < 2
 
-    def test_detection_ratio_format(self, panel):
-        result = panel.scan("x", True)
-        assert result.detection_ratio.endswith("/62")
-
 
 class TestVirusTotalClient:
     def make_client(self, panel, availability=1.0):
@@ -71,12 +67,6 @@ class TestVirusTotalClient:
         client.report("mal1")
         assert client.stats.lookups == 1
         assert client.stats.cached == 1
-
-    def test_flagged_hashes_filter(self, panel):
-        client = self.make_client(panel)
-        flagged = client.flagged_hashes(["mal1", "mal2", "ok1"], min_flags=7)
-        assert set(flagged) <= {"mal1", "mal2"}
-        assert all(count >= 7 for count in flagged.values())
 
     def test_paper_availability_rate(self, panel):
         """Default availability ≈ 12431/18079 ≈ 0.688 over many hashes."""
