@@ -4,39 +4,42 @@ Used for the "RF" rows of Tables 1 and 2, and — because the paper measures
 variable importance by *mean decrease in Gini* [Breiman 2001] — as the
 importance estimator behind Figures 13 and 14.
 
-Trees are independent once their bootstrap sample and seed are fixed, so
-``fit`` fans tree growth out across worker processes when ``n_jobs > 1``.
-Determinism contract (DESIGN.md §8): every bootstrap sample and per-tree
-seed is drawn from ``random_state`` *before* any fan-out, in the exact
-order the serial loop has always drawn them, and trees (with their
-Gini importances) are merged back in tree order — the same seed yields
-byte-identical forests at any worker count.
+The forest grows its trees in lockstep (:func:`repro.ml.tree.grow`):
+each step searches the next node of every unfinished tree in one batch,
+which pays numpy's per-call overhead once per step instead of once per
+node.  Trees are independent once their bootstrap sample and seed are
+fixed, so ``fit`` fans contiguous blocks of trees out across worker
+processes when ``n_jobs > 1``, one block per worker, and each worker
+grows its block in lockstep.  Determinism contract (DESIGN.md §8): every
+bootstrap sample and per-tree seed is drawn from ``random_state``
+*before* any fan-out, in the exact order the serial loop has always
+drawn them, and trees (with their Gini importances) are merged back in
+tree order — the same seed yields byte-identical forests at any worker
+count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..parallel import draw_seeds, parallel_map
+from ..parallel import draw_seeds, parallel_map, resolve_n_jobs
 from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y
-from .tree import DecisionTreeClassifier, descend
+from .tree import DecisionTreeClassifier, Tree, _normalised, descend
 
 __all__ = ["RandomForestClassifier"]
 
 
-def _fit_tree(
+def _grow_trees(
     X: np.ndarray,
     encoded: np.ndarray,
-    sample: np.ndarray,
-    seed: int,
+    samples: list[np.ndarray],
+    seeds: list[int],
     params: dict,
     n_classes: int,
-) -> DecisionTreeClassifier:
-    """Grow one pre-seeded tree on its sample."""
-    tree = DecisionTreeClassifier(random_state=seed, **params)
-    # Fit on encoded labels so every tree shares the class space even if
-    # a bootstrap sample misses a class.
-    return tree.fit(X[sample], encoded[sample], sample_classes=n_classes)
+) -> list[tuple[Tree, np.ndarray]]:
+    """Grow a block of pre-seeded trees in lockstep, one per sample."""
+    rngs = [check_random_state(seed) for seed in seeds]
+    return DecisionTreeClassifier(**params)._grow(X, encoded, n_classes, samples, rngs)
 
 
 class RandomForestClassifier(BaseEstimator, ClassifierMixin):
@@ -46,9 +49,10 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     fit on a bootstrap sample with ``max_features`` features considered
     per split (default ``"sqrt"``).  ``feature_importances_`` averages the
     per-tree mean decrease in Gini, matching the measure in Figs. 13/14.
-    ``n_jobs`` controls per-tree fit parallelism (``None`` →
-    ``REPRO_N_JOBS`` → serial; ``<= 0`` → all cores) without changing a
-    single output bit.
+    ``n_jobs`` controls how many blocks of trees grow in parallel
+    (``None`` → ``REPRO_N_JOBS`` → serial; ``<= 0`` → all cores) without
+    changing a single output bit.  A fitted forest keeps each tree in
+    ``trees_`` and its normalised importances in ``tree_importances_``.
     """
 
     def __init__(
@@ -97,32 +101,35 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             "max_features": self.max_features,
         }
         n_classes = len(self.classes_)
+        blocks = np.array_split(np.arange(self.n_estimators), resolve_n_jobs(self.n_jobs))
         # Collection is in submission (= tree) order, so importance
         # accumulation reproduces the serial float-summation order.
-        self.estimators_ = parallel_map(
-            _fit_tree,
+        grown = parallel_map(
+            _grow_trees,
             [
-                (X, encoded, samples[i], seeds[i], params, n_classes)
-                for i in range(self.n_estimators)
+                (X, encoded, [samples[i] for i in block], [seeds[i] for i in block], params, n_classes)
+                for block in blocks
+                if block.size
             ],
             n_jobs=self.n_jobs,
         )
+        self.trees_ = [tree for block in grown for tree, _ in block]
+        self.tree_importances_ = [_normalised(imp) for block in grown for _, imp in block]
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        trees = [tree.tree_ for tree in self.estimators_]
-        votes = descend(trees, check_array(X), self.n_features_)
+        votes = descend(self.trees_, check_array(X), self.n_features_)
         proba = next(votes)  # a fresh array: descend copies leaf values out
         for tree_proba in votes:
             proba += tree_proba
-        return proba / len(self.estimators_)
+        return proba / len(self.trees_)
 
     @property
     def feature_importances_(self) -> np.ndarray:
         """Forest-averaged mean decrease in Gini, normalised to sum to 1."""
         total = np.zeros(self.n_features_, dtype=np.float64)
-        for tree in self.estimators_:
-            total += tree.feature_importances_
-        total /= len(self.estimators_)
+        for importances in self.tree_importances_:
+            total += importances
+        total /= len(self.trees_)
         s = total.sum()
         return total / s if s else total

@@ -11,9 +11,10 @@ and leaf weights ``w = -G / (H + lambda)`` (Chen & Guestrin, KDD 2016).
 XGB is the best-performing algorithm in both of the paper's tables, so
 this module is the one that must reproduce the headline F1 numbers.
 
-Each boosting round grows one tree with the shared kernel in
-:mod:`repro.ml.tree` -- this module contributes only the gain above,
-over ``[grad, hess]`` statistics -- and keeps it as a flat-array
+Each boosting round grows one tree -- a list of one for the shared
+grower and split search in :mod:`repro.ml.tree`, so every search is a
+batch of one node -- and this module contributes only the gain above,
+over ``[grad, hess]`` statistics.  It keeps each round as a flat-array
 :class:`~repro.ml.tree.Tree`; the margin sums the rounds' leaf weights
 through the same descent that predicts every other tree.  Every round
 sees the same matrix, so when every node searches every feature
@@ -28,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y
-from .tree import GainFunction, Tree, descend, grow, partition, presort
+from .tree import Tree, descend, grow, partition, presort
 
 __all__ = ["GradientBoostingClassifier"]
 
@@ -107,6 +108,7 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
 
         self._tree_gains: list[np.ndarray] = []
         self.train_losses_: list[float] = []
+        every_row = np.arange(n)
         for _ in range(self.n_estimators):
             p = _sigmoid(margin)
             grad = p - target
@@ -116,14 +118,14 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
                 rows = rng.random(n) < self.subsample
                 if not rows.any():
                     rows[rng.integers(0, n)] = True
+                sample = rows.nonzero()[0]
                 round_order = None if order is None else partition(order, rows)[0]
             else:
-                rows = np.ones(n, dtype=bool)
-                round_order = order
+                sample, round_order = every_row, order
 
-            tree, splits = grow(
-                X[rows], np.column_stack([grad, hess])[rows], self._node,
-                self.max_depth, n_candidates, rng, round_order,
+            ((tree, splits),) = grow(
+                X, np.column_stack([grad, hess]), [sample], [rng], self._node, self._gain,
+                self.max_depth, n_candidates, [round_order],
             )
             gains = np.zeros(self.n_features_, dtype=np.float64)
             for feature, gain in splits:
@@ -138,9 +140,10 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
             self.train_losses_.append(loss)
         return self
 
-    def _node(self, stats: np.ndarray) -> tuple[float, GainFunction | None]:
-        """Leaf weight of a node over its ``[grad, hess]`` rows, and its
-        split gain unless it stays a leaf."""
+    def _node(self, stats: np.ndarray) -> tuple[float, tuple[float, float, float] | None]:
+        """Leaf weight of a node over its ``[grad, hess]`` rows, and unless
+        it stays a leaf its gain parameters: ``G``, ``H`` and ``G^2 /
+        (H + lambda)``."""
         # Each column summed on its own, as a 1-D array sums: a column sum
         # of the whole matrix adds in another order and moves the bytes.
         g_sum = float(stats[:, 0].sum())
@@ -148,24 +151,25 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         weight = -g_sum / (h_sum + self.reg_lambda)
         if stats.shape[0] < 2:
             return weight, None
-        parent_score = g_sum**2 / (h_sum + self.reg_lambda)
+        return weight, (g_sum, h_sum, g_sum**2 / (h_sum + self.reg_lambda))
 
-        def gain(left: np.ndarray) -> np.ndarray:
-            g_left, h_left = left[:, 0], left[:, 1]
-            h_right = h_sum - h_left
-            valid = (h_left >= self.min_child_weight) & (h_right >= self.min_child_weight)
-            if not valid.any():  # most small nodes: skip the arithmetic
-                return np.full(valid.shape, -np.inf)
-            g_right = g_sum - g_left
-            gains = 0.5 * (
-                g_left**2 / (h_left + self.reg_lambda)
-                + g_right**2 / (h_right + self.reg_lambda)
-                - parent_score
-            ) - self.gamma
-            gains[~valid] = -np.inf
-            return gains
-
-        return weight, gain
+    def _gain(self, left: np.ndarray, parent: np.ndarray) -> np.ndarray:
+        """Second-order gain of each candidate split over its left
+        ``[grad, hess]`` sums."""
+        g_sum, h_sum, parent_score = parent[:, 0], parent[:, 1], parent[:, 2]
+        g_left, h_left = left[:, 0], left[:, 1]
+        h_right = h_sum - h_left
+        valid = (h_left >= self.min_child_weight) & (h_right >= self.min_child_weight)
+        if not valid.any():  # most small nodes: skip the arithmetic
+            return np.full(valid.shape, -np.inf)
+        g_right = g_sum - g_left
+        gains = 0.5 * (
+            g_left**2 / (h_left + self.reg_lambda)
+            + g_right**2 / (h_right + self.reg_lambda)
+            - parent_score
+        ) - self.gamma
+        gains[~valid] = -np.inf
+        return gains
 
     def decision_function(self, X) -> np.ndarray:
         X = check_array(X)

@@ -2,12 +2,12 @@
 
 The paper's evaluation is hundreds of independent fit/predict jobs
 (repeated 10-fold CV over six classifiers and three resampling
-strategies) plus per-tree forest fits, and each simulated study day is
-one independent job per active device.  This package fans that work
-out across cores **without changing a single output bit**: the
-contract is that all RNG seeds are derived before fan-out, results are
-collected by submission index, and worker-side :mod:`repro.obs`
-metrics are merged back into the parent registry.
+strategies) plus forest fits, one block of trees per worker, and each
+simulated study day is one independent job per active device.  This
+package fans that work out across cores **without changing a single
+output bit**: the contract is that all RNG seeds are derived before
+fan-out, results are collected by submission index, and worker-side
+:mod:`repro.obs` metrics are merged back into the parent registry.
 
 Everything is dependency-free (``concurrent.futures`` +
 ``multiprocessing`` from the stdlib).  ``n_jobs=None`` defers to the

@@ -98,7 +98,7 @@ class TestGradientBoosting:
         pruned = GradientBoostingClassifier(n_estimators=5, gamma=1e9, random_state=0).fit(X, y)
 
         def total_nodes(model):
-            return sum(tree.n_nodes for tree in model.trees_)
+            return sum(tree.feature.size for tree in model.trees_)
 
         assert total_nodes(pruned) < total_nodes(free)
 

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.forest import _fit_tree
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, descend
 from tests.oracles import leaf_index
 
 
@@ -40,7 +39,7 @@ class TestDecisionTreeClassifier:
         X = np.array([[1.0], [2.0], [3.0]])
         y = np.array([1, 1, 1])
         tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.tree_.n_nodes == 1 and tree.tree_.depth == 0
+        assert tree.tree_.feature.size == 1 and tree.tree_.depth == 0
 
     def test_importances_sum_to_one(self, blobs):
         X, y = blobs
@@ -74,11 +73,15 @@ class TestDecisionTreeClassifier:
             tree.predict(np.zeros((2, X.shape[1] + 1)))
 
     def test_forest_label_codes_are_class_columns(self):
-        # A bootstrap sample holding only class 1 must still vote class 1.
+        # A bootstrap sample holding only class 1 must still vote class 1,
+        # beside a tree whose sample holds both classes.
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         encoded = np.array([0, 0, 1, 1])
-        tree = _fit_tree(X, encoded, np.array([2, 3, 3, 2]), seed=0, params={}, n_classes=2)
-        np.testing.assert_array_equal(tree.predict_proba(X[2:]), [[0.0, 1.0], [0.0, 1.0]])
+        samples = [np.array([2, 3, 3, 2]), np.array([0, 1, 2, 3])]
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        (pure, _), (mixed, _) = DecisionTreeClassifier()._grow(X, encoded, 2, samples, rngs)
+        np.testing.assert_array_equal(next(descend([pure], X[2:], 1)), [[0.0, 1.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(next(descend([mixed], X, 1)), np.eye(2)[encoded])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):

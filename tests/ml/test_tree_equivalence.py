@@ -107,12 +107,58 @@ def test_forest_matches_oracle_on_app_like_data(seed):
     check_forest(X, y, seed, {})
 
 
-def check_forest(X, y, seed, params):
-    model = RandomForestClassifier(n_estimators=8, random_state=seed, **params).fit(X, y)
-    oracle = oracles.Forest(n_estimators=8, random_state=seed, **{"max_features": "sqrt", **params})
+def make_ragged(seed: int, n_classes: int, n: int = 40, d: int = 10):
+    """App-like rows.  With two classes, class 1 holds two rows, so about
+    one bootstrap sample in eight misses it and grows a one-leaf tree
+    beside deep ones; with three, the classes are random."""
+    X, _ = make_app_like(seed, n, d)
+    rng = np.random.default_rng(seed)
+    if n_classes == 2:
+        y = np.zeros(n, dtype=np.intp)
+        y[rng.choice(n, size=2, replace=False)] = 1
+    else:
+        y = rng.integers(0, n_classes, n)
+    return X, y
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize(
+    "n_classes,params",
+    [(2, {}), (2, {"max_features": None}), (3, {"max_depth": 3, "min_samples_leaf": 2})],
+)
+def test_ragged_forest_in_chunks_matches_oracle(monkeypatch, seed, n_classes, params):
+    # Trees of very different sizes grow in lockstep, and a small element
+    # budget cuts every wide step into several batches of nodes.
+    batches = []
+    real = tree_module.best_split
+
+    def recording(X, stats, rows, features, sizes, params, gain):
+        batches.append(sizes.size)
+        return real(X, stats, rows, features, sizes, params, gain)
+
+    monkeypatch.setattr(tree_module, "best_split", recording)
+    monkeypatch.setattr(tree_module, "CHUNK_ELEMENTS", 1000)
+    X, y = make_ragged(seed, n_classes)
+    model = RandomForestClassifier(n_estimators=40, random_state=seed, **params).fit(X, y)
+    node_counts = [tree.feature.size for tree in model.trees_]
+    assert max(node_counts) >= 7
+    if n_classes == 2:
+        assert min(node_counts) == 1
+    assert 1 < batches[0] < 40  # the first step, 40 roots, is cut
+    assert max(batches[1:]) > 1
+    check_forest(X, y, seed, params, n_estimators=40, model=model)
+
+
+def check_forest(X, y, seed, params, n_estimators=8, model=None):
+    if model is None:
+        model = RandomForestClassifier(n_estimators=n_estimators, random_state=seed, **params)
+        model.fit(X, y)
+    oracle = oracles.Forest(
+        n_estimators=n_estimators, random_state=seed, **{"max_features": "sqrt", **params}
+    )
     oracle.fit(X, y)
-    for tree, oracle_tree in zip(model.estimators_, oracle.trees, strict=True):
-        assert splits(tree.tree_) == oracle_splits(oracle_tree.root)
+    for tree, oracle_tree in zip(model.trees_, oracle.trees, strict=True):
+        assert splits(tree) == oracle_splits(oracle_tree.root)
     assert same_bytes(model.predict_proba(X), oracle.predict_proba(X))
     assert same_bytes(model.feature_importances_, oracle.feature_importances)
 

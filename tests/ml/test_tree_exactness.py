@@ -75,11 +75,15 @@ class TestSplitExactness:
         onehot = np.zeros((n, n_classes), dtype=np.float64)
         onehot[np.arange(n), y] = 1.0
         slow = brute_force_best_gini_split(X, y, n_classes)
-        _, gain = DecisionTreeClassifier()._node(onehot)
-        if gain is None:  # a pure node never splits
+        cart = DecisionTreeClassifier()
+        _, params = cart._node(onehot)
+        if params is None:  # a pure node never splits
             assert slow[0] == -1
             return
-        fast = best_split(X, onehot, presort(X), np.arange(d), gain)
+        (fast,) = best_split(
+            X, onehot, presort(X).ravel(), np.arange(d), np.array([n]), np.array([params]),
+            cart._gain,
+        )
         assert fast[2] == pytest.approx(slow[2], abs=1e-9)
         if slow[0] >= 0:
             # Equal-gain ties may pick different features; the gains match.
@@ -104,8 +108,13 @@ class TestSplitExactness:
         grad = p - rng.integers(0, 2, n)
         hess = p * (1.0 - p)
         params = {"reg_lambda": reg_lambda, "gamma": gamma, "min_child_weight": min_child_weight}
-        _, gain = GradientBoostingClassifier(**params)._node(np.column_stack([grad, hess]))
-        fast = best_split(X, np.column_stack([grad, hess]), presort(X), np.arange(d), gain)
+        booster = GradientBoostingClassifier(**params)
+        stats = np.column_stack([grad, hess])
+        _, node_params = booster._node(stats)
+        (fast,) = best_split(
+            X, stats, presort(X).ravel(), np.arange(d), np.array([n]), np.array([node_params]),
+            booster._gain,
+        )
         slow = brute_force_best_boost_split(X, grad, hess, **params)
         assert fast[2] == pytest.approx(slow[2], abs=1e-9)
         assert (fast[0] >= 0) == (slow[0] >= 0)
@@ -114,6 +123,36 @@ class TestSplitExactness:
             # that split respects min_child_weight.
             realised = boost_split_gain(X, grad, hess, fast[0], fast[1], **params)
             assert realised == pytest.approx(fast[2], abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(2, 3))
+    def test_a_batch_finds_each_nodes_own_split(self, seed, n_nodes, n_classes):
+        # Nodes searched together share one running sum of class counts;
+        # each must still get exactly the split it gets searched alone.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0, 1, (30, 4)).round(1)
+        onehot = np.eye(n_classes)[rng.integers(0, n_classes, 30)]
+        cart = DecisionTreeClassifier(min_samples_leaf=2)
+        nodes = []
+        for _ in range(n_nodes):
+            rows = rng.integers(0, 30, int(rng.integers(2, 30)))
+            _, params = cart._node(onehot.take(rows, axis=0))
+            if params is not None:
+                candidates = rng.choice(4, size=2, replace=False)
+                ordered = [rows.take(X[rows, c].argsort(kind="mergesort")) for c in candidates]
+                nodes.append((np.concatenate(ordered), candidates, rows.size, params))
+        if not nodes:
+            return
+        ordered, candidates, sizes, params = zip(*nodes)
+        batch = best_split(
+            X, onehot, np.concatenate(ordered), np.concatenate(candidates), np.array(sizes),
+            np.array(params), cart._gain,
+        )
+        alone = [
+            best_split(X, onehot, *node[:2], np.array([node[2]]), np.array([node[3]]), cart._gain)[0]
+            for node in nodes
+        ]
+        assert batch == alone
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -134,18 +173,23 @@ class TestPartition:
     )
     def test_child_orders_equal_fresh_stable_sorts(self, seed, n, d, n_values, depth):
         rng = np.random.default_rng(seed)
-        # Few values per column, and rows drawn with replacement as a
-        # bootstrap sample draws them: heavy ties and duplicated rows.
+        # Few values per column, duplicated rows, and a node holding rows
+        # drawn with replacement as a bootstrap sample draws them: heavy
+        # ties and repeated row numbers.
         X = rng.integers(0, n_values, (n, d)).astype(np.float64)
         X = X[rng.integers(0, n, n)]
-        order = presort(X)
+        rows = rng.integers(0, n, n)
+        order = rows.take(presort(X.take(rows, axis=0)))
         for _ in range(depth):
-            mask = rng.random(X.shape[0]) < 0.5
-            children = partition(order, mask)
-            child_X = [X[mask], X[~mask]]
-            for child_order, rows in zip(children, child_X):
-                fresh = [rows[:, f].argsort(kind="mergesort") for f in range(d)]
-                assert child_order.shape == (d, rows.shape[0])
+            goes_left = rng.random(n) < 0.5
+            children = partition(order, goes_left)
+            side = goes_left.take(rows)
+            child_rows = [rows.compress(side), rows.compress(~side)]
+            for child_order, node_rows in zip(children, child_rows):
+                fresh = [
+                    node_rows.take(X[node_rows, f].argsort(kind="mergesort")) for f in range(d)
+                ]
+                assert child_order.shape == (d, node_rows.size)
                 assert all(np.array_equal(a, b) for a, b in zip(child_order, fresh))
-            side = int(rng.integers(0, 2))
-            order, X = children[side], child_X[side]
+            pick = int(rng.integers(0, 2))
+            order, rows = children[pick], child_rows[pick]

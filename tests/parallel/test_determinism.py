@@ -124,16 +124,21 @@ class TestForestDeterminism:
         assert np.array_equal(serial.feature_importances_, parallel.feature_importances_)
         assert np.array_equal(serial.predict(X), parallel.predict(X))
 
-    def test_forest_unchanged_by_n_jobs_attribute(self, dataset):
+    @pytest.mark.parametrize("n_estimators,n_jobs", [(8, 2), (7, 2), (7, 3)])
+    def test_forest_unchanged_by_n_jobs_attribute(self, dataset, n_estimators, n_jobs):
         # n_jobs must be a pure execution knob: the fitted trees match
-        # the historical serial construction draw for draw.
+        # the historical serial construction draw for draw, also when the
+        # trees do not divide evenly into the workers' blocks.
         X, y = dataset
-        baseline = RandomForestClassifier(n_estimators=8, random_state=9).fit(X, y)
-        parallel = RandomForestClassifier(n_estimators=8, random_state=9, n_jobs=2).fit(X, y)
-        for a, b in zip(baseline.estimators_, parallel.estimators_, strict=True):
+        baseline = RandomForestClassifier(n_estimators=n_estimators, random_state=9).fit(X, y)
+        parallel = RandomForestClassifier(
+            n_estimators=n_estimators, random_state=9, n_jobs=n_jobs
+        ).fit(X, y)
+        for a, b in zip(baseline.trees_, parallel.trees_, strict=True):
             for name in ("feature", "threshold", "left", "right", "value"):
-                assert getattr(a.tree_, name).tobytes() == getattr(b.tree_, name).tobytes()
-            assert np.array_equal(a.feature_importances_, b.feature_importances_)
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for a, b in zip(baseline.tree_importances_, parallel.tree_importances_, strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestExperimentDeterminism:
