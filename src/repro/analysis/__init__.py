@@ -10,7 +10,6 @@ from .engagement import EngagementPoint, EngagementResult, app_timeline, compute
 from .install_review import InstallReviewResult, compute_install_to_review
 from .installed_apps import InstalledAppsResult, compute_installed_apps
 from .malware import MalwareResult, MalwareSample, compute_malware
-from .retention import RetentionCurve, RetentionResult, compute_retention
 from .stopped_apps import StoppedAppsResult, compute_stopped_apps
 
 __all__ = [
@@ -36,9 +35,6 @@ __all__ = [
     "InstalledAppsResult",
     "compute_installed_apps",
     "MalwareResult",
-    "RetentionCurve",
-    "RetentionResult",
-    "compute_retention",
     "MalwareSample",
     "compute_malware",
     "StoppedAppsResult",

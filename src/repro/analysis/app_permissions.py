@@ -27,10 +27,6 @@ class PermissionPoint:
     n_dangerous: int
     n_total: int
 
-    @property
-    def dangerous_ratio(self) -> float:
-        return self.n_dangerous / self.n_total if self.n_total else 0.0
-
 
 @dataclass
 class PermissionsResult:

@@ -29,12 +29,6 @@ class EngagementResult:
     comparison: GroupComparison
     devices_over_100_per_day: int
 
-    def worker_points(self) -> list[EngagementPoint]:
-        return [p for p in self.points if p.is_worker]
-
-    def regular_points(self) -> list[EngagementPoint]:
-        return [p for p in self.points if not p.is_worker]
-
 
 def compute_engagement(observations: list[DeviceObservation]) -> EngagementResult:
     """Snapshots-per-day engagement over all observed devices."""

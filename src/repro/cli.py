@@ -295,7 +295,7 @@ def _cmd_findings(args) -> int:
 def _cmd_write_experiments(args) -> int:
     from .experiments.report_writer import generate_experiments_md
 
-    workbench = Workbench(_config_for(args.scale, args.seed))
+    workbench = Workbench(_config_for(args.scale, args.seed), n_jobs=args.n_jobs)
     generate_experiments_md(workbench, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -303,7 +303,7 @@ def _cmd_write_experiments(args) -> int:
 
 def _cmd_profile(args) -> int:
     obs.configure(metrics=True, tracing=True)
-    workbench = Workbench(_config_for(args.scale, args.seed))
+    workbench = Workbench(_config_for(args.scale, args.seed), n_jobs=args.n_jobs)
     workbench.data  # simulation + ingest + crawl run under their own spans
     for experiment_id in EXPERIMENTS:
         run_experiment(experiment_id, workbench)
@@ -368,7 +368,7 @@ def _cmd_chaos(args) -> int:
 def _cmd_export_figures(args) -> int:
     from .reporting.series import export_figure_data
 
-    workbench = Workbench(_config_for(args.scale, args.seed))
+    workbench = Workbench(_config_for(args.scale, args.seed), n_jobs=args.n_jobs)
     written = export_figure_data(workbench, args.out)
     print(
         render_table(

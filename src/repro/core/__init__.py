@@ -39,10 +39,8 @@ from .model_io import export_detector, import_detector
 from .observations import DeviceObservation, build_observations
 from .thresholds import (
     OperatingPoint,
-    precision_recall_curve,
     sweep_operating_points,
     threshold_for_fpr,
-    threshold_for_precision,
 )
 from .ondevice import OnDeviceDetector, OnDeviceReport
 from .pipeline import DetectionPipeline, DeviceVerdict, PipelineResult
@@ -78,10 +76,8 @@ __all__ = [
     "split_holdout",
     "DeviceObservation",
     "OperatingPoint",
-    "precision_recall_curve",
     "sweep_operating_points",
     "threshold_for_fpr",
-    "threshold_for_precision",
     "build_observations",
     "OnDeviceDetector",
     "OnDeviceReport",

@@ -3,9 +3,8 @@
 §8.2: "We prioritize precision, since a low precision would lead the app
 market to take wrong actions against many regular devices."  A deployed
 store doesn't use the default 0.5 cut — it picks a score threshold for a
-target false-positive rate (or precision) on validation data.  This
-module computes precision/recall/FPR sweeps and selects thresholds under
-those constraints.
+target false-positive rate on validation data.  This module computes
+operating-point sweeps and selects the threshold for an FPR budget.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import numpy as np
 
 __all__ = [
     "OperatingPoint",
-    "precision_recall_curve",
     "threshold_for_fpr",
-    "threshold_for_precision",
     "sweep_operating_points",
 ]
 
@@ -42,19 +39,6 @@ def _validate(y_true, scores) -> tuple[np.ndarray, np.ndarray]:
     if y_true.size == 0:
         raise ValueError("empty inputs")
     return y_true, scores
-
-
-def precision_recall_curve(y_true, scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(precision, recall, thresholds) over descending score cuts."""
-    y_true, scores = _validate(y_true, scores)
-    order = np.argsort(-scores, kind="mergesort")
-    truth = (y_true[order] == 1).astype(np.float64)
-    tp = np.cumsum(truth)
-    predicted = np.arange(1, truth.size + 1)
-    precision = tp / predicted
-    total_pos = truth.sum()
-    recall = tp / total_pos if total_pos else np.zeros_like(tp)
-    return precision, recall, scores[order]
 
 
 def _point_at(y_true: np.ndarray, scores: np.ndarray, threshold: float) -> OperatingPoint:
@@ -118,18 +102,6 @@ def threshold_for_fpr(y_true, scores, max_fpr: float) -> OperatingPoint:
     if not feasible:
         return _flag_nothing(y_true, scores)
     return max(feasible, key=lambda p: (p.recall, -p.threshold))
-
-
-def threshold_for_precision(y_true, scores, min_precision: float) -> OperatingPoint:
-    """The maximum-recall operating point keeping precision >=
-    ``min_precision`` (the §8.2 precision-first deployment policy)."""
-    y_true, scores = _validate(y_true, scores)
-    feasible = [
-        p for p in _all_points(y_true, scores) if p.precision >= min_precision
-    ]
-    if not feasible:
-        return _flag_nothing(y_true, scores)
-    return max(feasible, key=lambda p: (p.recall, p.precision))
 
 
 def sweep_operating_points(y_true, scores, n_points: int = 11) -> list[OperatingPoint]:

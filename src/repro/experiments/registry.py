@@ -68,11 +68,8 @@ def run_experiment(experiment_id: str, workbench: Workbench | None = None) -> Ex
         {"experiment": experiment_id},
         help="per-experiment wall time",
     )
-    with obs.timer(duration) as timed, obs.trace(f"experiment.{experiment_id}"):
+    with obs.timer(duration), obs.trace(f"experiment.{experiment_id}"):
         report = EXPERIMENTS[experiment_id](workbench)
-    obs.get_logger("experiments").info(
-        "experiment_complete", id=experiment_id, seconds=round(timed.elapsed, 3)
-    )
     return report
 
 

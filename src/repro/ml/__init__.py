@@ -8,7 +8,7 @@ stratified repeated k-fold cross-validation, and the SMOTE /
 over- / under-sampling strategies from §7.2 and §8.2.
 """
 
-from .calibration import CalibratedClassifier, IsotonicCalibrator, PlattCalibrator
+from .calibration import IsotonicCalibrator
 from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y, clone
 from .forest import RandomForestClassifier
 from .inspection import PermutationImportance, permutation_importance
@@ -20,22 +20,15 @@ from .metrics import (
     ClassificationReport,
     accuracy_score,
     classification_report,
-    confusion_matrix,
     f1_score,
     false_positive_rate,
-    precision_recall_fscore,
     precision_score,
     recall_score,
     roc_auc_score,
     roc_curve,
 )
-from .model_selection import (
-    CrossValidationResult,
-    StratifiedKFold,
-    cross_validate,
-    train_test_split,
-)
-from .preprocessing import MinMaxScaler, SimpleImputer, StandardScaler
+from .model_selection import CrossValidationResult, cross_validate
+from .preprocessing import SimpleImputer, StandardScaler
 from .sampling import class_counts, random_oversample, random_undersample, smote
 from .svm import LinearSVC
 from .tuning import GridSearchResult, grid_search
@@ -43,9 +36,7 @@ from .tree import DecisionTreeClassifier
 
 __all__ = [
     "BaseEstimator",
-    "CalibratedClassifier",
     "IsotonicCalibrator",
-    "PlattCalibrator",
     "ClassifierMixin",
     "check_array",
     "check_random_state",
@@ -65,19 +56,14 @@ __all__ = [
     "ClassificationReport",
     "accuracy_score",
     "classification_report",
-    "confusion_matrix",
     "f1_score",
     "false_positive_rate",
-    "precision_recall_fscore",
     "precision_score",
     "recall_score",
     "roc_auc_score",
     "roc_curve",
     "CrossValidationResult",
-    "StratifiedKFold",
     "cross_validate",
-    "train_test_split",
-    "MinMaxScaler",
     "SimpleImputer",
     "StandardScaler",
     "class_counts",

@@ -1,71 +1,21 @@
-"""Probability calibration: Platt scaling and isotonic regression.
+"""Probability calibration by isotonic regression.
 
 §9 proposes embedding the classifiers in the Play Store client; an app
 store acts on *scores* with an operating threshold chosen for a target
-false-positive rate, which requires calibrated probabilities.  Both
-standard calibrators are implemented from scratch: Platt's sigmoid fit
-(Newton) and isotonic regression via the pool-adjacent-violators
-algorithm (PAVA).
+false-positive rate, which requires calibrated probabilities.  The
+calibrator is isotonic regression via the pool-adjacent-violators
+algorithm (PAVA), implemented from scratch.  The one Platt (sigmoid)
+fit is :meth:`repro.ml.svm.LinearSVC._fit_platt`, which squashes the
+SVM's margins.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, check_X_y
+from .base import BaseEstimator
 
-__all__ = ["PlattCalibrator", "IsotonicCalibrator", "CalibratedClassifier"]
-
-
-class PlattCalibrator(BaseEstimator):
-    """Sigmoid calibration p = sigmoid(a * score + b) (Platt, 1999).
-
-    Fit by Newton-Raphson on the log-loss, with the (n+ + 1)/(n+ + 2)
-    target smoothing from the original paper to avoid overconfidence.
-    """
-
-    def __init__(self, max_iter: int = 100, tol: float = 1e-10) -> None:
-        self.max_iter = max_iter
-        self.tol = tol
-
-    def fit(self, scores, y) -> "PlattCalibrator":
-        scores = np.asarray(scores, dtype=np.float64).ravel()
-        y = np.asarray(y).ravel()
-        if scores.shape != y.shape:
-            raise ValueError("scores and labels must have the same length")
-        positive = y == 1
-        n_pos, n_neg = int(positive.sum()), int((~positive).sum())
-        # Platt's smoothed targets.
-        target = np.where(
-            positive, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0)
-        )
-
-        a, b = 1.0, 0.0
-        for _ in range(self.max_iter):
-            z = np.clip(a * scores + b, -35, 35)
-            p = 1.0 / (1.0 + np.exp(-z))
-            g_a = float(np.sum((p - target) * scores))
-            g_b = float(np.sum(p - target))
-            w = np.clip(p * (1 - p), 1e-12, None)
-            h_aa = float(np.sum(w * scores**2)) + 1e-12
-            h_bb = float(np.sum(w)) + 1e-12
-            h_ab = float(np.sum(w * scores))
-            det = h_aa * h_bb - h_ab**2
-            if abs(det) < 1e-300:
-                break
-            da = (h_bb * g_a - h_ab * g_b) / det
-            db = (h_aa * g_b - h_ab * g_a) / det
-            a -= da
-            b -= db
-            if abs(da) < self.tol and abs(db) < self.tol:
-                break
-        self.a_, self.b_ = float(a), float(b)
-        return self
-
-    def predict_proba(self, scores) -> np.ndarray:
-        scores = np.asarray(scores, dtype=np.float64).ravel()
-        z = np.clip(self.a_ * scores + self.b_, -35, 35)
-        return 1.0 / (1.0 + np.exp(-z))
+__all__ = ["IsotonicCalibrator"]
 
 
 class IsotonicCalibrator(BaseEstimator):
@@ -115,39 +65,3 @@ class IsotonicCalibrator(BaseEstimator):
     def predict_proba(self, scores) -> np.ndarray:
         scores = np.asarray(scores, dtype=np.float64).ravel()
         return np.interp(scores, self.knots_x_, self.knots_y_)
-
-
-class CalibratedClassifier(BaseEstimator):
-    """Wrap a fitted binary scorer with a calibrator.
-
-    ``base`` must expose ``decision_function`` or ``predict_proba``;
-    calibration data should be held out from the base model's training.
-    """
-
-    def __init__(self, base, method: str = "platt") -> None:
-        if method not in ("platt", "isotonic"):
-            raise ValueError(f"unknown calibration method {method!r}")
-        self.base = base
-        self.method = method
-
-    def _scores(self, X) -> np.ndarray:
-        if hasattr(self.base, "decision_function"):
-            return np.asarray(self.base.decision_function(X), dtype=np.float64)
-        proba = np.asarray(self.base.predict_proba(X), dtype=np.float64)
-        return proba[:, -1]
-
-    def fit(self, X, y) -> "CalibratedClassifier":
-        X, y = check_X_y(X, y)
-        scores = self._scores(X)
-        self.calibrator_ = (
-            PlattCalibrator() if self.method == "platt" else IsotonicCalibrator()
-        )
-        self.calibrator_.fit(scores, y)
-        return self
-
-    def predict_proba(self, X) -> np.ndarray:
-        p1 = self.calibrator_.predict_proba(self._scores(X))
-        return np.column_stack([1.0 - p1, p1])
-
-    def predict(self, X) -> np.ndarray:
-        return (self.predict_proba(X)[:, 1] >= 0.5).astype(int)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin, check_array, check_X_y
+from .preprocessing import StandardScaler
 
 __all__ = ["KNeighborsClassifier"]
 
@@ -23,34 +24,19 @@ class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
         K; the paper's best value is 5.
     weights:
         ``"uniform"`` (majority vote) or ``"distance"`` (1/d weights).
-    standardize:
-        Whether to z-score features using the training statistics.
     """
 
-    def __init__(
-        self,
-        n_neighbors: int = 5,
-        weights: str = "uniform",
-        standardize: bool = True,
-    ) -> None:
+    def __init__(self, n_neighbors: int = 5, weights: str = "uniform") -> None:
         if weights not in ("uniform", "distance"):
             raise ValueError(f"unknown weights scheme {weights!r}")
         self.n_neighbors = n_neighbors
         self.weights = weights
-        self.standardize = standardize
 
     def fit(self, X, y) -> "KNeighborsClassifier":
         X, y = check_X_y(X, y)
         self._encoded = self._encode_labels(y)
-        if self.standardize:
-            self._mu = X.mean(axis=0)
-            sigma = X.std(axis=0)
-            sigma[sigma == 0.0] = 1.0
-            self._sigma = sigma
-        else:
-            self._mu = np.zeros(X.shape[1])
-            self._sigma = np.ones(X.shape[1])
-        self._train = (X - self._mu) / self._sigma
+        self._scaler = StandardScaler().fit(X)
+        self._train = self._scaler.transform(X)
         return self
 
     def _neighbor_votes(self, X: np.ndarray) -> np.ndarray:
@@ -61,7 +47,7 @@ class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
         Python loop.  Within a cell, weights accumulate in neighbour
         order, so results match the naive per-row scatter bit for bit.
         """
-        Z = (check_array(X) - self._mu) / self._sigma
+        Z = self._scaler.transform(check_array(X))
         k = min(self.n_neighbors, self._train.shape[0])
         n_classes = len(self.classes_)
         votes = np.zeros((Z.shape[0], n_classes), dtype=np.float64)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin, check_array, check_X_y
+from .preprocessing import StandardScaler
 
 __all__ = ["LogisticRegression"]
 
@@ -34,29 +35,20 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
     max_iter, tol:
         Newton iteration budget and convergence threshold on the
         gradient's infinity norm.
-    standardize:
-        Whether to z-score features internally (recommended; the public
-        coefficient accessors fold the scaling back out).
+
+    Features are z-scored internally; ``coef_`` and ``intercept_`` fold
+    the scaling back out, so they apply to raw features.
     """
 
-    def __init__(
-        self,
-        C: float = 1.0,
-        max_iter: int = 100,
-        tol: float = 1e-8,
-        standardize: bool = True,
-    ) -> None:
+    def __init__(self, C: float = 1.0, max_iter: int = 100, tol: float = 1e-8) -> None:
         self.C = C
         self.max_iter = max_iter
         self.tol = tol
-        self.standardize = standardize
 
     def fit(self, X, y) -> "LogisticRegression":
         X, y = check_X_y(X, y)
         encoded = self._encode_labels(y)
         if len(self.classes_) == 1:
-            self._mu = np.zeros(X.shape[1])
-            self._sigma = np.ones(X.shape[1])
             self.coef_ = np.zeros(X.shape[1])
             self.intercept_ = 50.0 if self.classes_[0] == 1 else -50.0
             return self
@@ -64,15 +56,8 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
             raise ValueError("LogisticRegression is binary-only")
         target = encoded.astype(np.float64)
 
-        if self.standardize:
-            self._mu = X.mean(axis=0)
-            sigma = X.std(axis=0)
-            sigma[sigma == 0.0] = 1.0
-            self._sigma = sigma
-        else:
-            self._mu = np.zeros(X.shape[1])
-            self._sigma = np.ones(X.shape[1])
-        Z = (X - self._mu) / self._sigma
+        scaler = StandardScaler().fit(X)
+        Z = scaler.transform(X)
 
         n, d = Z.shape
         design = np.column_stack([np.ones(n), Z])
@@ -97,9 +82,8 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
                 step = gradient / (np.linalg.norm(gradient) + 1e-12)
             w -= step
 
-        self._w = w
-        self.intercept_ = float(w[0] - np.sum(w[1:] * self._mu / self._sigma))
-        self.coef_ = w[1:] / self._sigma
+        self.intercept_ = float(w[0] - np.sum(w[1:] * scaler.mean_ / scaler.scale_))
+        self.coef_ = w[1:] / scaler.scale_
         return self
 
     def decision_function(self, X) -> np.ndarray:

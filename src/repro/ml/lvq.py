@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y
+from .preprocessing import StandardScaler
 
 __all__ = ["LVQClassifier"]
 
@@ -40,7 +41,6 @@ class LVQClassifier(BaseEstimator, ClassifierMixin):
         epochs: int = 30,
         lvq2: bool = False,
         window: float = 0.3,
-        standardize: bool = True,
         random_state: int | None = None,
     ) -> None:
         self.prototypes_per_class = prototypes_per_class
@@ -48,7 +48,6 @@ class LVQClassifier(BaseEstimator, ClassifierMixin):
         self.epochs = epochs
         self.lvq2 = lvq2
         self.window = window
-        self.standardize = standardize
         self.random_state = random_state
 
     def fit(self, X, y) -> "LVQClassifier":
@@ -56,15 +55,8 @@ class LVQClassifier(BaseEstimator, ClassifierMixin):
         encoded = self._encode_labels(y)
         rng = check_random_state(self.random_state)
 
-        if self.standardize:
-            self._mu = X.mean(axis=0)
-            sigma = X.std(axis=0)
-            sigma[sigma == 0.0] = 1.0
-            self._sigma = sigma
-        else:
-            self._mu = np.zeros(X.shape[1])
-            self._sigma = np.ones(X.shape[1])
-        Z = (X - self._mu) / self._sigma
+        self._scaler = StandardScaler().fit(X)
+        Z = self._scaler.transform(X)
 
         prototypes, labels = [], []
         for class_index in range(len(self.classes_)):
@@ -106,7 +98,7 @@ class LVQClassifier(BaseEstimator, ClassifierMixin):
     def predict_proba(self, X) -> np.ndarray:
         """Soft scores from inverse distance to the nearest prototype of
         each class (sufficient for ranking/AUC)."""
-        Z = (check_array(X) - self._mu) / self._sigma
+        Z = self._scaler.transform(check_array(X))
         scores = np.zeros((Z.shape[0], len(self.classes_)), dtype=np.float64)
         d2 = (
             np.sum(Z**2, axis=1)[:, None]

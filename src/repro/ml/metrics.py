@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "confusion_matrix",
     "accuracy_score",
     "precision_score",
     "recall_score",
@@ -21,7 +20,6 @@ __all__ = [
     "false_positive_rate",
     "roc_curve",
     "roc_auc_score",
-    "precision_recall_fscore",
     "ClassificationReport",
     "classification_report",
 ]
@@ -37,19 +35,6 @@ def _validate(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     if y_true.size == 0:
         raise ValueError("empty label arrays")
     return y_true, y_pred
-
-
-def confusion_matrix(y_true, y_pred, labels=None) -> np.ndarray:
-    """Confusion matrix ``C`` with ``C[i, j]`` = truth ``i`` predicted ``j``."""
-    y_true, y_pred = _validate(y_true, y_pred)
-    if labels is None:
-        labels = np.unique(np.concatenate([y_true, y_pred]))
-    labels = np.asarray(labels)
-    index = {label: i for i, label in enumerate(labels.tolist())}
-    matrix = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for t, p in zip(y_true.tolist(), y_pred.tolist()):
-        matrix[index[t], index[p]] += 1
-    return matrix
 
 
 def _binary_counts(y_true, y_pred, pos_label) -> tuple[int, int, int, int]:
@@ -93,14 +78,6 @@ def false_positive_rate(y_true, y_pred, pos_label=1) -> float:
     """FP / (FP + TN) — the paper reports 1.94% (apps) and 1.41% (devices)."""
     _, fp, _, tn = _binary_counts(y_true, y_pred, pos_label)
     return fp / (fp + tn) if fp + tn else 0.0
-
-
-def precision_recall_fscore(y_true, y_pred, pos_label=1) -> tuple[float, float, float]:
-    return (
-        precision_score(y_true, y_pred, pos_label),
-        recall_score(y_true, y_pred, pos_label),
-        f1_score(y_true, y_pred, pos_label),
-    )
 
 
 def roc_curve(y_true, y_score, pos_label=1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

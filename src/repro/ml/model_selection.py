@@ -19,7 +19,7 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .metrics import ClassificationReport, classification_report
 from .sampling import RESAMPLERS
 
 __all__ = [
-    "StratifiedKFold",
-    "train_test_split",
     "CrossValidationResult",
     "cross_validate",
 ]
@@ -59,57 +57,6 @@ def _stratified_fold_of(
             )
         fold_of[members] = np.arange(members.size) % n_splits
     return fold_of
-
-
-class StratifiedKFold:
-    """Stratified k-fold splitter: per-class round-robin assignment after
-    a per-class shuffle, preserving class ratios in every fold."""
-
-    def __init__(self, n_splits: int = 10, shuffle: bool = True, random_state: int | None = None) -> None:
-        if n_splits < 2:
-            raise ValueError("n_splits must be >= 2")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.random_state = random_state
-
-    def split(self, X, y) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        X, y = check_X_y(X, y)
-        rng = check_random_state(self.random_state)
-        fold_of = _stratified_fold_of(y, self.n_splits, self.shuffle, rng)
-        for fold in range(self.n_splits):
-            test = np.nonzero(fold_of == fold)[0]
-            train = np.nonzero(fold_of != fold)[0]
-            yield train, test
-
-
-def train_test_split(
-    X,
-    y,
-    test_size: float = 0.2,
-    stratify: bool = True,
-    random_state: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stratified (by default) train/test partition.
-
-    Every class keeps at least one training sample: ``test_size``
-    rounding can otherwise consume a tiny class whole (e.g. 2 samples at
-    ``test_size=0.8`` rounds to 2), which would hand the estimator a
-    training set missing a class.
-    """
-    X, y = check_X_y(X, y)
-    rng = check_random_state(random_state)
-    n = y.shape[0]
-    test_mask = np.zeros(n, dtype=bool)
-    if stratify:
-        for label in np.unique(y):
-            members = rng.permutation(np.nonzero(y == label)[0])
-            k = min(max(1, int(round(test_size * members.size))), members.size - 1)
-            test_mask[members[:k]] = True
-    else:
-        members = rng.permutation(n)
-        k = min(max(1, int(round(test_size * n))), n - 1)
-        test_mask[members[:k]] = True
-    return X[~test_mask], X[test_mask], y[~test_mask], y[test_mask]
 
 
 @dataclass

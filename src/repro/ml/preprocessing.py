@@ -1,8 +1,9 @@
-"""Feature preprocessing helpers: scaling and missing-value imputation.
+"""Feature preprocessing: z-scoring and missing-value imputation.
 
 Several §7.1 features are undefined for some instances (e.g. install-to-
 review time when an app was never reviewed from the device); the feature
 extractors encode those as NaN and classifiers receive imputed values.
+LR, SVM, KNN and LVQ z-score their inputs with :class:`StandardScaler`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from .base import BaseEstimator
 
-__all__ = ["StandardScaler", "MinMaxScaler", "SimpleImputer"]
+__all__ = ["StandardScaler", "SimpleImputer"]
 
 
 class StandardScaler(BaseEstimator):
@@ -31,28 +32,6 @@ class StandardScaler(BaseEstimator):
     def transform(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         return (X - self.mean_) / self.scale_
-
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-
-class MinMaxScaler(BaseEstimator):
-    """Scale features to [0, 1] using the training range."""
-
-    def __init__(self) -> None:
-        pass
-
-    def fit(self, X) -> "MinMaxScaler":
-        X = np.asarray(X, dtype=np.float64)
-        self.min_ = X.min(axis=0)
-        span = X.max(axis=0) - self.min_
-        span[span == 0.0] = 1.0
-        self.span_ = span
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return (X - self.min_) / self.span_
 
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)

@@ -1,8 +1,7 @@
 """Support Vector Machine ("SVM" in Table 2).
 
 A linear soft-margin SVM trained by Pegasos-style stochastic subgradient
-descent on the hinge loss, plus an optional RBF variant via kernel
-approximation-free dual-style scoring on a prototype subsample.  For the
+descent on the hinge loss over internally z-scored features.  For the
 device-classification problem (a few hundred rows, ~20 features) the
 linear primal solver is accurate and fast.
 """
@@ -12,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y
+from .preprocessing import StandardScaler
 
 __all__ = ["LinearSVC"]
 
@@ -35,20 +35,16 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
         self,
         C: float = 1.0,
         epochs: int = 60,
-        standardize: bool = True,
         random_state: int | None = None,
     ) -> None:
         self.C = C
         self.epochs = epochs
-        self.standardize = standardize
         self.random_state = random_state
 
     def fit(self, X, y) -> "LinearSVC":
         X, y = check_X_y(X, y)
         encoded = self._encode_labels(y)
         if len(self.classes_) == 1:
-            self._mu = np.zeros(X.shape[1])
-            self._sigma = np.ones(X.shape[1])
             self.coef_ = np.zeros(X.shape[1])
             self.intercept_ = 1.0 if self.classes_[0] == 1 else -1.0
             self._platt = (1.0, 0.0)
@@ -58,15 +54,8 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
         signs = np.where(encoded == 1, 1.0, -1.0)
         rng = check_random_state(self.random_state)
 
-        if self.standardize:
-            self._mu = X.mean(axis=0)
-            sigma = X.std(axis=0)
-            sigma[sigma == 0.0] = 1.0
-            self._sigma = sigma
-        else:
-            self._mu = np.zeros(X.shape[1])
-            self._sigma = np.ones(X.shape[1])
-        Z = (X - self._mu) / self._sigma
+        scaler = StandardScaler().fit(X)
+        Z = scaler.transform(X)
 
         n, d = Z.shape
         lam = 1.0 / (self.C * n)
@@ -82,10 +71,8 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
                 if margin < 1.0:
                     w += eta * signs[i] * Z[i]
                     b += eta * signs[i]
-        self._w_std = w
-        self._b_std = b
-        self.coef_ = w / self._sigma
-        self.intercept_ = float(b - np.sum(w * self._mu / self._sigma))
+        self.coef_ = w / scaler.scale_
+        self.intercept_ = float(b - np.sum(w * scaler.mean_ / scaler.scale_))
 
         # Platt scaling on training margins: fit sigmoid(a*m + c) to labels.
         margins = Z @ w + b

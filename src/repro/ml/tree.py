@@ -372,15 +372,6 @@ def grow(
     return [(Tree.build(root, tuple), tree_splits) for root, tree_splits in zip(roots, splits)]
 
 
-def _gini(counts: np.ndarray) -> float:
-    """Gini impurity of a class-count vector."""
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.dot(p, p))
-
-
 class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     """CART classifier with Gini impurity and exact splits.
 
@@ -478,7 +469,8 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         proportions = counts / counts.sum()
         if n < self.min_samples_split or np.count_nonzero(counts) < 2:  # pure
             return proportions, None
-        return proportions, (*counts.tolist(), n, _gini(counts))
+        gini = float(1.0 - np.dot(proportions, proportions))
+        return proportions, (*counts.tolist(), n, gini)
 
     def _gain(self, left: np.ndarray, parent: np.ndarray) -> np.ndarray:
         """Gini gain of each candidate split.

@@ -27,12 +27,6 @@ class GridSearchResult:
     def best_params(self) -> dict:
         return self.entries[0][0]
 
-    def table(self) -> list[tuple[str, float, float]]:
-        return [
-            (", ".join(f"{k}={v}" for k, v in params.items()), cv.f1, cv.auc)
-            for params, cv in self.entries
-        ]
-
 
 def grid_search(
     estimator,

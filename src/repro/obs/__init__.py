@@ -1,4 +1,4 @@
-"""``repro.obs`` — metrics, tracing, and structured logging.
+"""``repro.obs`` — metrics and tracing.
 
 The paper's deployment leaned on an internal dashboard to watch the
 data-collection pipeline (§3); this package is the reproduction's
@@ -22,9 +22,9 @@ Usage::
 
 from __future__ import annotations
 
-from typing import TextIO
+from contextlib import contextmanager
+from typing import Iterator
 
-from .logging import LEVELS, NullLogger, StructLogger
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -33,7 +33,6 @@ from .metrics import (
     MetricsRegistry,
     NullRegistry,
     Timer,
-    parse_prometheus,
 )
 from .tracing import NullTracer, SpanNode, Tracer
 
@@ -50,7 +49,7 @@ __all__ = [
     "gauge",
     "histogram",
     "timer",
-    "get_logger",
+    "collecting",
     "Counter",
     "Gauge",
     "Histogram",
@@ -60,28 +59,19 @@ __all__ = [
     "SpanNode",
     "Tracer",
     "NullTracer",
-    "StructLogger",
-    "NullLogger",
     "DEFAULT_BUCKETS",
-    "LEVELS",
-    "parse_prometheus",
 ]
 
 _NULL_REGISTRY = NullRegistry()
 _NULL_TRACER = NullTracer()
-_NULL_LOGGER = NullLogger()
 
 _registry: MetricsRegistry = _NULL_REGISTRY
 _tracer: Tracer = _NULL_TRACER
-_logger: StructLogger = _NULL_LOGGER
 
 
 def configure(
     metrics: bool = True,
     tracing: bool = True,
-    logging: bool = False,
-    log_stream: TextIO | None = None,
-    log_level: str = "info",
     registry: MetricsRegistry | None = None,
 ) -> MetricsRegistry:
     """Turn observability on for the whole process.
@@ -90,22 +80,32 @@ def configure(
     attach their series to it; call before building the world.  Passing
     ``registry`` lets tests supply their own collection target.
     """
-    global _registry, _tracer, _logger
+    global _registry, _tracer
     if metrics:
         _registry = registry or MetricsRegistry()
     if tracing:
         _tracer = Tracer()
-    if logging or log_stream is not None:
-        _logger = StructLogger("repro", stream=log_stream, level=log_level)
     return _registry
 
 
 def reset() -> None:
     """Back to the zero-overhead no-op default."""
-    global _registry, _tracer, _logger
+    global _registry, _tracer
     _registry = _NULL_REGISTRY
     _tracer = _NULL_TRACER
-    _logger = _NULL_LOGGER
+
+
+@contextmanager
+def collecting(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
+    """Send metric writes to ``registry`` inside the block, then give the
+    process its previous registry back (the tracer is left alone)."""
+    global _registry
+    previous = _registry
+    _registry = registry
+    try:
+        yield registry
+    finally:
+        _registry = previous
 
 
 def metrics_enabled() -> bool:
@@ -159,7 +159,3 @@ def timer(histogram: Histogram | None = None) -> Timer:
     ``t.elapsed`` afterwards.
     """
     return Timer(histogram)
-
-
-def get_logger(name: str = "") -> StructLogger:
-    return _logger.named(name) if name else _logger

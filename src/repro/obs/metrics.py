@@ -30,7 +30,6 @@ __all__ = [
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
     "DEFAULT_BUCKETS",
-    "parse_prometheus",
 ]
 
 # Prometheus' classic latency buckets (seconds), plus +Inf implicitly.
@@ -91,9 +90,6 @@ class Gauge:
 
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
     @property
     def value(self) -> float:
@@ -257,10 +253,6 @@ class MetricsRegistry:
         """Every series of one family, label-sorted."""
         return [m for (n, _), m in sorted(self._series.items()) if n == name]
 
-    def families(self) -> dict[str, str]:
-        """family name -> kind."""
-        return {name: kind for name, (kind, _) in self._families.items()}
-
     # -- worker round-trip -----------------------------------------------
     def snapshot(self) -> dict:
         """Picklable dump of every series, for cross-process merging.
@@ -371,22 +363,6 @@ def _fmt(value: float) -> str:
     return repr(int(value)) if float(value).is_integer() else repr(value)
 
 
-def parse_prometheus(text: str) -> dict[str, float]:
-    """Parse exposition-format samples back to ``{sample_name: value}``.
-
-    Supports exactly what ``render_prometheus`` emits (the round-trip is
-    unit-tested); sample names keep their label braces verbatim.
-    """
-    samples: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, value = line.rpartition(" ")
-        samples[name] = float("inf") if value == "+Inf" else float(value)
-    return samples
-
-
 # -- the zero-overhead disabled path ------------------------------------------
 
 
@@ -410,9 +386,6 @@ class _NullGauge(Gauge):
         pass
 
     def inc(self, amount: float = 1.0) -> None:  # noqa: ARG002
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:  # noqa: ARG002
         pass
 
 

@@ -24,7 +24,7 @@ from .executor import (
     parallel_map,
     resolve_n_jobs,
 )
-from .seeding import draw_seeds, spawn_seeds
+from .seeding import draw_seeds
 from .worker import in_worker, run_job
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "get_executor",
     "resolve_n_jobs",
     "parallel_map",
-    "spawn_seeds",
     "draw_seeds",
     "in_worker",
     "run_job",

@@ -17,8 +17,9 @@ at any worker count:
 ``REPRO_N_JOBS`` environment variable (absent → serial), ``1`` is
 serial, ``>= 2`` uses that many worker processes, and ``<= 0`` means
 "all cores".  Process pools that cannot start (no fork/spawn available,
-sandboxed environments) degrade gracefully to the serial path — same
-results, no crash.
+sandboxed environments) or break degrade to the serial path — same
+results, no crash — and count one ``parallel_pool_fallbacks_total``.
+A task's own exception is not a broken pool: it propagates as raised.
 """
 
 from __future__ import annotations
@@ -80,10 +81,12 @@ class ProcessExecutor:
     """``concurrent.futures`` process pool with index-ordered collection.
 
     Results come back in submission order regardless of completion
-    order.  If the pool cannot start or breaks before completing (fork
-    unavailable, sandbox restrictions), the full task list is re-run
+    order.  If the pool cannot start or take submissions (``OSError``:
+    fork unavailable, sandbox restrictions) or breaks
+    (``BrokenProcessPool``: a worker died), the full task list is re-run
     serially — jobs are pure functions of their pre-drawn seeds, so the
-    fallback returns the same values.
+    fallback returns the same values.  An exception a task raises
+    propagates from ``map`` without a serial re-run.
     """
 
     def __init__(self, n_jobs: int, mp_context=None) -> None:
@@ -106,17 +109,28 @@ class ProcessExecutor:
         if not tasks:
             return []
         try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.n_jobs, len(tasks)),
-                mp_context=self._context(),
-            ) as pool:
-                futures = [pool.submit(fn, *args) for args in tasks]
-                return [future.result() for future in futures]
-        except (BrokenProcessPool, OSError, PermissionError):
-            obs.get_logger("parallel").warning(
-                "process_pool_unavailable", fallback="serial", tasks=len(tasks)
+            pool = ProcessPoolExecutor(
+                max_workers=min(self.n_jobs, len(tasks)), mp_context=self._context()
             )
-            return SerialExecutor().map(fn, tasks)
+        except OSError:
+            return _serial_fallback(fn, tasks)
+        with pool:
+            try:
+                futures = [pool.submit(fn, *args) for args in tasks]
+            except (BrokenProcessPool, OSError):
+                return _serial_fallback(fn, tasks)
+            try:
+                return [future.result() for future in futures]
+            except BrokenProcessPool:
+                return _serial_fallback(fn, tasks)
+
+
+def _serial_fallback(fn: Callable[..., Any], tasks: list[tuple]) -> list[Any]:
+    obs.counter(
+        "parallel_pool_fallbacks_total",
+        help="process-pool fan-outs re-run serially because the pool could not run them",
+    ).inc()
+    return SerialExecutor().map(fn, tasks)
 
 
 def get_executor(n_jobs: int | None = None) -> SerialExecutor | ProcessExecutor:

@@ -48,12 +48,8 @@ def run_job(
     try:
         if not capture_metrics:
             return fn(*args), None
-        registry = MetricsRegistry()
-        obs.configure(metrics=True, tracing=False, registry=registry)
-        try:
+        with obs.collecting(MetricsRegistry()) as registry:
             result = fn(*args)
-        finally:
-            obs.reset()
         return result, registry.snapshot()
     finally:
         _IN_WORKER = previous

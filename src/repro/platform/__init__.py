@@ -2,7 +2,6 @@
 buffer, the transport channel, the backend server with its document
 store, and the Appendix-A snapshot fingerprinting."""
 
-from .api import ApiRequest, ApiResponse, RacketStoreApi
 from .buffer import BufferedChunk, DataBuffer, chunk_hash
 from .dashboard import Dashboard, InstallHealth, ValidationIssue
 from .errors import Throttled, UploadError
@@ -31,9 +30,6 @@ from .store import ColumnarCollection, DocumentStore
 from .transport import LossyTransport, Transport
 
 __all__ = [
-    "ApiRequest",
-    "ApiResponse",
-    "RacketStoreApi",
     "BufferedChunk",
     "Dashboard",
     "InstallHealth",

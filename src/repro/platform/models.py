@@ -6,15 +6,15 @@ registered accounts, save-mode status, stopped apps) and *fast* (every
 install/uninstall deltas).  Because consecutive snapshots are almost
 always identical, the wire format here is run-length encoded: one
 ``*SnapshotRun`` record stands for every periodic snapshot taken while
-the captured state was constant.  ``n_snapshots`` recovers exact counts,
-so the §6.1 engagement statistics are unaffected.
+the captured state was constant.  A run of ``period`` spacing over
+[start, end] holds ``1 + (end - start) // period`` snapshots, so the §6.1
+engagement statistics recover exact counts.
 
 Table 3's PII inventory is reproduced as :data:`PII_REGISTRY`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -29,14 +29,6 @@ __all__ = [
     "record_to_dict",
     "record_from_dict",
 ]
-
-
-def _run_count(start: float, end: float, period: float) -> int:
-    """Number of periodic samples in [start, end) at ``period`` spacing
-    (at least one: the sample at ``start``)."""
-    if end < start:
-        raise ValueError(f"run ends before it starts ({end} < {start})")
-    return 1 + int(math.floor(max(end - start, 0.0) / period))
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,10 +47,6 @@ class SlowSnapshotRun:
     stopped_apps: tuple[str, ...]
     accounts_permission: bool = True
 
-    @property
-    def n_snapshots(self) -> int:
-        return _run_count(self.start, self.end, self.period)
-
 
 @dataclass(frozen=True, slots=True)
 class FastSnapshotRun:
@@ -73,10 +61,6 @@ class FastSnapshotRun:
     screen_on: bool
     battery: float
     usage_permission: bool = True
-
-    @property
-    def n_snapshots(self) -> int:
-        return _run_count(self.start, self.end, self.period)
 
 
 @dataclass(frozen=True, slots=True)

@@ -218,17 +218,11 @@ class RacketStoreServer:
         with obs.timer(self._h_latency), obs.trace("ingest.chunk"):
             if ack in self._seen_chunks:
                 self._c_duplicates.inc()
-                obs.get_logger("ingest").info(
-                    "duplicate_chunk", kind=kind, sha256=ack[:12]
-                )
                 return ack
             try:
                 lines = gzip.decompress(data).decode().splitlines()
             except (OSError, UnicodeDecodeError):
                 self._c_malformed_chunks.inc()
-                obs.get_logger("ingest").warning(
-                    "malformed_chunk", kind=kind, bytes=len(data)
-                )
                 return ack
             records: list[tuple[str, dict]] = []
             for line in lines:
@@ -240,7 +234,6 @@ class RacketStoreServer:
                     _SCHEMAS[payload["_type"]].validate(payload)  # keys, kinds
                 except (ValueError, TypeError):
                     self._c_malformed_records.inc()
-                    obs.get_logger("ingest").warning("malformed_record", kind=kind)
                     continue
                 records.append((payload["_type"], payload))
             marks = [
@@ -255,9 +248,6 @@ class RacketStoreServer:
                 for collection, mark in marks:
                     collection.rollback_to(mark)
                 self._c_rollbacks.inc()
-                obs.get_logger("ingest").warning(
-                    "chunk_rollback", kind=kind, sha256=ack[:12]
-                )
                 raise
             self._c_records.inc(inserted)
             self._remember_chunk(ack)

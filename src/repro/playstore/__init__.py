@@ -12,7 +12,7 @@ from .permissions import (
     sample_permission_profile,
 )
 from .rank import RankedApp, RankWeights, SearchRankModel
-from .rank_tracker import RankJump, RankSample, RankTracker
+from .rank_tracker import RankSample, RankTracker
 from .ratings import RatingAggregator, RatingUpdate
 from .reviews import CrawlStats, Review, ReviewCrawler, ReviewStore
 
@@ -30,7 +30,6 @@ __all__ = [
     "PermissionProfile",
     "sample_permission_profile",
     "RankedApp",
-    "RankJump",
     "RankSample",
     "RankTracker",
     "RankWeights",

@@ -241,9 +241,6 @@ class Catalog:
     def all_apps(self) -> list[App]:
         return list(self._apps.values())
 
-    def packages(self) -> list[str]:
-        return list(self._apps)
-
     def preinstalled(self) -> list[App]:
         return [a for a in self._apps.values() if a.preinstalled]
 

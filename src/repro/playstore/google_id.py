@@ -5,8 +5,8 @@ functionality embed the account's Google ID, letting a third party map
 any Gmail address to the ID under which its Play reviews are posted
 (reported to Google VRP as issue 156369357; closed as intended
 behaviour).  We simulate that directory: accounts registered with the
-simulated Google backend get a stable numeric ID, lookups occasionally
-fail (deleted/suspended accounts), and the crawler memoises results.
+simulated Google backend get a stable numeric ID, lookups of unregistered
+addresses miss, and the crawler memoises results.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class GmailDirectory:
 
     def __init__(self) -> None:
         self._ids: dict[str, str] = {}
-        self._suspended: set[str] = set()
 
     def register(self, email: str) -> str:
         if not email.endswith("@gmail.com"):
@@ -41,19 +40,7 @@ class GmailDirectory:
             self._ids[email] = _derive_google_id(email)
         return self._ids[email]
 
-    def suspend(self, email: str) -> None:
-        """Mark an account suspended — lookups stop resolving (Google's
-        anti-abuse action against detected fraud accounts)."""
-        if email not in self._ids:
-            raise KeyError(email)
-        self._suspended.add(email)
-
-    def is_suspended(self, email: str) -> bool:
-        return email in self._suspended
-
     def resolve(self, email: str) -> str | None:
-        if email in self._suspended:
-            return None
         return self._ids.get(email)
 
     def __len__(self) -> int:
@@ -72,7 +59,7 @@ class GoogleIdCrawler:
     """Maps Gmail addresses to Google IDs via the email-search leak.
 
     Mirrors the paper's crawler: one request per address, memoised, with
-    misses for unregistered or suspended accounts.
+    misses for unregistered accounts.
     """
 
     def __init__(self, directory: GmailDirectory) -> None:

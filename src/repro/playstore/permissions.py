@@ -105,10 +105,6 @@ class PermissionProfile:
     def n_dangerous(self) -> int:
         return len(self.dangerous)
 
-    @property
-    def dangerous_ratio(self) -> float:
-        return self.n_dangerous / self.total if self.total else 0.0
-
 
 def sample_permission_profile(
     rng: np.random.Generator,

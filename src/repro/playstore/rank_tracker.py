@@ -2,10 +2,7 @@
 
 §2 motivates ASO with the search-rank payoff ("developers need to
 achieve top-5 rank in keyword searches").  The tracker records an app's
-rank for a keyword day by day as installs/reviews/rating evolve, and
-flags promotion-indicative *rank jumps* — the aggregate-level signal
-download-fraud studies (Dou et al., §10) key on, complementing
-RacketStore's device-level detection.
+rank for a keyword day by day as installs/reviews/rating evolve.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ from dataclasses import dataclass
 from .catalog import Catalog
 from .rank import SearchRankModel
 
-__all__ = ["RankSample", "RankJump", "RankTracker"]
+__all__ = ["RankSample", "RankTracker"]
 
 
 @dataclass(frozen=True)
@@ -27,22 +24,6 @@ class RankSample:
     install_count: int
     review_count: int
     rating: float
-
-
-@dataclass(frozen=True)
-class RankJump:
-    """A promotion-indicative rank improvement between two samples."""
-
-    package: str
-    keyword: str
-    from_day: int
-    to_day: int
-    from_rank: int
-    to_rank: int
-
-    @property
-    def places_gained(self) -> int:
-        return self.from_rank - self.to_rank
 
 
 class RankTracker:
@@ -93,27 +74,3 @@ class RankTracker:
 
     def series(self, package: str, keyword: str) -> list[RankSample]:
         return list(self._series.get((package, keyword), ()))
-
-    def detect_jumps(self, min_places: int = 10, window_days: int = 3) -> list[RankJump]:
-        """Rank improvements of >= ``min_places`` within ``window_days``
-        — the burst-like aggregate signal a store-side monitor would
-        flag for closer (device-level) inspection."""
-        jumps: list[RankJump] = []
-        for (package, keyword), series in self._series.items():
-            for i, start in enumerate(series):
-                for later in series[i + 1:]:
-                    if later.day - start.day > window_days:
-                        break
-                    if start.rank - later.rank >= min_places:
-                        jumps.append(
-                            RankJump(
-                                package=package,
-                                keyword=keyword,
-                                from_day=start.day,
-                                to_day=later.day,
-                                from_rank=start.rank,
-                                to_rank=later.rank,
-                            )
-                        )
-                        break
-        return sorted(jumps, key=lambda j: (j.from_day, j.package))

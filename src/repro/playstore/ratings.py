@@ -28,10 +28,6 @@ class RatingUpdate:
     after: float
     live_reviews: int
 
-    @property
-    def delta(self) -> float:
-        return self.after - self.before
-
 
 class RatingAggregator:
     """Recomputes displayed ratings from live reviews.
@@ -78,17 +74,3 @@ class RatingAggregator:
             after=updated.aggregate_rating,
             live_reviews=len(reviews),
         )
-
-    def recompute_all(self, packages=None) -> list[RatingUpdate]:
-        """Aggregation pass over the given (default: all reviewed) apps."""
-        if packages is None:
-            packages = sorted(
-                p for p in self._catalog.packages()
-                if self._store.review_count(p) > 0
-            )
-        return [self.recompute(p) for p in packages if p in self._catalog]
-
-    def biggest_movers(self, k: int = 10) -> list[RatingUpdate]:
-        """Apps whose displayed rating moved the most (promotion flags)."""
-        updates = self.recompute_all()
-        return sorted(updates, key=lambda u: -abs(u.delta))[:k]

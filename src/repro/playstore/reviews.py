@@ -115,7 +115,6 @@ class ReviewCrawler:
         self._store = store
         self.first_crawl_cap = first_crawl_cap
         self._seen: dict[str, set[int]] = {}
-        self._collected: dict[str, list[Review]] = {}
         self._tracked: set[str] = set()
         self.stats = CrawlStats()
 
@@ -147,8 +146,6 @@ class ReviewCrawler:
                 break
             new.append(review)
             seen.add(review.review_id)
-        self._collected.setdefault(app_package, []).extend(reversed(new))
-        self._collected[app_package].sort()
         self.stats.reviews_collected += len(new)
         return new
 
@@ -161,14 +158,7 @@ class ReviewCrawler:
         self.stats.crawl_rounds += 1
         obs.counter("crawl_rounds_total").inc()
         obs.counter("crawl_reviews_collected_total").inc(total)
-        obs.get_logger("crawl").debug(
-            "crawl_round", apps=len(self._tracked), reviews=total
-        )
         return total
 
-    def collected(self, app_package: str) -> list[Review]:
-        """Reviews collected so far for an app, oldest first."""
-        return list(self._collected.get(app_package, []))
-
     def collected_total(self) -> int:
-        return sum(len(v) for v in self._collected.values())
+        return self.stats.reviews_collected

@@ -43,10 +43,6 @@ class Campaign:
         return max(0, self.target_reviews - self.delivered_reviews)
 
     @property
-    def complete(self) -> bool:
-        return self.installs_remaining == 0 and self.reviews_remaining == 0
-
-    @property
     def payout_usd(self) -> float:
         """Total worker earnings the campaign has paid out so far."""
         return (

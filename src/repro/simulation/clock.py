@@ -12,8 +12,6 @@ __all__ = [
     "SECONDS_PER_HOUR",
     "days",
     "hours",
-    "minutes",
-    "day_index",
 ]
 
 SECONDS_PER_DAY = 86_400.0
@@ -27,12 +25,3 @@ def days(n: float) -> float:
 
 def hours(n: float) -> float:
     return n * SECONDS_PER_HOUR
-
-
-def minutes(n: float) -> float:
-    return n * 60.0
-
-
-def day_index(timestamp: float) -> int:
-    """Calendar day containing ``timestamp`` (day 0 starts at t=0)."""
-    return int(timestamp // SECONDS_PER_DAY)

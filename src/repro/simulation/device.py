@@ -231,7 +231,3 @@ class SimDevice:
 
     def promo_installed(self) -> list[InstalledApp]:
         return [rec for rec in self.installed.values() if rec.promo_install]
-
-    def timeline(self, package: str) -> list[DeviceEvent]:
-        """Figure-1-style per-app event timeline."""
-        return sorted(e for e in self.events if e.package == package)

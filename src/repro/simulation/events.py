@@ -48,7 +48,3 @@ class ForegroundSession:
     def __post_init__(self) -> None:
         if self.end < self.start:
             raise ValueError(f"session ends before it starts: {self}")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start

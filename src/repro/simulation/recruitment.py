@@ -57,10 +57,6 @@ class RecruitmentFunnel:
                 return stage.count
         raise KeyError(name)
 
-    def conversion(self, from_stage: str, to_stage: str) -> float:
-        upstream = self.count(from_stage)
-        return self.count(to_stage) / upstream if upstream else 0.0
-
 
 def simulate_funnel(
     rng: np.random.Generator,

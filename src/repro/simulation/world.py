@@ -239,12 +239,6 @@ def run_study(
     # The load is complete: run the tuple-mover so analytical reads
     # start from settled, read-optimized columns.
     data.server.store.compact()
-    obs.get_logger("simulate").info(
-        "study_complete",
-        participants=len(data.participants),
-        records=data.server.stats.records_inserted,
-        reviews=data.review_crawler.collected_total(),
-    )
     return data
 
 

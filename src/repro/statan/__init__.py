@@ -34,12 +34,7 @@ from __future__ import annotations
 
 from . import checks, project_checks, schema_checks  # noqa: F401  (register rules)
 from .baseline import Baseline, load_baseline, partition, save_baseline
-from .engine import (
-    analyze_paths,
-    analyze_source,
-    analyze_tree,
-    collect_suppressions,
-)
+from .engine import analyze_source, analyze_tree, collect_suppressions
 from .findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
 from .project import ProjectContext
 from .reporters import LintResult, render_json, render_text, summary_line
@@ -67,7 +62,6 @@ __all__ = [
     "rule_ids",
     "get_rule",
     "analyze_source",
-    "analyze_paths",
     "analyze_tree",
     "collect_suppressions",
     "ProjectContext",

@@ -40,7 +40,6 @@ from .symbols import module_name_for
 __all__ = [
     "ModuleContext",
     "analyze_source",
-    "analyze_paths",
     "analyze_tree",
     "index_paths",
     "iter_python_files",
@@ -329,29 +328,3 @@ def analyze_tree(
         findings.extend(project_findings)
         stats.update(project_stats)
     return sorted(findings, key=Finding.sort_key), stats
-
-
-def analyze_paths(
-    paths: Sequence[str | Path],
-    rules: Sequence[Rule] | None = None,
-    *,
-    n_jobs: int | None = None,
-    project: bool = True,
-) -> list[Finding]:
-    """Analyse every ``*.py`` under ``paths``; findings are sorted by
-    (path, line, col, rule).
-
-    With an explicit ``rules`` sequence only those per-file rules run
-    (no project pass) — the narrow mode unit tests use.  The default
-    runs the full two-phase analysis.
-    """
-    if rules is not None:
-        findings: list[Finding] = []
-        for file, label in iter_python_files(paths):
-            source = file.read_text(encoding="utf-8")
-            findings.extend(analyze_source(source, path=label, rules=rules))
-        return sorted(findings, key=Finding.sort_key)
-    found, _stats = analyze_tree(
-        paths, n_jobs=n_jobs, project=project
-    )
-    return found

@@ -1,8 +1,8 @@
 """Statistical-testing substrate: the §6 test battery and descriptive
 summaries in the paper's reporting format."""
 
-from .descriptive import Summary, ecdf, histogram_counts, summarize
-from .effect_size import EffectSizes, bootstrap_ci, cliffs_delta, cohens_d, effect_sizes
+from .descriptive import Summary, summarize
+from .effect_size import EffectSizes, cliffs_delta, cohens_d, effect_sizes
 from .tests import (
     SignificanceBattery,
     TestResult,
@@ -10,7 +10,6 @@ from .tests import (
     fligner_killeen,
     kruskal_wallis,
     ks_2samp,
-    mann_whitney_u,
     one_way_anova,
     shapiro_wilk,
 )
@@ -18,12 +17,9 @@ from .tests import (
 __all__ = [
     "Summary",
     "EffectSizes",
-    "bootstrap_ci",
     "cliffs_delta",
     "cohens_d",
     "effect_sizes",
-    "ecdf",
-    "histogram_counts",
     "summarize",
     "SignificanceBattery",
     "TestResult",
@@ -31,7 +27,6 @@ __all__ = [
     "fligner_killeen",
     "kruskal_wallis",
     "ks_2samp",
-    "mann_whitney_u",
     "one_way_anova",
     "shapiro_wilk",
 ]

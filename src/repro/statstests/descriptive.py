@@ -2,7 +2,7 @@
 
 Nearly every §6 measurement is summarised as "mean = x (M = median,
 SD = s, max = m)"; :class:`Summary` captures that quadruple plus a few
-extras so analyses and benchmarks can print paper-style rows.
+extras so analyses and benchmarks can compare them with the paper.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Summary", "summarize", "ecdf", "histogram_counts"]
+__all__ = ["Summary", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,6 @@ class Summary:
     q1: float
     q3: float
     total: float
-
-    def paper_style(self) -> str:
-        """Render like the paper: 'mean (M = median, SD = std, max = max)'."""
-        return (
-            f"{self.mean:.2f} (M = {self.median:.2f}, "
-            f"SD = {self.std:.2f}, max = {self.maximum:.2f})"
-        )
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -71,18 +64,3 @@ def summarize(values) -> Summary:
         q3=float(np.percentile(arr, 75)),
         total=float(arr.sum()),
     )
-
-
-def ecdf(values) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF as (sorted values, cumulative probabilities)."""
-    arr = np.sort(np.asarray(list(values), dtype=np.float64).ravel())
-    if arr.size == 0:
-        return arr, arr
-    return arr, np.arange(1, arr.size + 1) / arr.size
-
-
-def histogram_counts(values, bin_edges) -> np.ndarray:
-    """Histogram counts over explicit bin edges (right-inclusive last bin)."""
-    arr = np.asarray(list(values), dtype=np.float64).ravel()
-    counts, _ = np.histogram(arr, bins=np.asarray(bin_edges, dtype=np.float64))
-    return counts

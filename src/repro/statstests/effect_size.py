@@ -1,10 +1,10 @@
-"""Effect sizes and bootstrap confidence intervals.
+"""Effect sizes.
 
 The paper reports significance (p-values) but not effect magnitudes;
 for the reproduction's paper-vs-measured comparisons we also quantify
 *how big* each worker-vs-regular contrast is: Cohen's d (standardised
-mean difference), Cliff's delta (ordinal dominance — robust to the
-heavy-tailed usage distributions), and percentile-bootstrap CIs.
+mean difference) and Cliff's delta (ordinal dominance — robust to the
+heavy-tailed usage distributions).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["cohens_d", "cliffs_delta", "bootstrap_ci", "EffectSizes", "effect_sizes"]
+__all__ = ["cohens_d", "cliffs_delta", "EffectSizes", "effect_sizes"]
 
 
 def _clean(sample, name: str) -> np.ndarray:
@@ -53,43 +53,12 @@ def cliffs_delta(sample_a, sample_b) -> float:
     return float((less.sum() - greater.sum()) / (a.size * b.size))
 
 
-def bootstrap_ci(
-    sample,
-    statistic=np.mean,
-    n_resamples: int = 2000,
-    confidence: float = 0.95,
-    random_state: int | None = 0,
-) -> tuple[float, float]:
-    """Percentile bootstrap CI for a statistic of one sample."""
-    arr = _clean(sample, "sample")
-    rng = np.random.default_rng(random_state)
-    estimates = np.empty(n_resamples)
-    for i in range(n_resamples):
-        estimates[i] = statistic(arr[rng.integers(0, arr.size, size=arr.size)])
-    alpha = (1.0 - confidence) / 2.0
-    return (
-        float(np.quantile(estimates, alpha)),
-        float(np.quantile(estimates, 1.0 - alpha)),
-    )
-
-
 @dataclass(frozen=True)
 class EffectSizes:
     """Magnitude summary of a two-group contrast."""
 
     cohens_d: float
     cliffs_delta: float
-
-    def magnitude(self) -> str:
-        """Conventional |delta| bands (Romano et al. 2006)."""
-        delta = abs(self.cliffs_delta)
-        if delta < 0.147:
-            return "negligible"
-        if delta < 0.33:
-            return "small"
-        if delta < 0.474:
-            return "medium"
-        return "large"
 
 
 def effect_sizes(sample_a, sample_b) -> EffectSizes:

@@ -25,7 +25,6 @@ __all__ = [
     "kruskal_wallis",
     "fligner_killeen",
     "shapiro_wilk",
-    "mann_whitney_u",
     "SignificanceBattery",
     "compare_groups",
 ]
@@ -257,25 +256,6 @@ def kruskal_wallis(*samples) -> TestResult:
     h /= correction
     df = len(groups) - 1
     return TestResult("kruskal_wallis", float(h), _chi2_sf(float(h), df))
-
-
-def mann_whitney_u(sample_a, sample_b) -> TestResult:
-    """Two-sided Mann-Whitney U with normal approximation and tie correction."""
-    a = _as_clean_1d(sample_a, "a")
-    b = _as_clean_1d(sample_b, "b")
-    pooled = np.concatenate([a, b])
-    ranks, tie_term = _rank_with_ties(pooled)
-    n1, n2 = a.size, b.size
-    u1 = ranks[:n1].sum() - n1 * (n1 + 1) / 2.0
-    mean_u = n1 * n2 / 2.0
-    n = n1 + n2
-    tie_adjust = tie_term / (n * (n - 1)) if n > 1 else 0.0
-    var_u = n1 * n2 / 12.0 * ((n + 1) - tie_adjust)
-    if var_u <= 0:
-        return TestResult("mann_whitney_u", float(u1), 1.0)
-    z = (u1 - mean_u - math.copysign(0.5, u1 - mean_u)) / math.sqrt(var_u)
-    p = 2.0 * 0.5 * math.erfc(abs(z) / math.sqrt(2.0))
-    return TestResult("mann_whitney_u", float(u1), float(min(p, 1.0)))
 
 
 def fligner_killeen(*samples) -> TestResult:

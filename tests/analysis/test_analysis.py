@@ -24,7 +24,7 @@ class TestCompareFeature:
         comparison = compare_feature("x", rng.normal(5, 1, 100), rng.normal(0, 1, 100))
         assert comparison.worker.mean > comparison.regular.mean
         assert comparison.significant()
-        assert comparison.effects.magnitude() == "large"
+        assert abs(comparison.effects.cliffs_delta) >= 0.474  # "large" (Romano et al. 2006)
         assert comparison.effects.cohens_d > 3
 
 
@@ -171,36 +171,3 @@ class TestMalware:
         result = compute_malware(observations, study.vt_client, study.catalog)
         for sample in result.high_confidence_samples():
             assert sample.vt_flags > 7
-
-
-class TestRetention:
-    def test_curves_monotone_nonincreasing(self, observations):
-        from repro.analysis.retention import compute_retention
-
-        result = compute_retention(observations, horizon_days=5)
-        for curve in (result.worker_curve, result.regular_curve):
-            fractions = curve.surviving_fraction
-            assert all(a >= b - 1e-12 for a, b in zip(fractions, fractions[1:]))
-            assert fractions[0] == pytest.approx(1.0)
-
-    def test_fractions_bounded(self, observations):
-        from repro.analysis.retention import compute_retention
-
-        result = compute_retention(observations, horizon_days=5)
-        for curve in (result.worker_curve, result.regular_curve):
-            assert all(0.0 <= f <= 1.0 for f in curve.surviving_fraction)
-            assert curve.n_installs > 0
-
-    def test_comparison_populated(self, observations):
-        from repro.analysis.retention import compute_retention
-
-        result = compute_retention(observations, horizon_days=5)
-        assert result.lifetime_comparison.worker.n > 10
-        assert result.lifetime_comparison.regular.n > 10
-
-    def test_at_unknown_day_raises(self, observations):
-        from repro.analysis.retention import compute_retention
-
-        result = compute_retention(observations, horizon_days=3)
-        with pytest.raises(KeyError):
-            result.worker_curve.at(99)

@@ -8,7 +8,8 @@ import pytest
 
 from repro.core import OnDeviceDetector
 from repro.core.app_classifier import AppClassifier
-from repro.core.datasets import build_app_dataset
+from repro.core.datasets import build_app_dataset, build_device_dataset
+from repro.core.device_classifier import DeviceClassifier
 
 
 class TestPipelineResult:
@@ -83,6 +84,25 @@ class TestAppClassifierModel:
         row = dataset.X[0].copy()
         row[0] = np.nan
         assert model.predict(row).shape == (1,)
+
+
+class TestDeviceClassifierModel:
+    def test_fit_predict_roundtrip(self, study, observations):
+        dataset = build_device_dataset(study, observations)
+        model = DeviceClassifier().fit(dataset)
+        assert model.feature_names == dataset.feature_names
+        predictions = model.predict(dataset.X)
+        assert set(np.unique(predictions)) <= {0, 1}
+        assert np.mean(predictions == dataset.y) >= 0.95
+        proba = model.predict_proba(dataset.X)
+        np.testing.assert_array_equal(predictions, np.argmax(proba, axis=1))
+
+    def test_single_row_with_nan_is_imputed(self, study, observations):
+        dataset = build_device_dataset(study, observations)
+        model = DeviceClassifier().fit(dataset)
+        row = np.full(dataset.X.shape[1], np.nan)
+        assert model.predict(row).shape == (1,)
+        assert np.all(np.isfinite(model.predict_proba(row)))
 
 
 class TestOnDeviceDetector:

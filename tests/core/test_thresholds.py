@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.thresholds import (
-    precision_recall_curve,
+    _all_points,
+    _point_at,
     sweep_operating_points,
     threshold_for_fpr,
-    threshold_for_precision,
 )
 
 
@@ -17,24 +17,6 @@ def scored(rng):
     y = rng.integers(0, 2, n)
     scores = y * 2.0 + rng.normal(0, 1.0, n)
     return y, scores
-
-
-class TestPrecisionRecallCurve:
-    def test_recall_monotone_nondecreasing(self, scored):
-        y, scores = scored
-        _, recall, _ = precision_recall_curve(y, scores)
-        assert np.all(np.diff(recall) >= 0)
-
-    def test_final_recall_is_one(self, scored):
-        y, scores = scored
-        _, recall, _ = precision_recall_curve(y, scores)
-        assert recall[-1] == pytest.approx(1.0)
-
-    def test_perfect_separation(self):
-        y = np.array([0, 0, 1, 1])
-        scores = np.array([0.1, 0.2, 0.8, 0.9])
-        precision, recall, _ = precision_recall_curve(y, scores)
-        assert precision[0] == 1.0 and precision[1] == 1.0
 
 
 class TestThresholdForFPR:
@@ -55,42 +37,57 @@ class TestThresholdForFPR:
         point = threshold_for_fpr(y, scores, max_fpr=0.0)
         assert point.false_positive_rate == 0.0
 
-
-class TestThresholdForPrecision:
-    def test_constraint_respected(self, scored):
-        y, scores = scored
-        point = threshold_for_precision(y, scores, min_precision=0.95)
-        assert point.precision >= 0.95
-
-    def test_paper_style_high_precision_point(self, rng):
-        """§8.2 prioritises precision: on a well-separated scorer the
-        0.97-precision operating point retains useful recall."""
-        n = 500
-        y = rng.integers(0, 2, n)
-        scores = y * 4.0 + rng.normal(0, 1.0, n)  # strong separation
-        point = threshold_for_precision(y, scores, min_precision=0.97)
-        assert point.precision >= 0.97
-        assert point.recall > 0.5
-
     def test_max_recall_point_selected(self, scored):
         """Among all feasible points the selector returns the one with
         the highest recall (not merely the first feasible one)."""
-        from repro.core.thresholds import _all_points
-
         y, scores = scored
-        point = threshold_for_precision(y, scores, min_precision=0.95)
+        point = threshold_for_fpr(y, scores, max_fpr=0.05)
         feasible = [
             p
             for p in _all_points(np.asarray(y), np.asarray(scores, dtype=float))
-            if p.precision >= 0.95
+            if p.false_positive_rate <= 0.05
         ]
         assert point.recall == max(p.recall for p in feasible)
 
-    def test_infeasible_precision_flags_nothing(self, rng):
-        y = rng.integers(0, 2, 100)
-        scores = rng.normal(0, 1, 100)  # uninformative scores
-        point = threshold_for_precision(y, scores, min_precision=1.01)
+    def test_perfect_separation_full_recall_without_false_positives(self):
+        y = np.array([0, 0, 0, 1, 1])
+        scores = np.array([0.1, 0.2, 0.3, 0.8, 0.9])
+        point = threshold_for_fpr(y, scores, max_fpr=0.0)
+        assert point.threshold == 0.8
+        assert (point.recall, point.precision, point.false_positive_rate) == (1.0, 1.0, 0.0)
+
+    def test_no_feasible_point_flags_nothing(self):
+        # The top-scored sample is a negative, so every threshold that
+        # flags anything has FPR > 0.
+        y = np.array([1, 1, 0])
+        scores = np.array([0.2, 0.4, 0.9])
+        point = threshold_for_fpr(y, scores, max_fpr=0.0)
+        assert point.threshold > scores.max()
         assert point.flagged_fraction == 0.0
+        assert point.recall == 0.0
+        assert point.precision == 1.0
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            threshold_for_fpr([0, 1, 1], [0.1, 0.9], max_fpr=0.1)
+
+
+class TestAllPoints:
+    def test_matches_direct_count_at_every_threshold(self, rng):
+        # Ties on a coarse grid exercise the distinct-score collapse.
+        y = rng.integers(0, 2, 300)
+        scores = np.round(y * 1.5 + rng.normal(0, 1.0, 300), 1)
+        points = _all_points(y, scores)
+        assert [p.threshold for p in points] == sorted(set(scores.tolist()), reverse=True)
+        for point in points:
+            assert point == _point_at(y, scores, point.threshold)
+
+    def test_lowest_threshold_flags_everything(self, scored):
+        y, scores = scored
+        last = _all_points(np.asarray(y), np.asarray(scores, dtype=float))[-1]
+        assert last.flagged_fraction == 1.0
+        assert last.recall == 1.0
+        assert last.false_positive_rate == 1.0
 
 
 class TestSweep:
@@ -107,3 +104,11 @@ class TestSweep:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             sweep_operating_points([], [])
+
+    def test_sweep_spans_the_score_range(self, scored):
+        y, scores = scored
+        points = sweep_operating_points(y, scores, n_points=5)
+        assert points[0].threshold == pytest.approx(float(np.min(scores)))
+        assert points[0].flagged_fraction == 1.0
+        assert points[-1].threshold == pytest.approx(float(np.max(scores)))
+        assert points[-1].flagged_fraction == pytest.approx(1 / len(scores))

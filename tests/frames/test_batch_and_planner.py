@@ -147,3 +147,13 @@ class TestColumnRun:
         assert run.column("start").tolist() == [10.0, 30.0, 50.0]
         assert run.cells("label") == [frame.values("label")[p] for p in positions]
         assert [dict(row) for row in run] == [frame.row(p) for p in positions]
+
+    def test_indexing_slicing_and_reversal_follow_positions(self):
+        frame = _typed()
+        run = frame.run([1, 3, 5])
+        assert dict(run[0]) == frame.row(1)
+        assert dict(run[-1]) == frame.row(5)
+        tail = run[1:]
+        assert isinstance(tail, ColumnRun)
+        assert tail.positions.tolist() == [3, 5]
+        assert [dict(row) for row in reversed(run)] == [frame.row(p) for p in (5, 3, 1)]

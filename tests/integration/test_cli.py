@@ -103,3 +103,49 @@ class TestCommands:
         assert main(["--scale", "small", "--n-jobs", "1", "report"]) == 0
         out = capsys.readouterr().out
         assert "table1" in out and "fig15" in out
+
+
+class _Built(Exception):
+    """Raised by the recording Workbench so a command stops once built."""
+
+
+# Every command that builds a Workbench, with the arguments it needs.
+WORKBENCH_COMMANDS = {
+    "experiment": ["experiment", "table3"],
+    "report": ["report"],
+    "train": ["train", "--out", "{tmp}/detectors.json"],
+    "findings": ["findings"],
+    "write-experiments": ["write-experiments", "--out", "{tmp}/EXPERIMENTS.md"],
+    "profile": ["profile"],
+    "export-figures": ["export-figures", "--out", "{tmp}/figures"],
+}
+
+
+class TestNJobsForwarding:
+    @pytest.mark.parametrize("command", sorted(WORKBENCH_COMMANDS))
+    def test_workbench_gets_the_n_jobs_flag(self, command, monkeypatch, tmp_path):
+        import repro.cli as cli
+
+        seen = []
+
+        def recording_workbench(config=None, pipeline=None, n_jobs=None):
+            seen.append(n_jobs)
+            raise _Built
+
+        monkeypatch.setattr(cli, "Workbench", recording_workbench)
+        argv = [arg.format(tmp=tmp_path) for arg in WORKBENCH_COMMANDS[command]]
+        with pytest.raises(_Built):
+            main(["--scale", "small", "--n-jobs", "3", *argv])
+        assert seen == [3]
+
+    def test_every_workbench_command_is_listed(self):
+        import inspect
+
+        import repro.cli as cli
+
+        building = {
+            name
+            for name, handler in cli._COMMANDS.items()
+            if "Workbench(" in inspect.getsource(handler)
+        }
+        assert building == set(WORKBENCH_COMMANDS)

@@ -25,10 +25,10 @@ import pytest
 from repro.core.app_features import app_feature_matrix
 from repro.core.datasets import build_app_dataset, build_device_dataset
 from repro.core.device_features import device_feature_matrix
-from repro.parallel import spawn_seeds
 from repro.platform.server import _COLLECTIONS
 from repro.platform.store import ColumnarCollection, DocumentStore
 from repro.simulation import run_study
+from tests.helpers import spawn_seeds
 from tests.oracles import (
     BruteForceCollection,
     RowObservation,

@@ -12,6 +12,7 @@ from repro.cli import main
 from repro.core.pipeline import DetectionPipeline
 from repro.experiments import EXPERIMENTS, Workbench, run_experiment
 from repro.simulation import SimulationConfig
+from tests.helpers import parse_prometheus
 
 # The experiments whose rendered output we compare across enabled /
 # disabled runs: one measurement, one review join, and the full
@@ -99,7 +100,7 @@ class TestInstrumentedStudy:
     def test_prometheus_export_includes_ingest_family(self, instrumented):
         _wb, registry, _tracer, _renders = instrumented
         text = registry.render_prometheus()
-        samples = obs.parse_prometheus(text)
+        samples = parse_prometheus(text)
         assert samples["ingest_records_inserted_total"] > 0
         assert any(k.startswith("ml_fit_seconds_bucket") for k in samples)
 

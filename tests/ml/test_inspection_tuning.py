@@ -94,11 +94,3 @@ class TestGridSearch:
         )
         best_params, _ = max(result.entries, key=lambda entry: entry[1].f1)
         assert result.best_params == best_params
-
-    def test_table_rendering(self, blobs):
-        X, y = blobs
-        result = grid_search(
-            LogisticRegression(), {"C": [1.0]}, X, y, n_splits=3, random_state=0
-        )
-        table = result.table()
-        assert table[0][0] == "C=1.0"

@@ -5,7 +5,7 @@ import pytest
 
 from repro.ml import KNeighborsClassifier
 from repro.ml.base import check_array
-from repro.parallel import spawn_seeds
+from tests.helpers import spawn_seeds
 
 
 def make_bench_dataset(
@@ -25,7 +25,7 @@ def make_bench_dataset(
 
 def _reference_knn_votes(model: KNeighborsClassifier, X: np.ndarray) -> np.ndarray:
     """The per-row vote loop the vectorised scatter replaced."""
-    Z = (check_array(X) - model._mu) / model._sigma
+    Z = model._scaler.transform(check_array(X))
     k = min(model.n_neighbors, model._train.shape[0])
     votes = np.zeros((Z.shape[0], len(model.classes_)), dtype=np.float64)
     chunk = max(1, 2_000_000 // max(1, model._train.shape[0]))

@@ -17,21 +17,15 @@ class TestLogisticRegression:
 
     def test_gradient_vanishes_at_optimum(self, blobs):
         """The fitted coefficients must satisfy the penalised score
-        equations: X^T (p - y) + w/C = 0 (intercept unpenalised)."""
+        equations of the z-scored problem, mapped back to raw features:
+        X^T (p - y) + sigma^2 * w/C = 0 (intercept unpenalised)."""
         X, y = blobs
-        model = LogisticRegression(C=1.0, standardize=False).fit(X, y)
+        model = LogisticRegression(C=1.0).fit(X, y)
         p = model.predict_proba(X)[:, 1]
-        grad_w = X.T @ (p - y) + model.coef_ / model.C
+        grad_w = X.T @ (p - y) + X.std(axis=0) ** 2 * model.coef_ / model.C
         grad_b = np.sum(p - y)
         assert np.max(np.abs(grad_w)) < 1e-4
         assert abs(grad_b) < 1e-4
-
-    def test_standardization_equivalent_predictions(self, blobs):
-        X, y = blobs
-        a = LogisticRegression(standardize=True).fit(X, y)
-        b = LogisticRegression(standardize=False).fit(X, y)
-        agreement = np.mean(a.predict(X) == b.predict(X))
-        assert agreement >= 0.98
 
     def test_stronger_penalty_shrinks_weights(self, blobs):
         X, y = blobs
@@ -78,6 +72,30 @@ class TestLinearSVC:
         with pytest.raises(ValueError):
             LinearSVC().fit(X, rng.integers(0, 3, 30))
 
+    def test_platt_probabilities_are_distributions(self, blobs):
+        X, y = blobs
+        proba = LinearSVC(random_state=0).fit(X, y).predict_proba(X)
+        assert proba.shape == (len(X), 2)
+        assert np.all((proba >= 0.0) & (proba <= 1.0))
+        np.testing.assert_allclose(proba.sum(axis=1), 1.0)
+
+    def test_platt_fit_solves_its_score_equations(self, rng):
+        # At the Newton optimum of the 1-D logistic fit, both partial
+        # derivatives of the log-loss vanish.
+        margins = rng.normal(0.0, 1.5, 400)
+        target = (rng.random(400) < 1.0 / (1.0 + np.exp(-2.0 * margins))).astype(float)
+        a, c = LinearSVC._fit_platt(margins, target)
+        p = 1.0 / (1.0 + np.exp(-(a * margins + c)))
+        assert abs(np.sum(p - target)) < 1e-6
+        assert abs(np.sum((p - target) * margins)) < 1e-6
+        assert a > 0.0
+
+    def test_single_class(self):
+        X = np.zeros((4, 3))
+        model = LinearSVC().fit(X, np.zeros(4, int))
+        assert (model.predict(X) == 0).all()
+        np.testing.assert_array_equal(model.predict_proba(X), np.ones((4, 1)))
+
 
 class TestKNN:
     def test_k1_memorizes(self, blobs):
@@ -118,7 +136,7 @@ class TestKNN:
         noise = rng.normal(0, 10_000, 200)
         X = np.column_stack([signal, noise])
         y = (signal > 0).astype(int)
-        model = KNeighborsClassifier(n_neighbors=5, standardize=True).fit(X, y)
+        model = KNeighborsClassifier(n_neighbors=5).fit(X, y)
         assert model.score(X, y) >= 0.8
 
 
@@ -150,3 +168,27 @@ class TestLVQ:
         y = np.array([0, 0, 1, 1, 1, 1])
         model = LVQClassifier(prototypes_per_class=4, random_state=0).fit(X, y)
         assert np.sum(model.prototype_labels_ == 0) == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LogisticRegression(),
+        lambda: LinearSVC(random_state=0),
+        lambda: KNeighborsClassifier(n_neighbors=5),
+        lambda: LVQClassifier(random_state=0),
+    ],
+    ids=["logistic", "svm", "knn", "lvq"],
+)
+def test_fit_is_invariant_to_feature_units(make, blobs):
+    """Every fit z-scores with the shared StandardScaler, so rescaling and
+    shifting a feature (seconds vs. days, say) leaves the model unchanged."""
+    X, y = blobs
+    scale = np.array([1000.0, 0.001, 7.0, 1.0])
+    shift = np.array([-5.0, 300.0, 0.0, 1e4])
+    raw = make().fit(X, y)
+    moved = make().fit(X * scale + shift, y)
+    np.testing.assert_array_equal(raw.predict(X), moved.predict(X * scale + shift))
+    np.testing.assert_allclose(
+        raw.predict_proba(X), moved.predict_proba(X * scale + shift), atol=1e-8
+    )

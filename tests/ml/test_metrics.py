@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.metrics import (
+    _binary_counts,
     accuracy_score,
     classification_report,
-    confusion_matrix,
     f1_score,
     false_positive_rate,
     precision_score,
@@ -18,29 +18,42 @@ from repro.ml.metrics import (
 )
 
 
-class TestConfusionMatrix:
-    def test_perfect_prediction_is_diagonal(self):
-        y = [0, 1, 1, 0, 1]
-        m = confusion_matrix(y, y)
-        assert m[0, 0] == 2 and m[1, 1] == 3
-        assert m[0, 1] == 0 and m[1, 0] == 0
-
-    def test_total_equals_n(self):
-        y_true = [0, 1, 1, 0, 1, 0]
-        y_pred = [1, 1, 0, 0, 1, 1]
-        assert confusion_matrix(y_true, y_pred).sum() == 6
-
-    def test_explicit_labels_order(self):
-        m = confusion_matrix([1, 1], [0, 1], labels=[0, 1])
-        assert m[1, 0] == 1 and m[1, 1] == 1
-
+class TestValidation:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            confusion_matrix([0, 1], [1])
+            accuracy_score([0, 1], [1])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            confusion_matrix([], [])
+            accuracy_score([], [])
+
+    def test_roc_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            roc_curve([0, 1, 1], [0.2, 0.8])
+
+
+class TestBinaryCounts:
+    def test_counts_partition_the_samples(self, rng):
+        y_true = rng.integers(0, 2, 200)
+        y_pred = rng.integers(0, 2, 200)
+        tp, fp, fn, tn = _binary_counts(y_true, y_pred, 1)
+        assert tp + fp + fn + tn == 200
+        assert tp + fn == int(np.sum(y_true == 1))
+        assert tp + fp == int(np.sum(y_pred == 1))
+
+    def test_perfect_prediction_has_no_errors(self):
+        y = [0, 1, 1, 0, 1]
+        assert _binary_counts(y, y, 1) == (3, 0, 0, 2)
+        report = classification_report(y, y)
+        assert (report.precision, report.recall, report.f1, report.accuracy) == (1.0, 1.0, 1.0, 1.0)
+        assert report.false_positive_rate == 0.0
+        assert report.auc == 1.0
+
+    def test_pos_label_swaps_the_roles(self):
+        y_true = [0, 0, 1, 1, 1]
+        y_pred = [0, 1, 1, 0, 1]
+        tp, fp, fn, tn = _binary_counts(y_true, y_pred, 1)
+        assert _binary_counts(y_true, y_pred, 0) == (tn, fn, fp, tp)
 
 
 class TestPrecisionRecallF1:
@@ -93,6 +106,12 @@ class TestROC:
     def test_constant_scores_auc_half(self):
         assert roc_auc_score([0, 1, 0, 1], [0.5, 0.5, 0.5, 0.5]) == pytest.approx(0.5)
 
+    def test_single_class_truth_stays_finite(self):
+        # A fold with no positives yields a flat zero TPR, not NaNs.
+        fpr, tpr, _ = roc_curve([0, 0, 0], [0.1, 0.5, 0.9])
+        np.testing.assert_array_equal(tpr, np.zeros(4))
+        np.testing.assert_allclose(fpr, [0.0, 1 / 3, 2 / 3, 1.0])
+
     def test_auc_equals_mann_whitney_probability(self, rng):
         scores_neg = rng.normal(0, 1, 300)
         scores_pos = rng.normal(1, 1, 200)
@@ -126,6 +145,15 @@ class TestClassificationReport:
         assert report.accuracy == pytest.approx(accuracy_score(y_true, y_pred))
         assert report.support_positive == 4
         assert report.support_negative == 2
+
+    def test_report_for_negative_pos_label(self):
+        y_true = [0, 1, 1, 0, 1, 1]
+        y_pred = [0, 1, 1, 1, 1, 0]
+        report = classification_report(y_true, y_pred, pos_label=0)
+        assert report.support_positive == 2
+        assert report.support_negative == 4
+        assert report.precision == pytest.approx(precision_score(y_true, y_pred, pos_label=0))
+        assert report.recall == pytest.approx(recall_score(y_true, y_pred, pos_label=0))
 
     def test_scores_improve_auc_over_hard_labels(self, rng):
         y = np.r_[np.zeros(50, int), np.ones(50, int)]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.ml.base import clone
 from repro.ml.logistic import LogisticRegression
-from repro.ml.model_selection import StratifiedKFold, cross_validate, train_test_split
+from repro.ml.model_selection import _stratified_fold_of, cross_validate
 from repro.ml.sampling import class_counts, random_oversample, random_undersample, smote
 from repro.ml.tree import DecisionTreeClassifier
 
@@ -90,43 +90,22 @@ class TestRandomResampling:
         assert len(Xs) < len(X)
 
 
-class TestStratifiedKFold:
-    def test_every_sample_tested_exactly_once(self, rng):
-        X, y = imbalanced(rng, 50, 20)
-        seen = np.zeros(len(y), dtype=int)
-        for train, test in StratifiedKFold(5, random_state=0).split(X, y):
-            seen[test] += 1
-            assert np.intersect1d(train, test).size == 0
-        assert (seen == 1).all()
+class TestStratifiedFolds:
+    def test_folds_have_equal_sizes(self, rng):
+        _, y = imbalanced(rng, 50, 20)
+        fold_of = _stratified_fold_of(y, 5, shuffle=True, rng=np.random.default_rng(0))
+        assert np.bincount(fold_of).tolist() == [14] * 5
 
     def test_class_ratio_preserved(self, rng):
-        X, y = imbalanced(rng, 80, 40)
-        for train, test in StratifiedKFold(4, random_state=0).split(X, y):
-            ratio = np.mean(y[test])
-            assert ratio == pytest.approx(np.mean(y), abs=0.1)
+        _, y = imbalanced(rng, 80, 40)
+        fold_of = _stratified_fold_of(y, 4, shuffle=True, rng=np.random.default_rng(0))
+        for fold in range(4):
+            assert np.mean(y[fold_of == fold]) == pytest.approx(np.mean(y), abs=0.1)
 
-    def test_too_few_samples_raises(self, rng):
-        X = rng.normal(0, 1, (12, 2))
+    def test_too_few_samples_raises(self):
         y = np.r_[np.zeros(9, int), np.ones(3, int)]
         with pytest.raises(ValueError):
-            list(StratifiedKFold(5).split(X, y))
-
-    def test_invalid_n_splits(self):
-        with pytest.raises(ValueError):
-            StratifiedKFold(1)
-
-
-class TestTrainTestSplit:
-    def test_sizes_and_disjointness(self, rng):
-        X, y = imbalanced(rng, 80, 40)
-        X_tr, X_te, y_tr, y_te = train_test_split(X, y, test_size=0.25, random_state=0)
-        assert len(X_te) == pytest.approx(0.25 * len(X), abs=2)
-        assert len(X_tr) + len(X_te) == len(X)
-
-    def test_stratification_keeps_both_classes(self, rng):
-        X, y = imbalanced(rng, 50, 6)
-        _, _, _, y_te = train_test_split(X, y, test_size=0.3, random_state=0)
-        assert set(np.unique(y_te)) == {0, 1}
+            _stratified_fold_of(y, 5, shuffle=True, rng=np.random.default_rng(0))
 
 
 class TestCrossValidate:
@@ -169,3 +148,7 @@ class TestCrossValidate:
         copy = clone(proto)
         assert copy is not proto
         assert copy.get_params() == proto.get_params()
+
+    def test_repr_lists_params_sorted(self):
+        model = LogisticRegression(C=0.5, max_iter=7)
+        assert repr(model) == "LogisticRegression(C=0.5, max_iter=7, tol=1e-08)"

@@ -8,8 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml import DecisionTreeClassifier, GradientBoostingClassifier
-from repro.ml.tree import _gini, best_split, partition, presort
+from repro.ml.tree import best_split, partition, presort
 from tests.oracles import leaf_index
+
+
+def _gini(counts: np.ndarray) -> float:
+    """Gini impurity of a class-count vector."""
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.dot(p, p))
 
 
 def brute_force_best_gini_split(X, y, n_classes):

@@ -1,6 +1,4 @@
-"""The global no-op default, configure()/reset(), and the logger."""
-
-import io
+"""The global no-op default, configure()/reset() and collecting()."""
 
 import pytest
 
@@ -24,7 +22,6 @@ class TestGlobalState:
         obs.counter("x").inc()
         with obs.trace("span"):
             obs.histogram("h").observe(1.0)
-        obs.get_logger("test").info("event", k=1)
         assert obs.registry().to_json()["counters"] == {}
         assert obs.tracer().root.children == {}
 
@@ -52,34 +49,18 @@ class TestGlobalState:
         assert mine.value("x") == 1.0
 
 
-class TestStructLogger:
-    def test_writes_key_value_lines(self):
-        stream = io.StringIO()
-        obs.configure(metrics=False, tracing=False, log_stream=stream)
-        obs.get_logger("ingest").warning("malformed_chunk", kind="fast", bytes=17)
-        line = stream.getvalue()
-        assert "warning" in line
-        assert "repro.ingest" in line
-        assert "malformed_chunk" in line
-        assert "kind=fast" in line and "bytes=17" in line
+class TestCollecting:
+    def test_writes_go_to_the_block_registry_then_back(self):
+        parent = obs.configure(tracing=False)
+        private = obs.MetricsRegistry()
+        with obs.collecting(private):
+            obs.counter("x").inc(3)
+        obs.counter("x").inc()
+        assert private.value("x") == 3.0
+        assert parent.value("x") == 1.0
+        assert obs.registry() is parent
 
-    def test_level_threshold_filters(self):
-        stream = io.StringIO()
-        obs.configure(metrics=False, tracing=False, log_stream=stream,
-                      log_level="warning")
-        obs.get_logger().info("quiet")
-        obs.get_logger().error("loud")
-        out = stream.getvalue()
-        assert "quiet" not in out and "loud" in out
-
-    def test_bind_stamps_fields(self):
-        stream = io.StringIO()
-        obs.configure(metrics=False, tracing=False, log_stream=stream)
-        logger = obs.get_logger("x").bind(install_id="123")
-        logger.info("event")
-        assert "install_id=123" in stream.getvalue()
-
-    def test_null_logger_by_default(self):
-        logger = obs.get_logger("whatever")
-        logger.info("dropped")  # must not raise or write anywhere
-        assert isinstance(logger, obs.NullLogger)
+    def test_restores_the_noop_default(self):
+        with obs.collecting(obs.MetricsRegistry()):
+            assert obs.metrics_enabled()
+        assert not obs.enabled()

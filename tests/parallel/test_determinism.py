@@ -22,10 +22,9 @@ from repro.ml import (
     RandomForestClassifier,
     cross_validate,
 )
-from repro.ml.model_selection import train_test_split
 from repro.ml.tree import DecisionTreeClassifier
-from repro.parallel import spawn_seeds
 from repro.simulation import SimulationConfig
+from tests.helpers import spawn_seeds
 
 
 @pytest.fixture(scope="module")
@@ -173,25 +172,3 @@ class TestExperimentDeterminism:
     def test_run_many_rejects_unknown_ids(self):
         with pytest.raises(KeyError, match="unknown experiments"):
             run_many(["fig04", "nope"], Workbench(SimulationConfig.small()))
-
-
-class TestTrainTestSplitGuard:
-    def test_two_sample_class_keeps_a_training_sample(self):
-        # Regression: test_size=0.8 on a 2-sample class used to round to
-        # k=2 and consume the class whole, leaving the training split
-        # without it.
-        X = np.arange(24, dtype=np.float64).reshape(12, 2)
-        y = np.array([0] * 10 + [1] * 2)
-        X_train, X_test, y_train, y_test = train_test_split(
-            X, y, test_size=0.8, random_state=0
-        )
-        assert (y_train == 1).sum() >= 1
-        assert (y_train == 0).sum() >= 1
-        assert len(y_train) + len(y_test) == 12
-
-    def test_every_seed_preserves_all_classes(self):
-        X = np.arange(20, dtype=np.float64).reshape(10, 2)
-        y = np.array([0] * 8 + [1] * 2)
-        for seed in range(10):
-            _, _, y_train, _ = train_test_split(X, y, test_size=0.5, random_state=seed)
-            assert set(np.unique(y_train)) == {0, 1}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,9 @@ from repro.parallel import (
     parallel_map,
     resolve_n_jobs,
     run_job,
-    spawn_seeds,
 )
 from repro.parallel import executor as executor_module
+from tests.helpers import spawn_seeds
 
 
 def square(x):
@@ -40,6 +42,19 @@ def bump_counter(amount):
 
 def report_worker_state(_index):
     return in_worker()
+
+
+def log_then_raise(path):
+    with open(path, "a") as handle:
+        handle.write("ran\n")
+    raise FileNotFoundError(path)
+
+
+def die_outside(parent_pid, x):
+    """Kill the worker process (breaking its pool); run normally in the parent."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return bump_counter(x)
 
 
 class TestResolveNJobs:
@@ -127,6 +142,28 @@ class TestExecutors:
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", ExplodingPool)
         result = ProcessExecutor(2).map(square, [(i,) for i in range(4)])
         assert result == [0, 1, 4, 9]
+
+    def test_task_error_propagates_without_serial_rerun(self, tmp_path):
+        # A task's own OSError is not a dead pool: each task runs at most
+        # once, and the error reaches the caller.
+        logs = [tmp_path / f"task{i}.log" for i in range(2)]
+        with pytest.raises(FileNotFoundError):
+            parallel_map(log_then_raise, [(str(log),) for log in logs], n_jobs=2)
+        runs = [log.read_text().count("ran") if log.exists() else 0 for log in logs]
+        assert runs[0] == 1
+        assert runs[1] <= 1
+
+    def test_broken_pool_fallback_is_counted(self):
+        registry = obs.configure(tracing=False, registry=obs.MetricsRegistry())
+        try:
+            tasks = [(os.getpid(), a) for a in (1, 2, 3)]
+            assert parallel_map(die_outside, tasks, n_jobs=2) == [1, 2, 3]
+            # The serial re-run keeps the parent's registry live.
+            assert obs.registry() is registry
+            assert registry.value("parallel_pool_fallbacks_total") == 1.0
+            assert registry.value("test_jobs_total") == 6.0
+        finally:
+            obs.reset()
 
     def test_parallel_map_matches_serial(self):
         tasks = [(seed,) for seed in spawn_seeds(123, 9)]

@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,21 +24,33 @@ from repro.simulation.device import SimDevice
 from repro.simulation.clock import SECONDS_PER_DAY
 
 
+def _run_count(start: float, end: float, period: float) -> int:
+    """Number of periodic samples in [start, end) at ``period`` spacing
+    (at least one: the sample at ``start``)."""
+    if end < start:
+        raise ValueError(f"run ends before it starts ({end} < {start})")
+    return 1 + int(math.floor(max(end - start, 0.0) / period))
+
+
+def stored_snapshot_count(kind: str, run) -> int:
+    """The server's count of ``run``'s snapshots after ingesting it."""
+    server = RacketStoreServer()
+    server.receive_chunk(kind, gzip.compress(json.dumps(record_to_dict(run)).encode()))
+    return server.snapshot_count(run.install_id)
+
+
 class TestModels:
     def test_fast_run_snapshot_count(self):
         run = FastSnapshotRun("i", "p", start=0.0, end=60.0, period=5.0,
                               foreground="a", screen_on=True, battery=0.5)
-        assert run.n_snapshots == 13  # samples at 0,5,...,60
+        assert _run_count(run.start, run.end, run.period) == 13  # samples at 0,5,...,60
+        assert stored_snapshot_count("fast", run) == 13
 
     def test_slow_run_snapshot_count(self):
         run = SlowSnapshotRun("i", "p", None, start=0.0, end=600.0, period=120.0,
                               accounts=(), save_mode=False, stopped_apps=())
-        assert run.n_snapshots == 6
-
-    def test_negative_run_rejected(self):
-        with pytest.raises(ValueError):
-            FastSnapshotRun("i", "p", start=10.0, end=5.0, period=5.0,
-                            foreground=None, screen_on=False, battery=0.5).n_snapshots
+        assert _run_count(run.start, run.end, run.period) == 6
+        assert stored_snapshot_count("slow", run) == 6
 
     def test_app_change_action_validated(self):
         with pytest.raises(ValueError):
@@ -162,6 +175,20 @@ class TestServerQueries:
     def test_register_install_requires_known_participant(self, server):
         with pytest.raises(PermissionError):
             server.register_install("000000", "1234567890", None, 0.0)
+
+    def test_participant_codes_are_unique_six_digit_strings(self, server):
+        codes = [server.issue_participant_id() for _ in range(50)]
+        assert len(set(codes)) == 50
+        assert all(code.isdigit() and len(code) == 6 for code in codes)
+        assert all(server.is_valid_participant(code) for code in codes)
+        assert not server.is_valid_participant("999999")
+
+    def test_unknown_install_has_no_data(self, server):
+        assert server.install_ids() == []
+        assert server.fast_runs("nobody") == []
+        assert server.observation_interval("nobody") is None
+        assert server.install_fingerprint("nobody") is None
+        assert server.snapshot_count("nobody") == 0
 
     def test_malformed_chunk_counted_and_acked(self, server):
         ack = server.receive_chunk("fast", b"this is not gzip")

@@ -82,10 +82,6 @@ class TestPermissions:
         )
         assert profile.total == 3
         assert profile.n_dangerous == 2
-        assert profile.dangerous_ratio == pytest.approx(2 / 3)
-
-    def test_empty_profile(self):
-        assert PermissionProfile().dangerous_ratio == 0.0
 
     def test_sampled_profiles_valid(self, rng):
         for _ in range(50):

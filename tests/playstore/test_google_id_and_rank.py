@@ -30,17 +30,6 @@ class TestGmailDirectory:
         with pytest.raises(ValueError):
             GmailDirectory().register("user@yahoo.com")
 
-    def test_suspension_hides_account(self):
-        directory = GmailDirectory()
-        directory.register("bad@gmail.com")
-        directory.suspend("bad@gmail.com")
-        assert directory.resolve("bad@gmail.com") is None
-        assert directory.is_suspended("bad@gmail.com")
-
-    def test_suspend_unknown_raises(self):
-        with pytest.raises(KeyError):
-            GmailDirectory().suspend("ghost@gmail.com")
-
 
 class TestGoogleIdCrawler:
     def test_lookup_hit_and_miss(self):

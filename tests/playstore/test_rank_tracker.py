@@ -49,28 +49,6 @@ class TestRankTracker:
         series = tracker.series(app.package, keyword)
         assert series[1].rank < series[0].rank
 
-    def test_jump_detection(self, world):
-        catalog, app = world
-        tracker = RankTracker(catalog)
-        keyword = app.title.split()[0].lower()
-        tracker.track(app.package, keyword)
-        tracker.record_day(0)
-        catalog.update(
-            app.with_counts(app.install_count + 10**7, app.review_count + 50_000, 4.9)
-        )
-        tracker.record_day(1)
-        jumps = tracker.detect_jumps(min_places=5, window_days=3)
-        assert jumps and jumps[0].package == app.package
-        assert jumps[0].places_gained >= 5
-
-    def test_no_jump_without_change(self, world):
-        catalog, app = world
-        tracker = RankTracker(catalog)
-        tracker.track(app.package, "zzz")
-        for day in range(5):
-            tracker.record_day(day)
-        assert tracker.detect_jumps(min_places=1) == []
-
     def test_untracked_series_empty(self, world):
         catalog, _ = world
         tracker = RankTracker(catalog)

@@ -32,7 +32,7 @@ class TestRatingAggregator:
         for i in range(60):
             store.post_review(app.package, f"g{i}", 5, float(i))
         update = aggregator.recompute(app.package)
-        assert abs(update.delta) < 0.05
+        assert abs(update.after - update.before) < 0.05
 
     def test_review_bombing_lowers_rating(self, setup):
         catalog, store, aggregator = setup
@@ -60,21 +60,3 @@ class TestRatingAggregator:
         first = aggregator.recompute(app.package)
         second = aggregator.recompute(app.package)
         assert second.after == pytest.approx(first.after)
-
-    def test_recompute_all_covers_reviewed_apps(self, setup):
-        catalog, store, aggregator = setup
-        apps = [catalog.add_promoted_app() for _ in range(3)]
-        store.post_review(apps[0].package, "g1", 5, 0.0)
-        store.post_review(apps[2].package, "g1", 4, 0.0)
-        updates = aggregator.recompute_all()
-        assert {u.package for u in updates} == {apps[0].package, apps[2].package}
-
-    def test_biggest_movers_sorted(self, setup):
-        catalog, store, aggregator = setup
-        quiet = catalog.add_promoted_app()
-        loud = catalog.add_promoted_app()
-        store.post_review(quiet.package, "g1", 5, 0.0)
-        for i in range(100):
-            store.post_review(loud.package, f"g{i}", 5, float(i))
-        movers = aggregator.biggest_movers(k=2)
-        assert abs(movers[0].delta) >= abs(movers[1].delta)

@@ -54,6 +54,21 @@ class TestReviewStore:
         assert store.has_reviewed("g1", "a")
         assert not store.has_reviewed("g1", "b")
 
+    def test_review_count_counts_live_reviews(self, store):
+        store.post_review("a", "g1", 5, 1.0)
+        store.post_review("a", "g2", 4, 2.0)
+        store.post_review("a", "g1", 1, 3.0)  # replaces g1's review
+        assert store.review_count("a") == 2
+        assert store.review_count("never-reviewed") == 0
+
+    def test_reviews_by_account_oldest_first(self, store):
+        store.post_review("b", "g1", 5, 20.0)
+        store.post_review("a", "g1", 4, 10.0)
+        store.post_review("a", "g2", 3, 5.0)
+        reviews = store.reviews_by_google_id("g1")
+        assert [(r.app_package, r.timestamp) for r in reviews] == [("a", 10.0), ("b", 20.0)]
+        assert store.reviews_by_google_id("unknown") == []
+
 
 class TestReviewCrawler:
     def test_first_crawl_collects_everything_under_cap(self, store):
@@ -63,7 +78,7 @@ class TestReviewCrawler:
         crawler.track_app("app")
         new = crawler.crawl_app("app")
         assert len(new) == 20
-        assert len(crawler.collected("app")) == 20
+        assert crawler.collected_total() == 20
 
     def test_first_crawl_cap_enforced(self, store):
         for i in range(30):
@@ -95,23 +110,14 @@ class TestReviewCrawler:
         assert crawler.crawl_round() == 6
         assert crawler.stats.crawl_rounds == 1
 
-    def test_collected_sorted_oldest_first(self, store):
-        for i in range(6):
-            store.post_review("app", f"g{i}", 5, float(i))
-        crawler = ReviewCrawler(store)
-        crawler.crawl_app("app")
-        timestamps = [r.timestamp for r in crawler.collected("app")]
-        assert timestamps == sorted(timestamps)
-
     def test_no_duplicates_across_rounds(self, store):
         for i in range(5):
             store.post_review("app", f"g{i}", 5, float(i))
         crawler = ReviewCrawler(store)
         crawler.track_app("app")
-        crawler.crawl_round()
-        crawler.crawl_round()
-        ids = [r.review_id for r in crawler.collected("app")]
-        assert len(ids) == len(set(ids)) == 5
+        assert crawler.crawl_round() == 5
+        assert crawler.crawl_round() == 0
+        assert crawler.collected_total() == 5
 
     def test_track_idempotent(self, store):
         crawler = ReviewCrawler(store)

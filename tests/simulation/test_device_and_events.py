@@ -5,7 +5,7 @@ import pytest
 from repro.playstore.catalog import Catalog
 from repro.playstore.google_id import GmailDirectory
 from repro.simulation.accounts import AccountFactory
-from repro.simulation.clock import SECONDS_PER_DAY, day_index, days, hours
+from repro.simulation.clock import SECONDS_PER_DAY, days, hours
 from repro.simulation.device import SimDevice
 from repro.simulation.events import DeviceEvent, EventType, ForegroundSession
 from repro.simulation.personas import dedicated_worker, organic_worker, regular_user
@@ -25,11 +25,6 @@ def device(rng):
 
 
 class TestClock:
-    def test_day_index(self):
-        assert day_index(0.0) == 0
-        assert day_index(SECONDS_PER_DAY - 1) == 0
-        assert day_index(SECONDS_PER_DAY) == 1
-
     def test_conversions(self):
         assert days(2) == 2 * SECONDS_PER_DAY
         assert hours(3) == 10_800.0
@@ -41,10 +36,6 @@ class TestEvents:
         assert int(EventType.REVIEW) == 3
         assert int(EventType.FOREGROUND) == 2
         assert int(EventType.UNINSTALL) == 1
-
-    def test_session_duration(self):
-        session = ForegroundSession(10.0, 70.0, "app")
-        assert session.duration == 60.0
 
     def test_inverted_session_rejected(self):
         with pytest.raises(ValueError):
@@ -99,15 +90,6 @@ class TestSimDevice:
         record = device.install(app, 0.0, grant_probability=1.0, rng=rng)
         assert record.n_denied == 0
         assert record.n_granted == app.permissions.total
-
-    def test_timeline_filters_by_package(self, device, catalog, rng):
-        a, b = catalog.add_popular_app(), catalog.add_popular_app()
-        device.install(a, 0.0, 1.0, rng)
-        device.install(b, 1.0, 1.0, rng)
-        device.open_app(a.package, 2.0, 10.0)
-        timeline = device.timeline(a.package)
-        assert all(e.package == a.package for e in timeline)
-        assert [e.event_type for e in timeline] == [EventType.INSTALL, EventType.FOREGROUND]
 
     def test_preinstalled_not_counted_as_user(self, device, catalog, rng):
         for app in catalog.preinstalled()[:3]:

@@ -131,15 +131,15 @@ class TestCampaignBoard:
         expected = 2 * campaign.pay_per_install_usd + 1 * campaign.pay_per_review_usd
         assert board.total_payout_usd() == pytest.approx(expected)
 
-    def test_campaign_complete_flag(self, rng):
+    def test_job_delivery_counts_down_remaining(self, rng):
         catalog = Catalog(rng)
         board = CampaignBoard(rng)
         campaign = board.post_campaign(
             catalog.add_promoted_app(), target_installs=1, target_reviews=1
         )
-        assert not campaign.complete
+        assert (campaign.installs_remaining, campaign.reviews_remaining) == (1, 1)
         take_job(board, rng)
-        assert campaign.complete
+        assert (campaign.installs_remaining, campaign.reviews_remaining) == (0, 0)
 
 
 class TestRecruitmentFunnel:
@@ -155,7 +155,7 @@ class TestRecruitmentFunnel:
 
     def test_conversion_rates(self, rng):
         funnel = simulate_funnel(rng)
-        assert funnel.conversion("impressions", "installed") < 0.01
+        assert funnel.count("installed") / funnel.count("impressions") < 0.01
 
     def test_unknown_stage_raises(self, rng):
         with pytest.raises(KeyError):

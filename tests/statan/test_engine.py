@@ -4,7 +4,6 @@ reporters."""
 import json
 
 from repro.statan import (
-    analyze_paths,
     analyze_source,
     collect_suppressions,
     load_baseline,
@@ -12,6 +11,7 @@ from repro.statan import (
     save_baseline,
 )
 from repro.statan.reporters import LintResult, render_json, render_text
+from tests.helpers import analyze_paths
 
 DIRTY = "import random\n\ndef f():\n    return random.random()\n"
 

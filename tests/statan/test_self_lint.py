@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.statan import analyze_paths, load_baseline, partition
+from repro.statan import load_baseline, partition
+from tests.helpers import analyze_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"

@@ -1,4 +1,4 @@
-"""Tests for descriptive summaries and ECDF helpers."""
+"""Tests for descriptive summaries."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.statstests import Summary, ecdf, histogram_counts, summarize
+from repro.statstests import summarize
 
 
 class TestSummarize:
@@ -18,11 +18,6 @@ class TestSummarize:
         assert s.median == pytest.approx(3.0)
         assert s.minimum == 1.0 and s.maximum == 5.0
         assert s.total == pytest.approx(15.0)
-
-    def test_paper_style_format(self):
-        s = summarize([1.0, 2.0, 3.0])
-        text = s.paper_style()
-        assert "M =" in text and "SD =" in text and "max =" in text
 
     def test_nonfinite_dropped(self):
         s = summarize([1.0, float("nan"), 2.0, float("inf")])
@@ -38,32 +33,23 @@ class TestSummarize:
         s = summarize([42.0])
         assert s.std == 0.0
 
+    def test_spread_matches_numpy(self, rng):
+        values = rng.lognormal(1.0, 1.0, 101)
+        s = summarize(values)
+        assert s.std == pytest.approx(np.std(values, ddof=1))
+        assert s.q1 == pytest.approx(np.percentile(values, 25))
+        assert s.q3 == pytest.approx(np.percentile(values, 75))
+
+    def test_as_dict_uses_report_keys(self):
+        s = summarize([1.0, 2.0, 6.0])
+        assert s.as_dict() == {
+            "n": 3, "mean": 3.0, "median": 2.0, "std": s.std, "min": 1.0,
+            "max": 6.0, "q1": 1.5, "q3": 4.0, "total": 9.0,
+        }
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100))
     def test_property_order_invariants(self, values):
         s = summarize(values)
         assert s.minimum <= s.q1 <= s.median <= s.q3 <= s.maximum
         assert s.minimum <= s.mean <= s.maximum
-
-
-class TestEcdf:
-    def test_sorted_probabilities(self, rng):
-        values, probs = ecdf(rng.normal(0, 1, 50))
-        assert np.all(np.diff(values) >= 0)
-        assert probs[0] == pytest.approx(1 / 50)
-        assert probs[-1] == pytest.approx(1.0)
-
-    def test_empty(self):
-        values, probs = ecdf([])
-        assert values.size == 0 and probs.size == 0
-
-
-class TestHistogram:
-    def test_counts_total(self, rng):
-        data = rng.uniform(0, 10, 200)
-        counts = histogram_counts(data, [0, 2, 4, 6, 8, 10])
-        assert counts.sum() == 200
-
-    def test_known_binning(self):
-        counts = histogram_counts([0.5, 1.5, 1.6, 2.5], [0, 1, 2, 3])
-        assert counts.tolist() == [1, 2, 1]
