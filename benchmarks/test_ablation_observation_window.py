@@ -15,7 +15,6 @@ from repro.reporting import render_table
 
 
 def test_ablation_observation_window(workbench, pipeline_result, emit):
-    data = workbench.data
     observations = pipeline_result.observations
     suspiciousness = pipeline_result.suspiciousness
 
@@ -23,7 +22,7 @@ def test_ablation_observation_window(workbench, pipeline_result, emit):
     metrics = {}
     for days in (1, 2, 5, 10):
         truncated = [obs.truncated(days) for obs in observations]
-        dataset = build_device_dataset(data, truncated, suspiciousness)
+        dataset = build_device_dataset(truncated, suspiciousness)
         cv = cross_validate(
             DEVICE_ALGORITHMS()["XGB"],
             dataset.X,

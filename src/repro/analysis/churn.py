@@ -9,6 +9,9 @@ from .common import GroupComparison, compare_feature
 
 __all__ = ["ChurnPoint", "ChurnResult", "compute_churn"]
 
+#: Figure 9's churn line: 10 app installs a day.
+HIGH_CHURN = 10.0
+
 
 @dataclass(frozen=True)
 class ChurnPoint:
@@ -28,13 +31,13 @@ class ChurnResult:
     installs: GroupComparison
     uninstalls: GroupComparison
 
-    def high_churn_devices(self, threshold: float = 10.0) -> dict[str, int]:
-        """Devices above the 10-apps/day churn line the paper draws."""
+    def high_churn_devices(self) -> dict[str, int]:
+        """Devices above the :data:`HIGH_CHURN` line the paper draws."""
         worker = sum(
-            1 for p in self.points if p.is_worker and p.daily_installs > threshold
+            1 for p in self.points if p.is_worker and p.daily_installs > HIGH_CHURN
         )
         regular = sum(
-            1 for p in self.points if not p.is_worker and p.daily_installs > threshold
+            1 for p in self.points if not p.is_worker and p.daily_installs > HIGH_CHURN
         )
         return {"worker": worker, "regular": regular}
 

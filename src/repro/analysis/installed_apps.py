@@ -28,10 +28,10 @@ class InstalledAppsResult:
     reporting_worker_devices: int
     reporting_regular_devices: int
 
-    def installed_anova_not_significant(self, alpha: float = 0.05) -> bool:
+    def installed_anova_not_significant(self) -> bool:
         """The paper's expected pattern: distribution tests reject but
-        ANOVA on installed-app counts does not."""
-        return not self.installed.tests.anova.significant(alpha)
+        ANOVA on installed-app counts does not (at the 0.05 level)."""
+        return not self.installed.tests.anova.significant()
 
 
 def compute_installed_apps(observations: list[DeviceObservation]) -> InstalledAppsResult:

@@ -32,7 +32,7 @@ def APP_ALGORITHMS() -> dict[str, object]:
     """The Table 1 algorithm suite (KNN uses K=5 per the paper)."""
     return {
         "XGB": GradientBoostingClassifier(
-            n_estimators=150, max_depth=4, learning_rate=0.15, random_state=0
+            n_estimators=150, max_depth=4, learning_rate=0.15
         ),
         "RF": RandomForestClassifier(n_estimators=120, random_state=0),
         "LR": LogisticRegression(C=1.0),
@@ -111,7 +111,7 @@ class AppClassifier:
     def __init__(self) -> None:
         self._imputer = SimpleImputer(strategy="median")
         self._model = GradientBoostingClassifier(
-            n_estimators=150, max_depth=4, learning_rate=0.15, random_state=0
+            n_estimators=150, max_depth=4, learning_rate=0.15
         )
         self.feature_names: tuple[str, ...] = ()
 
@@ -123,6 +123,3 @@ class AppClassifier:
 
     def predict(self, X) -> np.ndarray:
         return self._model.predict(self._imputer.transform(np.atleast_2d(X)))
-
-    def predict_proba(self, X) -> np.ndarray:
-        return self._model.predict_proba(self._imputer.transform(np.atleast_2d(X)))

@@ -29,6 +29,9 @@ __all__ = [
     "evaluate_baseline_on_devices",
 ]
 
+#: Share of a burst's reviews that must be 4-5 star for it to count.
+MIN_POSITIVE_FRACTION = 0.8
+
 
 @dataclass(frozen=True)
 class BaselineVerdict:
@@ -130,19 +133,13 @@ class BurstDetector:
 
     An account is flagged when its review stream contains a window of
     ``window_days`` days holding at least ``min_burst_reviews`` reviews,
-    with a rating skew above ``min_positive_fraction`` (promotion bursts
-    are 4-5 star) — the Fei-et-al./BIRDNEST-style signal.
+    at least :data:`MIN_POSITIVE_FRACTION` of them 4-5 star (promotion
+    bursts are) — the Fei-et-al./BIRDNEST-style signal.
     """
 
-    def __init__(
-        self,
-        window_days: float = 3.0,
-        min_burst_reviews: int = 5,
-        min_positive_fraction: float = 0.8,
-    ) -> None:
+    def __init__(self, window_days: float = 3.0, min_burst_reviews: int = 5) -> None:
         self.window_days = window_days
         self.min_burst_reviews = min_burst_reviews
-        self.min_positive_fraction = min_positive_fraction
 
     def account_score(self, store: ReviewStore, google_id: str) -> float:
         """Max reviews in any sliding window (rating-skew gated)."""
@@ -160,7 +157,7 @@ class BurstDetector:
             count = end - start + 1
             if count >= self.min_burst_reviews:
                 positive = np.mean(ratings[start : end + 1] >= 4)
-                if positive >= self.min_positive_fraction:
+                if positive >= MIN_POSITIVE_FRACTION:
                     best = max(best, float(count))
         return best
 

@@ -11,7 +11,7 @@ from ..simulation.world import StudyData
 from .app_features import APP_FEATURE_NAMES, app_feature_matrix
 from .device_features import DEVICE_FEATURE_NAMES, device_feature_matrix
 from .labeling import LabelingConfig, LabelingResult, label_apps
-from .observations import DeviceObservation, build_observations
+from .observations import DeviceObservation
 
 __all__ = [
     "AppInstance",
@@ -71,17 +71,13 @@ class DeviceDataset:
 
 def build_app_dataset(
     data: StudyData,
-    observations: list[DeviceObservation] | None = None,
+    observations: list[DeviceObservation],
     labeling_config: LabelingConfig | None = None,
-    impute: bool = True,
 ) -> AppDataset:
     """Label apps via §7.2 rules, then extract one instance per
     (labeled app, held-out device carrying it); each device's rows come
-    from one :func:`app_feature_matrix` pass."""
-    if observations is None:
-        observations = build_observations(
-            data, data.eligible_participants(min_days=2)
-        )
+    from one :func:`app_feature_matrix` pass, and missing features are
+    imputed with their column median."""
     labeling = label_apps(data, observations, labeling_config)
 
     rows: list[np.ndarray] = []
@@ -111,11 +107,8 @@ def build_app_dataset(
             "labeling produced no instances — cohort too small or labeling "
             "thresholds too strict for this simulation scale"
         )
-    X = np.vstack(rows)
-    if impute:
-        X = SimpleImputer(strategy="median").fit_transform(X)
     return AppDataset(
-        X=X,
+        X=SimpleImputer(strategy="median").fit_transform(np.vstack(rows)),
         y=np.asarray(labels, dtype=np.int64),
         feature_names=APP_FEATURE_NAMES,
         instances=instances,
@@ -124,28 +117,22 @@ def build_app_dataset(
 
 
 def build_device_dataset(
-    data: StudyData,
-    observations: list[DeviceObservation] | None = None,
+    observations: list[DeviceObservation],
     suspiciousness: dict[str, float] | None = None,
-    impute: bool = True,
 ) -> DeviceDataset:
     """One row per eligible device; label 1 = worker-controlled.
 
     ``suspiciousness`` maps install_id -> fraction of installed apps the
-    app classifier flagged (feature (2) of §8.1); omitted entries are NaN.
+    app classifier flagged (feature (2) of §8.1); omitted entries are NaN
+    until the column median imputes them, as it imputes every missing
+    feature.
     """
-    if observations is None:
-        observations = build_observations(
-            data, data.eligible_participants(min_days=2)
-        )
     suspiciousness = suspiciousness or {}
     X = device_feature_matrix(
         observations, [suspiciousness.get(obs.install_id) for obs in observations]
     )
-    if impute:
-        X = SimpleImputer(strategy="median").fit_transform(X)
     return DeviceDataset(
-        X=X,
+        X=SimpleImputer(strategy="median").fit_transform(X),
         y=np.asarray([int(o.is_worker) for o in observations], dtype=np.int64),
         feature_names=DEVICE_FEATURE_NAMES,
         observations=observations,

@@ -38,7 +38,7 @@ def DEVICE_ALGORITHMS() -> dict[str, object]:
     """The Table 2 algorithm suite (KNN uses K=5 per the paper)."""
     return {
         "XGB": GradientBoostingClassifier(
-            n_estimators=120, max_depth=3, learning_rate=0.15, random_state=0
+            n_estimators=120, max_depth=3, learning_rate=0.15
         ),
         "RF": RandomForestClassifier(n_estimators=120, random_state=0),
         "SVM": LinearSVC(C=1.0, epochs=40, random_state=0),
@@ -114,7 +114,7 @@ class DeviceClassifier:
     def __init__(self) -> None:
         self._imputer = SimpleImputer(strategy="median")
         self._model = GradientBoostingClassifier(
-            n_estimators=120, max_depth=3, learning_rate=0.15, random_state=0
+            n_estimators=120, max_depth=3, learning_rate=0.15
         )
         self.feature_names: tuple[str, ...] = ()
 

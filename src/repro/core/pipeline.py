@@ -128,7 +128,7 @@ class DetectionPipeline:
 
         # §8: device classifier with the suspiciousness feature wired in.
         with obs.trace("pipeline.device_dataset"):
-            device_dataset = build_device_dataset(data, observations, suspiciousness)
+            device_dataset = build_device_dataset(observations, suspiciousness)
         device_splits = max(
             2, min(self.n_splits, device_dataset.n_worker, device_dataset.n_regular)
         )

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
-from ..obs.metrics import MetricsRegistry
 from ..platform.server import _COLLECTIONS, RacketStoreServer
 from ..platform.store import DocumentStore
 from .errors import FaultInjected, InjectedThrottle, ServerCrash, StoreRejected
@@ -39,16 +38,13 @@ class FaultableServer(RacketStoreServer):
         self,
         store: DocumentStore | None = None,
         review_crawler=None,
-        registry: MetricsRegistry | None = None,
         *,
         plan: FaultPlan,
         rng: np.random.Generator,
     ) -> None:
         if rng is None:
             raise ValueError("FaultableServer requires an explicit rng")
-        super().__init__(
-            store, review_crawler, registry, dedup_window=plan.dedup_window
-        )
+        super().__init__(store, review_crawler, dedup_window=plan.dedup_window)
         self._plan = plan
         self._frng = rng
         self._day = 0

@@ -4,7 +4,7 @@ Implements every algorithm evaluated in the paper's Tables 1 and 2 —
 Extreme Gradient Boosting, Random Forest, Logistic Regression,
 K-Nearest Neighbors, Learning Vector Quantization, and linear SVM —
 plus the supporting machinery: metrics (precision/recall/F1/AUC/FPR),
-stratified repeated k-fold cross-validation, and the SMOTE /
+stratified k-fold cross-validation, and the SMOTE /
 over- / under-sampling strategies from §7.2 and §8.2.
 """
 

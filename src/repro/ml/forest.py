@@ -34,44 +34,35 @@ def _grow_trees(
     encoded: np.ndarray,
     samples: list[np.ndarray],
     seeds: list[int],
-    params: dict,
     n_classes: int,
 ) -> list[tuple[Tree, np.ndarray]]:
-    """Grow a block of pre-seeded trees in lockstep, one per sample."""
+    """Grow a block of pre-seeded trees in lockstep, one per sample, each
+    node searching ``sqrt(d)`` sampled features."""
     rngs = [check_random_state(seed) for seed in seeds]
-    return DecisionTreeClassifier(**params)._grow(X, encoded, n_classes, samples, rngs)
+    n_candidates = max(1, int(np.sqrt(X.shape[1])))
+    return DecisionTreeClassifier()._grow(X, encoded, n_classes, samples, rngs, n_candidates)
 
 
 class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     """Bootstrap-aggregated CART trees.
 
-    Parameters mirror the usual conventions: ``n_estimators`` trees, each
-    fit on a bootstrap sample with ``max_features`` features considered
-    per split (default ``"sqrt"``).  ``feature_importances_`` averages the
-    per-tree mean decrease in Gini, matching the measure in Figs. 13/14.
-    ``n_jobs`` controls how many blocks of trees grow in parallel
-    (``None`` → ``REPRO_N_JOBS`` → serial; ``<= 0`` → all cores) without
-    changing a single output bit.  A fitted forest keeps each tree in
-    ``trees_`` and its normalised importances in ``tree_importances_``.
+    Each of the ``n_estimators`` trees grows in full on a bootstrap
+    sample, with ``sqrt(d)`` of the ``d`` features sampled as candidates
+    at every node.  ``feature_importances_`` averages the per-tree mean
+    decrease in Gini, matching the measure in Figs. 13/14.  ``n_jobs``
+    controls how many blocks of trees grow in parallel (``None`` →
+    ``REPRO_N_JOBS`` → serial; ``<= 0`` → all cores) without changing a
+    single output bit.  A fitted forest keeps each tree in ``trees_`` and
+    its normalised importances in ``tree_importances_``.
     """
 
     def __init__(
         self,
         n_estimators: int = 100,
-        max_depth: int | None = None,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-        max_features: int | float | str | None = "sqrt",
-        bootstrap: bool = True,
         random_state: int | None = None,
         n_jobs: int | None = None,
     ) -> None:
         self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.bootstrap = bootstrap
         self.random_state = random_state
         self.n_jobs = n_jobs
 
@@ -88,18 +79,9 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         samples: list[np.ndarray] = []
         seeds: list[int] = []
         for _ in range(self.n_estimators):
-            if self.bootstrap:
-                samples.append(rng.integers(0, n, size=n))
-            else:
-                samples.append(np.arange(n))
+            samples.append(rng.integers(0, n, size=n))
             seeds.extend(draw_seeds(rng, 1))
 
-        params = {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-        }
         n_classes = len(self.classes_)
         blocks = np.array_split(np.arange(self.n_estimators), resolve_n_jobs(self.n_jobs))
         # Collection is in submission (= tree) order, so importance
@@ -107,7 +89,7 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
         grown = parallel_map(
             _grow_trees,
             [
-                (X, encoded, [samples[i] for i in block], [seeds[i] for i in block], params, n_classes)
+                (X, encoded, [samples[i] for i in block], [seeds[i] for i in block], n_classes)
                 for block in blocks
                 if block.size
             ],

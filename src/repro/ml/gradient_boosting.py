@@ -5,11 +5,14 @@ binary classification: additive regression trees fit to the first- and
 second-order gradients of the logistic loss, with the regularised
 second-order split gain
 
-    gain = 1/2 * [ GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda) ] - gamma
+    gain = 1/2 * [ GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda) ]
 
-and leaf weights ``w = -G / (H + lambda)`` (Chen & Guestrin, KDD 2016).
-XGB is the best-performing algorithm in both of the paper's tables, so
-this module is the one that must reproduce the headline F1 numbers.
+and leaf weights ``w = -G / (H + lambda)`` (Chen & Guestrin, KDD 2016),
+at XGBoost's defaults: ``lambda = 1``, ``gamma = 0``, a minimum child
+hessian mass of 1, a base score of 0.5 (a starting margin of exactly 0)
+and every row and every feature in every round.  XGB is the
+best-performing algorithm in both of the paper's tables, so this module
+is the one that must reproduce the headline F1 numbers.
 
 Each boosting round grows one tree -- a list of one for the shared
 grower and split search in :mod:`repro.ml.tree`, so every search is a
@@ -17,21 +20,25 @@ batch of one node -- and this module contributes only the gain above,
 over ``[grad, hess]`` statistics.  It keeps each round as a flat-array
 :class:`~repro.ml.tree.Tree`; the margin sums the rounds' leaf weights
 through the same descent that predicts every other tree.  Every round
-sees the same matrix, so when every node searches every feature
-(``colsample_bytree=1``) ``fit`` sorts its columns once and every round
-starts from that order, as XGBoost's exact greedy algorithm keeps its
-sorted column blocks (KDD 2016, §4.1); a round with ``subsample < 1``
-takes its rows' order with the kernel's stable partition.
+sees the same matrix and every node searches every feature, so ``fit``
+sorts its columns once and every round starts from that order, as
+XGBoost's exact greedy algorithm keeps its sorted column blocks (KDD
+2016, §4.1).  Nothing is drawn at random.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y
-from .tree import Tree, descend, grow, partition, presort
+from .base import BaseEstimator, ClassifierMixin, check_array, check_X_y
+from .tree import Tree, descend, grow, presort
 
 __all__ = ["GradientBoostingClassifier"]
+
+#: L2 penalty on leaf weights (XGBoost's ``lambda``).
+REG_LAMBDA = 1.0
+#: Least hessian mass either child of a split must hold.
+MIN_CHILD_WEIGHT = 1.0
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -46,15 +53,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
     """Binary XGBoost-style classifier on the logistic loss.
 
-    Parameters
-    ----------
-    n_estimators, learning_rate, max_depth:
-        The usual boosting controls.
-    reg_lambda, gamma, min_child_weight:
-        XGBoost regularisation: L2 on leaf weights, per-split penalty,
-        and minimum hessian mass per child.
-    subsample, colsample_bytree:
-        Stochastic row/column sampling per boosting round.
+    ``n_estimators`` rounds of trees at most ``max_depth`` deep, each
+    round's leaf weights shrunk by ``learning_rate``.
     """
 
     def __init__(
@@ -62,24 +62,10 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         n_estimators: int = 200,
         learning_rate: float = 0.1,
         max_depth: int = 4,
-        reg_lambda: float = 1.0,
-        gamma: float = 0.0,
-        min_child_weight: float = 1.0,
-        subsample: float = 1.0,
-        colsample_bytree: float = 1.0,
-        base_score: float = 0.5,
-        random_state: int | None = None,
     ) -> None:
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.reg_lambda = reg_lambda
-        self.gamma = gamma
-        self.min_child_weight = min_child_weight
-        self.subsample = subsample
-        self.colsample_bytree = colsample_bytree
-        self.base_score = base_score
-        self.random_state = random_state
 
     def fit(self, X, y) -> "GradientBoostingClassifier":
         X, y = check_X_y(X, y)
@@ -94,17 +80,14 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         if len(self.classes_) != 2:
             raise ValueError("GradientBoostingClassifier is binary-only")
         self._constant_class = False
-        rng = check_random_state(self.random_state)
         n = X.shape[0]
         target = encoded.astype(np.float64)
-        n_candidates = max(1, int(self.colsample_bytree * self.n_features_))
 
-        p0 = np.clip(self.base_score, 1e-6, 1.0 - 1e-6)
-        self.base_margin_ = float(np.log(p0 / (1.0 - p0)))
+        self.base_margin_ = 0.0  # log-odds of the 0.5 base score
         margin = np.full(n, self.base_margin_, dtype=np.float64)
-        # Every round sees the same X: with every feature searched at every
-        # node, sort its columns once here instead of in every round.
-        order = presort(X) if n_candidates == self.n_features_ else None
+        # Every round sees the same X and searches every feature at every
+        # node: sort its columns once here instead of in every round.
+        order = presort(X)
 
         self._tree_gains: list[np.ndarray] = []
         self.train_losses_: list[float] = []
@@ -114,18 +97,9 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
             grad = p - target
             hess = p * (1.0 - p)
 
-            if self.subsample < 1.0:
-                rows = rng.random(n) < self.subsample
-                if not rows.any():
-                    rows[rng.integers(0, n)] = True
-                sample = rows.nonzero()[0]
-                round_order = None if order is None else partition(order, rows)[0]
-            else:
-                sample, round_order = every_row, order
-
             ((tree, splits),) = grow(
-                X, np.column_stack([grad, hess]), [sample], [rng], self._node, self._gain,
-                self.max_depth, n_candidates, [round_order],
+                X, np.column_stack([grad, hess]), [every_row], None, self._node, self._gain,
+                self.max_depth, self.n_features_, [order],
             )
             gains = np.zeros(self.n_features_, dtype=np.float64)
             for feature, gain in splits:
@@ -148,10 +122,10 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         # of the whole matrix adds in another order and moves the bytes.
         g_sum = float(stats[:, 0].sum())
         h_sum = float(stats[:, 1].sum())
-        weight = -g_sum / (h_sum + self.reg_lambda)
+        weight = -g_sum / (h_sum + REG_LAMBDA)
         if stats.shape[0] < 2:
             return weight, None
-        return weight, (g_sum, h_sum, g_sum**2 / (h_sum + self.reg_lambda))
+        return weight, (g_sum, h_sum, g_sum**2 / (h_sum + REG_LAMBDA))
 
     def _gain(self, left: np.ndarray, parent: np.ndarray) -> np.ndarray:
         """Second-order gain of each candidate split over its left
@@ -159,15 +133,15 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         g_sum, h_sum, parent_score = parent[:, 0], parent[:, 1], parent[:, 2]
         g_left, h_left = left[:, 0], left[:, 1]
         h_right = h_sum - h_left
-        valid = (h_left >= self.min_child_weight) & (h_right >= self.min_child_weight)
+        valid = (h_left >= MIN_CHILD_WEIGHT) & (h_right >= MIN_CHILD_WEIGHT)
         if not valid.any():  # most small nodes: skip the arithmetic
             return np.full(valid.shape, -np.inf)
         g_right = g_sum - g_left
         gains = 0.5 * (
-            g_left**2 / (h_left + self.reg_lambda)
-            + g_right**2 / (h_right + self.reg_lambda)
+            g_left**2 / (h_left + REG_LAMBDA)
+            + g_right**2 / (h_right + REG_LAMBDA)
             - parent_score
-        ) - self.gamma
+        )
         gains[~valid] = -np.inf
         return gains
 

@@ -16,21 +16,16 @@ __all__ = ["KNeighborsClassifier"]
 
 
 class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
-    """Brute-force kNN with optional distance weighting.
+    """Brute-force kNN with uniform (majority) votes.
 
     Parameters
     ----------
     n_neighbors:
         K; the paper's best value is 5.
-    weights:
-        ``"uniform"`` (majority vote) or ``"distance"`` (1/d weights).
     """
 
-    def __init__(self, n_neighbors: int = 5, weights: str = "uniform") -> None:
-        if weights not in ("uniform", "distance"):
-            raise ValueError(f"unknown weights scheme {weights!r}")
+    def __init__(self, n_neighbors: int = 5) -> None:
         self.n_neighbors = n_neighbors
-        self.weights = weights
 
     def fit(self, X, y) -> "KNeighborsClassifier":
         X, y = check_X_y(X, y)
@@ -40,12 +35,12 @@ class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
         return self
 
     def _neighbor_votes(self, X: np.ndarray) -> np.ndarray:
-        """Per-query class vote mass from the K nearest training points.
+        """Per-query class votes from the K nearest training points.
 
-        Fully vectorised: each chunk's votes are scattered in one
+        Fully vectorised: each chunk's votes are counted in one
         ``bincount`` over flattened (query, class) cells — no per-row
-        Python loop.  Within a cell, weights accumulate in neighbour
-        order, so results match the naive per-row scatter bit for bit.
+        Python loop.  Counts are exact integers, so results match the
+        naive per-row scatter bit for bit.
         """
         Z = self._scaler.transform(check_array(X))
         k = min(self.n_neighbors, self._train.shape[0])
@@ -63,18 +58,12 @@ class KNeighborsClassifier(BaseEstimator, ClassifierMixin):
             )
             np.maximum(d2, 0.0, out=d2)
             nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            if self.weights == "distance":
-                w = 1.0 / (np.sqrt(np.take_along_axis(d2, nearest, axis=1)) + 1e-12)
-            else:
-                w = np.ones((m, k), dtype=np.float64)
             cells = np.repeat(np.arange(m), k) * n_classes + self._encoded[nearest].ravel()
             votes[start : start + m] = np.bincount(
-                cells, weights=w.ravel(), minlength=m * n_classes
+                cells, minlength=m * n_classes
             ).reshape(m, n_classes)
         return votes
 
     def predict_proba(self, X) -> np.ndarray:
         votes = self._neighbor_votes(X)
-        totals = votes.sum(axis=1, keepdims=True)
-        totals[totals == 0.0] = 1.0
-        return votes / totals
+        return votes / votes.sum(axis=1, keepdims=True)  # each row totals K >= 1

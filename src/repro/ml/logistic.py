@@ -15,6 +15,11 @@ from .preprocessing import StandardScaler
 
 __all__ = ["LogisticRegression"]
 
+#: Newton iteration budget of every fit.
+MAX_ITER = 100
+#: Convergence threshold on the gradient's infinity norm.
+TOL = 1e-8
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -32,18 +37,13 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
     ----------
     C:
         Inverse regularisation strength (larger = less regularised).
-    max_iter, tol:
-        Newton iteration budget and convergence threshold on the
-        gradient's infinity norm.
 
     Features are z-scored internally; ``coef_`` and ``intercept_`` fold
     the scaling back out, so they apply to raw features.
     """
 
-    def __init__(self, C: float = 1.0, max_iter: int = 100, tol: float = 1e-8) -> None:
+    def __init__(self, C: float = 1.0) -> None:
         self.C = C
-        self.max_iter = max_iter
-        self.tol = tol
 
     def fit(self, X, y) -> "LogisticRegression":
         X, y = check_X_y(X, y)
@@ -68,11 +68,11 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
 
         w = np.zeros(d + 1)
         self.n_iter_ = 0
-        for _ in range(self.max_iter):
+        for _ in range(MAX_ITER):
             self.n_iter_ += 1
             p = _sigmoid(design @ w)
             gradient = design.T @ (p - target) + penalty * w
-            if np.max(np.abs(gradient)) < self.tol:
+            if np.max(np.abs(gradient)) < TOL:
                 break
             weights = np.clip(p * (1.0 - p), 1e-10, None)
             hessian = (design * weights[:, None]).T @ design + np.diag(penalty + 1e-10)

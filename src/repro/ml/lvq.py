@@ -1,9 +1,8 @@
 """Learning Vector Quantization ("LVQ" in Tables 1 and 2).
 
-Kohonen's LVQ1 with optional LVQ2.1-style window updates: a small
-codebook of labelled prototypes is pulled toward same-class samples and
-pushed away from other-class samples, with a linearly decaying learning
-rate.  LVQ is the weakest algorithm in both of the paper's tables, which
+Kohonen's LVQ1: a small codebook of labelled prototypes is pulled toward
+same-class samples and pushed away from other-class samples, with a
+learning rate that decays linearly from :data:`LEARNING_RATE` to zero.  LVQ is the weakest algorithm in both of the paper's tables, which
 this implementation reproduces.
 """
 
@@ -16,6 +15,9 @@ from .preprocessing import StandardScaler
 
 __all__ = ["LVQClassifier"]
 
+#: Initial step size of every fit.
+LEARNING_RATE = 0.3
+
 
 class LVQClassifier(BaseEstimator, ClassifierMixin):
     """LVQ1 prototype classifier.
@@ -25,29 +27,18 @@ class LVQClassifier(BaseEstimator, ClassifierMixin):
     prototypes_per_class:
         Codebook size per class; prototypes are initialised on random
         same-class training samples.
-    learning_rate:
-        Initial step size, decayed linearly to zero over training.
     epochs:
         Passes over the (shuffled) training data.
-    lvq2:
-        If true, applies the LVQ2.1 update (move both nearest prototypes
-        when they straddle the class boundary inside ``window``).
     """
 
     def __init__(
         self,
         prototypes_per_class: int = 4,
-        learning_rate: float = 0.3,
         epochs: int = 30,
-        lvq2: bool = False,
-        window: float = 0.3,
         random_state: int | None = None,
     ) -> None:
         self.prototypes_per_class = prototypes_per_class
-        self.learning_rate = learning_rate
         self.epochs = epochs
-        self.lvq2 = lvq2
-        self.window = window
         self.random_state = random_state
 
     def fit(self, X, y) -> "LVQClassifier":
@@ -73,22 +64,11 @@ class LVQClassifier(BaseEstimator, ClassifierMixin):
         step = 0
         for _ in range(self.epochs):
             for i in rng.permutation(n):
-                rate = self.learning_rate * (1.0 - step / total_steps)
+                rate = LEARNING_RATE * (1.0 - step / total_steps)
                 step += 1
                 x = Z[i]
                 d2 = np.sum((self.prototypes_ - x) ** 2, axis=1)
                 nearest = int(np.argmin(d2))
-                if self.lvq2:
-                    order = np.argsort(d2)
-                    a, b = int(order[0]), int(order[1]) if order.size > 1 else (int(order[0]), int(order[0]))
-                    la, lb = self.prototype_labels_[a], self.prototype_labels_[b]
-                    da, db = np.sqrt(d2[a]) + 1e-12, np.sqrt(d2[b]) + 1e-12
-                    in_window = min(da / db, db / da) > (1 - self.window) / (1 + self.window)
-                    if la != lb and in_window and (la == encoded[i] or lb == encoded[i]):
-                        correct, wrong = (a, b) if la == encoded[i] else (b, a)
-                        self.prototypes_[correct] += rate * (x - self.prototypes_[correct])
-                        self.prototypes_[wrong] -= rate * (x - self.prototypes_[wrong])
-                        continue
                 if self.prototype_labels_[nearest] == encoded[i]:
                     self.prototypes_[nearest] += rate * (x - self.prototypes_[nearest])
                 else:

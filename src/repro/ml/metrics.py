@@ -3,7 +3,7 @@
 Tables 1 and 2 report precision, recall and F1-measure; the text also
 reports AUC and false-positive rate.  All metrics here follow the usual
 binary-classification conventions with label ``1`` as the positive
-("promotion" / "worker") class unless ``pos_label`` says otherwise.
+("promotion" / "worker") class.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ def _validate(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     return y_true, y_pred
 
 
-def _binary_counts(y_true, y_pred, pos_label) -> tuple[int, int, int, int]:
+def _binary_counts(y_true, y_pred) -> tuple[int, int, int, int]:
     y_true, y_pred = _validate(y_true, y_pred)
-    positive_truth = y_true == pos_label
-    positive_pred = y_pred == pos_label
+    positive_truth = y_true == 1
+    positive_pred = y_pred == 1
     tp = int(np.sum(positive_truth & positive_pred))
     fp = int(np.sum(~positive_truth & positive_pred))
     fn = int(np.sum(positive_truth & ~positive_pred))
@@ -53,40 +53,40 @@ def accuracy_score(y_true, y_pred) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def precision_score(y_true, y_pred, pos_label=1) -> float:
+def precision_score(y_true, y_pred) -> float:
     """TP / (TP + FP); 0.0 when nothing was predicted positive."""
-    tp, fp, _, _ = _binary_counts(y_true, y_pred, pos_label)
+    tp, fp, _, _ = _binary_counts(y_true, y_pred)
     return tp / (tp + fp) if tp + fp else 0.0
 
 
-def recall_score(y_true, y_pred, pos_label=1) -> float:
+def recall_score(y_true, y_pred) -> float:
     """TP / (TP + FN); 0.0 when no positives exist in the truth."""
-    tp, _, fn, _ = _binary_counts(y_true, y_pred, pos_label)
+    tp, _, fn, _ = _binary_counts(y_true, y_pred)
     return tp / (tp + fn) if tp + fn else 0.0
 
 
-def f1_score(y_true, y_pred, pos_label=1) -> float:
+def f1_score(y_true, y_pred) -> float:
     """Harmonic mean of precision and recall."""
-    precision = precision_score(y_true, y_pred, pos_label)
-    recall = recall_score(y_true, y_pred, pos_label)
+    precision = precision_score(y_true, y_pred)
+    recall = recall_score(y_true, y_pred)
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
 
 
-def false_positive_rate(y_true, y_pred, pos_label=1) -> float:
+def false_positive_rate(y_true, y_pred) -> float:
     """FP / (FP + TN) — the paper reports 1.94% (apps) and 1.41% (devices)."""
-    _, fp, _, tn = _binary_counts(y_true, y_pred, pos_label)
+    _, fp, _, tn = _binary_counts(y_true, y_pred)
     return fp / (fp + tn) if fp + tn else 0.0
 
 
-def roc_curve(y_true, y_score, pos_label=1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def roc_curve(y_true, y_score) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ROC curve (fpr, tpr, thresholds) by descending-score sweep."""
     y_true = np.asarray(y_true)
     y_score = np.asarray(y_score, dtype=np.float64)
     if y_true.shape != y_score.shape:
         raise ValueError("y_true and y_score must have the same shape")
-    positive = (y_true == pos_label).astype(np.float64)
+    positive = (y_true == 1).astype(np.float64)
     order = np.argsort(-y_score, kind="mergesort")
     y_score = y_score[order]
     positive = positive[order]
@@ -107,14 +107,14 @@ def roc_curve(y_true, y_score, pos_label=1) -> tuple[np.ndarray, np.ndarray, np.
     return fpr, tpr, thresholds
 
 
-def roc_auc_score(y_true, y_score, pos_label=1) -> float:
+def roc_auc_score(y_true, y_score) -> float:
     """Area under the ROC curve via the trapezoid rule.
 
     Equals the Mann-Whitney probability that a random positive outranks a
     random negative, which is the property the paper's "AUC above 0.99"
     claims rely on.
     """
-    fpr, tpr, _ = roc_curve(y_true, y_score, pos_label)
+    fpr, tpr, _ = roc_curve(y_true, y_score)
     return float(np.trapezoid(tpr, fpr))
 
 
@@ -132,19 +132,19 @@ class ClassificationReport:
     support_negative: int
 
 
-def classification_report(y_true, y_pred, y_score=None, pos_label=1) -> ClassificationReport:
+def classification_report(y_true, y_pred, y_score=None) -> ClassificationReport:
     """Compute the full per-run report; AUC falls back to hard labels."""
     y_true, y_pred = _validate(y_true, y_pred)
     if y_score is None:
-        y_score = (y_pred == pos_label).astype(np.float64)
-    auc = roc_auc_score(y_true, y_score, pos_label)
+        y_score = (y_pred == 1).astype(np.float64)
+    auc = roc_auc_score(y_true, y_score)
     return ClassificationReport(
-        precision=precision_score(y_true, y_pred, pos_label),
-        recall=recall_score(y_true, y_pred, pos_label),
-        f1=f1_score(y_true, y_pred, pos_label),
+        precision=precision_score(y_true, y_pred),
+        recall=recall_score(y_true, y_pred),
+        f1=f1_score(y_true, y_pred),
         accuracy=accuracy_score(y_true, y_pred),
         auc=auc,
-        false_positive_rate=false_positive_rate(y_true, y_pred, pos_label),
-        support_positive=int(np.sum(y_true == pos_label)),
-        support_negative=int(np.sum(y_true != pos_label)),
+        false_positive_rate=false_positive_rate(y_true, y_pred),
+        support_positive=int(np.sum(y_true == 1)),
+        support_negative=int(np.sum(y_true != 1)),
     )

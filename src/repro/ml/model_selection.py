@@ -1,11 +1,10 @@
 """Cross-validation machinery matching the paper's protocol.
 
-Both tables use 10-fold cross-validation; the paper repeats Table 1's
-5 times ("repeated 10-fold cross-validation (n=5)"), which ``n_repeats``
-supports, while the experiments run one repeat (DESIGN.md §2).
-Resampling (SMOTE /
-over / under) is applied *inside* each fold, to the training split
-only, so no synthetic point ever leaks into validation.
+Both tables use 10-fold cross-validation.  The paper repeats Table 1's
+5 times ("repeated 10-fold cross-validation (n=5)"); ``cross_validate``
+runs one repeat, as the experiments do (DESIGN.md §2).  Resampling
+(SMOTE / over / under) is applied *inside* each fold, to the training
+split only, so no synthetic point ever leaks into validation.
 
 Fold jobs are independent, so ``cross_validate`` fans them out across
 worker processes when ``n_jobs > 1``.  Determinism contract (DESIGN.md
@@ -35,21 +34,13 @@ __all__ = [
 ]
 
 
-def _stratified_fold_of(
-    y: np.ndarray, n_splits: int, shuffle: bool, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-sample fold assignment: per-class round-robin after an
-    optional per-class shuffle, preserving class ratios in every fold.
-
-    Operates on an already-validated label vector so repeated splits
-    (e.g. one per CV repeat) never re-validate the feature matrix.
-    """
+def _stratified_fold_of(y: np.ndarray, n_splits: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-sample fold assignment: per-class round-robin after a
+    per-class shuffle, preserving class ratios in every fold."""
     n = y.shape[0]
     fold_of = np.empty(n, dtype=np.int64)
     for label in np.unique(y):
-        members = np.nonzero(y == label)[0]
-        if shuffle:
-            members = rng.permutation(members)
+        members = rng.permutation(np.nonzero(y == label)[0])
         if members.size < n_splits:
             raise ValueError(
                 f"class {label!r} has {members.size} samples, fewer than "
@@ -61,7 +52,7 @@ def _stratified_fold_of(
 
 @dataclass
 class CrossValidationResult:
-    """Aggregated metrics over all CV folds (and repeats)."""
+    """Aggregated metrics over all CV folds."""
 
     fold_reports: list[ClassificationReport] = field(default_factory=list)
 
@@ -116,7 +107,6 @@ def _run_fold(
     test: np.ndarray,
     resample: Callable | None,
     resample_seed: int | None,
-    pos_label,
     model_name: str,
 ) -> ClassificationReport:
     """Fit/score one pre-drawn CV fold (runs in-process or in a worker)."""
@@ -139,9 +129,9 @@ def _run_fold(
     if hasattr(model, "predict_proba"):
         proba = model.predict_proba(X[test])
         if proba.shape[1] == 2:
-            positive_col = int(np.nonzero(model.classes_ == pos_label)[0][0]) if pos_label in model.classes_ else 1
+            positive_col = int(np.nonzero(model.classes_ == 1)[0][0]) if 1 in model.classes_ else 1
             y_score = proba[:, positive_col]
-    return classification_report(y[test], y_pred, y_score, pos_label=pos_label)
+    return classification_report(y[test], y_pred, y_score)
 
 
 def cross_validate(
@@ -149,19 +139,20 @@ def cross_validate(
     X,
     y,
     n_splits: int = 10,
-    n_repeats: int = 1,
     resample: str | Callable | None = None,
-    pos_label=1,
     random_state: int | None = None,
     name: str | None = None,
     n_jobs: int | None = None,
 ) -> CrossValidationResult:
-    """Repeated stratified k-fold CV with in-fold resampling.
+    """Stratified k-fold CV with in-fold resampling; class 1 is the
+    positive class of every fold's report.
 
     Parameters
     ----------
     estimator:
         Unfitted estimator; cloned per fold.
+    n_splits:
+        Number of folds, at least 2.
     resample:
         ``None``/``"none"``, ``"smote"``, ``"oversample"``,
         ``"undersample"``, or a callable ``(X, y, random_state) -> (X, y)``
@@ -175,6 +166,8 @@ def cross_validate(
         count; the estimator and any ``resample`` callable must be
         picklable when ``n_jobs > 1``.
     """
+    if n_splits < 2:
+        raise ValueError(f"n_splits={n_splits}: cross-validation needs at least 2 folds")
     X, y = check_X_y(X, y)
     if isinstance(resample, str):
         resample = RESAMPLERS[resample]
@@ -182,24 +175,17 @@ def cross_validate(
     model_name = name or type(estimator).__name__
 
     # Derive every fold's indices and seed *before* any fan-out, in the
-    # exact order the serial loop draws them: per repeat, one split seed,
-    # then (with resampling) one resample seed per fold.  X and y are
-    # validated exactly once above; fold index arrays are reused instead
-    # of re-running check_X_y per split.
+    # exact order the serial loop draws them: one split seed, then (with
+    # resampling) one resample seed per fold.  X and y are validated
+    # exactly once above.
+    (seed,) = draw_seeds(rng, 1)
+    fold_of = _stratified_fold_of(y, n_splits, check_random_state(seed))
     jobs: list[tuple] = []
-    for _repeat in range(n_repeats):
-        (seed,) = draw_seeds(rng, 1)
-        fold_of = _stratified_fold_of(
-            y, n_splits, shuffle=True, rng=check_random_state(seed)
-        )
-        for fold in range(n_splits):
-            test = np.nonzero(fold_of == fold)[0]
-            train = np.nonzero(fold_of != fold)[0]
-            resample_seed = draw_seeds(rng, 1)[0] if resample is not None else None
-            jobs.append(
-                (estimator, X, y, train, test, resample, resample_seed,
-                 pos_label, model_name)
-            )
+    for fold in range(n_splits):
+        test = np.nonzero(fold_of == fold)[0]
+        train = np.nonzero(fold_of != fold)[0]
+        resample_seed = draw_seeds(rng, 1)[0] if resample is not None else None
+        jobs.append((estimator, X, y, train, test, resample, resample_seed, model_name))
 
     result = CrossValidationResult()
     result.fold_reports.extend(parallel_map(_run_fold, jobs, n_jobs=n_jobs))

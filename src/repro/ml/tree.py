@@ -17,13 +17,14 @@ booster's second-order gain over ``[grad, hess]`` in
 :func:`grow` grows a list of trees in lockstep around the search.  At
 each step it takes the next node of every unfinished tree and searches
 them together, while each tree still grows depth-first in its own
-pre-order and draws its candidate features from its own generator: a
-forest passes all its trees, CART and each boosting round pass one.
-Where every node searches every feature, each tree sorts its columns
-once (:func:`presort`) and hands each child its rows' orders by a stable
+pre-order: a forest passes all its trees, CART and each boosting round
+pass one.  The grower has two paths.  CART and the booster search every
+feature at every node: each tree sorts its columns once
+(:func:`presort`) and hands each child its rows' orders by a stable
 :func:`partition` of its parent's, the column-block reuse of XGBoost's
-exact greedy algorithm (Chen & Guestrin, KDD 2016, §4.1); where nodes
-sample features, one integer sort orders the sampled columns of every
+exact greedy algorithm (Chen & Guestrin, KDD 2016, §4.1).  A forest's
+nodes each draw ``sqrt(d)`` candidate features from their tree's own
+generator, and one integer sort orders the sampled columns of every
 node searched together.  Every fitted tree -- a CART tree, a Random
 Forest member, a boosting round -- is a :class:`Tree` of flat arrays that
 :func:`descend` predicts.  The classifier records per-feature *mean
@@ -37,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y
+from .base import BaseEstimator, ClassifierMixin, check_array, check_X_y
 
 __all__ = [
     "DecisionTreeClassifier", "Tree", "best_split", "descend", "grow", "partition", "presort",
@@ -284,7 +285,7 @@ def grow(
     X: np.ndarray,
     stats: np.ndarray,
     samples: Sequence[np.ndarray],
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator] | None,
     node: NodeFunction,
     gain: GainFunction,
     max_depth: int | None,
@@ -294,18 +295,17 @@ def grow(
     """Grow one tree per sample in lockstep, each depth-first in pre-order.
 
     Tree ``t`` grows on the rows ``samples[t]`` of ``X`` and ``stats``, in
-    that order and with any repeats, and draws from ``rngs[t]``.
-    ``node(stats)`` returns a node's value and its gain parameters, or
-    ``None`` for a node that must stay a leaf.  At each step every
-    unfinished tree takes its next node in pre-order that may split,
-    drawing ``n_candidates`` features from its generator, and
-    :func:`best_split` searches these nodes together, at most
-    :data:`CHUNK_ELEMENTS` elements per call: so searching more than one
-    tree needs integer ``stats``.  When that is every feature, nothing is
-    drawn and nothing below a root is sorted: tree ``t``'s root column
-    orders, as row numbers, are ``orders[t]`` (:func:`presort` of its rows
-    when not given), and every split hands its children theirs through
-    :func:`partition`.  Returns,
+    that order and with any repeats.  ``node(stats)`` returns a node's
+    value and its gain parameters, or ``None`` for a node that must stay a
+    leaf.  At each step every unfinished tree takes its next node in
+    pre-order that may split, drawing ``n_candidates`` features from
+    ``rngs[t]``, and :func:`best_split` searches these nodes together, at
+    most :data:`CHUNK_ELEMENTS` elements per call: so searching more than
+    one tree needs integer ``stats``.  When that is every feature, nothing
+    is drawn (``rngs`` may be ``None``) and nothing below a root is
+    sorted: tree ``t``'s root column orders, as row numbers, are
+    ``orders[t]`` (:func:`presort` of its rows when not given), and every
+    split hands its children theirs through :func:`partition`.  Returns,
     per tree, the tree and its splits' ``(feature, gain)`` pairs in
     pre-order, the order importances accumulate in.
     """
@@ -375,34 +375,10 @@ def grow(
 class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     """CART classifier with Gini impurity and exact splits.
 
-    Parameters
-    ----------
-    max_depth:
-        Maximum tree depth; ``None`` grows until pure or exhausted.
-    min_samples_split:
-        Minimum samples required to consider splitting a node.
-    min_samples_leaf:
-        Minimum samples that must land in each child.
-    max_features:
-        Number of features sampled per split: ``None`` (all), an int,
-        a float fraction, or ``"sqrt"`` / ``"log2"`` (used by forests).
-    random_state:
-        Seed for per-split feature subsampling.
+    A tree grows in full: a node splits while some threshold on any of
+    the features lowers its Gini impurity.  A forest grows its trees
+    through :meth:`_grow` with a per-node feature sample instead.
     """
-
-    def __init__(
-        self,
-        max_depth: int | None = None,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-        max_features: int | float | str | None = None,
-        random_state: int | None = None,
-    ) -> None:
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.random_state = random_state
 
     # -- fitting -----------------------------------------------------------
     def fit(self, X, y) -> "DecisionTreeClassifier":
@@ -411,8 +387,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         self.n_classes_ = len(self.classes_)
         self.n_features_ = X.shape[1]
         ((self.tree_, self._importances),) = self._grow(
-            X, encoded, self.n_classes_, [np.arange(X.shape[0])],
-            [check_random_state(self.random_state)],
+            X, encoded, self.n_classes_, [np.arange(X.shape[0])], None, X.shape[1]
         )
         return self
 
@@ -422,10 +397,12 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         codes: np.ndarray,
         n_classes: int,
         samples: Sequence[np.ndarray],
-        rngs: Sequence[np.random.Generator],
+        rngs: Sequence[np.random.Generator] | None,
+        n_candidates: int,
     ) -> list[tuple[Tree, np.ndarray]]:
-        """Grow one tree per sample of rows, in lockstep; a forest grows
-        its trees here too.
+        """Grow one tree per sample of rows, in lockstep, each node
+        searching ``n_candidates`` features drawn from its tree's
+        generator in ``rngs``; a forest grows its trees here too.
 
         ``codes`` are class indices ``0..n_classes-1`` and index the
         one-hot columns as they are, so a sample that misses a class keeps
@@ -435,10 +412,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         # One-hot encode labels once; every node gathers its rows from it.
         onehot = np.zeros((X.shape[0], n_classes), dtype=np.float64)
         onehot[np.arange(X.shape[0]), codes] = 1.0
-        grown = grow(
-            X, onehot, samples, rngs, self._node, self._gain, self.max_depth,
-            self._resolve_max_features(X.shape[1]),
-        )
+        grown = grow(X, onehot, samples, rngs, self._node, self._gain, None, n_candidates)
         trees = []
         for (tree, splits), rows in zip(grown, samples):
             importances = np.zeros(X.shape[1], dtype=np.float64)
@@ -449,28 +423,15 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             trees.append((tree, importances))
         return trees
 
-    def _resolve_max_features(self, n_features: int) -> int:
-        m = self.max_features
-        if m is None:
-            return n_features
-        if m == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        if m == "log2":
-            return max(1, int(np.log2(n_features)))
-        if isinstance(m, float):
-            return max(1, int(m * n_features))
-        return max(1, min(int(m), n_features))
-
     def _node(self, onehot: np.ndarray) -> tuple[np.ndarray, tuple[float, ...] | None]:
-        """Class proportions of a node, and unless it stays a leaf its
-        gain parameters: class counts, row count and Gini impurity."""
-        n = onehot.shape[0]
+        """Class proportions of a node, and unless it is pure its gain
+        parameters: class counts, row count and Gini impurity."""
         counts = onehot.sum(axis=0)
         proportions = counts / counts.sum()
-        if n < self.min_samples_split or np.count_nonzero(counts) < 2:  # pure
+        if np.count_nonzero(counts) < 2:  # pure, as every one-row node is
             return proportions, None
         gini = float(1.0 - np.dot(proportions, proportions))
-        return proportions, (*counts.tolist(), n, gini)
+        return proportions, (*counts.tolist(), onehot.shape[0], gini)
 
     def _gain(self, left: np.ndarray, parent: np.ndarray) -> np.ndarray:
         """Gini gain of each candidate split.
@@ -478,7 +439,8 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         The gain is the *unnormalised* impurity decrease ``N *
         (impurity_parent - weighted child impurity)``, so that summing
         gains over a tree matches the classic mean-decrease-in-Gini
-        totals.
+        totals.  Every candidate position has a row on each side, so
+        no child is empty.
         """
         counts, n, impurity = parent[:, :-2], parent[:, -2], parent[:, -1]
         right = counts - left
@@ -487,10 +449,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
         gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
         weighted = (n_left * gini_left + n_right * gini_right) / n
-        gains = n * (impurity - weighted)
-        valid = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
-        gains[~valid] = -np.inf
-        return gains
+        return n * (impurity - weighted)
 
     # -- prediction --------------------------------------------------------
     def predict_proba(self, X) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 The paper reports "KNN achieved best performance for K = 5" in both
 tables, implying a K sweep; :func:`grid_search` generalises that to any
-estimator and parameter grid, using the same repeated-stratified-CV
-machinery as the main evaluation.
+estimator and parameter grid, using the same stratified-CV machinery as
+the main evaluation.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ def grid_search(
     X,
     y,
     n_splits: int = 10,
-    n_repeats: int = 1,
     resample: str | None = None,
     random_state: int | None = 0,
 ) -> GridSearchResult:
@@ -53,7 +52,6 @@ def grid_search(
             X,
             y,
             n_splits=n_splits,
-            n_repeats=n_repeats,
             resample=resample,
             random_state=random_state,
         )

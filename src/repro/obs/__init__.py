@@ -28,7 +28,6 @@ from typing import Iterator
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NullRegistry,
@@ -46,12 +45,10 @@ __all__ = [
     "tracer",
     "trace",
     "counter",
-    "gauge",
     "histogram",
     "timer",
     "collecting",
     "Counter",
-    "Gauge",
     "Histogram",
     "Timer",
     "MetricsRegistry",
@@ -69,20 +66,16 @@ _registry: MetricsRegistry = _NULL_REGISTRY
 _tracer: Tracer = _NULL_TRACER
 
 
-def configure(
-    metrics: bool = True,
-    tracing: bool = True,
-    registry: MetricsRegistry | None = None,
-) -> MetricsRegistry:
+def configure(metrics: bool = True, tracing: bool = True) -> MetricsRegistry:
     """Turn observability on for the whole process.
 
-    Returns the live registry.  Components constructed *after* this call
-    attach their series to it; call before building the world.  Passing
-    ``registry`` lets tests supply their own collection target.
+    Returns the live registry, a fresh one when ``metrics`` is on.
+    Components constructed *after* this call attach their series to it;
+    call before building the world.
     """
     global _registry, _tracer
     if metrics:
-        _registry = registry or MetricsRegistry()
+        _registry = MetricsRegistry()
     if tracing:
         _tracer = Tracer()
     return _registry
@@ -136,10 +129,6 @@ def trace(name: str):
 
 def counter(name: str, labels: dict[str, str] | None = None, help: str = "") -> Counter:
     return _registry.counter(name, labels, help)
-
-
-def gauge(name: str, labels: dict[str, str] | None = None, help: str = "") -> Gauge:
-    return _registry.gauge(name, labels, help)
 
 
 def histogram(

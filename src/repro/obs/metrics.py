@@ -1,4 +1,4 @@
-"""Dependency-free metrics primitives: counters, gauges, histograms.
+"""Dependency-free metrics primitives: counters and histograms.
 
 The registry mirrors the Prometheus data model — a metric *family* is a
 name plus a type and help string; each (name, label-set) pair owns one
@@ -21,13 +21,11 @@ from bisect import bisect_left
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "Timer",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_COUNTER",
-    "NULL_GAUGE",
     "NULL_HISTOGRAM",
     "DEFAULT_BUCKETS",
 ]
@@ -68,27 +66,6 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters can only increase")
-        self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Gauge:
-    """Instantaneous value that can go up and down (queue depths)."""
-
-    __slots__ = ("name", "labels", "_value")
-
-    def __init__(self, name: str, labels: LabelPairs = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
         self._value += amount
 
     @property
@@ -199,7 +176,7 @@ class Timer:
 class MetricsRegistry:
     """Named collection of metric families.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: repeated
+    ``counter``/``histogram`` are get-or-create: repeated
     calls with the same name + labels return the same series, so
     instrumented code never needs module-level metric globals.
     """
@@ -231,10 +208,6 @@ class MetricsRegistry:
                 help: str = "") -> Counter:
         return self._get("counter", Counter, name, labels, help)
 
-    def gauge(self, name: str, labels: dict[str, str] | None = None,
-              help: str = "") -> Gauge:
-        return self._get("gauge", Gauge, name, labels, help)
-
     def histogram(self, name: str, labels: dict[str, str] | None = None,
                   help: str = "",
                   buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> Histogram:
@@ -243,7 +216,7 @@ class MetricsRegistry:
 
     # -- queries ---------------------------------------------------------
     def value(self, name: str, labels: dict[str, str] | None = None) -> float:
-        """Current value of a counter/gauge series (0.0 when absent)."""
+        """Current value of a counter series (0.0 when absent)."""
         series = self._series.get((name, _label_key(labels)))
         if series is None:
             return 0.0
@@ -273,20 +246,15 @@ class MetricsRegistry:
                     "sum": metric._sum,
                     "count": metric._count,
                 }
-            elif isinstance(metric, Counter):
+            else:
                 state = {"kind": "counter", "value": metric.value}
-            elif isinstance(metric, Gauge):
-                state = {"kind": "gauge", "value": metric.value}
-            else:  # pragma: no cover - registry only creates the above
-                continue
             series.append((name, labels, state))
         return {"families": dict(self._families), "series": series}
 
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` from another registry into this one.
 
-        Counters add, histograms add per-bucket, gauges take the
-        snapshot's value (last write wins — gauges are instantaneous).
+        Counters add, histograms add per-bucket.
         """
         families = snapshot.get("families", {})
         for name, labels, state in snapshot.get("series", ()):
@@ -294,8 +262,6 @@ class MetricsRegistry:
             labels_dict = dict(labels)
             if state["kind"] == "counter":
                 self.counter(name, labels_dict, help_text).inc(state["value"])
-            elif state["kind"] == "gauge":
-                self.gauge(name, labels_dict, help_text).set(state["value"])
             elif state["kind"] == "histogram":
                 buckets = tuple(state["buckets"])
                 hist = self.histogram(name, labels_dict, help_text, buckets=buckets)
@@ -314,14 +280,11 @@ class MetricsRegistry:
     def to_json(self) -> dict:
         """JSON-serialisable snapshot of every series."""
         counters: dict[str, float] = {}
-        gauges: dict[str, float] = {}
         histograms: dict[str, dict] = {}
         for (name, labels), metric in sorted(self._series.items()):
             key = name + _render_labels(labels)
             if isinstance(metric, Counter):
                 counters[key] = metric.value
-            elif isinstance(metric, Gauge):
-                gauges[key] = metric.value
             elif isinstance(metric, Histogram):
                 histograms[key] = {
                     "count": metric.count,
@@ -334,7 +297,7 @@ class MetricsRegistry:
                         for bound, n in metric.cumulative_buckets()
                     },
                 }
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        return {"counters": counters, "histograms": histograms}
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
@@ -346,7 +309,7 @@ class MetricsRegistry:
             lines.append(f"# TYPE {name} {kind}")
             for metric in self.series(name):
                 labels = metric.labels  # type: ignore[union-attr]
-                if isinstance(metric, (Counter, Gauge)):
+                if isinstance(metric, Counter):
                     lines.append(f"{name}{_render_labels(labels)} {_fmt(metric.value)}")
                 elif isinstance(metric, Histogram):
                     for bound, n in metric.cumulative_buckets():
@@ -376,19 +339,6 @@ class _NullCounter(Counter):
         pass
 
 
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__("null")
-
-    def set(self, value: float) -> None:  # noqa: ARG002
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:  # noqa: ARG002
-        pass
-
-
 class _NullHistogram(Histogram):
     __slots__ = ()
 
@@ -400,7 +350,6 @@ class _NullHistogram(Histogram):
 
 
 NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
 
 
@@ -418,10 +367,6 @@ class NullRegistry(MetricsRegistry):
     def counter(self, name: str, labels: dict[str, str] | None = None,
                 help: str = "") -> Counter:  # noqa: ARG002
         return NULL_COUNTER
-
-    def gauge(self, name: str, labels: dict[str, str] | None = None,
-              help: str = "") -> Gauge:  # noqa: ARG002
-        return NULL_GAUGE
 
     def histogram(self, name: str, labels: dict[str, str] | None = None,
                   help: str = "",

@@ -101,14 +101,12 @@ class Tracer:
         return ranked[:n]
 
     # -- rendering -------------------------------------------------------
-    def render(self, min_seconds: float = 0.0) -> str:
+    def render(self) -> str:
         """Indented span tree: name, call count, total and self time."""
         lines = [f"{'span':<52} {'calls':>8} {'total':>10} {'self':>10}"]
 
         def walk(node: SpanNode, depth: int) -> None:
             for child in node.children.values():
-                if child.total_seconds < min_seconds:
-                    continue
                 label = "  " * depth + child.name
                 lines.append(
                     f"{label:<52} {child.calls:>8} "

@@ -86,23 +86,14 @@ class ProcessExecutor:
     (``BrokenProcessPool``: a worker died), the full task list is re-run
     serially — jobs are pure functions of their pre-drawn seeds, so the
     fallback returns the same values.  An exception a task raises
-    propagates from ``map`` without a serial re-run.
+    propagates from ``map`` without a serial re-run, and the tasks still
+    queued behind it are cancelled rather than run.
     """
 
-    def __init__(self, n_jobs: int, mp_context=None) -> None:
+    def __init__(self, n_jobs: int) -> None:
         if n_jobs < 2:
             raise ValueError("ProcessExecutor needs n_jobs >= 2; use SerialExecutor")
         self.n_jobs = n_jobs
-        self._mp_context = mp_context
-
-    def _context(self):
-        if self._mp_context is not None:
-            return self._mp_context
-        # Prefer fork (cheap, inherits loaded numpy pages); fall back to
-        # the platform default where fork does not exist.
-        if "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
 
     def map(self, fn: Callable[..., Any], tasks: Iterable[tuple]) -> list[Any]:
         tasks = list(tasks)
@@ -110,7 +101,7 @@ class ProcessExecutor:
             return []
         try:
             pool = ProcessPoolExecutor(
-                max_workers=min(self.n_jobs, len(tasks)), mp_context=self._context()
+                max_workers=min(self.n_jobs, len(tasks)), mp_context=_start_context()
             )
         except OSError:
             return _serial_fallback(fn, tasks)
@@ -123,6 +114,19 @@ class ProcessExecutor:
                 return [future.result() for future in futures]
             except BrokenProcessPool:
                 return _serial_fallback(fn, tasks)
+            except BaseException:
+                # A task raised: drop the queued tasks instead of letting
+                # the ``with`` exit wait for every one of them to run.
+                pool.shutdown(cancel_futures=True)
+                raise
+
+
+def _start_context():
+    # Prefer fork (cheap, inherits loaded numpy pages); fall back to the
+    # platform default where fork does not exist.
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 def _serial_fallback(fn: Callable[..., Any], tasks: list[tuple]) -> list[Any]:

@@ -13,7 +13,7 @@ exponential backoff on the *virtual* clock (never the wall clock —
 statan DET002), with seeded jitter when the caller injects a Generator.
 A :class:`~repro.platform.errors.Throttled` response opens a circuit
 breaker for the server's ``Retry-After`` window, and chunks that exhaust
-the optional retry budget park on a dead-letter queue instead of
+a fault plan's retry budget park on a dead-letter queue instead of
 blocking the rest of the flush.
 """
 
@@ -29,6 +29,10 @@ from .errors import Throttled, UploadError
 from .models import record_to_dict
 
 __all__ = ["BufferedChunk", "DataBuffer", "chunk_hash"]
+
+#: The paper's flush thresholds (§3): the accumulation file of each kind
+#: is sealed once it holds this many bytes.
+THRESHOLD_BYTES = {"fast": 100 * 1024, "slow": 8 * 1024}
 
 #: Exponential-backoff schedule (virtual seconds): base * 2**(attempts-1),
 #: capped, optionally jittered by a factor drawn from [0.5, 1.5).
@@ -66,24 +70,17 @@ class BufferedChunk:
 
 
 class DataBuffer:
-    """Per-install snapshot buffer; the default flush thresholds are the
-    paper's (§3: fast file 100 KB, slow file 8 KB)."""
+    """Per-install snapshot buffer, sealing at :data:`THRESHOLD_BYTES`."""
 
-    def __init__(
-        self,
-        fast_threshold_bytes: int = 100 * 1024,
-        slow_threshold_bytes: int = 8 * 1024,
-        retry_budget: int = 0,
-    ) -> None:
-        self.thresholds = {"fast": fast_threshold_bytes, "slow": slow_threshold_bytes}
+    def __init__(self) -> None:
         self._accumulating: dict[str, list[str]] = {"fast": [], "slow": []}
         self._accumulated_bytes: dict[str, int] = {"fast": 0, "slow": 0}
         self._pending: list[BufferedChunk] = []
         self._dead_letters: list[BufferedChunk] = []
         self._circuit_open_until = 0.0
-        #: Attempts allowed per chunk before it is dead-lettered;
-        #: 0 means unlimited (the alarm retries forever).
-        self.retry_budget = int(retry_budget)
+        #: Attempts allowed per chunk before it is dead-lettered; 0 means
+        #: unlimited (the alarm retries forever).  A fault plan sets its own.
+        self.retry_budget = 0
         self.records_buffered = 0
         self.chunks_sealed = 0
         self.chunks_delivered = 0
@@ -100,7 +97,7 @@ class DataBuffer:
         self._accumulating[kind].append(line)
         self._accumulated_bytes[kind] += len(line) + 1
         self.records_buffered += 1
-        if self._accumulated_bytes[kind] >= self.thresholds[kind]:
+        if self._accumulated_bytes[kind] >= THRESHOLD_BYTES[kind]:
             self._seal(kind)
 
     def _seal(self, kind: str) -> None:
@@ -164,23 +161,21 @@ class DataBuffer:
         ).observe(backoff)
         chunk.next_attempt_at = now + backoff
 
-    def flush(self, transport, now: float | None = None, *, rng=None) -> int:
+    def flush(self, transport, now: float, *, rng=None) -> int:
         """One upload pass at virtual time ``now``: attempt each due
         chunk once, delete it only on a matching hash acknowledgement,
         otherwise reschedule it with exponential backoff (seeded jitter
-        when ``rng`` is given).  ``now=None`` treats every pending chunk
-        as due and schedules from t=0 (legacy single-shot behaviour).
-        A :class:`Throttled` response opens the circuit breaker for the
-        server's ``retry_after`` and ends the pass early.  Returns the
-        number of records delivered this call."""
-        clock = 0.0 if now is None else float(now)
-        if clock < self._circuit_open_until and now is not None:
+        when ``rng`` is given).  A :class:`Throttled` response opens the
+        circuit breaker for the server's ``retry_after`` and ends the
+        pass early.  Returns the number of records delivered this call."""
+        clock = float(now)
+        if clock < self._circuit_open_until:
             return 0
         delivered_records = 0
         still_pending: list[BufferedChunk] = []
         throttled = False
         for chunk in self._pending:
-            if throttled or (now is not None and chunk.next_attempt_at > clock):
+            if throttled or chunk.next_attempt_at > clock:
                 still_pending.append(chunk)
                 continue
             try:

@@ -97,15 +97,15 @@ class Dashboard:
             largest_gap_hours=largest_gap / 3600.0,
         )
 
-    def fleet_health(self, refresh: bool = False) -> list[InstallHealth]:
+    def fleet_health(self) -> list[InstallHealth]:
         """Per-install health for the whole fleet, computed once.
 
         ``install_health`` re-sorts every install's fast/slow runs, so
         recomputing it per caller made ``overview`` + ``lagging_installs``
-        O(N²) over installs; both now share this cached list.  Pass
-        ``refresh=True`` after more chunks arrive.
+        O(N²) over installs; both share this cached list.  A dashboard
+        reads the store as it was at its first call.
         """
-        if refresh or self._healths is None:
+        if self._healths is None:
             self._healths = [
                 h
                 for install_id in self._server.install_ids()
@@ -136,13 +136,9 @@ class Dashboard:
             "records_inserted": stats.records_inserted,
         }
 
-    def lagging_installs(self, min_snapshots_per_day: float = 100.0) -> list[InstallHealth]:
-        """Installs below the reporting-health threshold."""
-        return [
-            h
-            for h in self.fleet_health()
-            if h.snapshots_per_day < min_snapshots_per_day
-        ]
+    def lagging_installs(self) -> list[InstallHealth]:
+        """Installs below the reporting-health bar."""
+        return [h for h in self.fleet_health() if not h.healthy]
 
     # -- validation --------------------------------------------------------
     def validate(self) -> list[ValidationIssue]:

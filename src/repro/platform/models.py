@@ -31,6 +31,15 @@ __all__ = [
 ]
 
 
+def _check_run(run: "SlowSnapshotRun | FastSnapshotRun") -> None:
+    """Reject a run whose snapshot count ``1 + (end - start) // period``
+    would be negative or undefined."""
+    if run.period <= 0:
+        raise ValueError(f"snapshot run period {run.period!r} is not positive")
+    if run.end < run.start:
+        raise ValueError(f"snapshot run ends at {run.end!r}, before its start {run.start!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class SlowSnapshotRun:
     """RLE run of slow (2-minute) snapshots with constant state."""
@@ -47,6 +56,9 @@ class SlowSnapshotRun:
     stopped_apps: tuple[str, ...]
     accounts_permission: bool = True
 
+    def __post_init__(self) -> None:
+        _check_run(self)
+
 
 @dataclass(frozen=True, slots=True)
 class FastSnapshotRun:
@@ -61,6 +73,9 @@ class FastSnapshotRun:
     screen_on: bool
     battery: float
     usage_permission: bool = True
+
+    def __post_init__(self) -> None:
+        _check_run(self)
 
 
 @dataclass(frozen=True, slots=True)

@@ -40,11 +40,10 @@ _SCHEMAS = {
 class IngestStats:
     """Read-only view of the server's ingest counters.
 
-    Historically a plain dataclass of ints; now every count lives in a
-    :class:`~repro.obs.MetricsRegistry` (the process-wide one when
-    ``obs.configure()`` has run, a private real registry otherwise) and
-    this view reads it back, so the dashboard, the HTTP stats route and
-    a Prometheus scrape all see the same numbers.
+    Every count lives in a :class:`~repro.obs.MetricsRegistry` (the
+    process-wide one when ``obs.configure()`` has run, a private real
+    registry otherwise) and this view reads it back, so the dashboard
+    and a ``--metrics-out`` export see the same numbers.
 
     ``malformed_chunks`` counts transport-level corruption (bad gzip /
     undecodable bytes); ``malformed_records`` counts schema drift (a
@@ -112,7 +111,6 @@ class RacketStoreServer:
         self,
         store: DocumentStore | None = None,
         review_crawler=None,
-        registry: MetricsRegistry | None = None,
         *,
         dedup_window: int | None = None,
     ) -> None:
@@ -120,9 +118,8 @@ class RacketStoreServer:
         self.review_crawler = review_crawler
         # Attach to the process-wide registry when observability is on so
         # exports see ingest counters; otherwise keep a private real
-        # registry so ``stats`` always counts (tests rely on it).
-        if registry is None:
-            registry = obs.registry() if obs.metrics_enabled() else MetricsRegistry()
+        # registry so ``stats`` always counts (the dashboard reads it).
+        registry = obs.registry() if obs.metrics_enabled() else MetricsRegistry()
         self.metrics = registry
         self.stats = IngestStats(registry)
         self._c_chunks = registry.counter(

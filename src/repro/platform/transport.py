@@ -1,10 +1,11 @@
 """Simulated TLS channel between the mobile app and the web app.
 
 §3: data travels over TLS; the server acknowledges each chunk with the
-crypto hash of what it received.  The simulated channel supports loss
-(no acknowledgement returned) and corruption (a wrong hash comes back),
-both of which the :class:`~repro.platform.buffer.DataBuffer` retry loop
-must survive — property tests exercise exactly that.
+crypto hash of what it received.  The simulated channel loses chunks (no
+acknowledgement returned), which the
+:class:`~repro.platform.buffer.DataBuffer` retry loop must survive —
+property tests exercise exactly that.  Corruption is a fault-plan site
+(:class:`~repro.faults.transport.FaultyTransport`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class Transport:
 
 
 class LossyTransport(Transport):
-    """Channel with configurable loss and corruption probabilities.
+    """Channel that loses each chunk with ``loss_probability``.
 
     The Generator is required (keyword-only): a hidden fallback RNG
     would correlate every channel constructed without one and break
@@ -50,18 +51,13 @@ class LossyTransport(Transport):
         *,
         rng: np.random.Generator,
         loss_probability: float = 0.0,
-        corruption_probability: float = 0.0,
     ) -> None:
         super().__init__(receiver)
         if not 0.0 <= loss_probability <= 1.0:
             raise ValueError("loss_probability must be in [0, 1]")
-        if not 0.0 <= corruption_probability <= 1.0:
-            raise ValueError("corruption_probability must be in [0, 1]")
         self.loss_probability = loss_probability
-        self.corruption_probability = corruption_probability
         self._rng = rng
         self.chunks_lost = 0
-        self.chunks_corrupted = 0
 
     def send(self, kind: str, data: bytes) -> str | None:
         self.chunks_sent += 1
@@ -72,12 +68,8 @@ class LossyTransport(Transport):
             self.chunks_lost += 1
             obs.counter("transport_chunks_lost_total").inc()
             return None  # chunk vanished in transit: no ack
-        if self._rng.random() < self.corruption_probability:
-            self.chunks_corrupted += 1
-            obs.counter("transport_chunks_corrupted_total").inc()
-            corrupted = bytes([data[0] ^ 0xFF]) + data[1:]
-            # The damaged bytes reach the real receiver: the server counts
-            # the malformed chunk and acks the hash of what it received,
-            # which will not match the sender's, forcing a retransmit.
-            return self._receiver.receive_chunk(kind, corrupted)
+        # A draw that decides nothing: the seeded world's behaviour stream
+        # takes two draws per delivered send (the second once decided
+        # corruption), and dropping it would shift every later draw.
+        self._rng.random()
         return self._receiver.receive_chunk(kind, data)

@@ -11,7 +11,7 @@ from .permissions import (
     PermissionProfile,
     sample_permission_profile,
 )
-from .rank import RankedApp, RankWeights, SearchRankModel
+from .rank import RankWeights, SearchRankModel
 from .rank_tracker import RankSample, RankTracker
 from .ratings import RatingAggregator, RatingUpdate
 from .reviews import CrawlStats, Review, ReviewCrawler, ReviewStore
@@ -29,7 +29,6 @@ __all__ = [
     "RACKETSTORE_RUNTIME_PERMISSIONS",
     "PermissionProfile",
     "sample_permission_profile",
-    "RankedApp",
     "RankSample",
     "RankTracker",
     "RankWeights",

@@ -162,7 +162,7 @@ class Catalog:
         self.version += 1
         return app
 
-    def add_promoted_app(self, malware_probability: float = 0.08) -> App:
+    def add_promoted_app(self) -> App:
         """Obscure app that purchases ASO promotion.
 
         Low organic install/review counts (that is why it buys installs),
@@ -170,7 +170,7 @@ class Catalog:
         (§6.4 finds workers review malware apps).
         """
         package, title = self._new_package("promo")
-        is_malware = bool(self._rng.random() < malware_probability)
+        is_malware = bool(self._rng.random() < 0.08)
         aggressive = is_malware or self._rng.random() < 0.25
         reviews = int(self._rng.integers(0, 900))
         app = App(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .catalog import App, Catalog
 
-__all__ = ["RankWeights", "SearchRankModel", "RankedApp"]
+__all__ = ["RankWeights", "SearchRankModel"]
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,6 @@ class RankWeights:
     reviews: float = 0.8
     rating: float = 1.5
     relevance: float = 2.0
-
-
-@dataclass(frozen=True)
-class RankedApp:
-    package: str
-    score: float
-    rank: int
 
 
 class SearchRankModel:
@@ -47,9 +40,9 @@ class SearchRankModel:
     list, which is the effect ASO buys.
     """
 
-    def __init__(self, catalog: Catalog, weights: RankWeights | None = None) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
-        self.weights = weights or RankWeights()
+        self.weights = RankWeights()
         # keyword -> (catalog version, relevance array over hosted apps).
         # Relevance depends only on static listing text, so entries stay
         # valid until the catalog mutates.
@@ -77,18 +70,6 @@ class SearchRankModel:
         if keyword == app.category.lower():
             return 0.5
         return 0.0
-
-    def search(self, keyword: str, top: int = 10) -> list[RankedApp]:
-        """Top-``top`` Play-hosted apps for a keyword query."""
-        scored = [
-            (self.score(app, keyword), app.package)
-            for app in self._catalog.hosted_on_play()
-        ]
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        return [
-            RankedApp(package=package, score=score, rank=i + 1)
-            for i, (score, package) in enumerate(scored[:top])
-        ]
 
     def rank_of(self, package: str, keyword: str) -> int:
         """1-based rank of ``package`` among all Play apps for a keyword."""

@@ -102,26 +102,15 @@ class CampaignBoard:
         self._campaigns: dict[int, Campaign] = {}
         self._counter = itertools.count(1)
 
-    def post_campaign(
-        self,
-        app: App,
-        target_installs: int | None = None,
-        target_reviews: int | None = None,
-        retention_days: float | None = None,
-    ) -> Campaign:
+    def post_campaign(self, app: App) -> Campaign:
+        """Advertise a campaign for ``app`` with seeded targets."""
         campaign = Campaign(
             campaign_id=next(self._counter),
             app_package=app.package,
-            target_installs=target_installs
-            if target_installs is not None
-            else int(self._rng.integers(40, 400)),
-            target_reviews=target_reviews
-            if target_reviews is not None
-            else int(self._rng.integers(20, 200)),
+            target_installs=int(self._rng.integers(40, 400)),
+            target_reviews=int(self._rng.integers(20, 200)),
             min_rating=int(self._rng.choice((4, 5), p=(0.3, 0.7))),
-            retention_days=retention_days
-            if retention_days is not None
-            else float(self._rng.choice((3.0, 7.0, 14.0, 30.0))),
+            retention_days=float(self._rng.choice((3.0, 7.0, 14.0, 30.0))),
         )
         self._campaigns[campaign.campaign_id] = campaign
         return campaign

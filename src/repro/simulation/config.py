@@ -11,7 +11,7 @@ because the synthetic catalog's absolute review volumes are scaled too.
 
 Values the paper fixes are not knobs here: the §3 snapshot cadences are
 ``RacketStoreApp.FAST_PERIOD_S``/``SLOW_PERIOD_S``, the §3 buffer
-thresholds are ``DataBuffer``'s defaults, and the other §7.2 labeling
+thresholds are ``buffer.THRESHOLD_BYTES``, and the other §7.2 labeling
 thresholds are ``LabelingConfig``'s.
 """
 

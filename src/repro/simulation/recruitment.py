@@ -58,16 +58,14 @@ class RecruitmentFunnel:
         raise KeyError(name)
 
 
-def simulate_funnel(
-    rng: np.random.Generator,
-    impressions: int = RECRUITMENT.ADS_SHOWN,
-) -> RecruitmentFunnel:
+def simulate_funnel(rng: np.random.Generator) -> RecruitmentFunnel:
     """Simulate the Instagram recruitment funnel.
 
     Stage probabilities are the paper's observed conversion rates, so
     at the paper's impression volume the funnel reproduces §4's counts
-    in expectation; at other volumes it scales proportionally.
+    in expectation.
     """
+    impressions = RECRUITMENT.ADS_SHOWN
     p_reach = RECRUITMENT.ADS_REACHED / RECRUITMENT.ADS_SHOWN
     p_click = RECRUITMENT.ADS_CLICKED / RECRUITMENT.ADS_REACHED
     p_consent = RECRUITMENT.REGULAR_EMAILED / RECRUITMENT.ADS_CLICKED

@@ -34,7 +34,7 @@ from pathlib import Path, PurePosixPath
 from typing import Iterable, Sequence
 
 from .findings import SEVERITY_ERROR, Finding, assign_fingerprints
-from .rules import Rule, all_project_rules, all_rules
+from .rules import all_project_rules, all_rules
 from .symbols import module_name_for
 
 __all__ = [
@@ -160,12 +160,12 @@ def _syntax_finding(path: str, exc: SyntaxError) -> Finding:
     )
 
 
-def _check_module(ctx: ModuleContext, rules: Sequence[Rule]) -> list[Finding]:
-    """Run per-file rules over one parsed module, suppressions applied.
-    Findings are *not* fingerprinted here (callers batch that)."""
+def _check_module(ctx: ModuleContext) -> list[Finding]:
+    """Run every per-file rule over one parsed module, suppressions
+    applied.  Findings are *not* fingerprinted here (callers batch that)."""
     per_line, per_file = ctx.suppressions
     findings: list[Finding] = []
-    for rule in rules:
+    for rule in all_rules():
         for finding in rule.check(ctx):
             if finding.rule in per_file or "ALL" in per_file:
                 continue
@@ -176,11 +176,7 @@ def _check_module(ctx: ModuleContext, rules: Sequence[Rule]) -> list[Finding]:
     return findings
 
 
-def analyze_source(
-    source: str,
-    path: str = "<snippet>",
-    rules: Sequence[Rule] | None = None,
-) -> list[Finding]:
+def analyze_source(source: str, path: str = "<snippet>") -> list[Finding]:
     """Analyse one module's source with the per-file rules; returns
     fingerprinted findings with suppressions already applied."""
     _load_rule_modules()
@@ -189,8 +185,7 @@ def analyze_source(
     except SyntaxError as exc:
         return assign_fingerprints([_syntax_finding(path, exc)])
     ctx = ModuleContext(path, source, tree)
-    findings = _check_module(ctx, rules if rules is not None else all_rules())
-    return assign_fingerprints(findings)
+    return assign_fingerprints(_check_module(ctx))
 
 
 def iter_python_files(paths: Sequence[str | Path]) -> list[tuple[Path, str]]:
@@ -274,7 +269,7 @@ def _per_file_findings(
         return findings
     findings = []
     for ctx in modules:
-        findings.extend(assign_fingerprints(_check_module(ctx, all_rules())))
+        findings.extend(assign_fingerprints(_check_module(ctx)))
     return findings
 
 
@@ -298,7 +293,6 @@ def analyze_tree(
     *,
     n_jobs: int | None = None,
     per_file_labels: set[str] | None = None,
-    project: bool = True,
 ) -> tuple[list[Finding], dict]:
     """Full two-phase analysis of every ``*.py`` under ``paths``.
 
@@ -323,7 +317,7 @@ def analyze_tree(
         "files": len(pairs),
         "files_checked_per_file": len(scope),
     }
-    if project and modules:
+    if modules:
         project_findings, project_stats = analyze_project(modules)
         findings.extend(project_findings)
         stats.update(project_stats)

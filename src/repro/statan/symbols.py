@@ -171,7 +171,6 @@ class SymbolTable:
         node: ast.FunctionDef | ast.AsyncFunctionDef,
         prefix: str,
         class_name: str | None = None,
-        parent: str | None = None,
     ) -> FunctionInfo:
         qualname = f"{prefix}.{node.name}"
         info = FunctionInfo(
@@ -181,14 +180,13 @@ class SymbolTable:
             path=ctx.path,
             node=node,
             class_name=class_name,
-            parent=parent,
             decorators=tuple(
                 d for d in (_dotted(dec) for dec in node.decorator_list) if d
             ),
         )
         self.functions[qualname] = info
         self.by_module.setdefault(ctx.module, []).append(qualname)
-        if class_name is None and parent is None:
+        if class_name is None:
             self.module_functions[(ctx.module, node.name)] = qualname
         # Nested defs are symbols of their own (callable locally, never
         # picklable); one level of <locals> nesting is enough in practice.

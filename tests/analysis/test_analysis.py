@@ -132,7 +132,7 @@ class TestChurn:
 
     def test_high_churn_mostly_workers(self, observations):
         result = compute_churn(observations)
-        high = result.high_churn_devices(threshold=10.0)
+        high = result.high_churn_devices()
         assert high["worker"] >= high["regular"]
 
 

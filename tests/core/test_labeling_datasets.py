@@ -98,12 +98,12 @@ class TestDatasets:
             assert instance.label == int(instance.is_worker_device)
 
     def test_device_dataset_shapes(self, study, observations):
-        dataset = build_device_dataset(study, observations)
+        dataset = build_device_dataset(observations)
         assert dataset.X.shape == (len(observations), len(dataset.feature_names))
         assert dataset.n_worker + dataset.n_regular == len(observations)
 
     def test_device_dataset_uses_suspiciousness(self, study, observations):
         scores = {o.install_id: 0.77 for o in observations}
-        dataset = build_device_dataset(study, observations, scores, impute=False)
+        dataset = build_device_dataset(observations, scores)
         column = dataset.feature_names.index("app_suspiciousness")
         np.testing.assert_allclose(dataset.X[:, column], 0.77)

@@ -87,8 +87,8 @@ class TestAppClassifierModel:
 
 
 class TestDeviceClassifierModel:
-    def test_fit_predict_roundtrip(self, study, observations):
-        dataset = build_device_dataset(study, observations)
+    def test_fit_predict_roundtrip(self, observations):
+        dataset = build_device_dataset(observations)
         model = DeviceClassifier().fit(dataset)
         assert model.feature_names == dataset.feature_names
         predictions = model.predict(dataset.X)
@@ -97,8 +97,8 @@ class TestDeviceClassifierModel:
         proba = model.predict_proba(dataset.X)
         np.testing.assert_array_equal(predictions, np.argmax(proba, axis=1))
 
-    def test_single_row_with_nan_is_imputed(self, study, observations):
-        dataset = build_device_dataset(study, observations)
+    def test_single_row_with_nan_is_imputed(self, observations):
+        dataset = build_device_dataset(observations)
         model = DeviceClassifier().fit(dataset)
         row = np.full(dataset.X.shape[1], np.nan)
         assert model.predict(row).shape == (1,)

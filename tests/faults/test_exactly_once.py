@@ -44,17 +44,24 @@ def fast_run(i: int) -> FastSnapshotRun:
     )
 
 
-def sealed_buffer(n_records: int, threshold: int = 400, **kwargs) -> DataBuffer:
-    buffer = DataBuffer(fast_threshold_bytes=threshold, **kwargs)
+def sealed_buffer(
+    n_records: int, per_chunk: int | None = 3, retry_budget: int = 0
+) -> DataBuffer:
+    """``n_records`` fast runs sealed ``per_chunk`` to a chunk (all in one
+    chunk for ``None``), far below the paper's 100 KB threshold."""
+    buffer = DataBuffer()
+    buffer.retry_budget = retry_budget
     for i in range(n_records):
         buffer.append("fast", fast_run(i))
+        if per_chunk is not None and (i + 1) % per_chunk == 0:
+            buffer.seal_all()
     buffer.seal_all()
     return buffer
 
 
 def chunk_bytes(n_records: int = 8) -> bytes:
     """One sealed compressed chunk holding ``n_records`` fast runs."""
-    buffer = sealed_buffer(n_records, threshold=10**6)
+    buffer = sealed_buffer(n_records, per_chunk=None)
     return buffer._pending[0].data
 
 
@@ -119,7 +126,7 @@ class TestAckLossRetransmission:
         transport = FaultyTransport(
             server, plan=plan, rng=np.random.default_rng([0, 0x7A0])
         )
-        buffer = sealed_buffer(3, threshold=10**6, retry_budget=plan.retry_budget)
+        buffer = sealed_buffer(3, per_chunk=None, retry_budget=plan.retry_budget)
         buffer.drain(transport, now=0.0, deadline=10**8)
         assert buffer.dead_letter_chunks == 1  # client never saw an ack
         assert server.stats.chunks_received == 4  # original + 3 retransmits
@@ -203,7 +210,7 @@ class TestOverloadCircuitBreaker:
         )
         server = make_server(plan)
         transport = Transport(server)
-        buffer = sealed_buffer(5, threshold=10**6, retry_budget=8)
+        buffer = sealed_buffer(5, per_chunk=None, retry_budget=8)
         assert buffer.flush(transport, 0.0) == 0
         assert buffer.throttle_trips == 1
         assert buffer._circuit_open_until == 1800.0
@@ -220,7 +227,7 @@ class TestOverloadCircuitBreaker:
         plan = FaultPlan(overload=FaultSpec(1.0))
         server = make_server(plan)
         transport = Transport(server)
-        buffer = sealed_buffer(2, threshold=10**6)
+        buffer = sealed_buffer(2, per_chunk=None)
         buffer.flush(transport, 0.0)
         assert server.fault_counts["overload"] == 1
 
@@ -259,7 +266,7 @@ class TestCorruptionEndToEnd:
         transport = FaultyTransport(
             server, plan=plan, rng=np.random.default_rng([5, 0x7A0])
         )
-        buffer = sealed_buffer(4, threshold=10**6)
+        buffer = sealed_buffer(4, per_chunk=None)
         assert buffer.flush(transport, 0.0) == 0
         # The damaged chunk really reached the server (gzip magic byte
         # flipped -> malformed), the ack mismatched, the chunk is kept.

@@ -1,5 +1,6 @@
 """Helpers that only tests need: seeds for synthetic datasets, a parser
-for the Prometheus export, and a one-call lint over a list of paths."""
+for the Prometheus export, a one-call lint over a list of paths, and a
+campaign with hand-set targets."""
 
 from __future__ import annotations
 
@@ -8,9 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.statan.engine import analyze_source, analyze_tree, iter_python_files
+from repro.statan.engine import analyze_tree
 from repro.statan.findings import Finding
-from repro.statan.rules import Rule
 
 
 def spawn_seeds(root_seed: int, n: int) -> list[int]:
@@ -42,27 +42,18 @@ def parse_prometheus(text: str) -> dict[str, float]:
     return samples
 
 
-def analyze_paths(
-    paths: Sequence[str | Path],
-    rules: Sequence[Rule] | None = None,
-    *,
-    n_jobs: int | None = None,
-    project: bool = True,
-) -> list[Finding]:
-    """Analyse every ``*.py`` under ``paths``; findings are sorted by
-    (path, line, col, rule).
-
-    With an explicit ``rules`` sequence only those per-file rules run
-    (no project pass) — the narrow mode unit tests use.  The default
-    runs the full two-phase analysis.
-    """
-    if rules is not None:
-        findings: list[Finding] = []
-        for file, label in iter_python_files(paths):
-            source = file.read_text(encoding="utf-8")
-            findings.extend(analyze_source(source, path=label, rules=rules))
-        return sorted(findings, key=Finding.sort_key)
-    found, _stats = analyze_tree(
-        paths, n_jobs=n_jobs, project=project
-    )
+def analyze_paths(paths: Sequence[str | Path], *, n_jobs: int | None = None) -> list[Finding]:
+    """Analyse every ``*.py`` under ``paths`` with both passes; findings
+    are sorted by (path, line, col, rule)."""
+    found, _stats = analyze_tree(paths, n_jobs=n_jobs)
     return found
+
+
+def post_campaign(board, app, installs: int, reviews: int, retention_days: float | None = None):
+    """Post a campaign for ``app``, then overwrite the targets the board
+    drew with small hand-set ones."""
+    campaign = board.post_campaign(app)
+    campaign.target_installs, campaign.target_reviews = installs, reviews
+    if retention_days is not None:
+        campaign.retention_days = retention_days
+    return campaign

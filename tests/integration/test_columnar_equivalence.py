@@ -25,6 +25,7 @@ import pytest
 from repro.core.app_features import app_feature_matrix
 from repro.core.datasets import build_app_dataset, build_device_dataset
 from repro.core.device_features import device_feature_matrix
+from repro.ml.preprocessing import SimpleImputer
 from repro.platform.server import _COLLECTIONS
 from repro.platform.store import ColumnarCollection, DocumentStore
 from repro.simulation import run_study
@@ -219,21 +220,22 @@ def test_truncated_observations_match_the_scalar_oracle(study, observations):
 
 
 def test_datasets_byte_identical(study, observations, dict_observations):
-    # Every dataset row is the scalar oracle's vector for its instance.
-    raw_apps = build_app_dataset(study, observations, impute=False)
+    # Every dataset row is the scalar oracle's vector for its instance,
+    # with each missing value imputed by its column median.
+    frame_apps = build_app_dataset(study, observations)
     by_id = {o.install_id: o for o in dict_observations}
     scalar = np.vstack(
         [
             app_feature_vector(
                 by_id[i.install_id], i.package, study.catalog, study.vt_client
             )
-            for i in raw_apps.instances
+            for i in frame_apps.instances
         ]
     )
-    assert scalar.tobytes() == raw_apps.X.tobytes()
+    imputed = SimpleImputer(strategy="median").fit_transform(scalar)
+    assert imputed.tobytes() == frame_apps.X.tobytes()
 
     # Frame- and dict-backed observations assemble the same datasets.
-    frame_apps = build_app_dataset(study, observations)
     dict_apps = build_app_dataset(study, dict_observations)
     assert dict_apps.X.tobytes() == frame_apps.X.tobytes()
     assert dict_apps.y.tobytes() == frame_apps.y.tobytes()
@@ -242,18 +244,16 @@ def test_datasets_byte_identical(study, observations, dict_observations):
     suspiciousness = {
         o.install_id: i / 11 for i, o in enumerate(observations) if i % 2
     }
-    raw_devices = build_device_dataset(
-        study, dict_observations, suspiciousness, impute=False
-    )
     scalar = np.vstack(
         [
             device_feature_vector(o, suspiciousness.get(o.install_id))
             for o in dict_observations
         ]
     )
-    assert scalar.tobytes() == raw_devices.X.tobytes()
-    frame_devices = build_device_dataset(study, observations, suspiciousness)
-    dict_devices = build_device_dataset(study, dict_observations, suspiciousness)
+    imputed = SimpleImputer(strategy="median").fit_transform(scalar)
+    frame_devices = build_device_dataset(observations, suspiciousness)
+    dict_devices = build_device_dataset(dict_observations, suspiciousness)
+    assert imputed.tobytes() == dict_devices.X.tobytes()
     assert dict_devices.X.tobytes() == frame_devices.X.tobytes()
     assert dict_devices.y.tobytes() == frame_devices.y.tobytes()
 

@@ -54,14 +54,12 @@ class TestRandomForest:
 class TestGradientBoosting:
     def test_accuracy_on_blobs(self, blobs):
         X, y = blobs
-        model = GradientBoostingClassifier(n_estimators=40, random_state=0).fit(X, y)
+        model = GradientBoostingClassifier(n_estimators=40).fit(X, y)
         assert model.score(X, y) >= 0.97
 
     def test_training_loss_decreases(self, blobs):
         X, y = blobs
-        model = GradientBoostingClassifier(
-            n_estimators=30, learning_rate=0.2, random_state=0
-        ).fit(X, y)
+        model = GradientBoostingClassifier(n_estimators=30, learning_rate=0.2).fit(X, y)
         losses = model.train_losses_
         assert losses[-1] < losses[0]
         # Log-loss under a second-order booster should be close to
@@ -69,18 +67,11 @@ class TestGradientBoosting:
         increases = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-9)
         assert increases <= len(losses) // 10
 
-    def test_regularization_shrinks_leaf_effect(self, blobs):
+    @pytest.mark.parametrize("max_depth", [1, 2, 4])
+    def test_trees_respect_max_depth(self, blobs, max_depth):
         X, y = blobs
-        weak = GradientBoostingClassifier(
-            n_estimators=10, reg_lambda=100.0, random_state=0
-        ).fit(X, y)
-        strong = GradientBoostingClassifier(
-            n_estimators=10, reg_lambda=0.1, random_state=0
-        ).fit(X, y)
-        # Heavier L2 keeps the margin closer to the prior.
-        assert np.abs(weak.decision_function(X)).mean() < np.abs(
-            strong.decision_function(X)
-        ).mean()
+        model = GradientBoostingClassifier(n_estimators=5, max_depth=max_depth).fit(X, y)
+        assert max(tree.depth for tree in model.trees_) == max_depth
 
     def test_single_class_training_set(self):
         X = np.random.default_rng(0).normal(0, 1, (20, 3))
@@ -92,19 +83,9 @@ class TestGradientBoosting:
         with pytest.raises(ValueError):
             GradientBoostingClassifier().fit(X, rng.integers(0, 3, 30))
 
-    def test_gamma_prunes_splits(self, blobs):
-        X, y = blobs
-        free = GradientBoostingClassifier(n_estimators=5, gamma=0.0, random_state=0).fit(X, y)
-        pruned = GradientBoostingClassifier(n_estimators=5, gamma=1e9, random_state=0).fit(X, y)
-
-        def total_nodes(model):
-            return sum(tree.feature.size for tree in model.trees_)
-
-        assert total_nodes(pruned) < total_nodes(free)
-
     def test_feature_count_validated_at_predict(self, rng):
         X = rng.normal(0, 1, (60, 3))
-        model = GradientBoostingClassifier(n_estimators=3, random_state=0).fit(X, X[:, 0] > 0)
+        model = GradientBoostingClassifier(n_estimators=3).fit(X, X[:, 0] > 0)
         for bad in (np.zeros((2, 4)), np.zeros((2, 1)), [0.0, 1.0]):
             with pytest.raises(ValueError, match="expected 3 features"):
                 model.decision_function(bad)
@@ -113,17 +94,11 @@ class TestGradientBoosting:
         signal = rng.normal(0, 1, 300)
         X = np.column_stack([rng.normal(0, 1, 300), signal])
         y = (signal > 0).astype(int)
-        model = GradientBoostingClassifier(n_estimators=20, random_state=0).fit(X, y)
+        model = GradientBoostingClassifier(n_estimators=20).fit(X, y)
         assert model.feature_importances_[1] > 0.8
-
-    def test_deterministic_given_seed(self, blobs):
-        X, y = blobs
-        a = GradientBoostingClassifier(n_estimators=10, subsample=0.7, random_state=3).fit(X, y)
-        b = GradientBoostingClassifier(n_estimators=10, subsample=0.7, random_state=3).fit(X, y)
-        np.testing.assert_allclose(a.decision_function(X), b.decision_function(X))
 
     def test_proba_bounds(self, blobs):
         X, y = blobs
-        proba = GradientBoostingClassifier(n_estimators=20, random_state=0).fit(X, y).predict_proba(X)
+        proba = GradientBoostingClassifier(n_estimators=20).fit(X, y).predict_proba(X)
         assert (proba >= 0).all() and (proba <= 1).all()
         np.testing.assert_allclose(proba.sum(axis=1), 1.0)

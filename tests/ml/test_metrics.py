@@ -36,24 +36,18 @@ class TestBinaryCounts:
     def test_counts_partition_the_samples(self, rng):
         y_true = rng.integers(0, 2, 200)
         y_pred = rng.integers(0, 2, 200)
-        tp, fp, fn, tn = _binary_counts(y_true, y_pred, 1)
+        tp, fp, fn, tn = _binary_counts(y_true, y_pred)
         assert tp + fp + fn + tn == 200
         assert tp + fn == int(np.sum(y_true == 1))
         assert tp + fp == int(np.sum(y_pred == 1))
 
     def test_perfect_prediction_has_no_errors(self):
         y = [0, 1, 1, 0, 1]
-        assert _binary_counts(y, y, 1) == (3, 0, 0, 2)
+        assert _binary_counts(y, y) == (3, 0, 0, 2)
         report = classification_report(y, y)
         assert (report.precision, report.recall, report.f1, report.accuracy) == (1.0, 1.0, 1.0, 1.0)
         assert report.false_positive_rate == 0.0
         assert report.auc == 1.0
-
-    def test_pos_label_swaps_the_roles(self):
-        y_true = [0, 0, 1, 1, 1]
-        y_pred = [0, 1, 1, 0, 1]
-        tp, fp, fn, tn = _binary_counts(y_true, y_pred, 1)
-        assert _binary_counts(y_true, y_pred, 0) == (tn, fn, fp, tp)
 
 
 class TestPrecisionRecallF1:
@@ -74,12 +68,6 @@ class TestPrecisionRecallF1:
     def test_fpr_textbook(self):
         # 1 FP among 2 negatives.
         assert false_positive_rate([0, 0, 1], [1, 0, 1]) == pytest.approx(0.5)
-
-    def test_pos_label_selects_class(self):
-        y_true = ["a", "a", "b"]
-        y_pred = ["a", "b", "b"]
-        assert precision_score(y_true, y_pred, pos_label="a") == 1.0
-        assert recall_score(y_true, y_pred, pos_label="a") == pytest.approx(0.5)
 
     @given(
         st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=200)
@@ -145,15 +133,6 @@ class TestClassificationReport:
         assert report.accuracy == pytest.approx(accuracy_score(y_true, y_pred))
         assert report.support_positive == 4
         assert report.support_negative == 2
-
-    def test_report_for_negative_pos_label(self):
-        y_true = [0, 1, 1, 0, 1, 1]
-        y_pred = [0, 1, 1, 1, 1, 0]
-        report = classification_report(y_true, y_pred, pos_label=0)
-        assert report.support_positive == 2
-        assert report.support_negative == 4
-        assert report.precision == pytest.approx(precision_score(y_true, y_pred, pos_label=0))
-        assert report.recall == pytest.approx(recall_score(y_true, y_pred, pos_label=0))
 
     def test_scores_improve_auc_over_hard_labels(self, rng):
         y = np.r_[np.zeros(50, int), np.ones(50, int)]

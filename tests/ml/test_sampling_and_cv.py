@@ -9,6 +9,7 @@ from repro.ml.base import clone
 from repro.ml.logistic import LogisticRegression
 from repro.ml.model_selection import _stratified_fold_of, cross_validate
 from repro.ml.sampling import class_counts, random_oversample, random_undersample, smote
+from repro.ml.svm import LinearSVC
 from repro.ml.tree import DecisionTreeClassifier
 
 
@@ -93,35 +94,32 @@ class TestRandomResampling:
 class TestStratifiedFolds:
     def test_folds_have_equal_sizes(self, rng):
         _, y = imbalanced(rng, 50, 20)
-        fold_of = _stratified_fold_of(y, 5, shuffle=True, rng=np.random.default_rng(0))
+        fold_of = _stratified_fold_of(y, 5, np.random.default_rng(0))
         assert np.bincount(fold_of).tolist() == [14] * 5
 
     def test_class_ratio_preserved(self, rng):
         _, y = imbalanced(rng, 80, 40)
-        fold_of = _stratified_fold_of(y, 4, shuffle=True, rng=np.random.default_rng(0))
+        fold_of = _stratified_fold_of(y, 4, np.random.default_rng(0))
         for fold in range(4):
             assert np.mean(y[fold_of == fold]) == pytest.approx(np.mean(y), abs=0.1)
 
     def test_too_few_samples_raises(self):
         y = np.r_[np.zeros(9, int), np.ones(3, int)]
         with pytest.raises(ValueError):
-            _stratified_fold_of(y, 5, shuffle=True, rng=np.random.default_rng(0))
+            _stratified_fold_of(y, 5, np.random.default_rng(0))
 
 
 class TestCrossValidate:
     def test_fold_count(self, blobs):
         X, y = blobs
-        result = cross_validate(
-            DecisionTreeClassifier(max_depth=3), X, y, n_splits=5, random_state=0
-        )
+        result = cross_validate(DecisionTreeClassifier(), X, y, n_splits=5, random_state=0)
         assert len(result.fold_reports) == 5
 
-    def test_repeats_multiply_folds(self, blobs):
+    @pytest.mark.parametrize("n_splits", [1, 0])
+    def test_fewer_than_two_folds_rejected(self, blobs, n_splits):
         X, y = blobs
-        result = cross_validate(
-            LogisticRegression(), X, y, n_splits=4, n_repeats=3, random_state=0
-        )
-        assert len(result.fold_reports) == 12
+        with pytest.raises(ValueError, match="n_splits"):
+            cross_validate(LogisticRegression(), X, y, n_splits=n_splits, random_state=0)
 
     def test_smote_inside_folds(self, rng):
         X, y = imbalanced(rng, 100, 25)
@@ -139,16 +137,16 @@ class TestCrossValidate:
 
     def test_estimator_not_mutated(self, blobs):
         X, y = blobs
-        proto = DecisionTreeClassifier(max_depth=2)
+        proto = DecisionTreeClassifier()
         cross_validate(proto, X, y, n_splits=3, random_state=0)
         assert not hasattr(proto, "tree_")
 
     def test_clone_copies_params(self):
-        proto = DecisionTreeClassifier(max_depth=4, min_samples_leaf=3)
+        proto = LinearSVC(C=0.5, epochs=7, random_state=3)
         copy = clone(proto)
         assert copy is not proto
         assert copy.get_params() == proto.get_params()
 
     def test_repr_lists_params_sorted(self):
-        model = LogisticRegression(C=0.5, max_iter=7)
-        assert repr(model) == "LogisticRegression(C=0.5, max_iter=7, tol=1e-08)"
+        model = LinearSVC(epochs=7, C=0.5)
+        assert repr(model) == "LinearSVC(C=0.5, epochs=7, random_state=None)"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml import DecisionTreeClassifier, GradientBoostingClassifier
+from repro.ml import DecisionTreeClassifier, GradientBoostingClassifier, gradient_boosting
 from repro.ml.tree import best_split, partition, presort
 from tests.oracles import leaf_index
 
@@ -100,24 +100,20 @@ class TestSplitExactness:
             assert 0 < left_fast < n
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(0, 10_000),
-        st.integers(6, 30),
-        st.integers(1, 3),
-        st.sampled_from([0.0, 1.0]),
-        st.sampled_from([0.0, 0.05]),
-        st.sampled_from([0.0, 0.5, 2.0]),
-    )
-    def test_boosting_split_matches_brute_force(
-        self, seed, n, d, reg_lambda, gamma, min_child_weight
-    ):
+    @given(st.integers(0, 10_000), st.integers(6, 30), st.integers(1, 3))
+    def test_boosting_split_matches_brute_force(self, seed, n, d):
         rng = np.random.default_rng(seed)
         X = rng.normal(0, 1, (n, d)).round(1)  # rounding creates ties
         p = rng.uniform(0.05, 0.95, n)
         grad = p - rng.integers(0, 2, n)
         hess = p * (1.0 - p)
-        params = {"reg_lambda": reg_lambda, "gamma": gamma, "min_child_weight": min_child_weight}
-        booster = GradientBoostingClassifier(**params)
+        # The booster's constants: lambda 1, gamma 0, child weight 1.
+        params = {
+            "reg_lambda": gradient_boosting.REG_LAMBDA,
+            "gamma": 0.0,
+            "min_child_weight": gradient_boosting.MIN_CHILD_WEIGHT,
+        }
+        booster = GradientBoostingClassifier()
         stats = np.column_stack([grad, hess])
         _, node_params = booster._node(stats)
         (fast,) = best_split(
@@ -141,7 +137,7 @@ class TestSplitExactness:
         rng = np.random.default_rng(seed)
         X = rng.normal(0, 1, (30, 4)).round(1)
         onehot = np.eye(n_classes)[rng.integers(0, n_classes, 30)]
-        cart = DecisionTreeClassifier(min_samples_leaf=2)
+        cart = DecisionTreeClassifier()
         nodes = []
         for _ in range(n_nodes):
             rows = rng.integers(0, 30, int(rng.integers(2, 30)))
@@ -165,13 +161,15 @@ class TestSplitExactness:
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
-    def test_min_samples_leaf_never_violated(self, seed):
+    def test_every_leaf_holds_a_training_row(self, seed):
+        # Splits sit between distinct values, so no child is ever empty:
+        # the Gini gain needs no guard against an empty side.
         rng = np.random.default_rng(seed)
-        X = rng.normal(0, 1, (40, 3))
+        X = rng.normal(0, 1, (40, 3)).round(1)
         y = rng.integers(0, 2, 40)
-        tree = DecisionTreeClassifier(min_samples_leaf=7).fit(X, y)
-        _, leaf_sizes = np.unique(leaf_index(tree.tree_, X), return_counts=True)
-        assert leaf_sizes.min() >= 7
+        tree = DecisionTreeClassifier().fit(X, y).tree_
+        leaves = np.unique(leaf_index(tree, X))
+        assert np.array_equal(leaves, np.flatnonzero(tree.feature == -1))
 
 
 class TestPartition:

@@ -41,12 +41,12 @@ class TestGlobalState:
         assert not obs.enabled()
         assert obs.registry().value("x") == 0.0
 
-    def test_configure_accepts_external_registry(self):
-        mine = obs.MetricsRegistry()
-        returned = obs.configure(registry=mine)
-        assert returned is mine
+    def test_each_configure_starts_a_fresh_registry(self):
+        first = obs.configure()
         obs.counter("x").inc()
-        assert mine.value("x") == 1.0
+        second = obs.configure()
+        assert second is not first and obs.registry() is second
+        assert second.value("x") == 0.0
 
 
 class TestCollecting:

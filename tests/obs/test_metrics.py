@@ -1,4 +1,4 @@
-"""Counter/gauge/histogram semantics and the export round-trip."""
+"""Counter/histogram semantics and the export round-trip."""
 
 import math
 
@@ -46,14 +46,6 @@ class TestCounter:
         assert registry.value("x", {"b": "2", "a": "1"}) == 1.0
 
 
-class TestGauge:
-    def test_set_inc(self):
-        g = MetricsRegistry().gauge("depth")
-        g.set(10)
-        g.inc(2)
-        assert g.value == 12.0
-
-
 class TestHistogram:
     def test_counts_sum_mean(self):
         h = MetricsRegistry().histogram("latency", buckets=(0.1, 1.0, 10.0))
@@ -99,16 +91,15 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(ValueError):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_to_json_shape(self):
         registry = MetricsRegistry()
         registry.counter("c_total", {"k": "v"}).inc(2)
-        registry.gauge("g").set(1.5)
         registry.histogram("h", buckets=(1.0,)).observe(0.5)
         doc = registry.to_json()
+        assert set(doc) == {"counters", "histograms"}
         assert doc["counters"] == {'c_total{k="v"}': 2.0}
-        assert doc["gauges"] == {"g": 1.5}
         hist = doc["histograms"]["h"]
         assert hist["count"] == 1 and hist["sum"] == 0.5
         assert hist["buckets"]["+Inf"] == 1
@@ -117,7 +108,6 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("records_total", help="records stored").inc(41)
         registry.counter("records_total", {"kind": "fast"}).inc(7)
-        registry.gauge("queue_depth").set(3)
         h = registry.histogram("latency_seconds", buckets=(0.1, 1.0))
         h.observe(0.05)
         h.observe(0.5)
@@ -129,7 +119,6 @@ class TestRegistry:
         samples = parse_prometheus(text)
         assert samples["records_total"] == 41
         assert samples['records_total{kind="fast"}'] == 7
-        assert samples["queue_depth"] == 3
         assert samples['latency_seconds_bucket{le="0.1"}'] == 1
         assert samples['latency_seconds_bucket{le="1"}'] == 2
         assert samples['latency_seconds_bucket{le="+Inf"}'] == 2
@@ -138,21 +127,16 @@ class TestRegistry:
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().render_prometheus() == ""
-        assert MetricsRegistry().to_json() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
+        assert MetricsRegistry().to_json() == {"counters": {}, "histograms": {}}
 
 
 class TestNullRegistry:
     def test_discards_everything(self):
         registry = NullRegistry()
         registry.counter("x").inc(100)
-        registry.gauge("g").set(5)
         registry.histogram("h").observe(1.0)
         assert registry.value("x") == 0.0
-        assert registry.to_json() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
+        assert registry.to_json() == {"counters": {}, "histograms": {}}
         assert registry.render_prometheus() == ""
 
     def test_null_series_read_as_zero(self):

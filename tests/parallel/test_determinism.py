@@ -42,7 +42,7 @@ def dataset():
 # The paper's Table 1/2 algorithm suite, shrunk to test size.
 PAPER_ALGORITHMS = {
     "XGB": lambda: GradientBoostingClassifier(
-        n_estimators=20, max_depth=3, learning_rate=0.15, random_state=0
+        n_estimators=20, max_depth=3, learning_rate=0.15
     ),
     "RF": lambda: RandomForestClassifier(n_estimators=24, random_state=0),
     "LR": lambda: LogisticRegression(C=1.0),
@@ -76,37 +76,24 @@ class TestCrossValidationDeterminism:
 
     def test_summary_identical_across_worker_counts(self, dataset):
         X, y = dataset
-        kwargs = dict(n_splits=5, n_repeats=2, random_state=7)
-        serial = cross_validate(
-            DecisionTreeClassifier(max_depth=4, random_state=0), X, y,
-            n_jobs=1, **kwargs,
-        )
-        parallel = cross_validate(
-            DecisionTreeClassifier(max_depth=4, random_state=0), X, y,
-            n_jobs=4, **kwargs,
-        )
+        kwargs = dict(n_splits=5, random_state=7)
+        serial = cross_validate(DecisionTreeClassifier(), X, y, n_jobs=1, **kwargs)
+        parallel = cross_validate(DecisionTreeClassifier(), X, y, n_jobs=4, **kwargs)
         assert serial.summary() == parallel.summary()
 
     def test_resampled_folds_identical(self, dataset):
         X, y = dataset
         kwargs = dict(n_splits=4, resample="smote", random_state=11)
-        serial = cross_validate(
-            DecisionTreeClassifier(max_depth=3, random_state=1), X, y,
-            n_jobs=1, **kwargs,
-        )
-        parallel = cross_validate(
-            DecisionTreeClassifier(max_depth=3, random_state=1), X, y,
-            n_jobs=3, **kwargs,
-        )
+        serial = cross_validate(DecisionTreeClassifier(), X, y, n_jobs=1, **kwargs)
+        parallel = cross_validate(DecisionTreeClassifier(), X, y, n_jobs=3, **kwargs)
         assert serial.summary() == parallel.summary()
 
     def test_fold_metrics_survive_fanout(self, dataset):
         X, y = dataset
-        obs.configure(metrics=True, tracing=False, registry=obs.MetricsRegistry())
+        obs.configure(metrics=True, tracing=False)
         try:
             cross_validate(
-                DecisionTreeClassifier(max_depth=3, random_state=1), X, y,
-                n_splits=4, random_state=3, name="DT", n_jobs=2,
+                DecisionTreeClassifier(), X, y, n_splits=4, random_state=3, name="DT", n_jobs=2
             )
             fit_hist = obs.histogram("ml_fit_seconds", {"model": "DT"})
             assert fit_hist.count == 4
@@ -155,9 +142,7 @@ class TestExperimentDeterminism:
     def test_each_cv_fold_is_fitted_once(self):
         # All reports share one pipeline result, so fanning the cells out
         # would refit every fold once per worker process.
-        registry = obs.configure(
-            metrics=True, tracing=False, registry=obs.MetricsRegistry()
-        )
+        registry = obs.configure(metrics=True, tracing=False)
         try:
             run_many(["table1", "table2"], _small_workbench(2), n_jobs=2)
         finally:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -48,6 +49,14 @@ def log_then_raise(path):
     with open(path, "a") as handle:
         handle.write("ran\n")
     raise FileNotFoundError(path)
+
+
+def raise_first_else_sleep_then_log(index, path):
+    if index == 0:
+        raise FileNotFoundError(path)
+    time.sleep(0.2)
+    with open(path, "w") as handle:
+        handle.write("ran\n")
 
 
 def die_outside(parent_pid, x):
@@ -153,8 +162,21 @@ class TestExecutors:
         assert runs[0] == 1
         assert runs[1] <= 1
 
+    def test_task_error_cancels_queued_tasks(self, tmp_path):
+        # The first task fails at once; the pool's call queue still runs
+        # the few tasks it already took, but the rest never start.
+        logs = [tmp_path / f"task{i}.log" for i in range(20)]
+        with pytest.raises(FileNotFoundError):
+            parallel_map(
+                raise_first_else_sleep_then_log,
+                [(i, str(log)) for i, log in enumerate(logs)],
+                n_jobs=2,
+            )
+        ran = sum(log.exists() for log in logs)
+        assert ran < len(logs) // 2
+
     def test_broken_pool_fallback_is_counted(self):
-        registry = obs.configure(tracing=False, registry=obs.MetricsRegistry())
+        registry = obs.configure(tracing=False)
         try:
             tasks = [(os.getpid(), a) for a in (1, 2, 3)]
             assert parallel_map(die_outside, tasks, n_jobs=2) == [1, 2, 3]
@@ -195,7 +217,7 @@ class TestWorkerState:
 
 class TestMetricsRoundTrip:
     def test_worker_metrics_merge_into_parent(self):
-        obs.configure(metrics=True, tracing=False, registry=obs.MetricsRegistry())
+        obs.configure(metrics=True, tracing=False)
         try:
             amounts = [1, 2, 3, 4]
             result = parallel_map(bump_counter, [(a,) for a in amounts], n_jobs=2)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.platform.buffer import DataBuffer, chunk_hash
-from repro.platform.models import FastSnapshotRun, record_from_dict
+from repro.platform.buffer import BACKOFF_BASE_S, THRESHOLD_BYTES, DataBuffer, chunk_hash
+from repro.platform.models import FastSnapshotRun, record_from_dict, record_to_dict
 from repro.platform.transport import LossyTransport, Transport
 
 
@@ -45,17 +45,38 @@ def fast_run(i: int) -> FastSnapshotRun:
     )
 
 
+def sealed_in_chunks(records, per_chunk: int = 3) -> DataBuffer:
+    """A buffer holding ``records`` as fast chunks of ``per_chunk`` each:
+    the paper's 100 KB threshold would need hundreds per chunk."""
+    buffer = DataBuffer()
+    for i, record in enumerate(records, 1):
+        buffer.append("fast", record)
+        if i % per_chunk == 0:
+            buffer.seal_all()
+    buffer.seal_all()
+    return buffer
+
+
 class TestDataBuffer:
     def test_no_chunk_before_threshold(self):
-        buffer = DataBuffer(fast_threshold_bytes=10**6)
+        buffer = DataBuffer()
         buffer.append("fast", fast_run(0))
         assert buffer.pending_chunks == 0
 
     def test_seal_on_threshold(self):
-        buffer = DataBuffer(fast_threshold_bytes=200)
-        buffer.append("fast", fast_run(0))
-        buffer.append("fast", fast_run(1))
-        assert buffer.pending_chunks >= 1
+        # Each kind seals the moment its file reaches the paper's size:
+        # 100 KB for the fast file, 8 KB for the slow one.
+        for kind, limit in THRESHOLD_BYTES.items():
+            buffer = DataBuffer()
+            size, i = 0, 0
+            while size < limit:
+                assert buffer.pending_chunks == 0
+                record = fast_run(i)
+                size += len(json.dumps(record_to_dict(record), separators=(",", ":"))) + 1
+                buffer.append(kind, record)
+                i += 1
+            assert buffer.pending_chunks == 1
+            assert buffer._pending[0].n_records == i
 
     def test_seal_all_flushes_partial(self):
         buffer = DataBuffer()
@@ -76,7 +97,7 @@ class TestDataBuffer:
         for record in originals:
             buffer.append("fast", record)
         buffer.seal_all()
-        delivered = buffer.flush(transport)
+        delivered = buffer.flush(transport, 0.0)
         assert delivered == 5
         assert buffer.pending_chunks == 0
         assert receiver.records() == originals
@@ -84,11 +105,13 @@ class TestDataBuffer:
     @staticmethod
     def sealed_chunks(n_records: int) -> list[bytes]:
         receiver = Receiver()
-        buffer = DataBuffer(fast_threshold_bytes=300, slow_threshold_bytes=300)
+        buffer = DataBuffer()
         for i in range(n_records):
             buffer.append("fast" if i % 3 else "slow", fast_run(i))
+            if i % 4 == 3:
+                buffer.seal_all()
         buffer.seal_all()
-        buffer.flush(Transport(receiver))
+        buffer.flush(Transport(receiver), 0.0)
         return [data for _kind, data in receiver.chunks]
 
     def test_sealed_chunks_carry_no_timestamp(self):
@@ -113,9 +136,9 @@ class TestDataBuffer:
             def send(self, kind, data):
                 return "bogus-hash"
 
-        buffer.flush(WrongAck())
+        buffer.flush(WrongAck(), 0.0)
         assert buffer.pending_chunks == 1  # kept for retransmission
-        buffer.flush(Transport(receiver))
+        buffer.flush(Transport(receiver), BACKOFF_BASE_S)
         assert buffer.pending_chunks == 0
 
     def test_retransmission_over_lossy_channel(self):
@@ -127,39 +150,33 @@ class TestDataBuffer:
         for i in range(4):
             buffer.append("fast", fast_run(i))
         buffer.seal_all()
-        for _ in range(20):  # keep flushing until everything lands
-            buffer.flush(transport)
-            if buffer.pending_chunks == 0:
-                break
+        buffer.drain(transport, now=0.0, deadline=10**7)  # retry until it lands
         assert buffer.pending_chunks == 0
         assert len(receiver.records()) == 4
         assert buffer.retransmissions > 0
 
-    def test_corruption_detected_by_hash(self):
-        receiver = Receiver()
-        transport = LossyTransport(
-            receiver, corruption_probability=1.0, rng=np.random.default_rng(0)
-        )
-        buffer = DataBuffer()
-        buffer.append("fast", fast_run(0))
-        buffer.seal_all()
-        sealed_hash = buffer._pending[0].sha256
-        buffer.flush(transport)
-        # The corrupted bytes really reach the server — that is the whole
-        # point of hash acknowledgement — but the ack they produce can
-        # never match the sealed chunk, so the chunk is kept for
-        # retransmission.
-        assert buffer.pending_chunks == 1
-        assert len(receiver.chunks) == 1
-        (_kind, stored), = receiver.chunks
-        assert chunk_hash(stored) != sealed_hash
+    def test_lossy_channel_takes_two_draws_per_delivered_send(self):
+        # A lost chunk takes one draw, a delivered one two: the seeded
+        # world's behaviour stream depends on it.
+        rng = np.random.default_rng(5)
+        transport = LossyTransport(Receiver(), loss_probability=0.5, rng=rng)
+        delivered = sum(transport.send("fast", b"x") is not None for _ in range(40))
+        reference = np.random.default_rng(5)
+        expected = 0
+        for _ in range(40):
+            if reference.random() >= 0.5:
+                reference.random()
+                expected += 1
+        assert delivered == expected == 40 - transport.chunks_lost
+        assert rng.random() == reference.random()
 
 class TestBackoffScheduling:
     """The virtual-clock retry scheduler (no wall clock, no sleeping)."""
 
     @staticmethod
-    def _sealed_buffer(**kwargs) -> DataBuffer:
-        buffer = DataBuffer(**kwargs)
+    def _sealed_buffer(retry_budget: int = 0) -> DataBuffer:
+        buffer = DataBuffer()
+        buffer.retry_budget = retry_budget
         buffer.append("fast", fast_run(0))
         buffer.seal_all()
         return buffer
@@ -256,11 +273,8 @@ class TestBackoffScheduling:
         transport = LossyTransport(
             receiver, loss_probability=0.8, rng=np.random.default_rng(3)
         )
-        buffer = DataBuffer(fast_threshold_bytes=300)
         originals = [fast_run(i) for i in range(12)]
-        for record in originals:
-            buffer.append("fast", record)
-        buffer.seal_all()
+        buffer = sealed_in_chunks(originals)
         delivered = buffer.drain(
             transport, now=0.0, deadline=10**7, rng=np.random.default_rng(4)
         )
@@ -279,14 +293,8 @@ class TestExactlyOnceProperties:
         transport = LossyTransport(
             receiver, loss_probability=0.3, rng=np.random.default_rng(seed)
         )
-        buffer = DataBuffer(fast_threshold_bytes=300)
         originals = [fast_run(i) for i in range(n_records)]
-        for record in originals:
-            buffer.append("fast", record)
-        buffer.seal_all()
-        for _ in range(200):
-            buffer.flush(transport)
-            if buffer.pending_chunks == 0:
-                break
+        buffer = sealed_in_chunks(originals)
+        buffer.drain(transport, now=0.0, deadline=10**7)
         assert buffer.pending_chunks == 0
         assert sorted(receiver.records(), key=lambda r: r.start) == originals

@@ -38,9 +38,11 @@ class TestMonitoring:
         assert overview["healthy_fraction"] >= 0.9
 
     def test_lagging_installs_below_threshold(self, dashboard):
-        lagging = dashboard.lagging_installs(min_snapshots_per_day=100.0)
+        lagging = dashboard.lagging_installs()
         for health in lagging:
             assert health.snapshots_per_day < 100.0
+        healthy = sum(h.healthy for h in dashboard.fleet_health())
+        assert len(lagging) + healthy == dashboard.overview()["installs"]
 
     def test_unknown_install_returns_none(self, dashboard):
         assert dashboard.install_health("0000000000") is None
@@ -63,12 +65,6 @@ class TestMonitoring:
             Dashboard.install_health = original
         # One pass over the fleet serves every monitoring caller.
         assert calls["n"] == len(study.server.install_ids())
-
-    def test_fleet_health_refresh(self, study):
-        dashboard = Dashboard(study.server)
-        first = dashboard.fleet_health()
-        assert dashboard.fleet_health() is first
-        assert dashboard.fleet_health(refresh=True) is not first
 
     def test_overview_reports_malformed_split(self, dashboard):
         overview = dashboard.overview()

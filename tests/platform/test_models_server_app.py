@@ -240,6 +240,10 @@ MALFORMED_LINES = {
     "extra-key": edited_line(SLOW, extra=1),
     "unknown-type": edited_line(FAST, _type="mystery"),
     "bad-action": edited_line(CHANGE, action="sideload"),
+    "fast-run-ends-before-start": edited_line(FAST, start=100.0, end=40.0),
+    "slow-run-ends-before-start": edited_line(SLOW, start=480.0, end=240.0),
+    "zero-period": edited_line(FAST, period=0.0),
+    "negative-period": edited_line(SLOW, period=-120.0),
     "json-array": "[1, 2]",
     "json-array-of-pairs": json.dumps(list(record_to_dict(FAST).items())),
 }

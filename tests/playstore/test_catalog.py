@@ -33,11 +33,9 @@ class TestCatalog:
             app = catalog.add_promoted_app()
             assert app.review_count < 15_000
 
-    def test_promoted_malware_rate_controllable(self, catalog):
-        clean = [catalog.add_promoted_app(malware_probability=0.0) for _ in range(30)]
-        assert not any(a.is_malware for a in clean)
-        dirty = [catalog.add_promoted_app(malware_probability=1.0) for _ in range(5)]
-        assert all(a.is_malware for a in dirty)
+    def test_promoted_malware_rate_near_eight_percent(self, catalog):
+        apps = [catalog.add_promoted_app() for _ in range(400)]
+        assert 0.04 <= np.mean([a.is_malware for a in apps]) <= 0.12
 
     def test_third_party_apps_off_play(self, catalog):
         app = catalog.add_third_party_app()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.playstore.catalog import Catalog
 from repro.playstore.google_id import GmailDirectory, GoogleIdCrawler
-from repro.playstore.rank import RankWeights, SearchRankModel
+from repro.playstore.rank import SearchRankModel
 
 
 class TestGmailDirectory:
@@ -68,13 +68,6 @@ class TestSearchRank:
         after = model.rank_of(app.package, keyword)
         assert after <= before
 
-    def test_search_returns_sorted_ranks(self, catalog):
-        model = SearchRankModel(catalog)
-        results = model.search("photo", top=10)
-        assert [r.rank for r in results] == list(range(1, len(results) + 1))
-        scores = [r.score for r in results]
-        assert scores == sorted(scores, reverse=True)
-
     def test_keyword_relevance_boosts_matching_titles(self, catalog):
         model = SearchRankModel(catalog)
         app = catalog.add_popular_app()
@@ -83,13 +76,3 @@ class TestSearchRank:
         without = model.score(app, "zzzzz")
         assert with_kw > without
 
-    def test_third_party_apps_unranked(self, catalog):
-        model = SearchRankModel(catalog)
-        side_loaded = catalog.add_third_party_app()
-        packages = {r.package for r in model.search("mod", top=1000)}
-        assert side_loaded.package not in packages
-
-    def test_custom_weights(self, catalog):
-        app = catalog.add_popular_app()
-        rating_heavy = SearchRankModel(catalog, RankWeights(installs=0, reviews=0, rating=10, relevance=0))
-        assert rating_heavy.score(app) == pytest.approx(10 * app.aggregate_rating)

@@ -8,6 +8,7 @@ from repro.simulation.campaigns import CampaignBoard
 from repro.simulation.personas import dedicated_worker, organic_worker, regular_user
 from repro.simulation.phases import ShardBoardView
 from repro.simulation.recruitment import simulate_funnel
+from tests.helpers import post_campaign
 
 
 def take_job(board, rng, exclude_packages=None):
@@ -85,7 +86,7 @@ class TestCampaignBoard:
         board = CampaignBoard(rng)
         apps = [catalog.add_promoted_app() for _ in range(5)]
         for app in apps:
-            board.post_campaign(app, target_installs=10, target_reviews=6)
+            post_campaign(board, app, installs=10, reviews=6)
         return board, apps
 
     def test_advertised_packages(self, board_with_apps):
@@ -123,9 +124,7 @@ class TestCampaignBoard:
     def test_payout_accounting(self, rng):
         catalog = Catalog(rng)
         board = CampaignBoard(rng)
-        campaign = board.post_campaign(
-            catalog.add_promoted_app(), target_installs=2, target_reviews=1
-        )
+        campaign = post_campaign(board, catalog.add_promoted_app(), installs=2, reviews=1)
         take_job(board, rng)
         take_job(board, rng)
         expected = 2 * campaign.pay_per_install_usd + 1 * campaign.pay_per_review_usd
@@ -134,9 +133,7 @@ class TestCampaignBoard:
     def test_job_delivery_counts_down_remaining(self, rng):
         catalog = Catalog(rng)
         board = CampaignBoard(rng)
-        campaign = board.post_campaign(
-            catalog.add_promoted_app(), target_installs=1, target_reviews=1
-        )
+        campaign = post_campaign(board, catalog.add_promoted_app(), installs=1, reviews=1)
         assert (campaign.installs_remaining, campaign.reviews_remaining) == (1, 1)
         take_job(board, rng)
         assert (campaign.installs_remaining, campaign.reviews_remaining) == (0, 0)

@@ -31,6 +31,7 @@ from repro.simulation.phases import (
     ShardBoardView,
     commit_day,
 )
+from tests.helpers import post_campaign
 
 
 @pytest.fixture()
@@ -40,9 +41,7 @@ def board_with_campaign():
     catalog = Catalog(rng)
     app = catalog.add_promoted_app()
     board = CampaignBoard(rng)
-    campaign = board.post_campaign(
-        app, target_installs=3, target_reviews=1, retention_days=7.0
-    )
+    campaign = post_campaign(board, app, installs=3, reviews=1, retention_days=7.0)
     return board, campaign
 
 
