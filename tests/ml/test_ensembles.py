@@ -97,6 +97,14 @@ class TestGradientBoosting:
         model = GradientBoostingClassifier(n_estimators=20).fit(X, y)
         assert model.feature_importances_[1] > 0.8
 
+    def test_refit_is_byte_identical(self, blobs):
+        # Every round uses every row and every feature: no random draw.
+        X, y = blobs
+        a = GradientBoostingClassifier(n_estimators=10).fit(X, y)
+        b = GradientBoostingClassifier(n_estimators=10).fit(X, y)
+        assert a.decision_function(X).tobytes() == b.decision_function(X).tobytes()
+        assert a.feature_importances_.tobytes() == b.feature_importances_.tobytes()
+
     def test_proba_bounds(self, blobs):
         X, y = blobs
         proba = GradientBoostingClassifier(n_estimators=20).fit(X, y).predict_proba(X)

@@ -1,6 +1,7 @@
 """The vectorised KNN vote scatter against the per-row reference loop."""
 
 import numpy as np
+import pytest
 
 from repro.ml import KNeighborsClassifier
 from repro.ml.base import check_array
@@ -42,9 +43,10 @@ def _reference_knn_votes(model: KNeighborsClassifier, X: np.ndarray) -> np.ndarr
     return votes
 
 
-def test_vectorized_votes_match_reference_loop():
+@pytest.mark.parametrize("n_neighbors", [1, 5, 9])
+def test_vectorized_votes_match_reference_loop(n_neighbors):
     X, y = make_bench_dataset(150, 7, root_seed=31)
-    model = KNeighborsClassifier(n_neighbors=5).fit(X, y)
+    model = KNeighborsClassifier(n_neighbors=n_neighbors).fit(X, y)
     queries, _ = make_bench_dataset(40, 7, root_seed=32)
     assert np.array_equal(
         model._neighbor_votes(queries), _reference_knn_votes(model, queries)

@@ -153,6 +153,13 @@ class TestLVQ:
         b = LVQClassifier(random_state=11).fit(X, y)
         np.testing.assert_allclose(a.prototypes_, b.prototypes_)
 
+    def test_one_prototype_per_class(self, blobs):
+        X, y = blobs
+        model = LVQClassifier(prototypes_per_class=1, random_state=0).fit(X, y)
+        assert model.prototypes_.shape == (2, X.shape[1])
+        assert model.prototype_labels_.tolist() == [0, 1]
+        assert model.score(X, y) >= 0.9
+
     def test_small_class_capped_prototypes(self):
         X = np.array([[0.0], [0.1], [5.0], [5.1], [5.2], [5.3]])
         y = np.array([0, 0, 1, 1, 1, 1])

@@ -115,6 +115,11 @@ class TestCrossValidate:
         result = cross_validate(DecisionTreeClassifier(), X, y, n_splits=5, random_state=0)
         assert len(result.fold_reports) == 5
 
+    def test_two_folds_accepted(self, blobs):
+        X, y = blobs
+        result = cross_validate(DecisionTreeClassifier(), X, y, n_splits=2, random_state=0)
+        assert len(result.fold_reports) == 2
+
     @pytest.mark.parametrize("n_splits", [1, 0])
     def test_fewer_than_two_folds_rejected(self, blobs, n_splits):
         X, y = blobs

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.ml.tree import DecisionTreeClassifier, descend
 
 
@@ -19,6 +22,16 @@ class TestDecisionTreeClassifier:
         assert tree.tree_.feature[0] == 0
         assert tree.tree_.threshold[0] == pytest.approx(1.5)
         assert (tree.predict([[1.4], [1.6]]) == [0, 1]).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_full_tree_separates_every_distinct_value(self, seed):
+        # No depth or leaf limit: on one feature an impure node can always
+        # cut off a single row and gain, so random labels fit exactly.
+        rng = np.random.default_rng(seed)
+        X = rng.permutation(60).astype(np.float64)[:, None]
+        y = rng.integers(0, 3, 60)
+        assert DecisionTreeClassifier().fit(X, y).score(X, y) == 1.0
 
     def test_pure_node_is_leaf(self):
         X = np.array([[1.0], [2.0], [3.0]])

@@ -43,6 +43,18 @@ def make_app_like(seed: int, n: int = 300, d: int = 14):
 
 DATASETS = [(seed, k, decimals) for seed in (0, 1) for k in (2, 3) for decimals in (None, 1)]
 APP_LIKE_SEEDS = (0, 1)
+# CART has no setting left to vary, so its grid varies the data: few rows
+# and many, narrow and wide.
+CART_SHAPES = [(160, 6), (48, 3), (250, 12), (90, 4)]
+# The forest draws max(1, int(sqrt(d))) candidate features per node: 2,
+# 1 and 4 of these widths.
+FOREST_SHAPES = [(160, 6), (60, 3), (200, 16)]
+BOOSTER_PARAMS = [
+    {},
+    {"max_depth": 5, "learning_rate": 0.15},
+    {"max_depth": 2, "learning_rate": 0.3},
+    {"max_depth": 1, "learning_rate": 0.5},
+]
 
 
 def splits(tree) -> list[tuple[int, float]]:
@@ -58,14 +70,16 @@ def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @pytest.mark.parametrize("seed,n_classes,decimals", DATASETS)
-def test_cart_matches_oracle(seed, n_classes, decimals):
-    X, y = make_data(seed, n_classes, decimals)
+@pytest.mark.parametrize("n,d", CART_SHAPES)
+def test_cart_matches_oracle(seed, n_classes, decimals, n, d):
+    X, y = make_data(seed, n_classes, decimals, n, d)
     check_cart(X, y, n_classes)
 
 
 @pytest.mark.parametrize("seed", APP_LIKE_SEEDS)
-def test_cart_matches_oracle_on_app_like_data(seed):
-    X, y = make_app_like(seed)
+@pytest.mark.parametrize("n,d", [(300, 14), (120, 5)])
+def test_cart_matches_oracle_on_app_like_data(seed, n, d):
+    X, y = make_app_like(seed, n, d)
     check_cart(X, y, 2)
 
 
@@ -79,8 +93,9 @@ def check_cart(X, y, n_classes):
 
 
 @pytest.mark.parametrize("seed,n_classes,decimals", DATASETS)
-def test_forest_matches_oracle(seed, n_classes, decimals):
-    X, y = make_data(seed, n_classes, decimals)
+@pytest.mark.parametrize("n,d", FOREST_SHAPES)
+def test_forest_matches_oracle(seed, n_classes, decimals, n, d):
+    X, y = make_data(seed, n_classes, decimals, n, d)
     check_forest(X, y, seed)
 
 
@@ -105,10 +120,11 @@ def make_ragged(seed: int, n_classes: int, n: int = 40, d: int = 10):
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
-@pytest.mark.parametrize("n_classes", (2, 3))
-def test_ragged_forest_in_chunks_matches_oracle(monkeypatch, seed, n_classes):
+@pytest.mark.parametrize("n_classes,budget", [(2, 1000), (2, 300), (3, 1000)])
+def test_ragged_forest_in_chunks_matches_oracle(monkeypatch, seed, n_classes, budget):
     # Trees of very different sizes grow in lockstep, and a small element
-    # budget cuts every wide step into several batches of nodes.
+    # budget cuts every wide step into several batches of nodes: a root
+    # is 40 rows by 3 candidate features, so 8 or 2 roots per batch.
     batches = []
     real = tree_module.best_split
 
@@ -117,14 +133,14 @@ def test_ragged_forest_in_chunks_matches_oracle(monkeypatch, seed, n_classes):
         return real(X, stats, rows, features, sizes, params, gain)
 
     monkeypatch.setattr(tree_module, "best_split", recording)
-    monkeypatch.setattr(tree_module, "CHUNK_ELEMENTS", 1000)
+    monkeypatch.setattr(tree_module, "CHUNK_ELEMENTS", budget)
     X, y = make_ragged(seed, n_classes)
     model = RandomForestClassifier(n_estimators=40, random_state=seed).fit(X, y)
     node_counts = [tree.feature.size for tree in model.trees_]
     assert max(node_counts) >= 7
     if n_classes == 2:
         assert min(node_counts) == 1
-    assert 1 < batches[0] < 40  # the first step, 40 roots, is cut
+    assert batches[0] == budget // 120  # the first step, 40 roots, is cut
     assert max(batches[1:]) > 1
     check_forest(X, y, seed, n_estimators=40, model=model)
 
@@ -143,16 +159,17 @@ def check_forest(X, y, seed, n_estimators=8, model=None):
 
 
 @pytest.mark.parametrize("seed,decimals", [(seed, decimals) for seed in (0, 1, 2) for decimals in (None, 1)])
-@pytest.mark.parametrize("params", [{}, {"max_depth": 5, "learning_rate": 0.15}])
+@pytest.mark.parametrize("params", BOOSTER_PARAMS)
 def test_booster_matches_oracle(seed, decimals, params):
     X, y = make_data(seed, 2, decimals)
     check_booster(X, y, seed, params)
 
 
 @pytest.mark.parametrize("seed", APP_LIKE_SEEDS)
-def test_booster_matches_oracle_on_app_like_data(seed):
+@pytest.mark.parametrize("params", BOOSTER_PARAMS)
+def test_booster_matches_oracle_on_app_like_data(seed, params):
     X, y = make_app_like(seed)
-    check_booster(X, y, seed, {})
+    check_booster(X, y, seed, params)
 
 
 def check_booster(X, y, seed, params):

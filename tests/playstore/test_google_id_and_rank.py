@@ -68,6 +68,26 @@ class TestSearchRank:
         after = model.rank_of(app.package, keyword)
         assert after <= before
 
+    def test_ranks_order_apps_by_score(self, catalog):
+        model = SearchRankModel(catalog)
+        hosted = catalog.hosted_on_play()
+        rank = {app.package: model.rank_of(app.package, "photo") for app in hosted}
+        assert sorted(rank.values()) == list(range(1, len(hosted) + 1))
+        ranked = sorted(hosted, key=lambda app: rank[app.package])
+        scores = [model.score(app, "photo") for app in ranked]
+        assert scores == sorted(scores, reverse=True)
+
+    def test_third_party_apps_unranked(self, catalog):
+        # Ranks count Play apps only: a side-loaded clone, however popular
+        # and however well it matches, pushes no Play app down.
+        model = SearchRankModel(catalog)
+        hosted = [app.package for app in catalog.hosted_on_play()]
+        before = {package: model.rank_of(package, "mod") for package in hosted}
+        side_loaded = catalog.add_third_party_app()
+        catalog.update(side_loaded.with_counts(10**9, 10**7, 5.0))
+        assert {package: model.rank_of(package, "mod") for package in hosted} == before
+        assert sorted(before.values()) == list(range(1, len(hosted) + 1))
+
     def test_keyword_relevance_boosts_matching_titles(self, catalog):
         model = SearchRankModel(catalog)
         app = catalog.add_popular_app()

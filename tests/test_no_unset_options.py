@@ -153,3 +153,30 @@ def test_every_defaulted_parameter_is_set_outside_tests():
             if not _is_set(name, before, shapes):
                 unset.append(f"{module} {label}({name})")
     assert unset == [], "defaulted parameters no caller outside tests/ sets:\n" + "\n".join(unset)
+
+
+def test_defaulted_parameters_skip_self_and_keep_keyword_only():
+    source = """
+class A:
+    def f(self, a, b=1, *args, c, d=2, **kwargs): ...
+
+    @staticmethod
+    def g(a=0, b=1): ...
+"""
+    f, g = ast.parse(source).body[0].body
+    assert _defaulted(f, True) == [("b", 1), ("d", None)]
+    assert _defaulted(g, True) == [("a", 0), ("b", 1)]
+
+
+def test_a_call_sets_by_keyword_by_position_or_by_unpacking():
+    def shapes(*calls):
+        return [_call_shape(ast.parse(call).body[0].value) for call in calls]
+
+    assert not _is_set("b", 1, shapes("f(1)", "f(a=1)", "f(1, c=3)"))
+    assert _is_set("b", 1, shapes("f(1)", "f(1, 2)"))
+    assert _is_set("b", 1, shapes("f(a=1, b=2)"))
+    assert _is_set("b", 1, shapes("f(*values)"))
+    assert _is_set("b", 1, shapes("f(1, **options)"))
+    # A keyword-only parameter is never set by position.
+    assert not _is_set("d", None, shapes("f(1, 2, 3, 4)"))
+    assert _is_set("d", None, shapes("f(1, d=4)"))
