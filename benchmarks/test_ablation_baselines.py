@@ -19,14 +19,8 @@ def test_ablation_baselines(workbench, pipeline_result, emit):
     store = workbench.data.review_store
     observations = pipeline_result.observations
 
-    burst = evaluate_baseline_on_devices(
-        BurstDetector(window_days=3.0, min_burst_reviews=5), store, observations
-    )
-    lockstep = evaluate_baseline_on_devices(
-        LockstepDetector(min_common_apps=4, time_window_days=7.0, min_group_size=3),
-        store,
-        observations,
-    )
+    burst = evaluate_baseline_on_devices(BurstDetector(), store, observations)
+    lockstep = evaluate_baseline_on_devices(LockstepDetector(), store, observations)
 
     # RacketStore pipeline recall, split the same way.
     verdict_by_id = {v.install_id: v for v in pipeline_result.verdicts}

@@ -28,16 +28,8 @@ def main() -> int:
     result = DetectionPipeline(n_splits=5).run(data)
     observations = result.observations
 
-    burst = evaluate_baseline_on_devices(
-        BurstDetector(window_days=3.0, min_burst_reviews=5),
-        data.review_store,
-        observations,
-    )
-    lockstep = evaluate_baseline_on_devices(
-        LockstepDetector(min_common_apps=4, min_group_size=3),
-        data.review_store,
-        observations,
-    )
+    burst = evaluate_baseline_on_devices(BurstDetector(), data.review_store, observations)
+    lockstep = evaluate_baseline_on_devices(LockstepDetector(), data.review_store, observations)
 
     verdicts = {v.install_id: v.predicted_worker for v in result.verdicts}
     racket = {"organic_worker": [0, 0], "dedicated_worker": [0, 0], "regular": [0, 0]}

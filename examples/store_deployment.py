@@ -30,9 +30,7 @@ def device_scores(result, data, observations) -> np.ndarray:
     X = device_feature_matrix(
         observations, [suspiciousness.get(obs.install_id, 0.0) for obs in observations]
     )
-    proba = result.device_model.predict_proba(X)
-    worker_col = int(np.nonzero(result.device_model._model.classes_ == 1)[0][0])
-    return proba[:, worker_col]
+    return result.device_model.positive_probability(X)
 
 
 def main() -> int:

@@ -227,9 +227,9 @@ def _cmd_train(args) -> int:
     result = workbench.pipeline_result
     payload = (
         '{"app": '
-        + export_detector(result.app_model)
+        + export_detector(result.app_model, "app")
         + ', "device": '
-        + export_detector(result.device_model)
+        + export_detector(result.device_model, "device")
         + "}"
     )
     with open(args.out, "w") as handle:

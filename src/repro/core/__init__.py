@@ -1,14 +1,9 @@
 """The paper's primary contribution: app/device usage features (§7.1,
-§8.1), the §7.2 labeling rules, the app and device classifiers, the
-end-to-end detection pipeline, and the §9 privacy-preserving on-device
-detector."""
+§8.1), the §7.2 labeling rules, the app and device classifiers and the
+deployable detector they share, the end-to-end detection pipeline, and
+the §9 privacy-preserving on-device detector."""
 
-from .app_classifier import (
-    APP_ALGORITHMS,
-    AppClassifier,
-    AppClassifierEvaluation,
-    evaluate_app_algorithms,
-)
+from .app_classifier import APP_ALGORITHMS, evaluate_app_algorithms
 from .app_features import (
     APP_FEATURE_NAMES,
     NEVER_REVIEWED_SENTINEL_DAYS,
@@ -27,12 +22,8 @@ from .datasets import (
     build_app_dataset,
     build_device_dataset,
 )
-from .device_classifier import (
-    DEVICE_ALGORITHMS,
-    DeviceClassifier,
-    DeviceClassifierEvaluation,
-    evaluate_device_algorithms,
-)
+from .detector import Detector, SuiteEvaluation
+from .device_classifier import DEVICE_ALGORITHMS, evaluate_device_algorithms
 from .device_features import DEVICE_FEATURE_NAMES, device_feature_matrix
 from .labeling import LabelingConfig, LabelingResult, label_apps, split_holdout
 from .model_io import export_detector, import_detector
@@ -47,8 +38,6 @@ from .pipeline import DetectionPipeline, DeviceVerdict, PipelineResult
 
 __all__ = [
     "APP_ALGORITHMS",
-    "AppClassifier",
-    "AppClassifierEvaluation",
     "evaluate_app_algorithms",
     "APP_FEATURE_NAMES",
     "NEVER_REVIEWED_SENTINEL_DAYS",
@@ -64,9 +53,9 @@ __all__ = [
     "DeviceDataset",
     "build_app_dataset",
     "build_device_dataset",
+    "Detector",
+    "SuiteEvaluation",
     "DEVICE_ALGORITHMS",
-    "DeviceClassifier",
-    "DeviceClassifierEvaluation",
     "evaluate_device_algorithms",
     "DEVICE_FEATURE_NAMES",
     "device_feature_matrix",

@@ -29,6 +29,16 @@ __all__ = [
     "evaluate_baseline_on_devices",
 ]
 
+#: Common apps two accounts must have reviewed close together to be linked.
+MIN_COMMON_APPS = 4
+#: Largest gap between two accounts' reviews of one app that still links them.
+LOCKSTEP_WINDOW_DAYS = 7.0
+#: Smallest linked group whose accounts are flagged.
+MIN_GROUP_SIZE = 3
+#: Length of the sliding window a review burst must fit in.
+BURST_WINDOW_DAYS = 3.0
+#: Fewest reviews in one window that make a burst.
+MIN_BURST_REVIEWS = 5
 #: Share of a burst's reviews that must be 4-5 star for it to count.
 MIN_POSITIVE_FRACTION = 0.8
 
@@ -46,24 +56,14 @@ class LockstepDetector:
     """Co-review lockstep detection over (account, app) bipartite data.
 
     Two accounts are *lockstep-linked* when they reviewed at least
-    ``min_common_apps`` common apps with review times within
-    ``time_window_days`` of each other on each app.  Accounts belonging
-    to a linked group of at least ``min_group_size`` are flagged — the
-    CopyCatch-style near-bipartite-clique signal.
+    :data:`MIN_COMMON_APPS` common apps with review times within
+    :data:`LOCKSTEP_WINDOW_DAYS` of each other on each app.  Accounts
+    belonging to a linked group of at least :data:`MIN_GROUP_SIZE` are
+    flagged — the CopyCatch-style near-bipartite-clique signal.
     """
 
-    def __init__(
-        self,
-        min_common_apps: int = 3,
-        time_window_days: float = 7.0,
-        min_group_size: int = 3,
-    ) -> None:
-        self.min_common_apps = min_common_apps
-        self.time_window_days = time_window_days
-        self.min_group_size = min_group_size
-
     def _links(self, store: ReviewStore, accounts: list[str]) -> dict[str, set[str]]:
-        window = self.time_window_days * SECONDS_PER_DAY
+        window = LOCKSTEP_WINDOW_DAYS * SECONDS_PER_DAY
         # account -> {app -> timestamp}
         footprints = {
             account: {
@@ -90,7 +90,7 @@ class LockstepDetector:
 
         links: dict[str, set[str]] = defaultdict(set)
         for (a, b), common in pair_common.items():
-            if common >= self.min_common_apps:
+            if common >= MIN_COMMON_APPS:
                 links[a].add(b)
                 links[b].add(a)
         return links
@@ -121,7 +121,7 @@ class LockstepDetector:
             BaselineVerdict(
                 google_id=account,
                 score=float(sizes[component[account]]),
-                flagged=sizes[component[account]] >= self.min_group_size
+                flagged=sizes[component[account]] >= MIN_GROUP_SIZE
                 and bool(links.get(account)),
             )
             for account in accounts
@@ -132,14 +132,11 @@ class BurstDetector:
     """Review-burst detection (temporal-spike family).
 
     An account is flagged when its review stream contains a window of
-    ``window_days`` days holding at least ``min_burst_reviews`` reviews,
-    at least :data:`MIN_POSITIVE_FRACTION` of them 4-5 star (promotion
-    bursts are) — the Fei-et-al./BIRDNEST-style signal.
+    :data:`BURST_WINDOW_DAYS` days holding at least
+    :data:`MIN_BURST_REVIEWS` reviews, at least
+    :data:`MIN_POSITIVE_FRACTION` of them 4-5 star (promotion bursts
+    are) — the Fei-et-al./BIRDNEST-style signal.
     """
-
-    def __init__(self, window_days: float = 3.0, min_burst_reviews: int = 5) -> None:
-        self.window_days = window_days
-        self.min_burst_reviews = min_burst_reviews
 
     def account_score(self, store: ReviewStore, google_id: str) -> float:
         """Max reviews in any sliding window (rating-skew gated)."""
@@ -148,14 +145,14 @@ class BurstDetector:
             return 0.0
         times = np.array([r.timestamp for r in reviews])
         ratings = np.array([r.rating for r in reviews])
-        window = self.window_days * SECONDS_PER_DAY
+        window = BURST_WINDOW_DAYS * SECONDS_PER_DAY
         best = 0.0
         start = 0
         for end in range(len(times)):
             while times[end] - times[start] > window:
                 start += 1
             count = end - start + 1
-            if count >= self.min_burst_reviews:
+            if count >= MIN_BURST_REVIEWS:
                 positive = np.mean(ratings[start : end + 1] >= 4)
                 if positive >= MIN_POSITIVE_FRACTION:
                     best = max(best, float(count))
@@ -169,7 +166,7 @@ class BurstDetector:
                 BaselineVerdict(
                     google_id=account,
                     score=score,
-                    flagged=score >= self.min_burst_reviews,
+                    flagged=score >= MIN_BURST_REVIEWS,
                 )
             )
         return out

@@ -18,8 +18,7 @@ import numpy as np
 from ..ml.gradient_boosting import GradientBoostingClassifier
 from ..ml.preprocessing import SimpleImputer
 from ..ml.tree import Tree
-from .app_classifier import AppClassifier
-from .device_classifier import DeviceClassifier
+from .detector import Detector
 
 __all__ = [
     "export_boosted_model",
@@ -93,27 +92,25 @@ def _imputer_from_dict(payload: dict) -> SimpleImputer:
     return imputer
 
 
-def export_detector(detector: AppClassifier | DeviceClassifier) -> str:
-    """Serialise a fitted app/device detector (imputer + booster) to JSON."""
-    kind = "app" if isinstance(detector, AppClassifier) else "device"
+def export_detector(detector: Detector, kind: str) -> str:
+    """Serialise a fitted detector (imputer + booster) to JSON, labelled
+    with its ``kind``, ``"app"`` or ``"device"``."""
     payload = {
         "format_version": FORMAT_VERSION,
         "detector": kind,
         "feature_names": list(detector.feature_names),
-        "imputer": _imputer_to_dict(detector._imputer),
-        "model": export_boosted_model(detector._model),
+        "imputer": _imputer_to_dict(detector.imputer),
+        "model": export_boosted_model(detector.model),
     }
     return json.dumps(payload)
 
 
-def import_detector(text: str) -> AppClassifier | DeviceClassifier:
+def import_detector(text: str) -> Detector:
     """Reconstruct a detector exported with :func:`export_detector`."""
     payload = json.loads(text)
     if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported detector format version")
-    detector: AppClassifier | DeviceClassifier
-    detector = AppClassifier() if payload["detector"] == "app" else DeviceClassifier()
+    detector = Detector(import_boosted_model(payload["model"]))
     detector.feature_names = tuple(payload["feature_names"])
-    detector._imputer = _imputer_from_dict(payload["imputer"])
-    detector._model = import_boosted_model(payload["model"])
+    detector.imputer = _imputer_from_dict(payload["imputer"])
     return detector

@@ -17,9 +17,8 @@ import numpy as np
 
 from ..playstore.catalog import Catalog
 from ..virustotal.client import VirusTotalClient
-from .app_classifier import AppClassifier
 from .app_features import app_feature_matrix
-from .device_classifier import DeviceClassifier
+from .detector import Detector
 from .device_features import device_feature_matrix
 from .observations import DeviceObservation
 from .pipeline import scored_packages
@@ -50,7 +49,7 @@ class OnDeviceReport:
 class OnDeviceDetector:
     """Pre-trained models executing locally on one device's data."""
 
-    def __init__(self, app_model: AppClassifier, device_model: DeviceClassifier) -> None:
+    def __init__(self, app_model: Detector, device_model: Detector) -> None:
         self._app_model = app_model
         self._device_model = device_model
 
@@ -72,10 +71,7 @@ class OnDeviceDetector:
             suspiciousness = 0.0
 
         x_device = device_feature_matrix([obs], [suspiciousness])
-        proba = self._device_model.predict_proba(x_device)[0]
-        classes = self._device_model._model.classes_
-        worker_col = int(np.nonzero(classes == 1)[0][0]) if 1 in classes else 0
-        p_worker = float(proba[worker_col])
+        p_worker = float(self._device_model.positive_probability(x_device)[0])
 
         return OnDeviceReport(
             n_apps_scanned=len(packages),

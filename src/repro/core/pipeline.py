@@ -16,14 +16,11 @@ import numpy as np
 from .. import obs
 from ..playstore.catalog import Catalog
 from ..simulation.world import StudyData
-from .app_classifier import AppClassifier, AppClassifierEvaluation, evaluate_app_algorithms
+from .app_classifier import APP_ALGORITHMS, evaluate_app_algorithms
 from .app_features import app_feature_matrix
 from .datasets import AppDataset, DeviceDataset, build_app_dataset, build_device_dataset
-from .device_classifier import (
-    DeviceClassifier,
-    DeviceClassifierEvaluation,
-    evaluate_device_algorithms,
-)
+from .detector import Detector, SuiteEvaluation
+from .device_classifier import DEVICE_ALGORITHMS, evaluate_device_algorithms
 from .device_features import device_feature_matrix
 from .observations import DeviceObservation, build_observations
 
@@ -51,7 +48,6 @@ class DeviceVerdict:
     predicted_worker: bool
     worker_probability: float
     app_suspiciousness: float
-    n_apps_scored: int
     n_installed_and_reviewed: int
     ground_truth_worker: bool
 
@@ -67,12 +63,12 @@ class PipelineResult:
 
     observations: list[DeviceObservation]
     app_dataset: AppDataset
-    app_evaluation: AppClassifierEvaluation
-    app_model: AppClassifier
+    app_evaluation: SuiteEvaluation
+    app_model: Detector
     suspiciousness: dict[str, float]
     device_dataset: DeviceDataset
-    device_evaluation: DeviceClassifierEvaluation
-    device_model: DeviceClassifier
+    device_evaluation: SuiteEvaluation
+    device_model: Detector
     verdicts: list[DeviceVerdict] = field(default_factory=list)
 
     def worker_verdicts(self) -> list[DeviceVerdict]:
@@ -120,7 +116,7 @@ class DetectionPipeline:
             app_evaluation = evaluate_app_algorithms(
                 app_dataset, n_splits=app_splits, n_jobs=self.n_jobs
             )
-            app_model = AppClassifier().fit(app_dataset)
+            app_model = Detector(APP_ALGORITHMS()["XGB"]).fit(app_dataset)
 
         # Score every device's installed apps -> suspiciousness feature.
         with obs.trace("pipeline.score_devices"):
@@ -136,7 +132,7 @@ class DetectionPipeline:
             device_evaluation = evaluate_device_algorithms(
                 device_dataset, n_splits=device_splits, n_jobs=self.n_jobs
             )
-            device_model = DeviceClassifier().fit(device_dataset)
+            device_model = Detector(DEVICE_ALGORITHMS()["XGB"]).fit(device_dataset)
 
         result = PipelineResult(
             observations=observations,
@@ -149,16 +145,14 @@ class DetectionPipeline:
             device_model=device_model,
         )
         with obs.trace("pipeline.verdicts"):
-            result.verdicts = self._verdicts(
-                data, observations, device_model, suspiciousness
-            )
+            result.verdicts = self._verdicts(observations, device_model, suspiciousness)
         return result
 
     @staticmethod
     def score_devices(
         data: StudyData,
         observations: list[DeviceObservation],
-        app_model: AppClassifier,
+        app_model: Detector,
     ) -> dict[str, float]:
         """install_id -> fraction of user-installed apps flagged as
         promotion-installed by the app classifier (§8.1 feature (2)).
@@ -184,26 +178,24 @@ class DetectionPipeline:
 
     def _verdicts(
         self,
-        data: StudyData,
         observations: list[DeviceObservation],
-        device_model: DeviceClassifier,
+        device_model: Detector,
         suspiciousness: dict[str, float],
     ) -> list[DeviceVerdict]:
         verdicts = []
         scores = [suspiciousness.get(o.install_id, 0.0) for o in observations]
         # One call for every device: each row's probability depends on
         # that row alone.
-        proba = device_model.predict_proba(device_feature_matrix(observations, scores))
-        worker_col = int(np.nonzero(device_model._model.classes_ == 1)[0][0])
-        for obs, score, row in zip(observations, scores, proba):
-            p_worker = float(row[worker_col])
+        p_workers = device_model.positive_probability(
+            device_feature_matrix(observations, scores)
+        )
+        for obs, score, p_worker in zip(observations, scores, p_workers.tolist()):
             verdicts.append(
                 DeviceVerdict(
                     install_id=obs.install_id,
                     predicted_worker=p_worker >= 0.5,
                     worker_probability=p_worker,
                     app_suspiciousness=score,
-                    n_apps_scored=obs.n_user_installed,
                     n_installed_and_reviewed=obs.n_installed_and_reviewed,
                     ground_truth_worker=obs.is_worker,
                 )

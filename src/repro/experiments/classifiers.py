@@ -43,15 +43,16 @@ def _classifier_table(results: dict, paper: dict) -> str:
 def run_table1_app_classifier(wb: Workbench) -> ExperimentReport:
     result = wb.pipeline_result
     evaluation = result.app_evaluation
+    dataset = result.app_dataset
     report = ExperimentReport(
         "table1", "App-usage classifier: promotion vs personal installs (§7.2)"
     )
     report.lines.append(
-        f"dataset: {evaluation.n_suspicious} suspicious / {evaluation.n_regular} "
+        f"dataset: {dataset.n_suspicious} suspicious / {dataset.n_regular} "
         f"regular instances (paper: {APP_CLASSIFIER.SUSPICIOUS_INSTANCES} / "
         f"{APP_CLASSIFIER.REGULAR_INSTANCES}); labeled apps: "
-        f"{len(result.app_dataset.labeling.suspicious_apps)} suspicious / "
-        f"{len(result.app_dataset.labeling.regular_apps)} regular (paper: "
+        f"{len(dataset.labeling.suspicious_apps)} suspicious / "
+        f"{len(dataset.labeling.regular_apps)} regular (paper: "
         f"{APP_CLASSIFIER.SUSPICIOUS_APPS} / {APP_CLASSIFIER.NON_SUSPICIOUS_APPS})"
     )
     report.lines.append(_classifier_table(evaluation.results, APP_CLASSIFIER.TABLE1))
@@ -73,7 +74,7 @@ def run_fig13_app_importance(wb: Workbench) -> ExperimentReport:
     report = ExperimentReport(
         "fig13", "Top-10 app-feature importances, mean decrease in Gini (§7.2)"
     )
-    top = evaluation.top_features(10)
+    top = evaluation.top_features()
     report.lines.append(
         render_table(["rank", "feature", "gini importance"],
                      [(i + 1, name, value) for i, (name, value) in enumerate(top)])
@@ -138,13 +139,14 @@ def run_fig13_app_importance(wb: Workbench) -> ExperimentReport:
 
 def run_table2_device_classifier(wb: Workbench) -> ExperimentReport:
     evaluation = wb.pipeline_result.device_evaluation
+    dataset = wb.pipeline_result.device_dataset
     report = ExperimentReport(
         "table2", "Device classifier: worker vs regular devices (§8.2)"
     )
     report.lines.append(
-        f"dataset: {evaluation.n_worker} worker / {evaluation.n_regular} regular "
+        f"dataset: {dataset.n_worker} worker / {dataset.n_regular} regular "
         f"devices (paper: {DEVICE_CLASSIFIER.WORKER_DEVICES} / "
-        f"{DEVICE_CLASSIFIER.REGULAR_DEVICES}); sampling: {evaluation.sampling}"
+        f"{DEVICE_CLASSIFIER.REGULAR_DEVICES}); sampling: smote"
     )
     report.lines.append(_classifier_table(evaluation.results, DEVICE_CLASSIFIER.TABLE2))
     xgb = evaluation.results["XGB"]
@@ -166,7 +168,7 @@ def run_fig14_device_importance(wb: Workbench) -> ExperimentReport:
     report = ExperimentReport(
         "fig14", "Top-10 device-feature importances, mean decrease in Gini (§8.2)"
     )
-    top = evaluation.top_features(10)
+    top = evaluation.top_features()
     report.lines.append(
         render_table(["rank", "feature", "gini importance"],
                      [(i + 1, name, value) for i, (name, value) in enumerate(top)])

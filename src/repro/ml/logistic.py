@@ -15,6 +15,8 @@ from .preprocessing import StandardScaler
 
 __all__ = ["LogisticRegression"]
 
+#: Inverse L2 strength of every fit (larger = less regularised).
+C = 1.0
 #: Newton iteration budget of every fit.
 MAX_ITER = 100
 #: Convergence threshold on the gradient's infinity norm.
@@ -31,19 +33,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class LogisticRegression(BaseEstimator, ClassifierMixin):
-    """Binary logistic regression with L2 penalty.
-
-    Parameters
-    ----------
-    C:
-        Inverse regularisation strength (larger = less regularised).
+    """Binary logistic regression with L2 penalty ``1 / C`` on the
+    z-scored coefficients.
 
     Features are z-scored internally; ``coef_`` and ``intercept_`` fold
     the scaling back out, so they apply to raw features.
     """
 
-    def __init__(self, C: float = 1.0) -> None:
-        self.C = C
+    def __init__(self) -> None:
+        pass
 
     def fit(self, X, y) -> "LogisticRegression":
         X, y = check_X_y(X, y)
@@ -61,15 +59,13 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
 
         n, d = Z.shape
         design = np.column_stack([np.ones(n), Z])
-        alpha = 1.0 / self.C
+        alpha = 1.0 / C
         # Do not penalise the intercept.
         penalty = np.full(d + 1, alpha)
         penalty[0] = 0.0
 
         w = np.zeros(d + 1)
-        self.n_iter_ = 0
         for _ in range(MAX_ITER):
-            self.n_iter_ += 1
             p = _sigmoid(design @ w)
             gradient = design.T @ (p - target) + penalty * w
             if np.max(np.abs(gradient)) < TOL:

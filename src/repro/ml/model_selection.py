@@ -128,9 +128,8 @@ def _run_fold(
     y_score = None
     if hasattr(model, "predict_proba"):
         proba = model.predict_proba(X[test])
-        if proba.shape[1] == 2:
-            positive_col = int(np.nonzero(model.classes_ == 1)[0][0]) if 1 in model.classes_ else 1
-            y_score = proba[:, positive_col]
+        if proba.shape[1] == 2:  # both labels seen, so classes_ is [0, 1]
+            y_score = proba[:, 1]
     return classification_report(y[test], y_pred, y_score)
 
 
@@ -144,8 +143,8 @@ def cross_validate(
     name: str | None = None,
     n_jobs: int | None = None,
 ) -> CrossValidationResult:
-    """Stratified k-fold CV with in-fold resampling; class 1 is the
-    positive class of every fold's report.
+    """Stratified k-fold CV with in-fold resampling over 0/1 labels;
+    class 1 is the positive class of every fold's report.
 
     Parameters
     ----------
@@ -169,6 +168,8 @@ def cross_validate(
     if n_splits < 2:
         raise ValueError(f"n_splits={n_splits}: cross-validation needs at least 2 folds")
     X, y = check_X_y(X, y)
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("cross-validation needs 0/1 labels: class 1 is the positive class")
     if isinstance(resample, str):
         resample = RESAMPLERS[resample]
     rng = check_random_state(random_state)

@@ -15,6 +15,9 @@ from .preprocessing import StandardScaler
 
 __all__ = ["LinearSVC"]
 
+#: Inverse regularisation of every fit (larger = harder margin).
+C = 1.0
+
 
 class LinearSVC(BaseEstimator, ClassifierMixin):
     """Linear SVM via the Pegasos solver (Shalev-Shwartz et al., 2007).
@@ -25,19 +28,15 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
 
     Parameters
     ----------
-    C:
-        Inverse regularisation (larger = harder margin).
     epochs:
         Passes over the training data.
     """
 
     def __init__(
         self,
-        C: float = 1.0,
         epochs: int = 60,
         random_state: int | None = None,
     ) -> None:
-        self.C = C
         self.epochs = epochs
         self.random_state = random_state
 
@@ -58,7 +57,7 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
         Z = scaler.transform(X)
 
         n, d = Z.shape
-        lam = 1.0 / (self.C * n)
+        lam = 1.0 / (C * n)
         w = np.zeros(d)
         b = 0.0
         t = 0

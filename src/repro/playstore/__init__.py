@@ -11,7 +11,7 @@ from .permissions import (
     PermissionProfile,
     sample_permission_profile,
 )
-from .rank import RankWeights, SearchRankModel
+from .rank import SearchRankModel
 from .rank_tracker import RankSample, RankTracker
 from .ratings import RatingAggregator, RatingUpdate
 from .reviews import CrawlStats, Review, ReviewCrawler, ReviewStore
@@ -31,7 +31,6 @@ __all__ = [
     "sample_permission_profile",
     "RankSample",
     "RankTracker",
-    "RankWeights",
     "RatingAggregator",
     "RatingUpdate",
     "SearchRankModel",

@@ -10,30 +10,26 @@ evasion-cost example) can quantify what an ASO campaign buys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import App, Catalog
 
-__all__ = ["RankWeights", "SearchRankModel"]
+__all__ = ["SearchRankModel"]
 
-
-@dataclass(frozen=True)
-class RankWeights:
-    """Relative weight of each ranking factor (log-scaled counts)."""
-
-    installs: float = 1.0
-    reviews: float = 0.8
-    rating: float = 1.5
-    relevance: float = 2.0
+#: Relative weight of each ranking factor (counts are log-scaled).
+INSTALLS_WEIGHT = 1.0
+REVIEWS_WEIGHT = 0.8
+RATING_WEIGHT = 1.5
+RELEVANCE_WEIGHT = 2.0
 
 
 class SearchRankModel:
     """Deterministic search scoring over the catalog.
 
     ``score = w_i * log1p(installs) + w_r * log1p(reviews)
-            + w_s * rating + w_k * keyword_relevance``
+            + w_s * rating + w_k * keyword_relevance``, with the weights
+    the ``*_WEIGHT`` constants above.
 
     Keyword relevance is a crude token match on title/package — enough
     to make campaigns for a target keyword move an app up its result
@@ -42,21 +38,19 @@ class SearchRankModel:
 
     def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
-        self.weights = RankWeights()
         # keyword -> (catalog version, relevance array over hosted apps).
         # Relevance depends only on static listing text, so entries stay
         # valid until the catalog mutates.
         self._relevance_cache: dict[str, tuple[int, np.ndarray]] = {}
 
     def score(self, app: App, keyword: str | None = None) -> float:
-        w = self.weights
         base = (
-            w.installs * math.log1p(max(app.install_count, 0))
-            + w.reviews * math.log1p(max(app.review_count, 0))
-            + w.rating * app.aggregate_rating
+            INSTALLS_WEIGHT * math.log1p(max(app.install_count, 0))
+            + REVIEWS_WEIGHT * math.log1p(max(app.review_count, 0))
+            + RATING_WEIGHT * app.aggregate_rating
         )
         if keyword:
-            base += w.relevance * self._relevance(app, keyword)
+            base += RELEVANCE_WEIGHT * self._relevance(app, keyword)
         return base
 
     @staticmethod
@@ -115,7 +109,6 @@ class SearchRankModel:
         hosted = self._catalog.hosted_on_play()
         if not hosted or not pairs:
             return {}
-        w = self.weights
         packages = np.array([app.package for app in hosted])
         installs = np.fromiter(
             (max(app.install_count, 0) for app in hosted), np.float64, len(hosted)
@@ -136,9 +129,9 @@ class SearchRankModel:
                 installs[i] += extra_installs
                 reviews[i] += extra_reviews
         base = (
-            w.installs * np.log1p(installs)
-            + w.reviews * np.log1p(reviews)
-            + w.rating * rating
+            INSTALLS_WEIGHT * np.log1p(installs)
+            + REVIEWS_WEIGHT * np.log1p(reviews)
+            + RATING_WEIGHT * rating
         )
         position = {app.package: i for i, app in enumerate(hosted)}
         by_keyword: dict[str, list[str]] = {}
@@ -146,7 +139,7 @@ class SearchRankModel:
             by_keyword.setdefault(keyword, []).append(package)
         out: dict[tuple[str, str], int] = {}
         for keyword in sorted(by_keyword):
-            scores = base + w.relevance * self._relevance_array(keyword, hosted)
+            scores = base + RELEVANCE_WEIGHT * self._relevance_array(keyword, hosted)
             for package in by_keyword[keyword]:
                 i = position[package]
                 target = scores[i]

@@ -18,6 +18,10 @@ from ..playstore.catalog import App
 
 __all__ = ["Campaign", "CampaignBoard", "PromoJob", "FrozenCampaign", "FrozenBoard"]
 
+#: What a campaign pays a worker per delivered install and per review.
+PAY_PER_INSTALL_USD = 0.35
+PAY_PER_REVIEW_USD = 0.70
+
 
 @dataclass(slots=True)
 class Campaign:
@@ -29,8 +33,6 @@ class Campaign:
     target_reviews: int
     min_rating: int = 4
     retention_days: float = 7.0
-    pay_per_install_usd: float = 0.35
-    pay_per_review_usd: float = 0.70
     delivered_installs: int = 0
     delivered_reviews: int = 0
 
@@ -46,8 +48,8 @@ class Campaign:
     def payout_usd(self) -> float:
         """Total worker earnings the campaign has paid out so far."""
         return (
-            self.delivered_installs * self.pay_per_install_usd
-            + self.delivered_reviews * self.pay_per_review_usd
+            self.delivered_installs * PAY_PER_INSTALL_USD
+            + self.delivered_reviews * PAY_PER_REVIEW_USD
         )
 
 

@@ -5,13 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.app_classifier import AppClassifier
+from repro.core.app_classifier import APP_ALGORITHMS
 from repro.core.baselines import (
     BurstDetector,
     LockstepDetector,
     evaluate_baseline_on_devices,
 )
-from repro.core.datasets import build_app_dataset
+from repro.core.datasets import build_app_dataset, build_device_dataset
+from repro.core.detector import Detector
+from repro.core.device_classifier import DEVICE_ALGORITHMS
 from repro.core.model_io import (
     export_boosted_model,
     export_detector,
@@ -36,7 +38,7 @@ class TestLockstepDetector:
 
     def test_lockstep_group_flagged(self):
         store = self.make_lockstep_store()
-        detector = LockstepDetector(min_common_apps=3, min_group_size=3)
+        detector = LockstepDetector()
         verdicts = {v.google_id: v for v in detector.detect(store, ["w1", "w2", "w3", "organic"])}
         assert verdicts["w1"].flagged and verdicts["w2"].flagged and verdicts["w3"].flagged
         assert not verdicts["organic"].flagged
@@ -47,7 +49,7 @@ class TestLockstepDetector:
         for i, account in enumerate(("a", "b", "c")):
             for j in range(4):
                 store.post_review(f"app{j}", account, 5, j * 86400.0 + i * 30 * 86400.0)
-        detector = LockstepDetector(min_common_apps=3, time_window_days=7.0)
+        detector = LockstepDetector()
         assert not any(v.flagged for v in detector.detect(store, ["a", "b", "c"]))
 
     def test_small_group_not_flagged(self):
@@ -55,7 +57,7 @@ class TestLockstepDetector:
         for i, account in enumerate(("a", "b")):
             for j in range(4):
                 store.post_review(f"app{j}", account, 5, j * 86400.0 + i * 60.0)
-        detector = LockstepDetector(min_common_apps=3, min_group_size=3)
+        detector = LockstepDetector()
         assert not any(v.flagged for v in detector.detect(store, ["a", "b"]))
 
 
@@ -64,7 +66,7 @@ class TestBurstDetector:
         store = ReviewStore()
         for j in range(8):
             store.post_review(f"app{j}", "burster", 5, j * 3600.0)  # 8 in 7 hours
-        detector = BurstDetector(window_days=3.0, min_burst_reviews=5)
+        detector = BurstDetector()
         verdict = detector.detect(store, ["burster"])[0]
         assert verdict.flagged
         assert verdict.score >= 5
@@ -73,7 +75,7 @@ class TestBurstDetector:
         store = ReviewStore()
         for j in range(8):
             store.post_review(f"app{j}", "slow", 5, j * 30 * 86400.0)
-        detector = BurstDetector(window_days=3.0, min_burst_reviews=5)
+        detector = BurstDetector()
         assert not detector.detect(store, ["slow"])[0].flagged
 
     def test_negative_bursts_not_flagged(self):
@@ -93,7 +95,7 @@ class TestBaselineOnStudy:
     def test_baselines_miss_organic_workers(self, study, observations):
         """The paper's motivating claim: burst/lockstep detectors catch
         dedicated workers far better than organic ones."""
-        detector = BurstDetector(window_days=3.0, min_burst_reviews=5)
+        detector = BurstDetector()
         rates = evaluate_baseline_on_devices(detector, study.review_store, observations)
         assert rates["recall_dedicated"] >= rates["recall_organic"]
         assert rates["fpr_regular"] <= 0.3
@@ -162,8 +164,10 @@ class TestModelIO:
 
     def test_detector_roundtrip(self, study, observations):
         dataset = build_app_dataset(study, observations)
-        detector = AppClassifier().fit(dataset)
-        restored = import_detector(export_detector(detector))
+        detector = Detector(APP_ALGORITHMS()["XGB"]).fit(dataset)
+        text = export_detector(detector, "app")
+        assert json.loads(text)["detector"] == "app"
+        restored = import_detector(text)
         np.testing.assert_array_equal(
             restored.predict(dataset.X), detector.predict(dataset.X)
         )
@@ -171,8 +175,21 @@ class TestModelIO:
 
     def test_detector_roundtrip_handles_nan(self, study, observations):
         dataset = build_app_dataset(study, observations)
-        detector = AppClassifier().fit(dataset)
-        restored = import_detector(export_detector(detector))
+        detector = Detector(APP_ALGORITHMS()["XGB"]).fit(dataset)
+        restored = import_detector(export_detector(detector, "app"))
         row = dataset.X[:3].copy()
         row[:, ::2] = np.nan  # the restored imputer fills these
         np.testing.assert_array_equal(restored.predict(row), detector.predict(row))
+
+    def test_device_detector_roundtrip_keeps_worker_probability(self, observations):
+        dataset = build_device_dataset(observations)
+        detector = Detector(DEVICE_ALGORITHMS()["XGB"]).fit(dataset)
+        text = export_detector(detector, "device")
+        assert json.loads(text)["detector"] == "device"
+        restored = import_detector(text)
+        X = dataset.X.copy()
+        X[::3, ::2] = np.nan  # the restored imputer fills these
+        assert np.isnan(X).any()
+        expected = detector.positive_probability(X)
+        assert restored.positive_probability(X).tobytes() == expected.tobytes()
+        assert restored.feature_names == detector.feature_names

@@ -6,10 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import OnDeviceDetector
-from repro.core.app_classifier import AppClassifier
+from repro.core import DetectionPipeline, OnDeviceDetector
+from repro.core.app_classifier import APP_ALGORITHMS
 from repro.core.datasets import build_app_dataset, build_device_dataset
-from repro.core.device_classifier import DeviceClassifier
+from repro.core.detector import Detector
+from repro.core.device_classifier import DEVICE_ALGORITHMS
 
 
 class TestPipelineResult:
@@ -70,39 +71,69 @@ class TestPipelineResult:
             assert total == pytest.approx(1.0, abs=1e-6)
 
 
-class TestAppClassifierModel:
+def app_detector() -> Detector:
+    return Detector(APP_ALGORITHMS()["XGB"])
+
+
+def device_detector() -> Detector:
+    return Detector(DEVICE_ALGORITHMS()["XGB"])
+
+
+class TestAppDetector:
     def test_fit_predict_roundtrip(self, study, observations):
         dataset = build_app_dataset(study, observations)
-        model = AppClassifier().fit(dataset)
+        model = app_detector().fit(dataset)
         predictions = model.predict(dataset.X)
         assert set(np.unique(predictions)) <= {0, 1}
         assert np.mean(predictions == dataset.y) >= 0.95
 
     def test_handles_nan_input(self, study, observations):
         dataset = build_app_dataset(study, observations)
-        model = AppClassifier().fit(dataset)
+        model = app_detector().fit(dataset)
         row = dataset.X[0].copy()
         row[0] = np.nan
         assert model.predict(row).shape == (1,)
 
 
-class TestDeviceClassifierModel:
+class TestDeviceDetector:
     def test_fit_predict_roundtrip(self, observations):
         dataset = build_device_dataset(observations)
-        model = DeviceClassifier().fit(dataset)
+        model = device_detector().fit(dataset)
         assert model.feature_names == dataset.feature_names
         predictions = model.predict(dataset.X)
         assert set(np.unique(predictions)) <= {0, 1}
         assert np.mean(predictions == dataset.y) >= 0.95
-        proba = model.predict_proba(dataset.X)
-        np.testing.assert_array_equal(predictions, np.argmax(proba, axis=1))
+        # predict argmaxes [1 - p, p]: label 1 exactly where p > 0.5.
+        p_worker = model.positive_probability(dataset.X)
+        np.testing.assert_array_equal(predictions, (p_worker > 0.5).astype(int))
 
     def test_single_row_with_nan_is_imputed(self, observations):
         dataset = build_device_dataset(observations)
-        model = DeviceClassifier().fit(dataset)
+        model = device_detector().fit(dataset)
         row = np.full(dataset.X.shape[1], np.nan)
         assert model.predict(row).shape == (1,)
-        assert np.all(np.isfinite(model.predict_proba(row)))
+        p_worker = model.positive_probability(row)
+        assert p_worker.shape == (1,) and 0.0 <= p_worker[0] <= 1.0
+
+    def test_model_that_never_saw_a_worker_flags_nobody(
+        self, study, observations, pipeline_result
+    ):
+        # Fit on one class, the booster keeps only that class and
+        # predicts it with probability 1: that is P(regular), not
+        # P(worker).
+        regulars = [obs for obs in observations if not obs.is_worker]
+        model = device_detector().fit(build_device_dataset(regulars))
+        p_worker = model.positive_probability(build_device_dataset(observations).X)
+        np.testing.assert_array_equal(p_worker, np.zeros(len(observations)))
+
+        detector = OnDeviceDetector(pipeline_result.app_model, model)
+        reports = [detector.scan(obs, study.catalog, study.vt_client) for obs in observations]
+        assert not any(report.device_flagged for report in reports)
+        assert all(report.worker_probability == 0.0 for report in reports)
+        verdicts = DetectionPipeline()._verdicts(
+            observations, model, pipeline_result.suspiciousness
+        )
+        assert not any(verdict.predicted_worker for verdict in verdicts)
 
 
 class TestOnDeviceDetector:
@@ -140,14 +171,20 @@ class TestOnDeviceDetector:
                 report.n_apps_flagged / report.n_apps_scanned
             )
 
-    def test_scan_scores_the_same_apps_as_the_pipeline(
+    def test_on_device_verdict_is_the_pipeline_verdict(
         self, detector, study, pipeline_result
     ):
-        # scan and DetectionPipeline.score_devices share the Play-hosted
-        # user-install filter and the feature path, so the on-device
-        # suspiciousness is exactly the pipeline's.
-        for obs in pipeline_result.observations:
+        # §9 ships the pipeline's models to the device, and scan shares
+        # DetectionPipeline.score_devices' Play-hosted user-install filter
+        # and feature path: what leaves the device is the verdict the
+        # pipeline reached, bit for bit.
+        assert len(pipeline_result.verdicts) == len(pipeline_result.observations)
+        for obs, verdict in zip(pipeline_result.observations, pipeline_result.verdicts):
+            assert verdict.install_id == obs.install_id
             report = detector.scan(obs, study.catalog, study.vt_client)
             assert report.app_suspiciousness == pipeline_result.suspiciousness[
                 obs.install_id
             ], obs.install_id
+            assert report.app_suspiciousness == verdict.app_suspiciousness, obs.install_id
+            assert report.worker_probability == verdict.worker_probability, obs.install_id
+            assert report.device_flagged == verdict.predicted_worker, obs.install_id

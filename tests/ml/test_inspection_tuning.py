@@ -81,16 +81,16 @@ class TestGridSearch:
         X, y = blobs
         result = grid_search(
             LinearSVC(random_state=0),
-            {"C": [0.1, 1.0], "epochs": [10, 40]},
+            {"epochs": [10, 40], "random_state": [0, 1]},
             X, y, n_splits=3, random_state=0,
         )
         assert len(result.entries) == 4
-        assert set(result.best_params) == {"C", "epochs"}
+        assert set(result.best_params) == {"epochs", "random_state"}
 
     def test_best_result_matches_best_params(self, blobs):
         X, y = blobs
         result = grid_search(
-            LogisticRegression(), {"C": [0.01, 10.0]}, X, y, n_splits=3, random_state=0
+            LinearSVC(random_state=0), {"epochs": [1, 40]}, X, y, n_splits=3, random_state=0
         )
         best_params, _ = max(result.entries, key=lambda entry: entry[1].f1)
         assert result.best_params == best_params

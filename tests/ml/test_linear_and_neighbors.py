@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.knn import KNeighborsClassifier
-from repro.ml.logistic import LogisticRegression
+from repro.ml.logistic import C, LogisticRegression
 from repro.ml.lvq import LVQClassifier
 from repro.ml.svm import LinearSVC
 
@@ -20,18 +20,12 @@ class TestLogisticRegression:
         equations of the z-scored problem, mapped back to raw features:
         X^T (p - y) + sigma^2 * w/C = 0 (intercept unpenalised)."""
         X, y = blobs
-        model = LogisticRegression(C=1.0).fit(X, y)
+        model = LogisticRegression().fit(X, y)
         p = model.predict_proba(X)[:, 1]
-        grad_w = X.T @ (p - y) + X.std(axis=0) ** 2 * model.coef_ / model.C
+        grad_w = X.T @ (p - y) + X.std(axis=0) ** 2 * model.coef_ / C
         grad_b = np.sum(p - y)
         assert np.max(np.abs(grad_w)) < 1e-4
         assert abs(grad_b) < 1e-4
-
-    def test_stronger_penalty_shrinks_weights(self, blobs):
-        X, y = blobs
-        loose = LogisticRegression(C=100.0).fit(X, y)
-        tight = LogisticRegression(C=0.01).fit(X, y)
-        assert np.linalg.norm(tight.coef_) < np.linalg.norm(loose.coef_)
 
     def test_single_class(self):
         X = np.zeros((5, 2))

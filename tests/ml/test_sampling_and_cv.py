@@ -126,6 +126,13 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="n_splits"):
             cross_validate(LogisticRegression(), X, y, n_splits=n_splits, random_state=0)
 
+    def test_labels_other_than_zero_one_rejected(self, blobs):
+        # Every fold reports class 1 as positive and scores column 1 of
+        # predict_proba: labels 1/2 would score P(2) as P(1).
+        X, y = blobs
+        with pytest.raises(ValueError, match="0/1 labels"):
+            cross_validate(LogisticRegression(), X, y + 1, n_splits=3, random_state=0)
+
     def test_smote_inside_folds(self, rng):
         X, y = imbalanced(rng, 100, 25)
         result = cross_validate(
@@ -147,11 +154,11 @@ class TestCrossValidate:
         assert not hasattr(proto, "tree_")
 
     def test_clone_copies_params(self):
-        proto = LinearSVC(C=0.5, epochs=7, random_state=3)
+        proto = LinearSVC(epochs=7, random_state=3)
         copy = clone(proto)
         assert copy is not proto
         assert copy.get_params() == proto.get_params()
 
     def test_repr_lists_params_sorted(self):
-        model = LinearSVC(epochs=7, C=0.5)
-        assert repr(model) == "LinearSVC(C=0.5, epochs=7, random_state=None)"
+        model = LinearSVC(random_state=3, epochs=7)
+        assert repr(model) == "LinearSVC(epochs=7, random_state=3)"

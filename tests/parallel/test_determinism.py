@@ -45,10 +45,10 @@ PAPER_ALGORITHMS = {
         n_estimators=20, max_depth=3, learning_rate=0.15
     ),
     "RF": lambda: RandomForestClassifier(n_estimators=24, random_state=0),
-    "LR": lambda: LogisticRegression(C=1.0),
+    "LR": lambda: LogisticRegression(),
     "KNN": lambda: KNeighborsClassifier(n_neighbors=5),
     "LVQ": lambda: LVQClassifier(prototypes_per_class=5, epochs=25, random_state=0),
-    "SVM": lambda: LinearSVC(C=1.0, epochs=40, random_state=0),
+    "SVM": lambda: LinearSVC(epochs=40, random_state=0),
 }
 
 

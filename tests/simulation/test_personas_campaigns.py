@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.playstore.catalog import Catalog
-from repro.simulation.campaigns import CampaignBoard
+from repro.simulation.campaigns import PAY_PER_INSTALL_USD, PAY_PER_REVIEW_USD, CampaignBoard
 from repro.simulation.personas import dedicated_worker, organic_worker, regular_user
 from repro.simulation.phases import ShardBoardView
 from repro.simulation.recruitment import simulate_funnel
@@ -127,7 +127,8 @@ class TestCampaignBoard:
         campaign = post_campaign(board, catalog.add_promoted_app(), installs=2, reviews=1)
         take_job(board, rng)
         take_job(board, rng)
-        expected = 2 * campaign.pay_per_install_usd + 1 * campaign.pay_per_review_usd
+        assert (campaign.delivered_installs, campaign.delivered_reviews) == (2, 1)
+        expected = 2 * PAY_PER_INSTALL_USD + 1 * PAY_PER_REVIEW_USD
         assert board.total_payout_usd() == pytest.approx(expected)
 
     def test_job_delivery_counts_down_remaining(self, rng):
