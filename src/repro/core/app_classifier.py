@@ -34,7 +34,7 @@ def APP_ALGORITHMS() -> dict[str, object]:
         "RF": RandomForestClassifier(n_estimators=120, random_state=0),
         "LR": LogisticRegression(),
         "KNN": KNeighborsClassifier(n_neighbors=5),
-        "LVQ": LVQClassifier(prototypes_per_class=6, epochs=25, random_state=0),
+        "LVQ": LVQClassifier(prototypes_per_class=6),
     }
 
 

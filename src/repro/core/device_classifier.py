@@ -35,7 +35,7 @@ def DEVICE_ALGORITHMS() -> dict[str, object]:
         "RF": RandomForestClassifier(n_estimators=120, random_state=0),
         "SVM": LinearSVC(epochs=40, random_state=0),
         "KNN": KNeighborsClassifier(n_neighbors=5),
-        "LVQ": LVQClassifier(prototypes_per_class=5, epochs=25, random_state=0),
+        "LVQ": LVQClassifier(prototypes_per_class=5),
     }
 
 

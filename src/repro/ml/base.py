@@ -11,7 +11,7 @@ sampling and the benchmark harness algorithm-agnostic.
 from __future__ import annotations
 
 import copy
-from typing import Any
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -116,6 +116,18 @@ class ClassifierMixin:
 
     def _decode_labels(self, indices: np.ndarray) -> np.ndarray:
         return self.classes_[indices]
+
+    def fit_folds(self, folds: Sequence[tuple]) -> Iterator[list["ClassifierMixin"]]:
+        """Fit a clone on every ``(X, y)`` fold, yielding the fitted models
+        in fold order, as lists of the models fitted together.
+
+        Cross-validation fits its folds here.  This default fits one fold
+        per list, so a caller that scores each list before asking for the
+        next holds one fitted model at a time; a learner that can fit
+        several folds in one pass overrides it.
+        """
+        for X, y in folds:
+            yield [clone(self).fit(X, y)]  # type: ignore[arg-type]
 
     def predict(self, X: Any) -> np.ndarray:
         proba = self.predict_proba(X)  # type: ignore[attr-defined]

@@ -90,7 +90,6 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         order = presort(X)
 
         self._tree_gains: list[np.ndarray] = []
-        self.train_losses_: list[float] = []
         every_row = np.arange(n)
         for _ in range(self.n_estimators):
             p = _sigmoid(margin)
@@ -108,22 +107,24 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
             self._tree_gains.append(gains)
             (weights,) = descend([tree], X, self.n_features_)
             margin += self.learning_rate * weights
-
-            p = np.clip(_sigmoid(margin), 1e-12, 1 - 1e-12)
-            loss = float(-np.mean(target * np.log(p) + (1 - target) * np.log(1 - p)))
-            self.train_losses_.append(loss)
         return self
 
     def _node(self, stats: np.ndarray) -> tuple[float, tuple[float, float, float] | None]:
         """Leaf weight of a node over its ``[grad, hess]`` rows, and unless
         it stays a leaf its gain parameters: ``G``, ``H`` and ``G^2 /
-        (H + lambda)``."""
+        (H + lambda)``.
+
+        A node with one row, or with less hessian mass than two children
+        need, stays a leaf: no split of it can leave both children
+        :data:`MIN_CHILD_WEIGHT` (DESIGN.md §14 gives the rounding
+        argument), so searching it would find none.
+        """
         # Each column summed on its own, as a 1-D array sums: a column sum
         # of the whole matrix adds in another order and moves the bytes.
         g_sum = float(stats[:, 0].sum())
         h_sum = float(stats[:, 1].sum())
         weight = -g_sum / (h_sum + REG_LAMBDA)
-        if stats.shape[0] < 2:
+        if stats.shape[0] < 2 or h_sum < 2 * MIN_CHILD_WEIGHT:
             return weight, None
         return weight, (g_sum, h_sum, g_sum**2 / (h_sum + REG_LAMBDA))
 

@@ -6,13 +6,15 @@ runs one repeat, as the experiments do (DESIGN.md §2).  Resampling
 (SMOTE / over / under) is applied *inside* each fold, to the training
 split only, so no synthetic point ever leaks into validation.
 
-Fold jobs are independent, so ``cross_validate`` fans them out across
-worker processes when ``n_jobs > 1``.  Determinism contract (DESIGN.md
-§8): every fold's train/test indices and resampling seed are derived
+Folds are independent, so ``cross_validate`` fans contiguous blocks of
+folds out across worker processes when ``n_jobs > 1``, one block per
+worker, as a forest fans out blocks of trees; each block fits its folds
+through the estimator's ``fit_folds``, which LVQ overrides to step a
+block's codebooks in lockstep.  Determinism contract (DESIGN.md §8):
+every fold's train/test indices and resampling seed are derived
 *before* any fan-out, in the exact order the serial loop has always
-drawn them, and fold reports are collected by submission index — the
-same ``random_state`` yields byte-identical results at any worker
-count.
+drawn them, and fold reports are collected in fold order — the same
+``random_state`` yields byte-identical results at any worker count.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .. import obs
-from ..parallel import draw_seeds, parallel_map
-from .base import check_random_state, check_X_y, clone
+from ..parallel import draw_seeds, parallel_map, resolve_n_jobs
+from .base import ClassifierMixin, check_random_state, check_X_y
 from .metrics import ClassificationReport, classification_report
 from .sampling import RESAMPLERS
 
@@ -99,38 +101,56 @@ class CrossValidationResult:
         }
 
 
-def _run_fold(
+def _run_block(
     estimator,
     X: np.ndarray,
     y: np.ndarray,
-    train: np.ndarray,
-    test: np.ndarray,
+    folds: list[tuple[np.ndarray, np.ndarray, int | None]],
     resample: Callable | None,
-    resample_seed: int | None,
     model_name: str,
-) -> ClassificationReport:
-    """Fit/score one pre-drawn CV fold (runs in-process or in a worker)."""
-    X_train, y_train = X[train], y[train]
-    if resample is not None:
-        X_train, y_train = resample(X_train, y_train, random_state=resample_seed)
-    model = clone(estimator)
+) -> list[ClassificationReport]:
+    """Fit and score a block of pre-drawn ``(train, test, resample_seed)``
+    folds (runs in-process or in a worker).
+
+    The folds' models come from ``estimator.fit_folds`` in lists of the
+    models fitted together; each list is scored before the next is
+    fitted, and each of its folds observes the list's fit time divided
+    by its length.  Each fold's labels and scores come from one
+    ``predict_proba``, unless the model has its own ``predict``.
+    """
+    training = []
+    for train, _, resample_seed in folds:
+        X_train, y_train = X[train], y[train]
+        if resample is not None:
+            X_train, y_train = resample(X_train, y_train, random_state=resample_seed)
+        training.append((X_train, y_train))
     fit_timer = obs.histogram(
-        "ml_fit_seconds", {"model": model_name}, help="per-fold fit wall time"
+        "ml_fit_seconds", {"model": model_name},
+        help="per-fold fit wall time; folds fitted together share their time equally",
     )
     predict_timer = obs.histogram(
         "ml_predict_seconds", {"model": model_name}, help="per-fold predict wall time"
     )
-    with obs.timer(fit_timer):
-        model.fit(X_train, y_train)
-    with obs.timer(predict_timer):
-        y_pred = model.predict(X[test])
-    obs.counter("ml_folds_total", {"model": model_name}).inc()
-    y_score = None
-    if hasattr(model, "predict_proba"):
-        proba = model.predict_proba(X[test])
-        if proba.shape[1] == 2:  # both labels seen, so classes_ is [0, 1]
-            y_score = proba[:, 1]
-    return classification_report(y[test], y_pred, y_score)
+    fitted = estimator.fit_folds(training)
+    reports: list[ClassificationReport] = []
+    while len(reports) < len(folds):
+        with obs.timer() as fitting:
+            models = next(fitted)
+        for model in models:
+            fit_timer.observe(fitting.elapsed / len(models))
+            test = folds[len(reports)][1]
+            with obs.timer(predict_timer):
+                proba = model.predict_proba(X[test])
+                if type(model).predict is ClassifierMixin.predict:
+                    y_pred = model.classes_.take(proba.argmax(axis=1))
+                else:
+                    y_pred = model.predict(X[test])
+            obs.counter("ml_folds_total", {"model": model_name}).inc()
+            # Both labels seen, so classes_ is [0, 1].
+            y_score = proba[:, 1] if proba.shape[1] == 2 else None
+            reports.append(classification_report(y[test], y_pred, y_score))
+        del models, model  # hold no fitted model while the next list fits
+    return reports
 
 
 def cross_validate(
@@ -160,10 +180,10 @@ def cross_validate(
         Label for the per-fold ``ml_fit_seconds``/``ml_predict_seconds``
         timing metrics (defaults to the estimator's class name).
     n_jobs:
-        Fold-level worker processes (``None`` → ``REPRO_N_JOBS`` → 1;
-        ``<= 0`` → all cores).  Results are bit-identical at any worker
-        count; the estimator and any ``resample`` callable must be
-        picklable when ``n_jobs > 1``.
+        Worker processes, each fitting one contiguous block of folds
+        (``None`` → ``REPRO_N_JOBS`` → 1; ``<= 0`` → all cores).  Results
+        are bit-identical at any worker count; the estimator and any
+        ``resample`` callable must be picklable when ``n_jobs > 1``.
     """
     if n_splits < 2:
         raise ValueError(f"n_splits={n_splits}: cross-validation needs at least 2 folds")
@@ -181,13 +201,22 @@ def cross_validate(
     # exactly once above.
     (seed,) = draw_seeds(rng, 1)
     fold_of = _stratified_fold_of(y, n_splits, check_random_state(seed))
-    jobs: list[tuple] = []
+    folds: list[tuple] = []
     for fold in range(n_splits):
         test = np.nonzero(fold_of == fold)[0]
         train = np.nonzero(fold_of != fold)[0]
         resample_seed = draw_seeds(rng, 1)[0] if resample is not None else None
-        jobs.append((estimator, X, y, train, test, resample, resample_seed, model_name))
+        folds.append((train, test, resample_seed))
 
-    result = CrossValidationResult()
-    result.fold_reports.extend(parallel_map(_run_fold, jobs, n_jobs=n_jobs))
-    return result
+    # One contiguous block of folds per worker, collected in fold order.
+    blocks = np.array_split(np.arange(n_splits), resolve_n_jobs(n_jobs))
+    scored = parallel_map(
+        _run_block,
+        [
+            (estimator, X, y, [folds[i] for i in block], resample, model_name)
+            for block in blocks
+            if block.size
+        ],
+        n_jobs=n_jobs,
+    )
+    return CrossValidationResult([report for block in scored for report in block])

@@ -116,11 +116,14 @@ class TestSplitExactness:
         booster = GradientBoostingClassifier()
         stats = np.column_stack([grad, hess])
         _, node_params = booster._node(stats)
+        slow = brute_force_best_boost_split(X, grad, hess, **params)
+        if node_params is None:  # too little hessian mass for two children
+            assert slow[0] == -1
+            return
         (fast,) = best_split(
             X, stats, presort(X).ravel(), np.arange(d), np.array([n]), np.array([node_params]),
             booster._gain,
         )
-        slow = brute_force_best_boost_split(X, grad, hess, **params)
         assert fast[2] == pytest.approx(slow[2], abs=1e-9)
         assert (fast[0] >= 0) == (slow[0] >= 0)
         if fast[0] >= 0:
@@ -128,6 +131,37 @@ class TestSplitExactness:
             # that split respects min_child_weight.
             realised = boost_split_gain(X, grad, hess, fast[0], fast[1], **params)
             assert realised == pytest.approx(fast[2], abs=1e-9)
+
+    @pytest.mark.parametrize("ulps", [0, 3])
+    def test_boosting_node_below_two_child_weights_stays_a_leaf(self, ulps):
+        # Eight rows of hessian 1/4 hold exactly two child weights, and
+        # the middle split leaves each child exactly one.  Take a few ulps
+        # of 2 off the last row and no split can pass: the node is not
+        # searched, and the brute force finds no split either.
+        X = np.arange(8.0).reshape(-1, 1)
+        grad = np.repeat([-0.5, 0.5], 4)
+        hess = np.full(8, 0.25)
+        hess[-1] -= ulps * np.spacing(1.0)
+        assert hess.sum() == 2.0 - ulps * np.spacing(1.0)
+        params = {
+            "reg_lambda": gradient_boosting.REG_LAMBDA,
+            "gamma": 0.0,
+            "min_child_weight": gradient_boosting.MIN_CHILD_WEIGHT,
+        }
+        slow = brute_force_best_boost_split(X, grad, hess, **params)
+        booster = GradientBoostingClassifier()
+        stats = np.column_stack([grad, hess])
+        _, node_params = booster._node(stats)
+        if ulps:
+            assert node_params is None
+            assert slow[0] == -1
+            return
+        (fast,) = best_split(
+            X, stats, presort(X).ravel(), np.arange(1), np.array([8]), np.array([node_params]),
+            booster._gain,
+        )
+        assert fast[:2] == slow[:2] == (0, 3.5)
+        assert fast[2] == pytest.approx(slow[2], abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(2, 3))

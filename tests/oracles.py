@@ -25,6 +25,10 @@ obvious way, that the equivalence tests compare against:
   by :func:`walk`.  ``repro.ml``'s trees must have the same pre-order
   splits and give byte-identical probabilities, margins and
   importances.
+* :class:`LVQ1` — ``LVQClassifier`` as it was before its lockstep
+  kernel: one fit at a time, one sample per step.  Every codebook the
+  kernel fits, alone or in a block of cross-validation folds, and its
+  probabilities must be the same bytes.
 * :func:`record_to_dict` — a snapshot record's wire dict built with
   ``dataclasses.asdict``, which deep-copies every field.
   ``repro.platform.models.record_to_dict`` reads the fields directly;
@@ -44,6 +48,8 @@ import numpy as np
 from repro.core.app_features import APP_FEATURE_NAMES, NEVER_REVIEWED_SENTINEL_DAYS
 from repro.core.device_features import DEVICE_FEATURE_NAMES
 from repro.core.observations import DeviceObservation
+from repro.ml import lvq
+from repro.ml.preprocessing import StandardScaler
 from repro.parallel import draw_seeds
 from repro.platform.models import (
     AppChangeEvent,
@@ -712,7 +718,6 @@ class Booster:
         self.base_margin = float(np.log(p0 / (1.0 - p0)))
         margin = np.full(n, self.base_margin, dtype=np.float64)
         self.trees: list[BoostTree] = []
-        self.train_losses: list[float] = []
         for _ in range(self.n_estimators):
             p = _sigmoid(margin)
             grad = p - target
@@ -729,10 +734,6 @@ class Booster:
             )
             self.trees.append(tree.fit(X[rows], grad[rows], hess[rows]))
             margin += self.learning_rate * walk(tree.root, X)
-            p = np.clip(_sigmoid(margin), 1e-12, 1 - 1e-12)
-            self.train_losses.append(
-                float(-np.mean(target * np.log(p) + (1 - target) * np.log(1 - p)))
-            )
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -748,3 +749,61 @@ class Booster:
             total += tree.feature_gains
         s = total.sum()
         return total / s if s else total
+
+
+# -- LVQ1, one sample at a time -----------------------------------------------
+
+
+class LVQ1:
+    """Kohonen's LVQ1 fitted one sample per step for ``lvq.EPOCHS``
+    epochs, with a fresh generator seeded ``lvq.RANDOM_STATE``: its
+    prototype draws class by class, then one permutation of the rows per
+    epoch."""
+
+    def __init__(self, prototypes_per_class) -> None:
+        self.prototypes_per_class = prototypes_per_class
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "LVQ1":
+        self.classes_, encoded = np.unique(y, return_inverse=True)
+        rng = np.random.default_rng(lvq.RANDOM_STATE)
+        self.scaler = StandardScaler().fit(X)
+        Z = self.scaler.transform(X)
+        prototypes, labels = [], []
+        for class_index in range(len(self.classes_)):
+            members = np.nonzero(encoded == class_index)[0]
+            k = min(self.prototypes_per_class, members.size)
+            chosen = rng.choice(members, size=k, replace=False)
+            prototypes.append(Z[chosen])
+            labels.extend([class_index] * k)
+        self.prototypes = np.vstack(prototypes).astype(np.float64)
+        self.prototype_labels = np.asarray(labels)
+
+        n = Z.shape[0]
+        total_steps = lvq.EPOCHS * n
+        step = 0
+        for _ in range(lvq.EPOCHS):
+            for i in rng.permutation(n):
+                rate = lvq.LEARNING_RATE * (1.0 - step / total_steps)
+                step += 1
+                x = Z[i]
+                d2 = np.sum((self.prototypes - x) ** 2, axis=1)
+                nearest = int(np.argmin(d2))
+                if self.prototype_labels[nearest] == encoded[i]:
+                    self.prototypes[nearest] += rate * (x - self.prototypes[nearest])
+                else:
+                    self.prototypes[nearest] -= rate * (x - self.prototypes[nearest])
+        return self
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        Z = self.scaler.transform(X)
+        d2 = (
+            np.sum(Z**2, axis=1)[:, None]
+            - 2.0 * Z @ self.prototypes.T
+            + np.sum(self.prototypes**2, axis=1)[None, :]
+        )
+        np.maximum(d2, 0.0, out=d2)
+        scores = np.zeros((Z.shape[0], len(self.classes_)), dtype=np.float64)
+        for class_index in range(len(self.classes_)):
+            nearest = np.min(d2[:, self.prototype_labels == class_index], axis=1)
+            scores[:, class_index] = 1.0 / (np.sqrt(nearest) + 1e-9)
+        return scores / scores.sum(axis=1, keepdims=True)

@@ -47,7 +47,7 @@ PAPER_ALGORITHMS = {
     "RF": lambda: RandomForestClassifier(n_estimators=24, random_state=0),
     "LR": lambda: LogisticRegression(),
     "KNN": lambda: KNeighborsClassifier(n_neighbors=5),
-    "LVQ": lambda: LVQClassifier(prototypes_per_class=5, epochs=25, random_state=0),
+    "LVQ": lambda: LVQClassifier(prototypes_per_class=5),
     "SVM": lambda: LinearSVC(epochs=40, random_state=0),
 }
 
