@@ -8,6 +8,9 @@
 # working tree: `report` at --n-jobs 1 and 2, `train --out`, `findings`
 # (its table and exit status), the study digest at n_jobs 1 and 2, and the
 # stdout of examples/store_deployment.py and examples/privacy_ondevice.py.
+# It also runs the default-scale `write-experiments` at --n-jobs 2, whose
+# EXPERIMENTS.md holds every default-scale table and figure (about a
+# minute per tree on two cores).
 # Prints each output's sha256 for both trees side by side and exits 1 when
 # any output differs.  Both trees run on one machine, so a numpy whose SIMD
 # exp/log round differently on another host cannot raise a false alarm.
@@ -40,6 +43,8 @@ for n_jobs in (1, 2):
 EOF
         python examples/store_deployment.py > "$2/store_deployment.txt"
         python examples/privacy_ondevice.py > "$2/privacy_ondevice.txt"
+        python -m repro --scale default --n-jobs 2 write-experiments \
+            --out "$2/EXPERIMENTS.md" > /dev/null
     )
 }
 

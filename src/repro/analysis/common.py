@@ -4,7 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..statstests import EffectSizes, SignificanceBattery, Summary, compare_groups, effect_sizes, summarize
+import numpy as np
+
+from ..statstests import (
+    EffectSizes,
+    SignificanceBattery,
+    Summary,
+    TooFewSamplesError,
+    compare_groups,
+    effect_sizes,
+    summarize,
+)
 
 __all__ = ["GroupComparison", "compare_feature"]
 
@@ -25,9 +35,21 @@ class GroupComparison:
 
 
 def compare_feature(feature: str, worker_values, regular_values) -> GroupComparison:
-    """Summaries + KS/ANOVA/Kruskal battery for one feature."""
+    """Summaries + KS/ANOVA/Kruskal battery for one feature.
+
+    Raises :class:`TooFewSamplesError` when a group has fewer than two
+    finite values: the battery drops the others, and Cohen's d needs two
+    points per group.
+    """
     worker_values = list(worker_values)
     regular_values = list(regular_values)
+    for group, values in (("worker", worker_values), ("regular", regular_values)):
+        size = int(np.isfinite(np.asarray(values, dtype=np.float64)).sum())
+        if size < 2:
+            raise TooFewSamplesError(
+                f"{feature}: the {group} group has size {size} after dropping "
+                "non-finite values; a group comparison needs at least 2 per group"
+            )
     return GroupComparison(
         feature=feature,
         worker=summarize(worker_values),

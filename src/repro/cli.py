@@ -30,7 +30,9 @@ FILE`` to enable the metrics registry and archive its JSON export.
 The global ``--n-jobs N`` flag (default: the ``REPRO_N_JOBS``
 environment variable, else serial) fans simulation day phases, CV
 folds and forest trees out across N worker processes; outputs are
-bit-identical at any worker count (DESIGN.md §8, §12).
+bit-identical at any worker count (DESIGN.md §8, §12).  A seed whose
+cohort leaves a class or group too small to cross-validate or compare
+exits 1 with one ``error:`` line on stderr that names it and its size.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .platform.dashboard import Dashboard
 from .reporting import render_table
 from .simulation import SimulationConfig, run_study
 from .statan.cli import add_lint_arguments, run_lint
+from .statstests import TooFewSamplesError
 
 __all__ = ["main", "build_parser"]
 
@@ -419,6 +422,11 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
                 return 1
             print(f"wrote metrics to {metrics_out}", file=sys.stderr)
+    except TooFewSamplesError as exc:
+        # A seed whose cohort leaves a class or group too small for the
+        # protocol: one line that names it, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         # Commands (profile, --metrics-out) may enable observability;
         # restore the no-op default so an embedding process is unaffected.

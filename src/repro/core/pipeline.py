@@ -16,6 +16,7 @@ import numpy as np
 from .. import obs
 from ..playstore.catalog import Catalog
 from ..simulation.world import StudyData
+from ..statstests import TooFewSamplesError
 from .app_classifier import APP_ALGORITHMS, evaluate_app_algorithms
 from .app_features import app_feature_matrix
 from .datasets import AppDataset, DeviceDataset, build_app_dataset, build_device_dataset
@@ -104,13 +105,11 @@ class DetectionPipeline:
         with obs.trace("pipeline.observations"):
             observations = build_observations(data, data.eligible_participants(min_days=2))
 
-        # §7: app classifier on the labeled held-out devices.  Fold count
-        # is clamped to the minority-class size so tiny (e.g. evasion-
-        # scenario) cohorts still cross-validate.
+        # §7: app classifier on the labeled held-out devices.
         with obs.trace("pipeline.app_dataset"):
             app_dataset = build_app_dataset(data, observations)
-        app_splits = max(
-            2, min(self.n_splits, app_dataset.n_suspicious, app_dataset.n_regular)
+        app_splits = self._fold_count(
+            "app", suspicious=app_dataset.n_suspicious, regular=app_dataset.n_regular
         )
         with obs.trace("pipeline.app_eval"):
             app_evaluation = evaluate_app_algorithms(
@@ -125,8 +124,8 @@ class DetectionPipeline:
         # §8: device classifier with the suspiciousness feature wired in.
         with obs.trace("pipeline.device_dataset"):
             device_dataset = build_device_dataset(observations, suspiciousness)
-        device_splits = max(
-            2, min(self.n_splits, device_dataset.n_worker, device_dataset.n_regular)
+        device_splits = self._fold_count(
+            "device", worker=device_dataset.n_worker, regular=device_dataset.n_regular
         )
         with obs.trace("pipeline.device_eval"):
             device_evaluation = evaluate_device_algorithms(
@@ -147,6 +146,20 @@ class DetectionPipeline:
         with obs.trace("pipeline.verdicts"):
             result.verdicts = self._verdicts(observations, device_model, suspiciousness)
         return result
+
+    def _fold_count(self, dataset: str, **class_sizes: int) -> int:
+        """``n_splits`` clamped to the smallest class, so tiny (e.g.
+        evasion-scenario) cohorts still cross-validate; an empty class
+        leaves every fold to the other.  Raises
+        :class:`TooFewSamplesError` for a class of one instance, which no
+        stratified split can divide between two folds."""
+        for name, size in class_sizes.items():
+            if size == 1:
+                raise TooFewSamplesError(
+                    f"{dataset} dataset: the {name} class has size 1; "
+                    "a stratified split needs at least 2 per class"
+                )
+        return max(2, min(self.n_splits, *class_sizes.values()))
 
     @staticmethod
     def score_devices(

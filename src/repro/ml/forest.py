@@ -5,17 +5,20 @@ variable importance by *mean decrease in Gini* [Breiman 2001] — as the
 importance estimator behind Figures 13 and 14.
 
 The forest grows its trees in lockstep (:func:`repro.ml.tree.grow`):
-each step searches the next node of every unfinished tree in one batch,
-which pays numpy's per-call overhead once per step instead of once per
-node.  Trees are independent once their bootstrap sample and seed are
-fixed, so ``fit`` fans contiguous blocks of trees out across worker
-processes when ``n_jobs > 1``, one block per worker, and each worker
-grows its block in lockstep.  Determinism contract (DESIGN.md §8): every
-bootstrap sample and per-tree seed is drawn from ``random_state``
-*before* any fan-out, in the exact order the serial loop has always
-drawn them, and trees (with their Gini importances) are merged back in
-tree order — the same seed yields byte-identical forests at any worker
-count.
+each step searches the next node of every unfinished tree in one batch
+and values every node its splits make in one more call, which pays
+numpy's per-call overhead once per step instead of once per node.  It
+predicts the same way (:func:`repro.ml.tree.descend`): blocks of trees
+stacked into one set of arrays move every (tree, row) pair down a level
+with one set of numpy calls, and the votes still add in tree order.
+Trees are independent once their bootstrap sample and seed are fixed,
+so ``fit`` fans contiguous blocks of trees out across worker processes
+when ``n_jobs > 1``, one block per worker, and each worker grows its
+block in lockstep.  Determinism contract (DESIGN.md §8): every bootstrap
+sample and per-tree seed is drawn from ``random_state`` *before* any
+fan-out, in the exact order the serial loop has always drawn them, and
+trees (with their Gini importances) are merged back in tree order — the
+same seed yields byte-identical forests at any worker count.
 """
 
 from __future__ import annotations

@@ -89,44 +89,47 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         # node: sort its columns once here instead of in every round.
         order = presort(X)
 
-        self._tree_gains: list[np.ndarray] = []
         every_row = np.arange(n)
         for _ in range(self.n_estimators):
             p = _sigmoid(margin)
             grad = p - target
             hess = p * (1.0 - p)
 
-            ((tree, splits),) = grow(
+            ((tree, _),) = grow(
                 X, np.column_stack([grad, hess]), [every_row], None, self._node, self._gain,
                 self.max_depth, self.n_features_, [order],
             )
-            gains = np.zeros(self.n_features_, dtype=np.float64)
-            for feature, gain in splits:
-                gains[feature] += gain
             self.trees_.append(tree)
-            self._tree_gains.append(gains)
             (weights,) = descend([tree], X, self.n_features_)
             margin += self.learning_rate * weights
         return self
 
-    def _node(self, stats: np.ndarray) -> tuple[float, tuple[float, float, float] | None]:
-        """Leaf weight of a node over its ``[grad, hess]`` rows, and unless
-        it stays a leaf its gain parameters: ``G``, ``H`` and ``G^2 /
-        (H + lambda)``.
+    def _node(
+        self, stats: np.ndarray, rows: list[np.ndarray]
+    ) -> list[tuple[float, tuple[float, float, float] | None]]:
+        """Each node's leaf weight over its ``[grad, hess]`` rows, and unless
+        it stays a leaf its gain parameters: ``G``, ``H`` and ``G^2 / (H +
+        lambda)``.
 
         A node with one row, or with less hessian mass than two children
         need, stays a leaf: no split of it can leave both children
         :data:`MIN_CHILD_WEIGHT` (DESIGN.md §14 gives the rounding
         argument), so searching it would find none.
         """
-        # Each column summed on its own, as a 1-D array sums: a column sum
-        # of the whole matrix adds in another order and moves the bytes.
-        g_sum = float(stats[:, 0].sum())
-        h_sum = float(stats[:, 1].sum())
-        weight = -g_sum / (h_sum + REG_LAMBDA)
-        if stats.shape[0] < 2 or h_sum < 2 * MIN_CHILD_WEIGHT:
-            return weight, None
-        return weight, (g_sum, h_sum, g_sum**2 / (h_sum + REG_LAMBDA))
+        nodes = []
+        for node_rows in rows:
+            node_stats = stats.take(node_rows, axis=0)
+            # Each column summed on its own, as a 1-D array sums: a column
+            # sum of the whole matrix adds in another order and moves the
+            # bytes.
+            g_sum = float(node_stats[:, 0].sum())
+            h_sum = float(node_stats[:, 1].sum())
+            weight = -g_sum / (h_sum + REG_LAMBDA)
+            if node_rows.size < 2 or h_sum < 2 * MIN_CHILD_WEIGHT:
+                nodes.append((weight, None))
+            else:
+                nodes.append((weight, (g_sum, h_sum, g_sum**2 / (h_sum + REG_LAMBDA))))
+        return nodes
 
     def _gain(self, left: np.ndarray, parent: np.ndarray) -> np.ndarray:
         """Second-order gain of each candidate split over its left
@@ -159,14 +162,3 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
             return np.ones((X.shape[0], 1), dtype=np.float64)
         p1 = _sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - p1, p1])
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        """Total split gain per feature, normalised (XGBoost 'gain')."""
-        if not self.trees_:
-            raise RuntimeError("model has no trees (constant class?)")
-        total = np.zeros(self.n_features_, dtype=np.float64)
-        for gains in self._tree_gains:
-            total += gains
-        s = total.sum()
-        return total / s if s else total

@@ -18,18 +18,25 @@ booster's second-order gain over ``[grad, hess]`` in
 each step it takes the next node of every unfinished tree and searches
 them together, while each tree still grows depth-first in its own
 pre-order: a forest passes all its trees, CART and each boosting round
-pass one.  The grower has two paths.  CART and the booster search every
-feature at every node: each tree sorts its columns once
-(:func:`presort`) and hands each child its rows' orders by a stable
-:func:`partition` of its parent's, the column-block reuse of XGBoost's
-exact greedy algorithm (Chen & Guestrin, KDD 2016, §4.1).  A forest's
-nodes each draw ``sqrt(d)`` candidate features from their tree's own
-generator, and one integer sort orders the sampled columns of every
-node searched together.  Every fitted tree -- a CART tree, a Random
-Forest member, a boosting round -- is a :class:`Tree` of flat arrays that
-:func:`descend` predicts.  The classifier records per-feature *mean
-decrease in Gini* importances, which is exactly the importance measure
-the paper uses for Figures 13 and 14.
+pass one.  It settles nodes in batches as well: one call of the
+learner's node function values every root, and one more every node a
+step's splits make, so a node that stays a leaf is never stacked and
+every node a tree pops is one to search.  The grower has two paths.
+CART and the booster search every feature at every node: each tree
+sorts its columns once (:func:`presort`) and hands each child its rows'
+orders by a stable :func:`partition` of its parent's, the column-block
+reuse of XGBoost's exact greedy algorithm (Chen & Guestrin, KDD 2016,
+§4.1).  A forest's nodes each draw ``sqrt(d)`` candidate features from
+their tree's own generator, and one integer sort orders the sampled
+columns of every node searched together.  Every fitted tree -- a CART
+tree, a Random Forest member, a boosting round -- is a :class:`Tree` of
+flat arrays that :func:`descend` predicts.  It stacks blocks of
+consecutive trees into one set of arrays, so an ensemble pays numpy's
+per-call overhead once per level of a block rather than once per level
+of each tree, and it still yields each tree's leaf values in tree order.
+The classifier records per-feature *mean decrease in Gini* importances,
+which is exactly the importance measure the paper uses for Figures 13
+and 14.
 """
 
 from __future__ import annotations
@@ -45,16 +52,22 @@ __all__ = [
 ]
 
 #: The most (candidate feature, row) elements one :func:`best_split` call
-#: searches: a step of :func:`grow` with more is searched in several
-#: calls, which bounds the memory of a forest's widest steps.
+#: searches, and the most (tree, row) pairs one block of :func:`descend`
+#: walks.  A wider step of :func:`grow` is searched in several calls, and
+#: a larger ensemble is walked in several blocks of consecutive trees:
+#: this bounds the memory of a forest's widest steps and of predicting
+#: many rows with many trees.
 CHUNK_ELEMENTS = 1 << 14
 
 #: Maps the cumulative statistics left of each candidate split, and the
 #: gain parameters of the node it splits (one row each), to its gain.
 GainFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
-#: Maps a node's rows of statistics to its value and its gain parameters,
-#: ``None`` for a node that must stay a leaf.
-NodeFunction = Callable[[np.ndarray], tuple[object, Sequence[float] | None]]
+#: Maps the statistics matrix and the row numbers of each node of a batch
+#: to every node's value and gain parameters, ``None`` for a node that
+#: must stay a leaf.
+NodeFunction = Callable[
+    [np.ndarray, list[np.ndarray]], list[tuple[object, Sequence[float] | None]]
+]
 
 
 class Tree:
@@ -121,20 +134,83 @@ def descend(trees: Sequence[Tree], X: np.ndarray, n_features: int) -> Iterator[n
     :func:`check_array` has already accepted, so no value is NaN and
     ``x > threshold`` sends a row right exactly when ``x <= threshold``
     does not; its column count is checked here, once per call whatever
-    the number of trees.
+    the number of trees.  The trees are walked in blocks of consecutive
+    trees, each of at most :data:`CHUNK_ELEMENTS` (tree, row) pairs or of
+    one tree, and every yielded array is a fresh one.
     """
     if X.shape[1] != n_features:
         raise ValueError(f"expected {n_features} features, got {X.shape[1]}")
     cells = X.ravel()
     row_start = np.arange(X.shape[0]) * n_features
-    for tree in trees:
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        for _ in range(tree.depth):
-            # A row already at a leaf reads column -1, a cell of another
-            # row, and stays put: both of a leaf's children are itself.
-            x = cells.take(row_start + tree.feature.take(node))
-            node = tree.children.take(2 * node + (x > tree.threshold.take(node)))
-        yield tree.value.take(node, axis=0)
+    per_block = max(1, CHUNK_ELEMENTS // X.shape[0])
+    for first in range(0, len(trees), per_block):
+        yield from _descend_block(trees[first:first + per_block], cells, row_start)
+
+
+def _descend_block(
+    block: Sequence[Tree], cells: np.ndarray, row_start: np.ndarray
+) -> list[np.ndarray]:
+    """Each tree's leaf values for one block of :func:`descend`.
+
+    The block's trees are stacked deepest first into one set of flat
+    arrays, each tree's node numbers shifted past the trees before it, so
+    the trees still descending at any level hold a leading slice of the
+    (tree, row) pairs, and one set of numpy calls per level moves them
+    all.  A block of one tree walks the tree's own arrays.
+    """
+    n = row_start.size
+    if len(block) == 1:
+        (tree,) = block
+        node = np.zeros(n, dtype=np.intp)
+        node = _walk(
+            tree.feature, tree.threshold, tree.children, node, row_start, cells, tree.depth
+        )
+        return [tree.value.take(node, axis=0)]
+    order = sorted(range(len(block)), key=lambda k: -block[k].depth)
+    trees = [block[k] for k in order]
+    sizes = np.array([tree.feature.size for tree in trees])
+    offset = sizes.cumsum() - sizes  # each tree's root
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    children = np.concatenate([tree.children for tree in trees]) + offset.repeat(2 * sizes)
+    value = np.concatenate([tree.value for tree in trees])
+    node = offset.repeat(n)
+    rows = np.tile(row_start, len(block))
+    # Shallowest first: once ``level`` steps are taken, the trees after
+    # stacked tree ``i`` are all at their leaves, and trees ``0..i`` take
+    # the steps down to tree ``i``'s depth together.
+    level = 0
+    for i in range(len(trees) - 1, -1, -1):
+        depth = trees[i].depth
+        if depth > level:
+            active = (i + 1) * n
+            node[:active] = _walk(
+                feature, threshold, children, node[:active], rows[:active], cells, depth - level
+            )
+            level = depth
+    leaves: list[np.ndarray] = [None] * len(block)
+    for i, k in enumerate(order):
+        leaves[k] = value.take(node[i * n:(i + 1) * n], axis=0)
+    return leaves
+
+
+def _walk(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    children: np.ndarray,
+    node: np.ndarray,
+    rows: np.ndarray,
+    cells: np.ndarray,
+    steps: int,
+) -> np.ndarray:
+    """Move each (tree, row) pair ``steps`` levels down from ``node``;
+    ``rows`` holds each pair's row offset in ``cells``."""
+    for _ in range(steps):
+        # A row already at a leaf reads column -1, a cell of another row,
+        # and stays put: both of a leaf's children are itself.
+        x = cells.take(rows + feature.take(node))
+        node = children.take(2 * node + (x > threshold.take(node)))
+    return node
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -295,19 +371,23 @@ def grow(
     """Grow one tree per sample in lockstep, each depth-first in pre-order.
 
     Tree ``t`` grows on the rows ``samples[t]`` of ``X`` and ``stats``, in
-    that order and with any repeats.  ``node(stats)`` returns a node's
-    value and its gain parameters, or ``None`` for a node that must stay a
-    leaf.  At each step every unfinished tree takes its next node in
-    pre-order that may split, drawing ``n_candidates`` features from
-    ``rngs[t]``, and :func:`best_split` searches these nodes together, at
-    most :data:`CHUNK_ELEMENTS` elements per call: so searching more than
-    one tree needs integer ``stats``.  When that is every feature, nothing
-    is drawn (``rngs`` may be ``None``) and nothing below a root is
-    sorted: tree ``t``'s root column orders, as row numbers, are
-    ``orders[t]`` (:func:`presort` of its rows when not given), and every
-    split hands its children theirs through :func:`partition`.  Returns,
-    per tree, the tree and its splits' ``(feature, gain)`` pairs in
-    pre-order, the order importances accumulate in.
+    that order and with any repeats.  ``node(stats, rows)`` settles a
+    batch of nodes, given each node's row numbers: it returns each node's
+    value and its gain parameters, or ``None`` for a node that must stay
+    a leaf.  It is called once on
+    every root and then once per step, on every node the step's splits
+    made, so a node that stays a leaf is settled when it is made and
+    never stacked.  At each step every unfinished tree pops its next node
+    in pre-order, drawing ``n_candidates`` features from ``rngs[t]``, and
+    :func:`best_split` searches these nodes together, at most
+    :data:`CHUNK_ELEMENTS` elements per call: so searching more than one
+    tree needs integer ``stats``.  When that is every feature, nothing is
+    drawn (``rngs`` may be ``None``) and nothing below a root is sorted:
+    tree ``t``'s root column orders, as row numbers, are ``orders[t]``
+    (:func:`presort` of its rows when not given), and every split hands
+    its children theirs through :func:`partition`.  Returns, per tree, the
+    tree and its splits' ``(feature, gain)`` pairs in pre-order, the order
+    importances accumulate in.
     """
     X = np.ascontiguousarray(X)
     n_features = X.shape[1]
@@ -321,27 +401,38 @@ def grow(
         n_ranks = int(ranks.max()) + 1
         orders = [None] * len(samples)
     per_node = min(n_candidates, n_features)
+    pending: list[list[tuple]] = [[] for _ in samples]
+
+    def settle(made: list[tuple]) -> None:
+        """Value ``(tree, rows, column orders, depth, slot)`` nodes with one
+        ``node`` call, and stack each that may split on its tree's stack."""
+        settled = node(stats, [item[1] for item in made])
+        for (t, rows, order, depth, slot), (value, params) in zip(made, settled):
+            slot[0] = value
+            if params is not None and (max_depth is None or depth < max_depth):
+                pending[t].append((rows, order, depth, slot, params))
+
     # A node is a ``[value, split]`` slot, the pair ``Tree.build`` expands.
     roots = [[None, None] for _ in samples]
-    pending = [[(rows, order, 0, root)] for rows, order, root in zip(samples, orders, roots)]
+    settle([
+        (t, rows, order, 0, root)
+        for t, (rows, order, root) in enumerate(zip(samples, orders, roots))
+    ])
     splits: list[list[tuple[int, float]]] = [[] for _ in samples]
     while True:
         step = []
         for t, stack in enumerate(pending):
-            while stack:
-                rows, order, depth, slot = stack.pop()
-                slot[0], params = node(stats.take(rows, axis=0))
-                if params is None or (max_depth is not None and depth >= max_depth):
-                    continue
+            if stack:
+                rows, order, depth, slot, params = stack.pop()
                 if every_feature:
                     candidates = all_features
                 else:
                     candidates = rngs[t].choice(n_features, size=n_candidates, replace=False)
                 # (tree, rows, column orders, depth, slot, gain parameters, candidates)
                 step.append((t, rows, order, depth, slot, params, candidates))
-                break
         if not step:
             break
+        made = []  # the step's new nodes, each tree's right child before its left
         for chunk in _chunks(step, per_node):
             sizes = np.array([item[1].size for item in chunk])
             features = np.concatenate([item[6] for item in chunk])
@@ -365,10 +456,12 @@ def grow(
                 )
                 left, right = [None, None], [None, None]
                 slot[1] = (feature, threshold, left, right)
-                pending[t] += [
-                    (rows.compress(~side), right_order, depth + 1, right),
-                    (rows.compress(side), left_order, depth + 1, left),
+                made += [
+                    (t, rows.compress(~side), right_order, depth + 1, right),
+                    (t, rows.compress(side), left_order, depth + 1, left),
                 ]
+        if made:
+            settle(made)
     return [(Tree.build(root, tuple), tree_splits) for root, tree_splits in zip(roots, splits)]
 
 
@@ -423,15 +516,30 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             trees.append((tree, importances))
         return trees
 
-    def _node(self, onehot: np.ndarray) -> tuple[np.ndarray, tuple[float, ...] | None]:
-        """Class proportions of a node, and unless it is pure its gain
-        parameters: class counts, row count and Gini impurity."""
-        counts = onehot.sum(axis=0)
-        proportions = counts / counts.sum()
-        if np.count_nonzero(counts) < 2:  # pure, as every one-row node is
-            return proportions, None
-        gini = float(1.0 - np.dot(proportions, proportions))
-        return proportions, (*counts.tolist(), onehot.shape[0], gini)
+    def _node(
+        self, onehot: np.ndarray, rows: list[np.ndarray]
+    ) -> list[tuple[np.ndarray, tuple[float, ...] | None]]:
+        """Each node's class proportions, and unless it is pure its gain
+        parameters: class counts, row count and Gini impurity.
+
+        The batch's one-hot rows are gathered once.  Class counts are
+        integers, so one ``reduceat`` sums every node's exactly, and each
+        count vector sums to its node's row count.
+        """
+        sizes = np.array([node_rows.size for node_rows in rows])
+        batch = onehot.take(np.concatenate(rows), axis=0)
+        counts = np.add.reduceat(batch, sizes.cumsum() - sizes, axis=0)
+        proportions = counts / sizes[:, None]
+        mixed = np.count_nonzero(counts, axis=1) >= 2  # a one-row node is pure
+        nodes = []
+        for p, node_counts, size, split in zip(
+            proportions, counts.tolist(), sizes.tolist(), mixed.tolist()
+        ):
+            # The impurity of each node on its own, as one ``np.dot``:
+            # a row-wise sum of squares rounds differently.
+            params = (*node_counts, size, float(1.0 - np.dot(p, p))) if split else None
+            nodes.append((p, params))
+        return nodes
 
     def _gain(self, left: np.ndarray, parent: np.ndarray) -> np.ndarray:
         """Gini gain of each candidate split.

@@ -6,6 +6,7 @@ from .effect_size import EffectSizes, cliffs_delta, cohens_d, effect_sizes
 from .tests import (
     SignificanceBattery,
     TestResult,
+    TooFewSamplesError,
     compare_groups,
     fligner_killeen,
     kruskal_wallis,
@@ -23,6 +24,7 @@ __all__ = [
     "summarize",
     "SignificanceBattery",
     "TestResult",
+    "TooFewSamplesError",
     "compare_groups",
     "fligner_killeen",
     "kruskal_wallis",

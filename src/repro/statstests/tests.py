@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "TestResult",
+    "TooFewSamplesError",
     "ks_2samp",
     "one_way_anova",
     "kruskal_wallis",
@@ -43,6 +44,11 @@ class TestResult:
 
     def __str__(self) -> str:
         return f"{self.name}: stat={self.statistic:.4f}, p={self.pvalue:.3g}"
+
+
+class TooFewSamplesError(ValueError):
+    """A class or group holds fewer samples than a comparison or a
+    cross-validation of it needs; the message names it and its size."""
 
 
 def _as_clean_1d(sample, name: str) -> np.ndarray:

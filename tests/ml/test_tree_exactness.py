@@ -85,7 +85,7 @@ class TestSplitExactness:
         onehot[np.arange(n), y] = 1.0
         slow = brute_force_best_gini_split(X, y, n_classes)
         cart = DecisionTreeClassifier()
-        _, params = cart._node(onehot)
+        ((_, params),) = cart._node(onehot, [np.arange(n)])
         if params is None:  # a pure node never splits
             assert slow[0] == -1
             return
@@ -115,7 +115,7 @@ class TestSplitExactness:
         }
         booster = GradientBoostingClassifier()
         stats = np.column_stack([grad, hess])
-        _, node_params = booster._node(stats)
+        ((_, node_params),) = booster._node(stats, [np.arange(n)])
         slow = brute_force_best_boost_split(X, grad, hess, **params)
         if node_params is None:  # too little hessian mass for two children
             assert slow[0] == -1
@@ -151,7 +151,7 @@ class TestSplitExactness:
         slow = brute_force_best_boost_split(X, grad, hess, **params)
         booster = GradientBoostingClassifier()
         stats = np.column_stack([grad, hess])
-        _, node_params = booster._node(stats)
+        ((_, node_params),) = booster._node(stats, [np.arange(8)])
         if ulps:
             assert node_params is None
             assert slow[0] == -1
@@ -175,7 +175,7 @@ class TestSplitExactness:
         nodes = []
         for _ in range(n_nodes):
             rows = rng.integers(0, 30, int(rng.integers(2, 30)))
-            _, params = cart._node(onehot.take(rows, axis=0))
+            ((_, params),) = cart._node(onehot, [rows])
             if params is not None:
                 candidates = rng.choice(4, size=2, replace=False)
                 ordered = [rows.take(X[rows, c].argsort(kind="mergesort")) for c in candidates]

@@ -23,8 +23,12 @@ obvious way, that the equivalence tests compare against:
   kernel and one array descent replaced them: node objects grown by
   recursion, each with its own split loop, predicted one row at a time
   by :func:`walk`.  ``repro.ml``'s trees must have the same pre-order
-  splits and give byte-identical probabilities, margins and
+  splits and give byte-identical probabilities, margins and Gini
   importances.
+* :func:`descend_tree_by_tree` — ``repro.ml.tree.descend`` as it was
+  before it walked blocks of stacked trees: one tree at a time, every
+  row one level per step.  ``descend`` must yield the same leaf values
+  in the same tree order, byte for byte.
 * :class:`LVQ1` — ``LVQClassifier`` as it was before its lockstep
   kernel: one fit at a time, one sample per step.  Every codebook the
   kernel fits, alone or in a block of cross-validation folds, and its
@@ -447,6 +451,23 @@ def leaf_index(tree, X: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.intp)
 
 
+def descend_tree_by_tree(trees, X: np.ndarray, n_features: int) -> Iterator[np.ndarray]:
+    """Yield, tree by tree, each row's leaf value in a flat
+    ``repro.ml.tree.Tree``, walking one tree at a time."""
+    if X.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} features, got {X.shape[1]}")
+    cells = X.ravel()
+    row_start = np.arange(X.shape[0]) * n_features
+    for tree in trees:
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        for _ in range(tree.depth):
+            # A row already at a leaf reads column -1, a cell of another
+            # row, and stays put: both of a leaf's children are itself.
+            x = cells.take(row_start + tree.feature.take(node))
+            node = tree.children.take(2 * node + (x > tree.threshold.take(node)))
+        yield tree.value.take(node, axis=0)
+
+
 def gini(counts: np.ndarray) -> float:
     total = counts.sum()
     if total == 0:
@@ -621,7 +642,6 @@ class BoostTree:
 
     def fit(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> "BoostTree":
         self.n_features = X.shape[1]
-        self.feature_gains = np.zeros(self.n_features, dtype=np.float64)
         self.root = self._grow(X, grad, hess, depth=0)
         return self
 
@@ -673,7 +693,6 @@ class BoostTree:
             return node
         mask = X[:, best_feature] <= best_threshold
         node.feature, node.threshold = best_feature, best_threshold
-        self.feature_gains[best_feature] += best_gain
         node.left = self._grow(X[mask], grad[mask], hess[mask], depth + 1)
         node.right = self._grow(X[~mask], grad[~mask], hess[~mask], depth + 1)
         return node
@@ -741,14 +760,6 @@ class Booster:
         for tree in self.trees:
             margin += self.learning_rate * walk(tree.root, X)
         return margin
-
-    @property
-    def feature_importances(self) -> np.ndarray:
-        total = np.zeros(self.trees[0].n_features, dtype=np.float64)
-        for tree in self.trees:
-            total += tree.feature_gains
-        s = total.sum()
-        return total / s if s else total
 
 
 # -- LVQ1, one sample at a time -----------------------------------------------
