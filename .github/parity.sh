@@ -6,8 +6,12 @@
 # Extracts `git archive BASE_REV` into a temporary directory and runs the
 # small-scale seeded commands of the verify flow in that tree and in the
 # working tree: `report` at --n-jobs 1 and 2, `train --out`, `findings`
-# (its table and exit status), the study digest at n_jobs 1 and 2, and the
-# stdout of examples/store_deployment.py and examples/privacy_ondevice.py.
+# (its table and exit status), the study digest at n_jobs 1 and 2, the
+# stdout of examples/store_deployment.py, examples/privacy_ondevice.py and
+# examples/baseline_comparison.py, and the eight run lines and the verdict
+# of `--n-jobs 2 chaos --smoke` (each plan's digest, records, duplicates,
+# rollbacks, retransmissions, redeliveries and fault counts; the
+# `wrote <path>` line names a per-tree path and is left out).
 # It also runs the default-scale `write-experiments` at --n-jobs 2, whose
 # EXPERIMENTS.md holds every default-scale table and figure (about a
 # minute per tree on two cores).
@@ -43,6 +47,10 @@ for n_jobs in (1, 2):
 EOF
         python examples/store_deployment.py > "$2/store_deployment.txt"
         python examples/privacy_ondevice.py > "$2/privacy_ondevice.txt"
+        python examples/baseline_comparison.py > "$2/baseline_comparison.txt"
+        python -m repro --n-jobs 2 chaos --smoke --out "$2/chaos.json" \
+            | grep -v '^wrote ' > "$2/chaos.txt"
+        rm "$2/chaos.json"
         python -m repro --scale default --n-jobs 2 write-experiments \
             --out "$2/EXPERIMENTS.md" > /dev/null
     )
@@ -52,7 +60,7 @@ outputs "$work/base" "$work/out-base"
 outputs "$head_tree" "$work/out-head"
 
 different=0
-printf '%-22s %-64s %-64s\n' output "base ($base_rev)" head
+printf '%-24s %-64s %-64s\n' output "base ($base_rev)" head
 for path in "$work/out-base"/*; do
     name=$(basename "$path")
     base_sum=$(sha256sum < "$path" | cut -d' ' -f1)
@@ -62,7 +70,7 @@ for path in "$work/out-base"/*; do
         mark="  DIFFERS"
         different=1
     fi
-    printf '%-22s %s %s%s\n' "$name" "$base_sum" "$head_sum" "$mark"
+    printf '%-24s %s %s%s\n' "$name" "$base_sum" "$head_sum" "$mark"
 done
 if [ "$different" -ne 0 ]; then
     for path in "$work/out-base"/*; do

@@ -10,15 +10,7 @@ from repro.reporting import render_table
 def test_ablation_knn_k(workbench, pipeline_result, emit):
     dataset = pipeline_result.device_dataset
     grid = {"n_neighbors": [1, 3, 5, 9, 15, 25]}
-    result = grid_search(
-        KNeighborsClassifier(),
-        grid,
-        dataset.X,
-        dataset.y,
-        n_splits=10,
-        resample="smote",
-        random_state=0,
-    )
+    result = grid_search(KNeighborsClassifier(), grid, dataset.X, dataset.y)
     rows = [(params["n_neighbors"], cv.f1, cv.auc) for params, cv in sorted(
         result.entries, key=lambda e: e[0]["n_neighbors"]
     )]

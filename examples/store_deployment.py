@@ -47,7 +47,7 @@ def main() -> int:
 
     # Operating-point sweep + the paper-style FPR budget (1.41%).
     print("\nOperating points on validation data:")
-    points = sweep_operating_points(y_train, calibrated, n_points=6)
+    points = sweep_operating_points(y_train, calibrated)
     print(
         render_table(
             ["threshold", "precision", "recall", "FPR", "flagged"],

@@ -305,7 +305,7 @@ def _cmd_write_experiments(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    obs.configure(metrics=True, tracing=True)
+    obs.configure()
     workbench = Workbench(_config_for(args.scale, args.seed), n_jobs=args.n_jobs)
     workbench.data  # simulation + ingest + crawl run under their own spans
     for experiment_id in EXPERIMENTS:
@@ -406,9 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     # must propagate instead of being misreported as an unknown command.
     handler = _COMMANDS[args.command]
     metrics_out = getattr(args, "metrics_out", None)
-    was_enabled = obs.enabled()
-    if metrics_out and not obs.metrics_enabled():
-        obs.configure(metrics=True, tracing=True)
+    was_enabled = obs.metrics_enabled()
+    if metrics_out and not was_enabled:
+        obs.configure()
     try:
         code = handler(args)
         if metrics_out:
@@ -430,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         # Commands (profile, --metrics-out) may enable observability;
         # restore the no-op default so an embedding process is unaffected.
-        if not was_enabled and obs.enabled():
+        if not was_enabled and obs.metrics_enabled():
             obs.reset()
     return code
 

@@ -25,7 +25,7 @@ from .datasets import (
 from .detector import Detector, SuiteEvaluation
 from .device_classifier import DEVICE_ALGORITHMS, evaluate_device_algorithms
 from .device_features import DEVICE_FEATURE_NAMES, device_feature_matrix
-from .labeling import LabelingConfig, LabelingResult, label_apps, split_holdout
+from .labeling import LabelingResult, label_apps, split_holdout
 from .model_io import export_detector, import_detector
 from .observations import DeviceObservation, build_observations
 from .thresholds import (
@@ -59,7 +59,6 @@ __all__ = [
     "evaluate_device_algorithms",
     "DEVICE_FEATURE_NAMES",
     "device_feature_matrix",
-    "LabelingConfig",
     "LabelingResult",
     "label_apps",
     "split_holdout",

@@ -7,10 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ml.preprocessing import SimpleImputer
+from ..simulation.calibration import APP_CLASSIFIER
 from ..simulation.world import StudyData
 from .app_features import APP_FEATURE_NAMES, app_feature_matrix
 from .device_features import DEVICE_FEATURE_NAMES, device_feature_matrix
-from .labeling import LabelingConfig, LabelingResult, label_apps
+from .labeling import LabelingResult, label_apps
 from .observations import DeviceObservation
 
 __all__ = [
@@ -72,13 +73,14 @@ class DeviceDataset:
 def build_app_dataset(
     data: StudyData,
     observations: list[DeviceObservation],
-    labeling_config: LabelingConfig | None = None,
+    min_worker_devices: int = APP_CLASSIFIER.MIN_WORKER_DEVICES_FOR_SUSPICIOUS,
 ) -> AppDataset:
-    """Label apps via §7.2 rules, then extract one instance per
-    (labeled app, held-out device carrying it); each device's rows come
-    from one :func:`app_feature_matrix` pass, and missing features are
-    imputed with their column median."""
-    labeling = label_apps(data, observations, labeling_config)
+    """Label apps via §7.2 rules (``min_worker_devices`` as in
+    :func:`label_apps`), then extract one instance per (labeled app,
+    held-out device carrying it); each device's rows come from one
+    :func:`app_feature_matrix` pass, and missing features are imputed
+    with their column median."""
+    labeling = label_apps(data, observations, min_worker_devices=min_worker_devices)
 
     rows: list[np.ndarray] = []
     labels: list[int] = []
@@ -108,7 +110,7 @@ def build_app_dataset(
             "thresholds too strict for this simulation scale"
         )
     return AppDataset(
-        X=SimpleImputer(strategy="median").fit_transform(np.vstack(rows)),
+        X=SimpleImputer().fit_transform(np.vstack(rows)),
         y=np.asarray(labels, dtype=np.int64),
         feature_names=APP_FEATURE_NAMES,
         instances=instances,
@@ -132,7 +134,7 @@ def build_device_dataset(
         observations, [suspiciousness.get(obs.install_id) for obs in observations]
     )
     return DeviceDataset(
-        X=SimpleImputer(strategy="median").fit_transform(X),
+        X=SimpleImputer().fit_transform(X),
         y=np.asarray([int(o.is_worker) for o in observations], dtype=np.int64),
         feature_names=DEVICE_FEATURE_NAMES,
         observations=observations,

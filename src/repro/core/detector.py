@@ -53,7 +53,7 @@ class Detector:
     """
 
     def __init__(self, model: GradientBoostingClassifier) -> None:
-        self.imputer = SimpleImputer(strategy="median")
+        self.imputer = SimpleImputer()
         self.model = model
         self.feature_names: tuple[str, ...] = ()
 

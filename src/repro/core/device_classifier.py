@@ -33,7 +33,7 @@ def DEVICE_ALGORITHMS() -> dict[str, object]:
             n_estimators=120, max_depth=3, learning_rate=0.15
         ),
         "RF": RandomForestClassifier(n_estimators=120, random_state=0),
-        "SVM": LinearSVC(epochs=40, random_state=0),
+        "SVM": LinearSVC(),
         "KNN": KNeighborsClassifier(n_neighbors=5),
         "LVQ": LVQClassifier(prototypes_per_class=5),
     }

@@ -11,7 +11,10 @@ labels apps by co-installation evidence:
   installed on at least one held-out regular device, and carrying at
   least 15,000 Play reviews (popularity evidence).
 
-Instances are (app, device) pairs over the held-out devices.
+Instances are (app, device) pairs over the held-out devices.  The
+rules' numbers are :class:`~repro.simulation.calibration.APP_CLASSIFIER`'s;
+only the co-install count is an argument, which the labelling ablation
+sweeps.
 """
 
 from __future__ import annotations
@@ -20,21 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..simulation.calibration import APP_CLASSIFIER
 from ..simulation.world import StudyData
 from .observations import DeviceObservation
 
-__all__ = ["LabelingConfig", "LabelingResult", "split_holdout", "label_apps"]
+__all__ = ["LabelingResult", "split_holdout", "label_apps"]
 
-
-@dataclass(frozen=True)
-class LabelingConfig:
-    """Thresholds of the §7.2 labeling rules."""
-
-    worker_holdout_fraction: float = 0.20
-    regular_holdout_fraction: float = 0.42
-    min_worker_devices: int = 5
-    min_reviews_for_regular: int = 15_000
-    seed: int = 7
+#: Seed of the holdout draw.
+HOLDOUT_SEED = 7
 
 
 @dataclass
@@ -49,14 +45,14 @@ class LabelingResult:
 
 
 def split_holdout(
-    observations: list[DeviceObservation], config: LabelingConfig
+    observations: list[DeviceObservation],
 ) -> tuple[list[DeviceObservation], list[DeviceObservation], list[DeviceObservation]]:
     """Randomly set aside the labeling devices (workers, regulars, rest)."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(HOLDOUT_SEED)
     workers = [o for o in observations if o.is_worker]
     regulars = [o for o in observations if not o.is_worker]
-    n_w = max(1, int(round(config.worker_holdout_fraction * len(workers))))
-    n_r = max(1, int(round(config.regular_holdout_fraction * len(regulars))))
+    n_w = max(1, int(round(APP_CLASSIFIER.WORKER_HOLDOUT_FRACTION * len(workers))))
+    n_r = max(1, int(round(APP_CLASSIFIER.REGULAR_HOLDOUT_FRACTION * len(regulars))))
     worker_idx = set(rng.choice(len(workers), size=min(n_w, len(workers)), replace=False).tolist())
     regular_idx = set(rng.choice(len(regulars), size=min(n_r, len(regulars)), replace=False).tolist())
     holdout_w = [o for i, o in enumerate(workers) if i in worker_idx]
@@ -70,13 +66,12 @@ def split_holdout(
 def label_apps(
     data: StudyData,
     observations: list[DeviceObservation],
-    config: LabelingConfig | None = None,
+    min_worker_devices: int = APP_CLASSIFIER.MIN_WORKER_DEVICES_FOR_SUSPICIOUS,
 ) -> LabelingResult:
-    """Apply the §7.2 rules over the held-out devices."""
-    config = config or LabelingConfig(
-        min_reviews_for_regular=data.config.popular_review_threshold
-    )
-    holdout_w, holdout_r, remaining = split_holdout(observations, config)
+    """Apply the §7.2 rules over the held-out devices; an app is
+    suspicious on at least ``min_worker_devices`` held-out worker
+    devices."""
+    holdout_w, holdout_r, remaining = split_holdout(observations)
 
     advertised = data.board.advertised_packages()
     all_worker_packages: set[str] = set()
@@ -96,7 +91,7 @@ def label_apps(
         package
         for package, count in worker_install_counts.items()
         if package in advertised
-        and count >= config.min_worker_devices
+        and count >= min_worker_devices
         and package not in holdout_regular_packages
     )
 
@@ -112,7 +107,7 @@ def label_apps(
             app = data.catalog.get(package)
             if app.preinstalled:
                 continue
-            if app.review_count >= config.min_reviews_for_regular:
+            if app.review_count >= APP_CLASSIFIER.MIN_REVIEWS_FOR_REGULAR:
                 regular.add(package)
 
     return LabelingResult(

@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from ..ml.gradient_boosting import GradientBoostingClassifier
-from ..ml.preprocessing import SimpleImputer
+from ..ml.preprocessing import FILL_VALUE, SimpleImputer
 from ..ml.tree import Tree
 from .detector import Detector
 
@@ -79,15 +79,17 @@ def import_boosted_model(payload: dict) -> GradientBoostingClassifier:
 
 
 def _imputer_to_dict(imputer: SimpleImputer) -> dict:
+    # "strategy" and "fill_value" describe the one imputer there is; the
+    # format keeps them, and an import reads only the statistics.
     return {
-        "strategy": imputer.strategy,
-        "fill_value": imputer.fill_value,
+        "strategy": "median",
+        "fill_value": FILL_VALUE,
         "statistics": [float(v) for v in imputer.statistics_],
     }
 
 
 def _imputer_from_dict(payload: dict) -> SimpleImputer:
-    imputer = SimpleImputer(strategy=payload["strategy"], fill_value=payload["fill_value"])
+    imputer = SimpleImputer()
     imputer.statistics_ = np.asarray(payload["statistics"], dtype=np.float64)
     return imputer
 

@@ -19,6 +19,9 @@ __all__ = [
     "sweep_operating_points",
 ]
 
+#: Thresholds in an operating-point sweep.
+SWEEP_POINTS = 6
+
 
 @dataclass(frozen=True)
 class OperatingPoint:
@@ -104,8 +107,9 @@ def threshold_for_fpr(y_true, scores, max_fpr: float) -> OperatingPoint:
     return max(feasible, key=lambda p: (p.recall, -p.threshold))
 
 
-def sweep_operating_points(y_true, scores, n_points: int = 11) -> list[OperatingPoint]:
-    """Evenly spaced threshold sweep (for operating-point tables)."""
+def sweep_operating_points(y_true, scores) -> list[OperatingPoint]:
+    """Threshold sweep at :data:`SWEEP_POINTS` evenly spaced scores (for
+    operating-point tables)."""
     y_true, scores = _validate(y_true, scores)
-    thresholds = np.linspace(scores.min(), scores.max(), n_points)
+    thresholds = np.linspace(scores.min(), scores.max(), SWEEP_POINTS)
     return [_point_at(y_true, scores, float(t)) for t in thresholds]

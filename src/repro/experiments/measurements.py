@@ -411,7 +411,7 @@ def run_fig12_malware(wb: Workbench) -> ExperimentReport:
         )
     )
     report.lines.append(
-        f"high-confidence (> {result.high_confidence_threshold} flags) samples: "
+        f"high-confidence (> {MALWARE.HIGH_CONFIDENCE_FLAGS} flags) samples: "
         f"{len(result.high_confidence_samples())}; mean device spread "
         f"worker={spread['worker']:.2f} vs regular={spread['regular']:.2f} "
         "(paper: malware appears on more worker devices)"

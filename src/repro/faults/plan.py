@@ -97,9 +97,9 @@ class FaultPlan:
     * ``overload`` — 429 windows; the client's circuit breaker honours
       ``overload_retry_after_s``.
 
-    ``retry_budget`` bounds client attempts per chunk before
-    dead-lettering (0 = unlimited); ``dedup_window`` sizes the server's
-    idempotent-receive memory.
+    Under every plan a client makes ``simulation.phases.RETRY_BUDGET``
+    attempts per chunk before dead-lettering it, and the server's
+    idempotent-receive memory is ``platform.server.DEDUP_WINDOW``.
     """
 
     transport_loss: FaultSpec = FaultSpec()
@@ -109,16 +109,10 @@ class FaultPlan:
     store_reject: FaultSpec = FaultSpec()
     overload: FaultSpec = FaultSpec()
     overload_retry_after_s: float = 900.0
-    retry_budget: int = 64
-    dedup_window: int = 4096
 
     def __post_init__(self) -> None:
         if self.overload_retry_after_s <= 0:
             raise ValueError("overload_retry_after_s must be positive")
-        if self.retry_budget < 0:
-            raise ValueError("retry_budget must be >= 0")
-        if self.dedup_window < 1:
-            raise ValueError("dedup_window must be >= 1")
 
     def _sites(self) -> list[tuple[str, FaultSpec]]:
         return [

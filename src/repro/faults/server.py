@@ -44,7 +44,7 @@ class FaultableServer(RacketStoreServer):
     ) -> None:
         if rng is None:
             raise ValueError("FaultableServer requires an explicit rng")
-        super().__init__(store, review_crawler, dedup_window=plan.dedup_window)
+        super().__init__(store, review_crawler)
         self._plan = plan
         self._frng = rng
         self._day = 0

@@ -46,9 +46,6 @@ class FaultyTransport(Transport):
         self._rng = rng
         self._day = int(day)
         self._injecting = True
-        self.chunks_lost = 0
-        self.chunks_corrupted = 0
-        self.acks_lost = 0
 
     def set_day(self, day: int) -> None:
         self._day = int(day)
@@ -59,17 +56,12 @@ class FaultyTransport(Transport):
         self._injecting = False
 
     def send(self, kind: str, data: bytes) -> str | None:
-        self.chunks_sent += 1
-        self.bytes_sent += len(data)
-        obs.counter("transport_chunks_sent_total", {"kind": kind}).inc()
-        obs.counter("transport_bytes_sent_total").inc(len(data))
+        self._count_send(kind, data)
         if self._injecting:
             if self._plan.transport_loss.fires(self._rng, self._day):
-                self.chunks_lost += 1
                 obs.counter("transport_chunks_lost_total").inc()
                 return None  # chunk vanished in transit: no ack
             if self._plan.transport_corruption.fires(self._rng, self._day):
-                self.chunks_corrupted += 1
                 obs.counter("transport_chunks_corrupted_total").inc()
                 corrupted = bytes([data[0] ^ 0xFF]) + data[1:]
                 # The receiver sees (and counts) the damaged bytes; its
@@ -81,7 +73,6 @@ class FaultyTransport(Transport):
                 # sender retransmits bytes the server already has.
                 ack = self._receiver.receive_chunk(kind, data)
                 if ack is not None:
-                    self.acks_lost += 1
                     obs.counter("transport_acks_lost_total").inc()
                 return None
         return self._receiver.receive_chunk(kind, data)

@@ -8,6 +8,8 @@ LR, SVM, KNN and LVQ z-score their inputs with :class:`StandardScaler`.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .base import BaseEstimator
@@ -37,36 +39,24 @@ class StandardScaler(BaseEstimator):
         return self.fit(X).transform(X)
 
 
+#: What an all-NaN column imputes to.
+FILL_VALUE = 0.0
+
+
 class SimpleImputer(BaseEstimator):
-    """Replace NaN with a per-column statistic or constant.
+    """Replace NaN with the column's median; an all-NaN column imputes
+    to :data:`FILL_VALUE`."""
 
-    Strategies: ``"mean"``, ``"median"``, ``"constant"`` (with
-    ``fill_value``).  A column that is entirely NaN imputes to
-    ``fill_value`` (default 0.0).
-    """
-
-    def __init__(self, strategy: str = "median", fill_value: float = 0.0) -> None:
-        if strategy not in ("mean", "median", "constant"):
-            raise ValueError(f"unknown imputation strategy {strategy!r}")
-        self.strategy = strategy
-        self.fill_value = fill_value
+    def __init__(self) -> None:
+        pass
 
     def fit(self, X) -> "SimpleImputer":
         X = np.asarray(X, dtype=np.float64)
-        if self.strategy == "constant":
-            self.statistics_ = np.full(X.shape[1], self.fill_value)
-            return self
-        import warnings
-
         with warnings.catch_warnings():
-            # An all-NaN column is legal here — it imputes to fill_value.
+            # An all-NaN column is legal here — it imputes to FILL_VALUE.
             warnings.simplefilter("ignore", category=RuntimeWarning)
-            if self.strategy == "mean":
-                stats = np.nanmean(X, axis=0)
-            else:
-                stats = np.nanmedian(X, axis=0)
-        stats = np.where(np.isnan(stats), self.fill_value, stats)
-        self.statistics_ = stats
+            stats = np.nanmedian(X, axis=0)
+        self.statistics_ = np.where(np.isnan(stats), FILL_VALUE, stats)
         return self
 
     def transform(self, X) -> np.ndarray:

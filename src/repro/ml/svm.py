@@ -17,6 +17,10 @@ __all__ = ["LinearSVC"]
 
 #: Inverse regularisation of every fit (larger = harder margin).
 C = 1.0
+#: Passes over the training data in every fit.
+EPOCHS = 40
+#: Seed of every fit's generator (one permutation of the rows per epoch).
+RANDOM_STATE = 0
 
 
 class LinearSVC(BaseEstimator, ClassifierMixin):
@@ -25,20 +29,10 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
     Minimises  lambda/2 ||w||^2 + mean(hinge)  with lambda = 1/(C * n).
     Probability-like scores come from a Platt-style logistic squash of
     the margin fit post hoc on the training data.
-
-    Parameters
-    ----------
-    epochs:
-        Passes over the training data.
     """
 
-    def __init__(
-        self,
-        epochs: int = 60,
-        random_state: int | None = None,
-    ) -> None:
-        self.epochs = epochs
-        self.random_state = random_state
+    def __init__(self) -> None:
+        pass
 
     def fit(self, X, y) -> "LinearSVC":
         X, y = check_X_y(X, y)
@@ -51,7 +45,7 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
         if len(self.classes_) != 2:
             raise ValueError("LinearSVC is binary-only")
         signs = np.where(encoded == 1, 1.0, -1.0)
-        rng = check_random_state(self.random_state)
+        rng = check_random_state(RANDOM_STATE)
 
         scaler = StandardScaler().fit(X)
         Z = scaler.transform(X)
@@ -61,7 +55,7 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
         w = np.zeros(d)
         b = 0.0
         t = 0
-        for _ in range(self.epochs):
+        for _ in range(EPOCHS):
             for i in rng.permutation(n):
                 t += 1
                 eta = 1.0 / (lam * t)

@@ -16,6 +16,12 @@ from .model_selection import CrossValidationResult, cross_validate
 
 __all__ = ["GridSearchResult", "grid_search"]
 
+#: The paper's protocol for every candidate: 10-fold stratified CV with
+#: SMOTE on each training fold, one seed for all candidates.
+N_SPLITS = 10
+RESAMPLE = "smote"
+RANDOM_STATE = 0
+
 
 @dataclass
 class GridSearchResult:
@@ -28,15 +34,7 @@ class GridSearchResult:
         return self.entries[0][0]
 
 
-def grid_search(
-    estimator,
-    param_grid: dict[str, list],
-    X,
-    y,
-    n_splits: int = 10,
-    resample: str | None = None,
-    random_state: int | None = 0,
-) -> GridSearchResult:
+def grid_search(estimator, param_grid: dict[str, list], X, y) -> GridSearchResult:
     """Exhaustive grid search; returns combinations sorted by CV F1.
 
     ``param_grid`` maps parameter names to candidate values; every
@@ -48,12 +46,7 @@ def grid_search(
         params = dict(zip(names, values))
         candidate = clone(estimator).set_params(**params)
         cv = cross_validate(
-            candidate,
-            X,
-            y,
-            n_splits=n_splits,
-            resample=resample,
-            random_state=random_state,
+            candidate, X, y, n_splits=N_SPLITS, resample=RESAMPLE, random_state=RANDOM_STATE
         )
         result.entries.append((params, cv))
     result.entries.sort(key=lambda entry: -entry[1].f1)

@@ -38,9 +38,7 @@ from .tracing import NullTracer, SpanNode, Tracer
 __all__ = [
     "configure",
     "reset",
-    "enabled",
     "metrics_enabled",
-    "tracing_enabled",
     "registry",
     "tracer",
     "trace",
@@ -66,18 +64,16 @@ _registry: MetricsRegistry = _NULL_REGISTRY
 _tracer: Tracer = _NULL_TRACER
 
 
-def configure(metrics: bool = True, tracing: bool = True) -> MetricsRegistry:
-    """Turn observability on for the whole process.
+def configure() -> MetricsRegistry:
+    """Turn observability on for the whole process: a fresh registry and
+    a fresh tracer.
 
-    Returns the live registry, a fresh one when ``metrics`` is on.
-    Components constructed *after* this call attach their series to it;
-    call before building the world.
+    Returns the registry.  Components constructed *after* this call
+    attach their series to it; call before building the world.
     """
     global _registry, _tracer
-    if metrics:
-        _registry = MetricsRegistry()
-    if tracing:
-        _tracer = Tracer()
+    _registry = MetricsRegistry()
+    _tracer = Tracer()
     return _registry
 
 
@@ -102,15 +98,9 @@ def collecting(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
 
 
 def metrics_enabled() -> bool:
+    """Whether metric writes are kept: after :func:`configure` (which
+    also starts the tracer) or inside :func:`collecting`."""
     return _registry is not _NULL_REGISTRY
-
-
-def tracing_enabled() -> bool:
-    return _tracer is not _NULL_TRACER
-
-
-def enabled() -> bool:
-    return metrics_enabled() or tracing_enabled()
 
 
 def registry() -> MetricsRegistry:

@@ -25,7 +25,7 @@ from .models import (
     record_from_dict,
     record_to_dict,
 )
-from .server import IngestStats, PaymentLedger, RacketStoreServer
+from .server import IngestStats, RacketStoreServer
 from .store import ColumnarCollection, DocumentStore
 from .transport import LossyTransport, Transport
 
@@ -54,7 +54,6 @@ __all__ = [
     "record_from_dict",
     "record_to_dict",
     "IngestStats",
-    "PaymentLedger",
     "RacketStoreServer",
     "ColumnarCollection",
     "DocumentStore",

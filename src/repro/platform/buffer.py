@@ -79,13 +79,10 @@ class DataBuffer:
         self._dead_letters: list[BufferedChunk] = []
         self._circuit_open_until = 0.0
         #: Attempts allowed per chunk before it is dead-lettered; 0 means
-        #: unlimited (the alarm retries forever).  A fault plan sets its own.
+        #: unlimited (the alarm retries forever).  Under a fault plan the day
+        #: engine sets ``simulation.phases.RETRY_BUDGET``.
         self.retry_budget = 0
-        self.records_buffered = 0
-        self.chunks_sealed = 0
-        self.chunks_delivered = 0
         self.retransmissions = 0
-        self.chunks_dead_lettered = 0
         self.throttle_trips = 0
 
     # -- accumulation -------------------------------------------------------
@@ -96,7 +93,6 @@ class DataBuffer:
         line = json.dumps(record_to_dict(record), separators=(",", ":"))
         self._accumulating[kind].append(line)
         self._accumulated_bytes[kind] += len(line) + 1
-        self.records_buffered += 1
         if self._accumulated_bytes[kind] >= THRESHOLD_BYTES[kind]:
             self._seal(kind)
 
@@ -116,7 +112,6 @@ class DataBuffer:
         )
         self._accumulating[kind] = []
         self._accumulated_bytes[kind] = 0
-        self.chunks_sealed += 1
         obs.counter("buffer_chunks_sealed_total", {"kind": kind}).inc()
         obs.histogram(
             "buffer_chunk_records",
@@ -199,11 +194,9 @@ class DataBuffer:
                 obs.counter("buffer_retransmissions_total").inc()
             if ack == chunk.sha256:
                 delivered_records += chunk.n_records
-                self.chunks_delivered += 1
                 continue
             if self.retry_budget and chunk.attempts >= self.retry_budget:
                 self._dead_letters.append(chunk)
-                self.chunks_dead_lettered += 1
                 obs.counter("buffer_dead_letters_total", {"kind": chunk.kind}).inc()
                 continue
             self._schedule_retry(chunk, clock, rng)

@@ -13,18 +13,24 @@ from __future__ import annotations
 import gzip
 import itertools
 import json
-from dataclasses import dataclass
 
 from .. import obs
 from ..frames import SCHEMA_BY_COLLECTION
 from ..obs.metrics import MetricsRegistry
+from ..simulation.calibration import RECRUITMENT
 from ..simulation.clock import SECONDS_PER_DAY
 from .buffer import chunk_hash
 from .fingerprint import DeviceCluster, InstallFingerprint, coalesce_installs
 from .models import record_from_dict
 from .store import DocumentStore
 
-__all__ = ["RacketStoreServer", "IngestStats", "PaymentLedger"]
+__all__ = ["RacketStoreServer", "IngestStats"]
+
+#: Dedup-window capacity: the SHA-256 of this many recently ingested
+#: chunks is remembered.  Retransmits arrive within a few alarm cycles of
+#: the original, so a bounded recent-chunk memory is enough for
+#: exactly-once ingest without unbounded growth.
+DEDUP_WINDOW = 4_096
 
 _COLLECTIONS = {
     "initial": "initial_snapshots",
@@ -87,32 +93,20 @@ class IngestStats:
         return int(self._registry.value("ingest_chunk_rollbacks_total"))
 
 
-@dataclass
-class PaymentLedger:
-    """§4 participant payments: $1 per install + $0.20 per retained day."""
-
-    install_payment_usd: float = 1.0
-    daily_payment_usd: float = 0.2
-
-    def payment_for(self, first_seen: float, last_seen: float) -> float:
-        days_retained = max(0, int((last_seen - first_seen) // SECONDS_PER_DAY))
-        return self.install_payment_usd + days_retained * self.daily_payment_usd
+def payment_for(first_seen: float, last_seen: float) -> float:
+    """§4 participant payment for an install observed over
+    ``[first_seen, last_seen]``: $1 per install + $0.20 per retained day."""
+    days_retained = max(0, int((last_seen - first_seen) // SECONDS_PER_DAY))
+    return RECRUITMENT.PAY_INSTALL_USD + days_retained * RECRUITMENT.PAY_PER_DAY_USD
 
 
 class RacketStoreServer:
     """The backend the mobile apps report to."""
 
-    #: Default dedup-window capacity: retransmits arrive within a few
-    #: alarm cycles of the original, so a bounded recent-chunk memory is
-    #: enough for exactly-once ingest without unbounded growth.
-    DEDUP_WINDOW = 65_536
-
     def __init__(
         self,
         store: DocumentStore | None = None,
         review_crawler=None,
-        *,
-        dedup_window: int | None = None,
     ) -> None:
         self.store = store or DocumentStore()
         self.review_crawler = review_crawler
@@ -143,6 +137,10 @@ class RacketStoreServer:
             "ingest_duplicate_chunks_total",
             help="retransmitted chunks already durably stored (dedup hits)",
         )
+        self._c_evictions = registry.counter(
+            "ingest_dedup_evictions_total",
+            help="chunk hashes the dedup window forgot to make room",
+        )
         self._c_rollbacks = registry.counter(
             "ingest_chunk_rollbacks_total",
             help="chunk ingests rolled back after a mid-insert failure",
@@ -151,13 +149,9 @@ class RacketStoreServer:
             "ingest_chunk_seconds", help="receive_chunk wall time"
         )
         # Idempotent-receive memory: SHA-256 of every recently ingested
-        # chunk, evicted FIFO past the window (dict preserves insertion
+        # chunk, evicted FIFO past DEDUP_WINDOW (dict preserves insertion
         # order).
-        self._dedup_window = (
-            self.DEDUP_WINDOW if dedup_window is None else int(dedup_window)
-        )
         self._seen_chunks: dict[str, None] = {}
-        self.payments = PaymentLedger()
         self._participants: set[str] = set()
         self._participant_counter = itertools.count(100_000)
         for name in _COLLECTIONS.values():
@@ -252,8 +246,9 @@ class RacketStoreServer:
 
     def _remember_chunk(self, sha256: str) -> None:
         self._seen_chunks[sha256] = None
-        while len(self._seen_chunks) > self._dedup_window:
+        while len(self._seen_chunks) > DEDUP_WINDOW:
             self._seen_chunks.pop(next(iter(self._seen_chunks)))
+            self._c_evictions.inc()
 
     def _insert_batches(self, records: list[tuple[str, dict]]) -> int:
         batches: dict[str, list[dict]] = {name: [] for name in _COLLECTIONS}
@@ -362,5 +357,5 @@ class RacketStoreServer:
         for install_id in self.install_ids():
             interval = self.observation_interval(install_id)
             if interval:
-                total += self.payments.payment_for(*interval)
+                total += payment_for(*interval)
         return total

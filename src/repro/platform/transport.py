@@ -26,14 +26,14 @@ class Transport:
 
     def __init__(self, receiver) -> None:
         self._receiver = receiver
-        self.chunks_sent = 0
-        self.bytes_sent = 0
 
-    def send(self, kind: str, data: bytes) -> str | None:
-        self.chunks_sent += 1
-        self.bytes_sent += len(data)
+    @staticmethod
+    def _count_send(kind: str, data: bytes) -> None:
         obs.counter("transport_chunks_sent_total", {"kind": kind}).inc()
         obs.counter("transport_bytes_sent_total").inc(len(data))
+
+    def send(self, kind: str, data: bytes) -> str | None:
+        self._count_send(kind, data)
         return self._receiver.receive_chunk(kind, data)
 
 
@@ -50,22 +50,17 @@ class LossyTransport(Transport):
         receiver,
         *,
         rng: np.random.Generator,
-        loss_probability: float = 0.0,
+        loss_probability: float,
     ) -> None:
         super().__init__(receiver)
         if not 0.0 <= loss_probability <= 1.0:
             raise ValueError("loss_probability must be in [0, 1]")
         self.loss_probability = loss_probability
         self._rng = rng
-        self.chunks_lost = 0
 
     def send(self, kind: str, data: bytes) -> str | None:
-        self.chunks_sent += 1
-        self.bytes_sent += len(data)
-        obs.counter("transport_chunks_sent_total", {"kind": kind}).inc()
-        obs.counter("transport_bytes_sent_total").inc(len(data))
+        self._count_send(kind, data)
         if self._rng.random() < self.loss_probability:
-            self.chunks_lost += 1
             obs.counter("transport_chunks_lost_total").inc()
             return None  # chunk vanished in transit: no ack
         # A draw that decides nothing: the seeded world's behaviour stream

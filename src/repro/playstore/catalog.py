@@ -140,9 +140,15 @@ class Catalog:
         return package, title
 
     def add_popular_app(self) -> App:
-        """High-traffic app of the kind regular users install and review."""
+        """High-traffic app of the kind regular users install and review,
+        with at least the §7.2 popularity bar's reviews."""
+        # Deferred: repro.simulation's package init imports this module.
+        from ..simulation.calibration import APP_CLASSIFIER
+
         package, title = self._new_package("app")
-        reviews = int(self._rng.pareto(1.1) * 30_000 + 15_000)
+        reviews = int(
+            self._rng.pareto(1.1) * 30_000 + APP_CLASSIFIER.MIN_REVIEWS_FOR_REGULAR
+        )
         installs = reviews * int(self._rng.integers(30, 120))
         app = App(
             package=package,

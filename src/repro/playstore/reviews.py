@@ -104,14 +104,16 @@ class ReviewCrawler:
     """Incremental review collector with the paper's crawl semantics.
 
     * first crawl of an app: newest-first until ``first_crawl_cap``
-      (100,000 in the paper);
+      (``build_world`` passes the paper's ``DATASET.FIRST_CRAWL_CAP``,
+      100,000: this module cannot import :mod:`repro.simulation` at load
+      time, because that package's init imports it through ``world``);
     * later crawls: newest-first until a previously collected review id
       is hit;
     * a crawl round covers every tracked app (the paper ran one round
       every 12 hours).
     """
 
-    def __init__(self, store: ReviewStore, first_crawl_cap: int = 100_000) -> None:
+    def __init__(self, store: ReviewStore, first_crawl_cap: int) -> None:
         self._store = store
         self.first_crawl_cap = first_crawl_cap
         self._seen: dict[str, set[int]] = {}

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..playstore.catalog import App, Catalog
 from ..playstore.reviews import ReviewStore
+from .calibration import APP_CLASSIFIER
 from .campaigns import CampaignBoard
 from .clock import SECONDS_PER_DAY
 from .config import SimulationConfig
@@ -29,6 +30,13 @@ from .device import SimDevice
 from .personas import Persona
 
 __all__ = ["BehaviorEngine", "PendingReview", "review_rating"]
+
+#: Days of device history generated before RacketStore is installed
+#: (install times, past reviews); affects install-to-review joins.
+HISTORY_DAYS = 720
+
+#: Zipf exponent of installation weight over the popular pool's ranks.
+ZIPF_EXPONENT = 1.2
 
 
 def review_rating(rng: np.random.Generator, promo: bool) -> int:
@@ -67,12 +75,13 @@ class BehaviorEngine:
 
         apps = catalog.all_apps()
         self._popular = [a for a in apps if a.on_play_store and not a.preinstalled
-                         and not a.is_antivirus and a.review_count >= config.popular_review_threshold]
+                         and not a.is_antivirus
+                         and a.review_count >= APP_CLASSIFIER.MIN_REVIEWS_FOR_REGULAR]
         # Zipf installation weights over the popular pool: everyone
         # concentrates on the head, but the long tail is what lets some
         # popular apps appear only on regular devices (§7.2 labeling).
         ranks = np.arange(1, len(self._popular) + 1, dtype=np.float64)
-        weights = ranks ** -config.zipf_exponent
+        weights = ranks ** -ZIPF_EXPONENT
         self._popular_weights = weights / weights.sum()
         self._promoted_pool = sorted(board.advertised_packages())
         self._third_party = [a for a in apps if not a.on_play_store]
@@ -139,7 +148,7 @@ class BehaviorEngine:
         for app in self.catalog.preinstalled():
             device.install(
                 app,
-                timestamp=-config.history_days * SECONDS_PER_DAY,
+                timestamp=-HISTORY_DAYS * SECONDS_PER_DAY,
                 grant_probability=1.0,
                 rng=rng,
                 preinstalled=True,
@@ -170,7 +179,7 @@ class BehaviorEngine:
             )
 
         for app, promo in installed_apps:
-            install_time = -float(rng.uniform(1.0, config.history_days)) * SECONDS_PER_DAY
+            install_time = -float(rng.uniform(1.0, HISTORY_DAYS)) * SECONDS_PER_DAY
             device.install(
                 app,
                 timestamp=install_time,
@@ -187,7 +196,7 @@ class BehaviorEngine:
                 continue
             device.install(
                 app,
-                timestamp=-float(rng.uniform(1.0, config.history_days / 2)) * SECONDS_PER_DAY,
+                timestamp=-float(rng.uniform(1.0, HISTORY_DAYS / 2)) * SECONDS_PER_DAY,
                 grant_probability=persona.dangerous_permission_grant_prob,
                 rng=rng,
             )
@@ -303,7 +312,7 @@ class BehaviorEngine:
             package = pool[int(rng.integers(0, len(pool)))]
             if self.review_store.has_reviewed(account.google_id, package):
                 continue
-            review_time = -float(rng.uniform(0.5, self.config.history_days)) * SECONDS_PER_DAY
+            review_time = -float(rng.uniform(0.5, HISTORY_DAYS)) * SECONDS_PER_DAY
             self.review_store.post_review(
                 package,
                 account.google_id,

@@ -172,6 +172,8 @@ class APP_CLASSIFIER:
 
     HELD_OUT_WORKER_DEVICES = 38
     HELD_OUT_REGULAR_DEVICES = 37
+    WORKER_HOLDOUT_FRACTION = 0.20
+    REGULAR_HOLDOUT_FRACTION = 0.42
     SUSPICIOUS_APPS = 1_041
     NON_SUSPICIOUS_APPS = 474
     SUSPICIOUS_INSTANCES = 2_994

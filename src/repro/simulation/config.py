@@ -5,14 +5,17 @@ paper's per-device and per-app statistics while running in seconds.
 ``SimulationConfig.paper_scale()`` restores the full 803-device cohort
 (580 worker / 223 regular) for long runs.
 
-The scale-sensitive labeling threshold of §7.2 (apps with >= 15,000
-reviews count as popular) is carried here as ``popular_review_threshold``
-because the synthetic catalog's absolute review volumes are scaled too.
-
-Values the paper fixes are not knobs here: the §3 snapshot cadences are
-``RacketStoreApp.FAST_PERIOD_S``/``SLOW_PERIOD_S``, the §3 buffer
-thresholds are ``buffer.THRESHOLD_BYTES``, and the other §7.2 labeling
-thresholds are ``LabelingConfig``'s.
+Values the paper fixes are not knobs here.  Its numbers live in
+:mod:`repro.simulation.calibration`: the §8.2 organic-worker share
+(``SUSPICIOUSNESS.ORGANIC_FRACTION``), the §7.2 popularity bar and
+holdout fractions (``APP_CLASSIFIER``), the §6.4 VirusTotal coverage and
+the first-crawl cap (``DATASET``).  The §3 snapshot cadences are
+``RacketStoreApp.FAST_PERIOD_S``/``SLOW_PERIOD_S`` and the §3 buffer
+thresholds are ``buffer.THRESHOLD_BYTES``.  Modelling choices the study
+runs at one value are constants beside their one reader: the device
+history and the popular pool's Zipf exponent in ``behavior.py``, and the
+legacy channel's loss rate and a fault plan's retry budget in
+``phases.py``.
 """
 
 from __future__ import annotations
@@ -40,15 +43,9 @@ class SimulationConfig:
     n_worker_devices: int = 178
     n_regular_devices: int = 88
     n_dropout_devices: int = 24
-    #: Fraction of worker devices run by *organic* workers who blend
-    #: promotion into personal use (§8.2 finds 123/178 ≈ 69% organic).
-    organic_worker_fraction: float = 123 / 178
 
     # Study timeline.
     study_days: int = 10
-    #: Days of device history generated before RacketStore is installed
-    #: (install times, past reviews); affects install-to-review joins.
-    history_days: int = 720
 
     # Catalog composition.  The popular pool is large with Zipf-weighted
     # installation so a long tail of popular-but-niche apps exists —
@@ -56,15 +53,9 @@ class SimulationConfig:
     # to select a non-empty regular app set, as it does against the real
     # multi-million-app Play catalog.
     n_popular_apps: int = 2000
-    zipf_exponent: float = 1.2
     n_promoted_apps: int = 170
     n_third_party_apps: int = 30
     n_antivirus_apps: int = 25
-
-    #: Per-chunk loss probability of the device->server channel (§3
-    #: "resilient communications"; the buffer retries until the hash
-    #: acknowledgement matches).
-    transport_loss_probability: float = 0.02
 
     # Runtime-permission grant rates (§3: participants may deny either
     # permission; the defaults reproduce the paper's partial-reporting
@@ -72,12 +63,6 @@ class SimulationConfig:
     # account data for Fig 5).
     grant_usage_stats_prob: float = 0.96
     grant_get_accounts_prob: float = 0.80
-
-    # §7.2 "popular" review threshold, scaled with the catalog.
-    popular_review_threshold: int = 15_000
-
-    # VirusTotal report availability (§6.4: 12431/18079).
-    vt_availability: float = 12_431 / 18_079
 
     # Evasion study knobs (§9): multipliers on worker devices' install-
     # to-review delay and on the number of reviews they post.

@@ -68,6 +68,15 @@ __all__ = [
     "commit_day",
 ]
 
+#: Per-chunk loss probability of the default (no fault plan) device ->
+#: server channel (§3 "resilient communications": the buffer retries
+#: until the hash acknowledgement matches).
+TRANSPORT_LOSS_PROBABILITY = 0.02
+
+#: Attempts a client makes per chunk under a fault plan before the chunk
+#: is dead-lettered (the legacy channel retries until the ack matches).
+RETRY_BUDGET = 64
+
 
 # ---------------------------------------------------------------------------
 # Actions: the globally visible effects a device intends.
@@ -259,7 +268,6 @@ class DayParams:
     promoted: dict[str, App]
     review_volume_multiplier: float
     review_delay_multiplier: float
-    loss_probability: float
     #: Optional seeded fault plan; ``None`` keeps the legacy lossy
     #: channel driven by the behaviour rng.
     fault_plan: FaultPlan | None = None
@@ -277,7 +285,6 @@ def build_day_params(engine) -> DayParams:
         },
         review_volume_multiplier=config.worker_review_volume_multiplier,
         review_delay_multiplier=config.worker_review_delay_multiplier,
-        loss_probability=config.transport_loss_probability,
         fault_plan=config.fault_plan,
     )
 
@@ -596,7 +603,7 @@ def _run_device_day(
     plan = params.fault_plan
     if plan is None:
         transport = LossyTransport(
-            uplink, rng=rng, loss_probability=params.loss_probability
+            uplink, rng=rng, loss_probability=TRANSPORT_LOSS_PROBABILITY
         )
         backoff_rng = None
     else:
@@ -613,7 +620,7 @@ def _run_device_day(
     device = task.device
     app = RacketStoreApp.from_state(device, task.app_state)
     if plan is not None:
-        app.buffer.retry_budget = plan.retry_budget
+        app.buffer.retry_budget = RETRY_BUDGET
     if task.needs_sign_in:
         app.sign_in(
             day_start,

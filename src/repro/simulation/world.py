@@ -37,6 +37,7 @@ from ..virustotal.client import VirusTotalClient
 from ..virustotal.engines import EnginePanel
 from .accounts import AccountFactory
 from .behavior import BehaviorEngine
+from .calibration import DATASET, SUSPICIOUSNESS
 from .campaigns import CampaignBoard
 from .clock import SECONDS_PER_DAY
 from .config import SimulationConfig
@@ -127,12 +128,16 @@ def build_world(config: SimulationConfig | None = None) -> tuple[StudyData, Beha
         board.post_campaign(app)
 
     review_store = ReviewStore()
-    review_crawler = ReviewCrawler(review_store, first_crawl_cap=100_000)
+    review_crawler = ReviewCrawler(
+        review_store, first_crawl_cap=DATASET.FIRST_CRAWL_CAP
+    )
     directory = GmailDirectory()
     id_crawler = GoogleIdCrawler(directory)
     panel = EnginePanel(np.random.default_rng(config.seed + 1))
     vt_client = VirusTotalClient(
-        panel, _malware_oracle_factory(catalog), availability=config.vt_availability
+        panel,
+        _malware_oracle_factory(catalog),
+        availability=DATASET.HASHES_WITH_VT_REPORT / DATASET.DISTINCT_APK_HASHES,
     )
 
     # Server-side fault draws come from a dedicated per-study stream
@@ -407,7 +412,7 @@ def _enroll_cohort(
 ) -> None:
     """Enroll workers, regulars, dropouts, and Appendix-A repeat installs."""
     config = data.config
-    n_organic = int(round(config.n_worker_devices * config.organic_worker_fraction))
+    n_organic = int(round(config.n_worker_devices * SUSPICIOUSNESS.ORGANIC_FRACTION))
     # Organic workers span a wide intensity range — from novices hiding a
     # trickle of ASO work to heavy moonlighters (§8.2's Fig 15 continuum).
     worker_personas = [

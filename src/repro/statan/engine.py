@@ -102,7 +102,6 @@ class ModuleContext:
 
     def __init__(self, path: str, source: str, tree: ast.AST) -> None:
         self.path = path
-        self.source = source
         self.lines = source.splitlines()
         self.tree = tree
         self.segments = PurePosixPath(path).parts

@@ -31,19 +31,23 @@ class VirusTotalClient:
     ----------
     panel:
         The engine panel producing verdicts.
-    availability:
-        Probability a hash has a VT report at all (paper: 12,431/18,079
-        ≈ 0.688).  Availability is deterministic per hash.
     malware_oracle:
         Callable ``apk_hash -> bool`` giving ground truth for the panel;
         the simulation wires this to the catalog's malware labels.
+    availability:
+        Probability a hash has a VT report at all.  Availability is
+        deterministic per hash.  ``build_world`` passes the paper's
+        ``DATASET.HASHES_WITH_VT_REPORT / DATASET.DISTINCT_APK_HASHES``
+        (12,431/18,079 ≈ 0.688): this module cannot import
+        :mod:`repro.simulation` at load time, because that package's init
+        imports it through ``world``.
     """
 
     def __init__(
         self,
         panel: EnginePanel,
         malware_oracle,
-        availability: float = 12_431 / 18_079,
+        availability: float,
     ) -> None:
         self._panel = panel
         self._oracle = malware_oracle

@@ -4,27 +4,27 @@ import numpy as np
 import pytest
 
 from repro.core.datasets import build_app_dataset, build_device_dataset
-from repro.core.labeling import LabelingConfig, label_apps, split_holdout
+from repro.core.labeling import label_apps, split_holdout
+from repro.simulation.calibration import APP_CLASSIFIER
 
 
 class TestHoldoutSplit:
     def test_fractions_respected(self, observations):
-        config = LabelingConfig()
-        holdout_w, holdout_r, remaining = split_holdout(observations, config)
+        holdout_w, holdout_r, remaining = split_holdout(observations)
         n_workers = sum(1 for o in observations if o.is_worker)
         n_regular = len(observations) - n_workers
         assert len(holdout_w) == pytest.approx(0.2 * n_workers, abs=1)
         assert len(holdout_r) == pytest.approx(0.42 * n_regular, abs=1)
         assert len(holdout_w) + len(holdout_r) + len(remaining) == len(observations)
 
-    def test_deterministic_given_seed(self, observations):
-        config = LabelingConfig(seed=3)
-        a = split_holdout(observations, config)
-        b = split_holdout(observations, config)
-        assert [o.install_id for o in a[0]] == [o.install_id for o in b[0]]
+    def test_deterministic(self, observations):
+        a = split_holdout(observations)
+        b = split_holdout(observations)
+        for part_a, part_b in zip(a, b):
+            assert [o.install_id for o in part_a] == [o.install_id for o in part_b]
 
     def test_groups_pure(self, observations):
-        holdout_w, holdout_r, _ = split_holdout(observations, LabelingConfig())
+        holdout_w, holdout_r, _ = split_holdout(observations)
         assert all(o.is_worker for o in holdout_w)
         assert not any(o.is_worker for o in holdout_r)
 
@@ -41,7 +41,7 @@ class TestLabelingRules:
         assert not labeling.suspicious_apps & labeling.regular_apps
 
     def test_suspicious_coinstall_threshold(self, labeling):
-        config_min = LabelingConfig().min_worker_devices
+        config_min = APP_CLASSIFIER.MIN_WORKER_DEVICES_FOR_SUSPICIOUS
         for package in labeling.suspicious_apps:
             count = sum(
                 1 for obs in labeling.holdout_worker if package in obs.observed_packages
@@ -62,7 +62,23 @@ class TestLabelingRules:
     def test_regular_apps_popular(self, study, labeling):
         for package in labeling.regular_apps:
             app = study.catalog.get(package)
-            assert app.review_count >= study.config.popular_review_threshold
+            assert app.review_count >= APP_CLASSIFIER.MIN_REVIEWS_FOR_REGULAR
+
+    @pytest.mark.parametrize("min_devices", [2, 10])
+    def test_co_install_count_moves_only_the_suspicious_set(
+        self, study, observations, labeling, min_devices
+    ):
+        swept = label_apps(study, observations, min_worker_devices=min_devices)
+        assert swept.regular_apps == labeling.regular_apps
+        if min_devices < APP_CLASSIFIER.MIN_WORKER_DEVICES_FOR_SUSPICIOUS:
+            assert swept.suspicious_apps >= labeling.suspicious_apps
+        else:
+            assert swept.suspicious_apps <= labeling.suspicious_apps
+        for package in swept.suspicious_apps:
+            count = sum(
+                package in obs.observed_packages for obs in swept.holdout_worker
+            )
+            assert count >= min_devices
 
     def test_ground_truth_purity(self, study, labeling):
         """Labeled-suspicious apps should overwhelmingly be actual

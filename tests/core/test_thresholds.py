@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.thresholds import (
     _all_points,
+    SWEEP_POINTS,
     _point_at,
     sweep_operating_points,
     threshold_for_fpr,
@@ -93,8 +94,8 @@ class TestAllPoints:
 class TestSweep:
     def test_sweep_shape_and_order(self, scored):
         y, scores = scored
-        points = sweep_operating_points(y, scores, n_points=7)
-        assert len(points) == 7
+        points = sweep_operating_points(y, scores)
+        assert len(points) == SWEEP_POINTS
         thresholds = [p.threshold for p in points]
         assert thresholds == sorted(thresholds)
         # Raising the threshold never raises FPR.
@@ -107,7 +108,7 @@ class TestSweep:
 
     def test_sweep_spans_the_score_range(self, scored):
         y, scores = scored
-        points = sweep_operating_points(y, scores, n_points=5)
+        points = sweep_operating_points(y, scores)
         assert points[0].threshold == pytest.approx(float(np.min(scores)))
         assert points[0].flagged_fraction == 1.0
         assert points[-1].threshold == pytest.approx(float(np.max(scores)))

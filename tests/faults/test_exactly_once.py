@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.faults import (
     FaultPlan,
     FaultSpec,
@@ -25,6 +26,8 @@ from repro.platform.buffer import DataBuffer, chunk_hash
 from repro.platform.models import FastSnapshotRun
 from repro.platform.server import _COLLECTIONS
 from repro.frames import Field, RecordSchema
+from repro.obs import MetricsRegistry
+from repro.platform import server as server_module
 from repro.platform.store import ColumnarCollection, DocumentStore
 from repro.platform.transport import Transport
 
@@ -102,31 +105,33 @@ class TestAckLossRetransmission:
             server, plan=plan, rng=np.random.default_rng([seed, 0x7A0])
         )
         buffer = sealed_buffer(n_records)
-        buffer.drain(
-            transport,
-            now=0.0,
-            deadline=10**8,
-            rng=np.random.default_rng([seed, 0xB0]),
-        )
+        with obs.collecting(MetricsRegistry()) as registry:
+            buffer.drain(
+                transport,
+                now=0.0,
+                deadline=10**8,
+                rng=np.random.default_rng([seed, 0xB0]),
+            )
         assert buffer.pending_chunks == 0
         fast_docs = server.store["fast_runs"].find()
         assert sorted(d["start"] for d in fast_docs) == [
             float(i) for i in range(n_records)
         ]
         assert_no_duplicates(server)
-        if transport.acks_lost:
-            assert server.stats.duplicate_chunks > 0
+        # Every lost ack makes the client resend a chunk the server
+        # already holds, and every chunk is acked in the end.
+        assert server.stats.duplicate_chunks == registry.value("transport_acks_lost_total")
 
     def test_certain_ack_loss_single_server_copy(self):
         """With every ack lost the client retries into its budget and
         dead-letters, yet the server holds exactly one copy; healing the
         channel and requeueing reconciles the client's view."""
-        plan = FaultPlan(ack_loss=FaultSpec(1.0), retry_budget=4)
+        plan = FaultPlan(ack_loss=FaultSpec(1.0))
         server = make_server(plan)
         transport = FaultyTransport(
             server, plan=plan, rng=np.random.default_rng([0, 0x7A0])
         )
-        buffer = sealed_buffer(3, per_chunk=None, retry_budget=plan.retry_budget)
+        buffer = sealed_buffer(3, per_chunk=None, retry_budget=4)
         buffer.drain(transport, now=0.0, deadline=10**8)
         assert buffer.dead_letter_chunks == 1  # client never saw an ack
         assert server.stats.chunks_received == 4  # original + 3 retransmits
@@ -233,19 +238,37 @@ class TestOverloadCircuitBreaker:
 
 
 class TestDedupWindow:
-    def test_fifo_eviction_bounds_the_memory(self):
+    @pytest.mark.parametrize("window", [1, 2, 16])
+    def test_fifo_eviction_bounds_the_memory(self, monkeypatch, window):
+        monkeypatch.setattr(server_module, "DEDUP_WINDOW", window)
         chunk_a = chunk_bytes(2)
         chunk_b = chunk_bytes(3)
-        server = make_server(FaultPlan(dedup_window=1))
+        server = make_server(FaultPlan())
         server.receive_chunk("fast", chunk_a)
-        server.receive_chunk("fast", chunk_b)  # evicts chunk_a's hash
-        server.receive_chunk("fast", chunk_a)  # not recognised any more
-        assert server.stats.duplicate_chunks == 0
-        wide = make_server(FaultPlan(dedup_window=16))
-        wide.receive_chunk("fast", chunk_a)
-        wide.receive_chunk("fast", chunk_b)
-        wide.receive_chunk("fast", chunk_a)
-        assert wide.stats.duplicate_chunks == 1
+        server.receive_chunk("fast", chunk_b)  # a window of 1 evicts chunk_a's hash
+        server.receive_chunk("fast", chunk_a)
+        if window == 1:
+            # chunk_a was not recognised, so it was stored again and
+            # evicted chunk_b in turn.
+            assert server.stats.duplicate_chunks == 0
+            assert len(server.store["fast_runs"]) == 7
+        else:
+            assert server.stats.duplicate_chunks == 1
+            assert len(server.store["fast_runs"]) == 5
+        evictions = server.metrics.value("ingest_dedup_evictions_total")
+        assert evictions == {1: 2, 2: 0, 16: 0}[window]
+
+    def test_evictions_count_every_hash_past_the_window(self, monkeypatch):
+        monkeypatch.setattr(server_module, "DEDUP_WINDOW", 3)
+        server = make_server(FaultPlan())
+        chunks = [chunk_bytes(n) for n in range(1, 9)]
+        for data in chunks:
+            server.receive_chunk("fast", data)
+        assert server.metrics.value("ingest_dedup_evictions_total") == 5
+        # The three newest are remembered, the five oldest are not.
+        for data in chunks[-3:] + chunks[:5]:
+            server.receive_chunk("fast", data)
+        assert server.stats.duplicate_chunks == 3
 
     def test_malformed_chunks_are_acked_but_not_remembered(self):
         server = make_server(FaultPlan())
@@ -257,6 +280,34 @@ class TestDedupWindow:
         # swallowed by the dedup window: only *stored* chunks dedup.
         server.receive_chunk("fast", garbage)
         assert server.stats.duplicate_chunks == 0
+
+
+class TestTransportCounters:
+    def test_faulty_transport_counts_each_site(self):
+        plan = FaultPlan(
+            transport_loss=FaultSpec(0.2),
+            transport_corruption=FaultSpec(0.2),
+            ack_loss=FaultSpec(0.3),
+        )
+        server = make_server(plan)
+        transport = FaultyTransport(
+            server, plan=plan, rng=np.random.default_rng([11, 0x7A0])
+        )
+        payloads = [chunk_bytes(n) for n in range(1, 41)]
+        with obs.collecting(MetricsRegistry()) as registry:
+            acks = [transport.send("fast", data) for data in payloads]
+        received = server.stats.chunks_received
+        corrupted = server.stats.malformed_chunks
+        delivered = sum(ack == chunk_hash(data) for ack, data in zip(acks, payloads))
+        lost = len(payloads) - received
+        acks_lost = received - corrupted - delivered
+        assert min(lost, corrupted, acks_lost) > 0
+        assert registry.value("transport_chunks_sent_total", {"kind": "fast"}) == 40
+        assert registry.value("transport_bytes_sent_total") == sum(map(len, payloads))
+        assert registry.value("transport_chunks_lost_total") == lost
+        assert registry.value("transport_chunks_corrupted_total") == corrupted
+        assert registry.value("transport_acks_lost_total") == acks_lost
+        assert acks.count(None) == lost + acks_lost
 
 
 class TestCorruptionEndToEnd:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec
+from repro.simulation import SimulationConfig, run_study
+from repro.simulation.phases import RETRY_BUDGET
 
 
 class TestFaultSpec:
@@ -70,6 +72,25 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(overload_retry_after_s=0.0)
         with pytest.raises(ValueError):
-            FaultPlan(retry_budget=-1)
-        with pytest.raises(ValueError):
-            FaultPlan(dedup_window=0)
+            FaultPlan(overload_retry_after_s=-900.0)
+
+
+class TestRetryBudget:
+    @pytest.mark.parametrize("plan", [None, FaultPlan()])
+    def test_buffers_take_their_channels_budget(self, plan):
+        """Under any plan each chunk gets ``RETRY_BUDGET`` attempts; the
+        legacy channel retries until the ack matches."""
+        config = SimulationConfig(
+            n_worker_devices=4,
+            n_regular_devices=3,
+            n_dropout_devices=1,
+            study_days=3,
+            n_popular_apps=120,
+            n_promoted_apps=12,
+            n_third_party_apps=4,
+            n_antivirus_apps=3,
+            fault_plan=plan,
+        )
+        data = run_study(config)
+        budgets = {p.app.buffer.retry_budget for p in data.participants}
+        assert budgets == {0 if plan is None else RETRY_BUDGET}

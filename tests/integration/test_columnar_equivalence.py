@@ -232,7 +232,7 @@ def test_datasets_byte_identical(study, observations, dict_observations):
             for i in frame_apps.instances
         ]
     )
-    imputed = SimpleImputer(strategy="median").fit_transform(scalar)
+    imputed = SimpleImputer().fit_transform(scalar)
     assert imputed.tobytes() == frame_apps.X.tobytes()
 
     # Frame- and dict-backed observations assemble the same datasets.
@@ -250,7 +250,7 @@ def test_datasets_byte_identical(study, observations, dict_observations):
             for o in dict_observations
         ]
     )
-    imputed = SimpleImputer(strategy="median").fit_transform(scalar)
+    imputed = SimpleImputer().fit_transform(scalar)
     frame_devices = build_device_dataset(observations, suspiciousness)
     dict_devices = build_device_dataset(dict_observations, suspiciousness)
     assert imputed.tobytes() == dict_devices.X.tobytes()

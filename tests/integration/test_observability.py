@@ -142,11 +142,11 @@ class TestProfileCli:
         assert doc["counters"]["ingest_records_inserted_total"] > 0
         assert any(k.startswith("ml_fit_seconds") for k in doc["histograms"])
         # The CLI restored the no-op default on the way out.
-        assert not obs.enabled()
+        assert not obs.metrics_enabled()
 
     def test_simulate_metrics_out(self, tmp_path, capsys):
         out = tmp_path / "sim_metrics.json"
         assert main(["--scale", "small", "simulate", "--metrics-out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["counters"]["ingest_chunks_received_total"] > 0
-        assert not obs.enabled()
+        assert not obs.metrics_enabled()

@@ -186,7 +186,7 @@ class TestFoldBlocks:
 class TestFoldMetrics:
     def test_lockstep_folds_share_the_block_fit_time(self, blobs):
         X, y = blobs
-        registry = obs.configure(metrics=True, tracing=False)
+        registry = obs.configure()
         try:
             with obs.timer() as cv:
                 cross_validate(

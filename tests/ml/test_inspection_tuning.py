@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import KNeighborsClassifier, LinearSVC, LogisticRegression, RandomForestClassifier
+from repro.ml import KNeighborsClassifier, LogisticRegression, RandomForestClassifier
 from repro.ml.inspection import permutation_importance
 from repro.ml.metrics import f1_score
 from repro.ml.tuning import grid_search
@@ -67,11 +67,7 @@ class TestGridSearch:
     def test_knn_k_sweep_structure(self, blobs):
         """The paper's 'KNN achieved best performance for K = 5' sweep."""
         X, y = blobs
-        result = grid_search(
-            KNeighborsClassifier(),
-            {"n_neighbors": [1, 5, 25]},
-            X, y, n_splits=4, random_state=0,
-        )
+        result = grid_search(KNeighborsClassifier(), {"n_neighbors": [1, 5, 25]}, X, y)
         assert len(result.entries) == 3
         f1s = [cv.f1 for _, cv in result.entries]
         assert f1s == sorted(f1s, reverse=True)
@@ -80,17 +76,15 @@ class TestGridSearch:
     def test_multi_parameter_grid(self, blobs):
         X, y = blobs
         result = grid_search(
-            LinearSVC(random_state=0),
-            {"epochs": [10, 40], "random_state": [0, 1]},
-            X, y, n_splits=3, random_state=0,
+            RandomForestClassifier(),
+            {"n_estimators": [3, 10], "random_state": [0, 1]},
+            X, y,
         )
         assert len(result.entries) == 4
-        assert set(result.best_params) == {"epochs", "random_state"}
+        assert set(result.best_params) == {"n_estimators", "random_state"}
 
     def test_best_result_matches_best_params(self, blobs):
         X, y = blobs
-        result = grid_search(
-            LinearSVC(random_state=0), {"epochs": [1, 40]}, X, y, n_splits=3, random_state=0
-        )
+        result = grid_search(KNeighborsClassifier(), {"n_neighbors": [1, 15]}, X, y)
         best_params, _ = max(result.entries, key=lambda entry: entry[1].f1)
         assert result.best_params == best_params

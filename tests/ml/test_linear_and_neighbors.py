@@ -43,19 +43,19 @@ class TestLogisticRegression:
 class TestLinearSVC:
     def test_accuracy_on_blobs(self, blobs):
         X, y = blobs
-        model = LinearSVC(random_state=0).fit(X, y)
+        model = LinearSVC().fit(X, y)
         assert model.score(X, y) >= 0.94
 
     def test_margin_sign_matches_prediction(self, blobs):
         X, y = blobs
-        model = LinearSVC(random_state=0).fit(X, y)
+        model = LinearSVC().fit(X, y)
         margins = model.decision_function(X)
         preds = model.predict(X)
         np.testing.assert_array_equal(preds, (margins >= 0).astype(int))
 
     def test_platt_probability_monotone_in_margin(self, blobs):
         X, y = blobs
-        model = LinearSVC(random_state=0).fit(X, y)
+        model = LinearSVC().fit(X, y)
         margins = model.decision_function(X)
         p = model.predict_proba(X)[:, 1]
         order = np.argsort(margins)
@@ -68,7 +68,7 @@ class TestLinearSVC:
 
     def test_platt_probabilities_are_distributions(self, blobs):
         X, y = blobs
-        proba = LinearSVC(random_state=0).fit(X, y).predict_proba(X)
+        proba = LinearSVC().fit(X, y).predict_proba(X)
         assert proba.shape == (len(X), 2)
         assert np.all((proba >= 0.0) & (proba <= 1.0))
         np.testing.assert_allclose(proba.sum(axis=1), 1.0)
@@ -166,7 +166,7 @@ class TestLVQ:
     "make",
     [
         lambda: LogisticRegression(),
-        lambda: LinearSVC(random_state=0),
+        lambda: LinearSVC(),
         lambda: KNeighborsClassifier(n_neighbors=5),
         lambda: LVQClassifier(),
     ],

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ml.preprocessing import SimpleImputer, StandardScaler
+from repro.ml.preprocessing import FILL_VALUE, SimpleImputer, StandardScaler
 
 
 class TestStandardScaler:
@@ -26,33 +26,28 @@ class TestStandardScaler:
 class TestSimpleImputer:
     def test_median_fill(self):
         X = np.array([[1.0, np.nan], [3.0, 4.0], [np.nan, 6.0]])
-        Z = SimpleImputer(strategy="median").fit_transform(X)
+        Z = SimpleImputer().fit_transform(X)
         assert Z[2, 0] == pytest.approx(2.0)  # median of 1, 3
         assert Z[0, 1] == pytest.approx(5.0)  # median of 4, 6
 
-    def test_mean_fill(self):
-        X = np.array([[1.0], [3.0], [np.nan]])
-        Z = SimpleImputer(strategy="mean").fit_transform(X)
-        assert Z[2, 0] == pytest.approx(2.0)
-
-    def test_constant_fill(self):
-        X = np.array([[np.nan, 1.0]])
-        Z = SimpleImputer(strategy="constant", fill_value=-1.0).fit_transform(X)
-        assert Z[0, 0] == -1.0
+    @pytest.mark.parametrize(
+        ("column", "median"),
+        [([5.0, 1.0, 9.0], 5.0), ([1.0, 100.0, 2.0, 3.0], 2.5), ([-4.0], -4.0)],
+    )
+    def test_median_ignores_nan_and_outliers(self, column, median):
+        X = np.array([[v] for v in column] + [[np.nan]])
+        Z = SimpleImputer().fit_transform(X)
+        assert Z[-1, 0] == median
 
     def test_all_nan_column_uses_fill_value(self):
         X = np.array([[np.nan], [np.nan]])
-        Z = SimpleImputer(strategy="median", fill_value=0.0).fit_transform(X)
-        np.testing.assert_allclose(Z, 0.0)
+        Z = SimpleImputer().fit_transform(X)
+        np.testing.assert_allclose(Z, FILL_VALUE)
 
     def test_transform_uses_fit_statistics(self):
-        imputer = SimpleImputer(strategy="median").fit(np.array([[1.0], [3.0]]))
+        imputer = SimpleImputer().fit(np.array([[1.0], [3.0]]))
         Z = imputer.transform(np.array([[np.nan]]))
         assert Z[0, 0] == pytest.approx(2.0)
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            SimpleImputer(strategy="mode")
 
     def test_input_not_mutated(self):
         X = np.array([[np.nan, 1.0]])
@@ -68,5 +63,5 @@ class TestSimpleImputer:
         )
     )
     def test_property_output_never_nan(self, X):
-        Z = SimpleImputer(strategy="median").fit_transform(X)
+        Z = SimpleImputer().fit_transform(X)
         assert not np.isnan(Z).any()

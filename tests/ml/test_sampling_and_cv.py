@@ -9,7 +9,7 @@ from repro.ml.base import clone
 from repro.ml.logistic import LogisticRegression
 from repro.ml.model_selection import _stratified_fold_of, cross_validate
 from repro.ml.sampling import class_counts, random_oversample, random_undersample, smote
-from repro.ml.svm import LinearSVC
+from repro.ml.gradient_boosting import GradientBoostingClassifier
 from repro.ml.tree import DecisionTreeClassifier
 
 
@@ -154,11 +154,13 @@ class TestCrossValidate:
         assert not hasattr(proto, "tree_")
 
     def test_clone_copies_params(self):
-        proto = LinearSVC(epochs=7, random_state=3)
+        proto = GradientBoostingClassifier(n_estimators=7, learning_rate=0.3, max_depth=2)
         copy = clone(proto)
         assert copy is not proto
         assert copy.get_params() == proto.get_params()
 
     def test_repr_lists_params_sorted(self):
-        model = LinearSVC(random_state=3, epochs=7)
-        assert repr(model) == "LinearSVC(epochs=7, random_state=3)"
+        model = GradientBoostingClassifier(max_depth=2, n_estimators=7, learning_rate=0.3)
+        assert repr(model) == (
+            "GradientBoostingClassifier(learning_rate=0.3, max_depth=2, n_estimators=7)"
+        )

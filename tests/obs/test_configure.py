@@ -14,7 +14,7 @@ def _clean_obs_state():
 
 class TestGlobalState:
     def test_disabled_by_default(self):
-        assert not obs.enabled()
+        assert not obs.metrics_enabled()
         assert isinstance(obs.registry(), obs.NullRegistry)
         assert isinstance(obs.tracer(), obs.NullTracer)
 
@@ -27,7 +27,8 @@ class TestGlobalState:
 
     def test_configure_swaps_in_live_implementations(self):
         obs.configure()
-        assert obs.metrics_enabled() and obs.tracing_enabled()
+        assert obs.metrics_enabled()
+        assert not isinstance(obs.tracer(), obs.NullTracer)
         obs.counter("x").inc(2)
         with obs.trace("span"):
             pass
@@ -38,7 +39,7 @@ class TestGlobalState:
         obs.configure()
         obs.counter("x").inc()
         obs.reset()
-        assert not obs.enabled()
+        assert not obs.metrics_enabled()
         assert obs.registry().value("x") == 0.0
 
     def test_each_configure_starts_a_fresh_registry(self):
@@ -51,7 +52,7 @@ class TestGlobalState:
 
 class TestCollecting:
     def test_writes_go_to_the_block_registry_then_back(self):
-        parent = obs.configure(tracing=False)
+        parent = obs.configure()
         private = obs.MetricsRegistry()
         with obs.collecting(private):
             obs.counter("x").inc(3)
@@ -63,4 +64,4 @@ class TestCollecting:
     def test_restores_the_noop_default(self):
         with obs.collecting(obs.MetricsRegistry()):
             assert obs.metrics_enabled()
-        assert not obs.enabled()
+        assert not obs.metrics_enabled()

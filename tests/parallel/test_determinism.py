@@ -48,7 +48,7 @@ PAPER_ALGORITHMS = {
     "LR": lambda: LogisticRegression(),
     "KNN": lambda: KNeighborsClassifier(n_neighbors=5),
     "LVQ": lambda: LVQClassifier(prototypes_per_class=5),
-    "SVM": lambda: LinearSVC(epochs=40, random_state=0),
+    "SVM": lambda: LinearSVC(),
 }
 
 
@@ -90,7 +90,7 @@ class TestCrossValidationDeterminism:
 
     def test_fold_metrics_survive_fanout(self, dataset):
         X, y = dataset
-        obs.configure(metrics=True, tracing=False)
+        obs.configure()
         try:
             cross_validate(
                 DecisionTreeClassifier(), X, y, n_splits=4, random_state=3, name="DT", n_jobs=2
@@ -142,7 +142,7 @@ class TestExperimentDeterminism:
     def test_each_cv_fold_is_fitted_once(self):
         # All reports share one pipeline result, so fanning the cells out
         # would refit every fold once per worker process.
-        registry = obs.configure(metrics=True, tracing=False)
+        registry = obs.configure()
         try:
             run_many(["table1", "table2"], _small_workbench(2), n_jobs=2)
         finally:

@@ -176,7 +176,7 @@ class TestExecutors:
         assert ran < len(logs) // 2
 
     def test_broken_pool_fallback_is_counted(self):
-        registry = obs.configure(tracing=False)
+        registry = obs.configure()
         try:
             tasks = [(os.getpid(), a) for a in (1, 2, 3)]
             assert parallel_map(die_outside, tasks, n_jobs=2) == [1, 2, 3]
@@ -217,7 +217,7 @@ class TestWorkerState:
 
 class TestMetricsRoundTrip:
     def test_worker_metrics_merge_into_parent(self):
-        obs.configure(metrics=True, tracing=False)
+        obs.configure()
         try:
             amounts = [1, 2, 3, 4]
             result = parallel_map(bump_counter, [(a,) for a in amounts], n_jobs=2)

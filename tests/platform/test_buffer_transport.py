@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.obs import MetricsRegistry
 from repro.platform.buffer import BACKOFF_BASE_S, THRESHOLD_BYTES, DataBuffer, chunk_hash
 from repro.platform.models import FastSnapshotRun, record_from_dict, record_to_dict
 from repro.platform.transport import LossyTransport, Transport
@@ -160,15 +162,67 @@ class TestDataBuffer:
         # world's behaviour stream depends on it.
         rng = np.random.default_rng(5)
         transport = LossyTransport(Receiver(), loss_probability=0.5, rng=rng)
-        delivered = sum(transport.send("fast", b"x") is not None for _ in range(40))
+        with obs.collecting(MetricsRegistry()) as registry:
+            delivered = sum(transport.send("fast", b"x") is not None for _ in range(40))
         reference = np.random.default_rng(5)
         expected = 0
         for _ in range(40):
             if reference.random() >= 0.5:
                 reference.random()
                 expected += 1
-        assert delivered == expected == 40 - transport.chunks_lost
+        assert delivered == expected == 40 - registry.value("transport_chunks_lost_total")
         assert rng.random() == reference.random()
+
+
+class TestCounters:
+    """The ``obs`` counters are the one count of each send and seal."""
+
+    def test_sends_and_bytes_count_every_send(self):
+        sends = [("fast", b"abc"), ("slow", b"de"), ("fast", b"f" * 100)]
+        for make in (
+            Transport,
+            lambda receiver: LossyTransport(
+                receiver, loss_probability=0.5, rng=np.random.default_rng(2)
+            ),
+        ):
+            with obs.collecting(MetricsRegistry()) as registry:
+                transport = make(Receiver())
+                for kind, data in sends:
+                    transport.send(kind, data)
+            assert registry.value("transport_chunks_sent_total", {"kind": "fast"}) == 2
+            assert registry.value("transport_chunks_sent_total", {"kind": "slow"}) == 1
+            assert registry.value("transport_bytes_sent_total") == 105
+
+    def test_lost_chunks_are_the_missing_acks(self):
+        receiver = Receiver()
+        transport = LossyTransport(
+            receiver, loss_probability=0.3, rng=np.random.default_rng(9)
+        )
+        with obs.collecting(MetricsRegistry()) as registry:
+            acks = [transport.send("fast", bytes([i])) for i in range(200)]
+        lost = acks.count(None)
+        assert 0 < lost < 200
+        assert registry.value("transport_chunks_lost_total") == lost
+        assert len(receiver.chunks) == 200 - lost
+
+    def test_sealed_and_dead_lettered_chunks_per_kind(self):
+        buffer = DataBuffer()
+        buffer.retry_budget = 1
+        with obs.collecting(MetricsRegistry()) as registry:
+            for i in range(5):
+                buffer.append("fast" if i % 2 else "slow", fast_run(i))
+                if i in (1, 3):
+                    buffer.seal_all()
+            buffer.seal_all()
+            # Sealing an empty accumulation file makes no chunk.
+            buffer.seal_all()
+            buffer.flush(TestBackoffScheduling.Blackhole(), 0.0)
+        assert registry.value("buffer_chunks_sealed_total", {"kind": "fast"}) == 2
+        assert registry.value("buffer_chunks_sealed_total", {"kind": "slow"}) == 3
+        assert registry.value("buffer_dead_letters_total", {"kind": "fast"}) == 2
+        assert registry.value("buffer_dead_letters_total", {"kind": "slow"}) == 3
+        assert buffer.dead_letter_chunks == 5
+
 
 class TestBackoffScheduling:
     """The virtual-clock retry scheduler (no wall clock, no sleeping)."""
@@ -234,12 +288,13 @@ class TestBackoffScheduling:
     def test_retry_budget_dead_letters_then_requeues(self):
         buffer = self._sealed_buffer(retry_budget=3)
         hole = self.Blackhole()
-        delivered = buffer.drain(hole, now=0.0, deadline=10**7)
+        with obs.collecting(MetricsRegistry()) as registry:
+            delivered = buffer.drain(hole, now=0.0, deadline=10**7)
         assert delivered == 0
         assert hole.sends == 3
         assert buffer.pending_chunks == 0
         assert buffer.dead_letter_chunks == 1
-        assert buffer.chunks_dead_lettered == 1
+        assert registry.value("buffer_dead_letters_total", {"kind": "fast"}) == 1
         assert buffer.requeue_dead_letters() == 1
         assert buffer.dead_letter_chunks == 0
         receiver = Receiver()

@@ -17,7 +17,7 @@ from repro.platform.models import (
     record_from_dict,
     record_to_dict,
 )
-from repro.platform.server import RacketStoreServer
+from repro.platform.server import RacketStoreServer, payment_for
 from repro.platform.transport import Transport
 from repro.platform.mobile_app import RacketStoreApp, SignInError
 from repro.simulation.device import SimDevice
@@ -203,6 +203,11 @@ class TestServerQueries:
         payout = server.total_payout_usd()
         # $1 install + $0.20/day for 2-3 observed days.
         assert 1.2 <= payout <= 1.8
+
+    def test_payment_is_one_dollar_plus_twenty_cents_per_whole_day(self):
+        assert payment_for(0.0, 0.5 * SECONDS_PER_DAY) == 1.0
+        assert payment_for(0.0, 2.5 * SECONDS_PER_DAY) == 1.0 + 2 * 0.2
+        assert payment_for(SECONDS_PER_DAY, 0.0) == 1.0
 
 
 IID, PID = "0123456789", "100001"

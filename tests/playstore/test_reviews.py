@@ -3,6 +3,7 @@
 import pytest
 
 from repro.playstore.reviews import Review, ReviewCrawler, ReviewStore
+from repro.simulation.calibration import DATASET
 
 
 @pytest.fixture()
@@ -74,7 +75,7 @@ class TestReviewCrawler:
     def test_first_crawl_collects_everything_under_cap(self, store):
         for i in range(20):
             store.post_review("app", f"g{i}", 5, float(i))
-        crawler = ReviewCrawler(store)
+        crawler = ReviewCrawler(store, first_crawl_cap=DATASET.FIRST_CRAWL_CAP)
         crawler.track_app("app")
         new = crawler.crawl_app("app")
         assert len(new) == 20
@@ -89,10 +90,13 @@ class TestReviewCrawler:
         # The cap keeps the *most recent* reviews.
         assert min(r.timestamp for r in new) == 20.0
 
+    def test_world_crawler_uses_the_paper_cap(self, study):
+        assert study.review_crawler.first_crawl_cap == DATASET.FIRST_CRAWL_CAP == 100_000
+
     def test_incremental_crawl_stops_at_seen(self, store):
         for i in range(10):
             store.post_review("app", f"g{i}", 5, float(i))
-        crawler = ReviewCrawler(store)
+        crawler = ReviewCrawler(store, first_crawl_cap=DATASET.FIRST_CRAWL_CAP)
         crawler.crawl_app("app")
         for i in range(10, 14):
             store.post_review("app", f"g{i}", 5, float(i))
@@ -104,7 +108,7 @@ class TestReviewCrawler:
         for app in ("a", "b"):
             for i in range(3):
                 store.post_review(app, f"g{i}", 5, float(i))
-        crawler = ReviewCrawler(store)
+        crawler = ReviewCrawler(store, first_crawl_cap=DATASET.FIRST_CRAWL_CAP)
         crawler.track_app("a")
         crawler.track_app("b")
         assert crawler.crawl_round() == 6
@@ -113,14 +117,14 @@ class TestReviewCrawler:
     def test_no_duplicates_across_rounds(self, store):
         for i in range(5):
             store.post_review("app", f"g{i}", 5, float(i))
-        crawler = ReviewCrawler(store)
+        crawler = ReviewCrawler(store, first_crawl_cap=DATASET.FIRST_CRAWL_CAP)
         crawler.track_app("app")
         assert crawler.crawl_round() == 5
         assert crawler.crawl_round() == 0
         assert crawler.collected_total() == 5
 
     def test_track_idempotent(self, store):
-        crawler = ReviewCrawler(store)
+        crawler = ReviewCrawler(store, first_crawl_cap=DATASET.FIRST_CRAWL_CAP)
         crawler.track_app("a")
         crawler.track_app("a")
         assert crawler.stats.apps_crawled == 1

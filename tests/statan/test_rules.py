@@ -253,7 +253,7 @@ class TestOBS001ConfigureWithoutReset:
         src = (
             "from repro import obs\n\n"
             "def main():\n"
-            "    obs.configure(metrics=True)\n"
+            "    obs.configure()\n"
             "    return 0\n"
         )
         assert "OBS001" in rules_hit(src, path="repro/tool.py")
@@ -262,7 +262,7 @@ class TestOBS001ConfigureWithoutReset:
         src = (
             "from repro import obs\n\n"
             "def main():\n"
-            "    obs.configure(metrics=True)\n"
+            "    obs.configure()\n"
             "    try:\n"
             "        return 0\n"
             "    finally:\n"

@@ -11,6 +11,20 @@ parameter when it passes it by keyword, passes more positional
 arguments than precede it (``self``/``cls`` not counted), or passes
 ``*args``/``**kwargs``.
 
+A ``@dataclass``'s defaulted fields are parameters of its generated
+``__init__``, which its class name reaches as above, and so do ``cls(...)``
+inside the class's classmethods and calls to a method that forwards its
+``**kwargs`` into ``replace(self, ...)`` (``SimulationConfig.scaled``).  A
+``replace(obj, name=...)`` call anywhere sets the field ``name`` of any
+dataclass.  A ``default_factory`` field is an accumulator, not a
+setting, and so is a field of a mutable dataclass that code outside
+``tests/`` assigns as an attribute (``campaign.delivered_installs +=
+1``): the object carries it as state, and its default is where the state
+starts.  A frozen dataclass's fields cannot be assigned, so a store of
+the same name is another object's (``buffer.retry_budget = ...`` is not
+a ``FaultPlan``'s).  The wire records of ``platform/models.py`` are
+skipped too: their fields are the upload format.
+
 Two kinds of definition are skipped.  One whose name escapes as a value
 -- an argument of a call other than ``isinstance``/``issubclass``, an
 element of a list, tuple, set or dict literal, or the value of an
@@ -20,6 +34,7 @@ And one that no call outside ``tests/`` reaches, which is
 """
 
 import ast
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -27,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 USERS = ("src", "examples", "benchmarks", "bench")
 TYPE_CHECKS = {"isinstance", "issubclass"}
+WIRE_RECORDS = "platform/models.py"
 
 
 def _parse(path: Path) -> ast.Module:
@@ -61,10 +77,39 @@ def _is_super_init(call: ast.Call) -> bool:
     )
 
 
+def _annotation_nodes(tree: ast.AST) -> set[int]:
+    """Ids of the nodes inside type annotations: a name in
+    ``list[tuple[str, FaultPlan]]`` is a type, not a value."""
+    out: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        else:
+            continue
+        if annotation is not None:
+            out.update(id(inner) for inner in ast.walk(annotation))
+    return out
+
+
+def _is_classmethod(function: ast.AST) -> bool:
+    return isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+        _name(decorator) == "classmethod" for decorator in function.decorator_list
+    )
+
+
 def _scan():
-    """Each callee name's call shapes, and the names that escape as values."""
+    """Each callee name's call shapes, the names that escape as values,
+    and the attribute names assigned anywhere.
+
+    A ``cls(...)`` call inside a classmethod is filed under its class's
+    name, and a ``replace(...)`` call under ``"replace"`` with its
+    explicit keywords only: its first argument is the object copied.
+    """
     calls = defaultdict(list)
     escaped: set[str] = set()
+    stored: set[str] = set()
     for top in USERS:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = _parse(path)
@@ -76,11 +121,23 @@ def _scan():
                     if isinstance(node, ast.Call) and _is_super_init(node):
                         for base in filter(None, bases):
                             calls[base].append(_call_shape(node))
+                for method in filter(_is_classmethod, cls.body):
+                    for node in ast.walk(method):
+                        if isinstance(node, ast.Call) and _name(node.func) == "cls":
+                            calls[cls.name].append(_call_shape(node))
+            annotations = _annotation_nodes(tree)
             for node in ast.walk(tree):
+                if id(node) in annotations:
+                    continue
                 values: list[ast.AST] = []
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    stored.add(node.attr)
                 if isinstance(node, ast.Call):
                     name = _name(node.func)
-                    if name and not _is_super_init(node):
+                    if name == "replace":
+                        _, keywords, _ = _call_shape(node)
+                        calls[name].append((0, keywords, False))
+                    elif name and not _is_super_init(node):
                         calls[name].append(_call_shape(node))
                     if name not in TYPE_CHECKS:
                         values += node.args + [keyword.value for keyword in node.keywords]
@@ -95,25 +152,107 @@ def _scan():
                         value = value.value
                     if name := _name(value):
                         escaped.add(name)
-    return calls, escaped
+    return calls, escaped, stored
 
 
-def _definitions():
-    """Yield ``(module, label, callee name, function, is_method)``."""
+def _dataclass_decorator(cls: ast.ClassDef) -> ast.AST | None:
+    for decorator in cls.decorator_list:
+        if _name(decorator.func if isinstance(decorator, ast.Call) else decorator) == "dataclass":
+            return decorator
+    return None
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return _dataclass_decorator(cls) is not None
+
+
+def _is_frozen(cls: ast.ClassDef) -> bool:
+    decorator = _dataclass_decorator(cls)
+    return isinstance(decorator, ast.Call) and any(
+        keyword.arg == "frozen"
+        and isinstance(keyword.value, ast.Constant)
+        and keyword.value.value is True
+        for keyword in decorator.keywords
+    )
+
+
+def _fields(cls: ast.ClassDef):
+    """Each ``__init__`` field's name and whether it is a defaulted
+    setting: ``None`` for a ``default_factory`` accumulator."""
+    for statement in cls.body:
+        if not (
+            isinstance(statement, ast.AnnAssign)
+            and isinstance(statement.target, ast.Name)
+        ):
+            continue
+        if "ClassVar" in ast.unparse(statement.annotation):
+            continue
+        value = statement.value
+        keywords = {}
+        if isinstance(value, ast.Call) and _name(value.func) == "field":
+            keywords = {keyword.arg: keyword.value for keyword in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+        if "default_factory" in keywords:
+            yield statement.target.id, None
+        else:
+            defaulted = value is not None and (not keywords or "default" in keywords)
+            yield statement.target.id, defaulted
+
+
+def _field_parameters(cls: ast.ClassDef, stored: set[str]):
+    """Each defaulted setting field and the fields before it, as
+    :func:`_defaulted` gives a function's; a mutable dataclass's field
+    named in ``stored`` is state."""
+    state = set() if _is_frozen(cls) else stored
+    return [
+        (name, i)
+        for i, (name, defaulted) in enumerate(_fields(cls))
+        if defaulted and name not in state
+    ]
+
+
+def _forwarders(cls: ast.ClassDef) -> list[str]:
+    """Methods that pass their ``**kwargs`` on to ``replace(self, ...)``."""
+    out = []
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef) or method.args.kwarg is None:
+            continue
+        kwarg = method.args.kwarg.arg
+        for node in ast.walk(method):
+            if (
+                isinstance(node, ast.Call)
+                and _name(node.func) == "replace"
+                and any(
+                    keyword.arg is None and _name(keyword.value) == kwarg
+                    for keyword in node.keywords
+                )
+            ):
+                out.append(method.name)
+    return out
+
+
+def _definitions(stored: set[str]):
+    """Yield ``(module, label, callee names, defaulted parameters)``; a
+    dataclass field named in ``stored`` is state, not a parameter."""
     for path in sorted(PACKAGE.rglob("*.py")):
         module = path.relative_to(PACKAGE).as_posix()
         for node in _parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield module, node.name, node.name, node, False
+                yield module, node.name, (node.name,), _defaulted(node, False)
             elif isinstance(node, ast.ClassDef):
+                if _is_dataclass(node) and module != WIRE_RECORDS:
+                    callees = (node.name, "replace", *_forwarders(node))
+                    yield module, node.name, callees, _field_parameters(node, stored)
                 for member in node.body:
                     if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         continue
                     if member.name == "__init__":
-                        yield module, node.name, node.name, member, True
+                        callees, label = (node.name,), node.name
                     else:
-                        label = f"{node.name}.{member.name}"
-                        yield module, label, member.name, member, True
+                        callees, label = (member.name,), f"{node.name}.{member.name}"
+                    yield module, label, callees, _defaulted(member, True)
 
 
 def _defaulted(function: ast.FunctionDef, is_method: bool):
@@ -143,13 +282,13 @@ def _is_set(name: str, before: int | None, shapes) -> bool:
 
 
 def test_every_defaulted_parameter_is_set_outside_tests():
-    calls, escaped = _scan()
+    calls, escaped, stored = _scan()
     unset = []
-    for module, label, callee, function, is_method in _definitions():
-        shapes = calls.get(callee)
-        if not shapes or callee in escaped:
+    for module, label, callees, parameters in _definitions(stored):
+        if callees[0] in escaped or not calls.get(callees[0]):
             continue
-        for name, before in _defaulted(function, is_method):
+        shapes = [shape for callee in callees for shape in calls.get(callee, ())]
+        for name, before in parameters:
             if not _is_set(name, before, shapes):
                 unset.append(f"{module} {label}({name})")
     assert unset == [], "defaulted parameters no caller outside tests/ sets:\n" + "\n".join(unset)
@@ -180,3 +319,100 @@ def test_a_call_sets_by_keyword_by_position_or_by_unpacking():
     # A keyword-only parameter is never set by position.
     assert not _is_set("d", None, shapes("f(1, 2, 3, 4)"))
     assert _is_set("d", None, shapes("f(1, d=4)"))
+
+
+def _class(source: str) -> ast.ClassDef:
+    (cls,) = ast.parse(source).body
+    return cls
+
+
+def test_dataclass_settings_are_defaulted_init_fields():
+    cls = _class(
+        """
+@dataclass(frozen=True)
+class Config:
+    LIMIT: ClassVar[int] = 3
+    seed: int
+    rate: float = 0.5
+    plan: Plan = Plan()
+    chosen: int = field(default=2, repr=False)
+    log: list = field(default_factory=list)
+    cache: dict = field(default=None, init=False)
+    after: int = 1
+"""
+    )
+    assert _is_dataclass(cls)
+    assert list(_fields(cls)) == [
+        ("seed", False),
+        ("rate", True),
+        ("plan", True),
+        ("chosen", True),
+        ("log", None),
+        ("after", True),
+    ]
+    # A frozen dataclass's field is never state: a store of its name is
+    # some other object's.
+    assert _is_frozen(cls)
+    assert _field_parameters(cls, stored={"plan"}) == [
+        ("rate", 1),
+        ("plan", 2),
+        ("chosen", 3),
+        ("after", 5),
+    ]
+    mutable = _class(ast.unparse(cls).replace("@dataclass(frozen=True)", "@dataclass"))
+    assert _is_dataclass(mutable) and not _is_frozen(mutable)
+    assert _field_parameters(mutable, stored={"plan"}) == [
+        ("rate", 1),
+        ("chosen", 3),
+        ("after", 5),
+    ]
+    assert not _is_dataclass(_class("class Plain:\n    rate: float = 0.5\n"))
+
+
+def test_forwarders_pass_their_kwargs_to_replace():
+    cls = _class(
+        """
+class Config:
+    def scaled(self, **overrides):
+        return replace(self, **overrides)
+
+    def renamed(self, **overrides):
+        return replace(self, name=overrides["name"])
+
+    def other(self, *args):
+        return replace(self, *args)
+"""
+    )
+    assert _forwarders(cls) == ["scaled"]
+
+
+def test_scan_files_classmethod_calls_and_replace_keywords(tmp_path, monkeypatch):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text(
+        """
+class Config:
+    @classmethod
+    def small(cls):
+        return cls(1, rate=0.1)
+
+    def scaled(self, **overrides):
+        return replace(self, **overrides)
+
+
+def plans() -> list[tuple[str, Plan]]:
+    return [("x", replace(make(), seed=3))]
+
+
+def deliver(campaign):
+    campaign.delivered += 1
+"""
+    )
+    monkeypatch.setattr(sys.modules[__name__], "ROOT", tmp_path)
+    calls, escaped, stored = _scan()
+    assert calls["Config"] == [(1, frozenset({"rate"}), False)]
+    # replace's own **overrides forwards, it sets nothing by itself.
+    assert calls["replace"] == [(0, frozenset(), False), (0, frozenset({"seed"}), False)]
+    # A name inside an annotation is a type, not an escaping value.
+    assert "Plan" not in escaped
+    # A field the program assigns is state, not a setting.
+    assert stored == {"delivered"}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.simulation.calibration import DATASET
 from repro.virustotal.client import VirusTotalClient
 from repro.virustotal.engines import N_ENGINES, EnginePanel
 
@@ -68,8 +69,11 @@ class TestVirusTotalClient:
         assert client.stats.lookups == 1
         assert client.stats.cached == 1
 
-    def test_paper_availability_rate(self, panel):
-        """Default availability ≈ 12431/18079 ≈ 0.688 over many hashes."""
-        client = VirusTotalClient(panel, malware_oracle=lambda h: False)
+    def test_paper_availability_rate(self, panel, study):
+        """The world's availability is the paper's 12431/18079 ≈ 0.688,
+        and about that share of hashes has a report."""
+        paper = DATASET.HASHES_WITH_VT_REPORT / DATASET.DISTINCT_APK_HASHES
+        assert study.vt_client.availability == paper
+        client = self.make_client(panel, availability=paper)
         hits = sum(1 for i in range(800) if client.report(f"h{i}") is not None)
         assert hits / 800 == pytest.approx(12_431 / 18_079, abs=0.06)
