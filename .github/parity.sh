@@ -6,7 +6,10 @@
 # Extracts `git archive BASE_REV` into a temporary directory and runs the
 # small-scale seeded commands of the verify flow in that tree and in the
 # working tree: `report` at --n-jobs 1 and 2, `train --out`, `findings`
-# (its table and exit status), the study digest at n_jobs 1 and 2, the
+# (its table and exit status), the study digests of the benchmark's three
+# small worlds (seeds DEFAULT_SEED, +1 and +2) at n_jobs 1 and 2 and under
+# the `mayhem` fault plan at n_jobs 2 (the `simulate-small` and
+# `ingest-mayhem-j2` runs), the
 # stdout of examples/store_deployment.py, examples/privacy_ondevice.py and
 # examples/baseline_comparison.py, and the eight run lines and the verdict
 # of `--n-jobs 2 chaos --smoke` (each plan's digest, records, duplicates,
@@ -38,12 +41,26 @@ outputs() {  # outputs TREE OUT_DIR
         status=0
         python -m repro --scale small findings > "$2/findings.txt" || status=$?
         echo "exit status $status" >> "$2/findings.txt"
-        python - > "$2/study-digest.txt" <<'EOF'
-from repro.benchmark import study_digest
-from repro.simulation import SimulationConfig, run_study
+        python - "$2" <<'EOF'
+import sys
 
-for n_jobs in (1, 2):
-    print(n_jobs, study_digest(run_study(SimulationConfig.small(), n_jobs=n_jobs)))
+from repro.benchmark import study_digest
+from repro.faults.chaos import escalating_plans
+from repro.simulation import SimulationConfig, run_study
+from repro.simulation.config import DEFAULT_SEED
+
+out = sys.argv[1]
+mayhem = dict(escalating_plans())["mayhem"]
+configs = [SimulationConfig.small().scaled(seed=DEFAULT_SEED + k) for k in range(3)]
+with open(f"{out}/study-digest.txt", "w") as digests:
+    for config in configs:
+        for n_jobs in (1, 2):
+            digest = study_digest(run_study(config, n_jobs=n_jobs))
+            print(config.seed, n_jobs, digest, file=digests)
+with open(f"{out}/mayhem-digest.txt", "w") as digests:
+    for config in configs:
+        digest = study_digest(run_study(config.scaled(fault_plan=mayhem), n_jobs=2))
+        print(config.seed, 2, digest, file=digests)
 EOF
         python examples/store_deployment.py > "$2/store_deployment.txt"
         python examples/privacy_ondevice.py > "$2/privacy_ondevice.txt"

@@ -20,7 +20,8 @@ object    ``object`` (nested lists / dicts, kept by reference)
 ========  =================================================
 
 :meth:`RecordSchema.validate` checks a decoded JSON record against the
-same kinds before the server stores it.
+same kinds before the server stores it, and rejects a non-finite float
+(Python's ``json`` decodes ``NaN``, ``Infinity`` and ``1e999``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 
 __all__ = [
     "Field",
@@ -107,15 +109,21 @@ class RecordSchema:
         fields and every ``float``/``int``/``bool``/``str`` value is of
         its kind: ``float`` takes ints too, and ``None`` passes only
         where the field is nullable.  ``object`` values are not checked.
+        Raise ``ValueError`` for a ``float`` field holding ``nan`` or an
+        infinity.
         """
         if row.keys() != self._names:
             raise TypeError(f"keys do not match schema {self.name!r} fields")
         for name, types in self._scalar_types:
-            if type(row[name]) not in types:
+            value = row[name]
+            if type(value) not in types:
                 raise TypeError(
-                    f"{self.name}.{name}: {type(row[name]).__name__} value "
+                    f"{self.name}.{name}: {type(value).__name__} value "
                     f"for a {self.field(name).kind} field"
                 )
+            # Only a float field takes a float.
+            if type(value) is float and not isfinite(value):
+                raise ValueError(f"{self.name}.{name}: non-finite value {value!r}")
 
 
 SLOW_RUN_SCHEMA = RecordSchema(

@@ -215,9 +215,11 @@ class MetricsRegistry:
                          buckets=buckets)
 
     # -- queries ---------------------------------------------------------
-    def value(self, name: str, labels: dict[str, str] | None = None) -> float:
-        """Current value of a counter series (0.0 when absent)."""
-        series = self._series.get((name, _label_key(labels)))
+    def value(self, name: str) -> float:
+        """Current value of an unlabelled counter (0.0 when absent).  A
+        labelled series is read through its handle,
+        ``counter(name, labels).value``."""
+        series = self._series.get((name, ()))
         if series is None:
             return 0.0
         return series.value  # type: ignore[union-attr]

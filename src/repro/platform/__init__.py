@@ -22,7 +22,6 @@ from .models import (
     InstalledAppInfo,
     PIIEntry,
     SlowSnapshotRun,
-    record_from_dict,
     record_to_dict,
 )
 from .server import IngestStats, RacketStoreServer
@@ -51,7 +50,6 @@ __all__ = [
     "InstalledAppInfo",
     "PIIEntry",
     "SlowSnapshotRun",
-    "record_from_dict",
     "record_to_dict",
     "IngestStats",
     "RacketStoreServer",

@@ -41,6 +41,11 @@ BACKOFF_CAP_S = 3600.0
 
 _BACKOFF_BUCKETS = (60.0, 120.0, 240.0, 480.0, 960.0, 1920.0, 3600.0, 5400.0)
 
+#: One compact-separator encoder for every line: ``json.dumps`` builds a
+#: new ``JSONEncoder`` per call when given ``separators``, for the same
+#: bytes.
+_encode_line = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def chunk_hash(data: bytes) -> str:
     """The transfer-validation hash (SHA-256 hex digest)."""
@@ -90,7 +95,7 @@ class DataBuffer:
         """Serialise one snapshot record into the ``kind`` accumulation file."""
         if kind not in self._accumulating:
             raise ValueError(f"unknown buffer kind {kind!r}")
-        line = json.dumps(record_to_dict(record), separators=(",", ":"))
+        line = _encode_line(record_to_dict(record))
         self._accumulating[kind].append(line)
         self._accumulated_bytes[kind] += len(line) + 1
         if self._accumulated_bytes[kind] >= THRESHOLD_BYTES[kind]:

@@ -10,6 +10,10 @@ the captured state was constant.  A run of ``period`` spacing over
 [start, end] holds ``1 + (end - start) // period`` snapshots, so the §6.1
 engagement statistics recover exact counts.
 
+The server checks each decoded line with :func:`check_record`: the
+line's schema and the checks the record classes make, without building
+a record.
+
 Table 3's PII inventory is reproduced as :data:`PII_REGISTRY`.
 """
 
@@ -17,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import Any
+
+from ..frames import APP_CHANGE_SCHEMA, FAST_RUN_SCHEMA, INITIAL_SCHEMA, SLOW_RUN_SCHEMA
 
 __all__ = [
     "SlowSnapshotRun",
@@ -26,18 +32,25 @@ __all__ = [
     "InitialSnapshot",
     "PIIEntry",
     "PII_REGISTRY",
+    "check_record",
     "record_to_dict",
-    "record_from_dict",
 ]
 
+_ACTIONS = ("install", "uninstall")
 
-def _check_run(run: "SlowSnapshotRun | FastSnapshotRun") -> None:
+
+def _check_run(start, end, period) -> None:
     """Reject a run whose snapshot count ``1 + (end - start) // period``
     would be negative or undefined."""
-    if run.period <= 0:
-        raise ValueError(f"snapshot run period {run.period!r} is not positive")
-    if run.end < run.start:
-        raise ValueError(f"snapshot run ends at {run.end!r}, before its start {run.start!r}")
+    if period <= 0:
+        raise ValueError(f"snapshot run period {period!r} is not positive")
+    if end < start:
+        raise ValueError(f"snapshot run ends at {end!r}, before its start {start!r}")
+
+
+def _check_action(action) -> None:
+    if action not in _ACTIONS:
+        raise ValueError(f"unknown app-change action {action!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +70,7 @@ class SlowSnapshotRun:
     accounts_permission: bool = True
 
     def __post_init__(self) -> None:
-        _check_run(self)
+        _check_run(self.start, self.end, self.period)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +88,7 @@ class FastSnapshotRun:
     usage_permission: bool = True
 
     def __post_init__(self) -> None:
-        _check_run(self)
+        _check_run(self.start, self.end, self.period)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +108,7 @@ class AppChangeEvent:
     n_dangerous_permissions: int = 0
 
     def __post_init__(self) -> None:
-        if self.action not in ("install", "uninstall"):
-            raise ValueError(f"unknown app-change action {self.action!r}")
+        _check_action(self.action)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,13 +162,12 @@ PII_REGISTRY: tuple[PIIEntry, ...] = (
 )
 
 
-_RECORD_TYPES = {
-    "slow_run": SlowSnapshotRun,
-    "fast_run": FastSnapshotRun,
-    "app_change": AppChangeEvent,
-    "initial": InitialSnapshot,
+_TYPE_NAMES = {
+    SlowSnapshotRun: "slow_run",
+    FastSnapshotRun: "fast_run",
+    AppChangeEvent: "app_change",
+    InitialSnapshot: "initial",
 }
-_TYPE_NAMES = {cls: name for name, cls in _RECORD_TYPES.items()}
 _FIELD_NAMES = {
     cls: tuple(f.name for f in fields(cls)) for cls in (*_TYPE_NAMES, InstalledAppInfo)
 }
@@ -184,18 +195,43 @@ def record_to_dict(record: Any) -> dict:
     return payload
 
 
-def record_from_dict(payload: dict) -> Any:
-    """Inverse of :func:`record_to_dict`."""
-    payload = dict(payload)
-    type_name = payload.pop("_type", None)
-    if type_name not in _RECORD_TYPES:
+_SCHEMAS = {
+    schema.name: schema
+    for schema in (SLOW_RUN_SCHEMA, FAST_RUN_SCHEMA, APP_CHANGE_SCHEMA, INITIAL_SCHEMA)
+}
+_APP_FIELDS = frozenset(_FIELD_NAMES[InstalledAppInfo])
+
+
+def check_record(payload: Any) -> str:
+    """Check one decoded wire line and return its ``_type``; build nothing.
+
+    Raises ``TypeError`` or ``ValueError`` unless ``payload`` is a dict
+    with a known ``_type`` that passes its schema's
+    :meth:`~repro.frames.schema.RecordSchema.validate` (exactly the
+    schema's keys, every scalar of its kind, every float finite) and the
+    invariants its record class enforces: a run's ``period > 0`` and
+    ``end >= start``, an app change's ``install``/``uninstall`` action,
+    exactly :class:`InstalledAppInfo`'s keys on each initial-snapshot
+    app, and iterable accounts, account pairs and stopped apps.
+    """
+    if type(payload) is not dict:
+        raise TypeError(f"record line is a {type(payload).__name__}, not an object")
+    type_name = payload.get("_type")
+    schema = _SCHEMAS.get(type_name)
+    if schema is None:
         raise ValueError(f"unknown record type {type_name!r}")
-    cls = _RECORD_TYPES[type_name]
-    if cls is InitialSnapshot:
-        payload["installed_apps"] = tuple(
-            InstalledAppInfo(**a) for a in payload["installed_apps"]
-        )
-    if cls is SlowSnapshotRun:
-        payload["accounts"] = tuple(tuple(pair) for pair in payload["accounts"])
-        payload["stopped_apps"] = tuple(payload["stopped_apps"])
-    return cls(**payload)
+    schema.validate(payload)
+    if type_name == "fast_run":
+        _check_run(payload["start"], payload["end"], payload["period"])
+    elif type_name == "slow_run":
+        _check_run(payload["start"], payload["end"], payload["period"])
+        for pair in payload["accounts"]:
+            iter(pair)
+        iter(payload["stopped_apps"])
+    elif type_name == "app_change":
+        _check_action(payload["action"])
+    else:
+        for app in payload["installed_apps"]:
+            if type(app) is not dict or app.keys() != _APP_FIELDS:
+                raise TypeError("initial-snapshot app does not carry the app fields")
+    return type_name

@@ -15,13 +15,12 @@ import itertools
 import json
 
 from .. import obs
-from ..frames import SCHEMA_BY_COLLECTION
 from ..obs.metrics import MetricsRegistry
 from ..simulation.calibration import RECRUITMENT
 from ..simulation.clock import SECONDS_PER_DAY
 from .buffer import chunk_hash
 from .fingerprint import DeviceCluster, InstallFingerprint, coalesce_installs
-from .models import record_from_dict
+from .models import check_record
 from .store import DocumentStore
 
 __all__ = ["RacketStoreServer", "IngestStats"]
@@ -38,9 +37,6 @@ _COLLECTIONS = {
     "slow_run": "slow_runs",
     "app_change": "app_changes",
 }
-_SCHEMAS = {
-    type_name: SCHEMA_BY_COLLECTION[name] for type_name, name in _COLLECTIONS.items()
-}
 
 
 class IngestStats:
@@ -53,7 +49,8 @@ class IngestStats:
 
     ``malformed_chunks`` counts transport-level corruption (bad gzip /
     undecodable bytes); ``malformed_records`` counts schema drift (a
-    JSON line that fails validation).
+    line that is not JSON or fails
+    :func:`~repro.platform.models.check_record`).
     """
 
     __slots__ = ("_registry",)
@@ -191,9 +188,12 @@ class RacketStoreServer:
         """Ingest one compressed chunk; the returned SHA-256 is the
         delivery acknowledgement the mobile app validates against.
 
-        Records are validated line by line but inserted as one typed
-        batch per snapshot family, so a columnar collection appends
-        whole column runs instead of re-dispatching per document.
+        Each line is decoded and checked by one
+        :func:`~repro.platform.models.check_record` call; a line that
+        fails counts as a malformed record and is skipped.  Records are
+        inserted as one typed batch per snapshot family, so a columnar
+        collection appends whole column runs instead of re-dispatching
+        per document.
 
         Exactly-once contract: a chunk whose hash sits in the dedup
         window is re-acknowledged without inserting (its records are
@@ -221,12 +221,11 @@ class RacketStoreServer:
                     continue
                 try:
                     payload = json.loads(line)
-                    record_from_dict(payload)  # type tag, action, nested values
-                    _SCHEMAS[payload["_type"]].validate(payload)  # keys, kinds
+                    type_name = check_record(payload)
                 except (ValueError, TypeError):
                     self._c_malformed_records.inc()
                     continue
-                records.append((payload["_type"], payload))
+                records.append((type_name, payload))
             marks = [
                 (collection, collection.mark())
                 for collection in (

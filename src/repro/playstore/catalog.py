@@ -53,6 +53,9 @@ PREINSTALLED_PACKAGES: tuple[str, ...] = (
     "com.android.contacts",
 )
 
+#: Categories a modded third-party apk is drawn from.
+MOD_CATEGORIES: tuple[str, ...] = ("ENTERTAINMENT", "GAMES", "VIDEO_PLAYERS")
+
 AppCategory = str
 
 _WORD_A = ("photo", "video", "super", "smart", "easy", "fast", "magic", "daily",
@@ -132,8 +135,8 @@ class Catalog:
             self.version += 1
 
     def _new_package(self, kind: str) -> tuple[str, str]:
-        a = self._rng.choice(_WORD_A)
-        b = self._rng.choice(_WORD_B)
+        a = _WORD_A[int(self._rng.integers(0, len(_WORD_A)))]
+        b = _WORD_B[int(self._rng.integers(0, len(_WORD_B)))]
         n = next(self._name_counter)
         package = f"com.{kind}.{a}{b}{n}"
         title = f"{a.title()} {b.title()}"
@@ -153,7 +156,7 @@ class Catalog:
         app = App(
             package=package,
             title=title,
-            category=str(self._rng.choice(CATEGORIES)),
+            category=CATEGORIES[int(self._rng.integers(0, len(CATEGORIES)))],
             developer=f"dev{self._rng.integers(1, 500)} Studio",
             install_count=installs,
             review_count=reviews,
@@ -182,7 +185,7 @@ class Catalog:
         app = App(
             package=package,
             title=title,
-            category=str(self._rng.choice(CATEGORIES)),
+            category=CATEGORIES[int(self._rng.integers(0, len(CATEGORIES)))],
             developer=f"dev{self._rng.integers(500, 2000)}",
             install_count=reviews * int(self._rng.integers(5, 40)) + int(self._rng.integers(10, 5_000)),
             review_count=reviews,
@@ -201,7 +204,7 @@ class Catalog:
         app = App(
             package=package,
             title=title + " Mod",
-            category=str(self._rng.choice(("ENTERTAINMENT", "GAMES", "VIDEO_PLAYERS"))),
+            category=MOD_CATEGORIES[int(self._rng.integers(0, len(MOD_CATEGORIES)))],
             developer="unknown",
             on_play_store=False,
             install_count=0,

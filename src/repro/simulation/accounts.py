@@ -52,8 +52,8 @@ class AccountFactory:
         self._counter = itertools.count(1)
 
     def new_gmail(self) -> DeviceAccount:
-        first = self._rng.choice(_FIRST)
-        last = self._rng.choice(_LAST)
+        first = _FIRST[int(self._rng.integers(0, len(_FIRST)))]
+        last = _LAST[int(self._rng.integers(0, len(_LAST)))]
         email = f"{first}.{last}{next(self._counter)}@gmail.com"
         google_id = self._directory.register(email)
         return DeviceAccount(service="com.google", identifier=email, google_id=google_id)

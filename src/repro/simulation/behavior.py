@@ -27,6 +27,7 @@ from .campaigns import CampaignBoard
 from .clock import SECONDS_PER_DAY
 from .config import SimulationConfig
 from .device import SimDevice
+from .draws import cumulative, weighted_index
 from .personas import Persona
 
 __all__ = ["BehaviorEngine", "PendingReview", "review_rating"]
@@ -39,11 +40,21 @@ HISTORY_DAYS = 720
 ZIPF_EXPONENT = 1.2
 
 
+#: Star ratings and their probabilities: promo reviews are 4-5 stars,
+#: organic ratings span the scale.
+PROMO_STARS = (4, 5)
+PROMO_STAR_P = (0.2, 0.8)
+ORGANIC_STARS = (1, 2, 3, 4, 5)
+ORGANIC_STAR_P = (0.07, 0.06, 0.12, 0.3, 0.45)
+_PROMO_STAR_CDF = cumulative(PROMO_STAR_P)
+_ORGANIC_STAR_CDF = cumulative(ORGANIC_STAR_P)
+
+
 def review_rating(rng: np.random.Generator, promo: bool) -> int:
-    """Promo reviews are 4-5 stars; organic ratings span the scale."""
+    """One review's star rating (:data:`PROMO_STARS` for a promo review)."""
     if promo:
-        return int(rng.choice((4, 5), p=(0.2, 0.8)))
-    return int(rng.choice((1, 2, 3, 4, 5), p=(0.07, 0.06, 0.12, 0.3, 0.45)))
+        return PROMO_STARS[weighted_index(rng, _PROMO_STAR_CDF)]
+    return ORGANIC_STARS[weighted_index(rng, _ORGANIC_STAR_CDF)]
 
 
 @dataclass(order=True, slots=True)

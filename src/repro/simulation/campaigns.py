@@ -15,12 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..playstore.catalog import App
+from .draws import cumulative, weighted_index
 
 __all__ = ["Campaign", "CampaignBoard", "PromoJob", "FrozenCampaign", "FrozenBoard"]
 
 #: What a campaign pays a worker per delivered install and per review.
 PAY_PER_INSTALL_USD = 0.35
 PAY_PER_REVIEW_USD = 0.70
+
+#: A posted campaign's minimum review rating, with its probabilities, and
+#: its retention interval, drawn uniformly.
+MIN_RATINGS = (4, 5)
+MIN_RATING_P = (0.3, 0.7)
+RETENTION_DAYS = (3.0, 7.0, 14.0, 30.0)
+_MIN_RATING_CDF = cumulative(MIN_RATING_P)
 
 
 @dataclass(slots=True)
@@ -111,8 +119,10 @@ class CampaignBoard:
             app_package=app.package,
             target_installs=int(self._rng.integers(40, 400)),
             target_reviews=int(self._rng.integers(20, 200)),
-            min_rating=int(self._rng.choice((4, 5), p=(0.3, 0.7))),
-            retention_days=float(self._rng.choice((3.0, 7.0, 14.0, 30.0))),
+            min_rating=MIN_RATINGS[weighted_index(self._rng, _MIN_RATING_CDF)],
+            retention_days=RETENTION_DAYS[
+                int(self._rng.integers(0, len(RETENTION_DAYS)))
+            ],
         )
         self._campaigns[campaign.campaign_id] = campaign
         return campaign

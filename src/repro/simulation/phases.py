@@ -49,6 +49,7 @@ from .behavior import PendingReview, review_rating
 from .campaigns import CampaignBoard, FrozenBoard, PromoJob
 from .clock import SECONDS_PER_DAY, hours
 from .device import SimDevice
+from .draws import cumulative, weighted_index
 from .personas import Persona
 
 __all__ = [
@@ -241,7 +242,7 @@ class ShardBoardView:
             return None
         weights = np.array([r for _c, r in open_campaigns], dtype=float)
         chosen, _rem = open_campaigns[
-            int(rng.choice(len(open_campaigns), p=weights / weights.sum()))
+            weighted_index(rng, cumulative(weights / weights.sum()))
         ]
         cid = chosen.campaign_id
         self._taken_installs[cid] = self._taken_installs.get(cid, 0) + 1
@@ -264,7 +265,8 @@ class DayParams:
     """Study-static inputs every device-day needs (shipped per shard)."""
 
     popular: tuple[App, ...]
-    popular_weights: np.ndarray
+    #: CDF of the popular pool's Zipf install weights (``draws.cumulative``).
+    popular_cdf: tuple[float, ...]
     promoted: dict[str, App]
     review_volume_multiplier: float
     review_delay_multiplier: float
@@ -278,7 +280,7 @@ def build_day_params(engine) -> DayParams:
     config = engine.config
     return DayParams(
         popular=tuple(engine.popular_apps()),
-        popular_weights=engine.popular_weights(),
+        popular_cdf=cumulative(engine.popular_weights()),
         promoted={
             package: engine.catalog.get(package)
             for package in engine.promoted_packages()
@@ -424,9 +426,7 @@ class DeviceDayRunner:
             # already have (avoids undercounting churn on small catalogs).
             app = None
             for _attempt in range(6):
-                candidate = popular[
-                    int(rng.choice(len(popular), p=self._params.popular_weights))
-                ]
+                candidate = popular[weighted_index(rng, self._params.popular_cdf)]
                 if candidate.package not in device.installed:
                     app = candidate
                     break

@@ -16,27 +16,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import RECRUITMENT
+from .draws import cumulative, weighted_index
 
 __all__ = ["FunnelStage", "RecruitmentFunnel", "simulate_funnel", "sample_country"]
+
+
+#: The countries :func:`sample_country` draws from, ``OTHER`` last.
+COUNTRIES = (*RECRUITMENT.COUNTRIES, "OTHER")
+
+
+def country_probabilities(is_worker: bool) -> np.ndarray:
+    """Probability of each of :data:`COUNTRIES` for a worker or a regular.
+
+    Paper: Pakistan (W 364 / R 56), India (W 57 / R 153), Bangladesh
+    (W 143 / R 5), USA (W 8 / R 2), plus a small remainder.
+    """
+    column = 0 if is_worker else 1
+    weights = np.array(
+        [RECRUITMENT.COUNTRIES[c][column] for c in RECRUITMENT.COUNTRIES], dtype=float
+    )
+    # "other countries from Africa, Asia, South America and Europe (15)".
+    weights = np.append(weights, 15.0 * weights.sum() / 788.0)
+    return weights / weights.sum()
+
+
+_COUNTRY_CDF = {
+    is_worker: cumulative(country_probabilities(is_worker)) for is_worker in (False, True)
+}
 
 
 def sample_country(rng: np.random.Generator, is_worker: bool) -> str:
     """Draw a participant country from the §4 distribution.
 
-    Paper: Pakistan (W 364 / R 56), India (W 57 / R 153), Bangladesh
-    (W 143 / R 5), USA (W 8 / R 2), plus a small remainder.  IP-based
-    geolocation is approximate, so the server records this as the
-    *apparent* country.
+    IP-based geolocation is approximate, so the server records this as
+    the *apparent* country.
     """
-    column = 0 if is_worker else 1
-    countries = list(RECRUITMENT.COUNTRIES)
-    weights = np.array(
-        [RECRUITMENT.COUNTRIES[c][column] for c in countries], dtype=float
-    )
-    # "other countries from Africa, Asia, South America and Europe (15)".
-    countries.append("OTHER")
-    weights = np.append(weights, 15.0 * weights.sum() / 788.0)
-    return str(rng.choice(countries, p=weights / weights.sum()))
+    return COUNTRIES[weighted_index(rng, _COUNTRY_CDF[is_worker])]
 
 
 @dataclass(frozen=True)

@@ -315,9 +315,10 @@ def _run_study_traced(
                     )
                     for index, participant in active
                 ]
-                results = _fan_out_day(
-                    day_start, tasks, seeds, data.board.freeze(), params, resolved_jobs
-                )
+                with obs.trace("simulate.phase1"):
+                    results = _fan_out_day(
+                        day_start, tasks, seeds, data.board.freeze(), params, resolved_jobs
+                    )
 
                 # Fold device-local deltas back (submission order).
                 for result in results:
@@ -334,19 +335,21 @@ def _run_study_traced(
 
                 # Phase 2 (global commit) in (device_id, seq) order, then
                 # rank tracking over the committed delivery totals.
-                commit_day(
-                    results,
-                    board=data.board,
-                    review_store=data.review_store,
-                    server=data.server,
-                )
-                if day == config.study_days - 1:
-                    # Study close: deliver every still-parked chunk with
-                    # injection off *before* the final crawl rounds, so
-                    # late-tracked apps still get their first crawl and
-                    # the crawled corpus matches the clean run.
-                    data.server.drain_redelivery()
-                data.rank_tracker.record_day(day, boosts=_promo_boosts(data.board))
+                with obs.trace("simulate.commit"):
+                    commit_day(
+                        results,
+                        board=data.board,
+                        review_store=data.review_store,
+                        server=data.server,
+                    )
+                    if day == config.study_days - 1:
+                        # Study close: deliver every still-parked chunk with
+                        # injection off *before* the final crawl rounds, so
+                        # late-tracked apps still get their first crawl and
+                        # the crawled corpus matches the clean run.
+                        data.server.drain_redelivery()
+                with obs.trace("simulate.rank"):
+                    data.rank_tracker.record_day(day, boosts=_promo_boosts(data.board))
                 # §5: the review crawler runs every 12 hours.
                 data.review_crawler.crawl_round()
                 data.review_crawler.crawl_round()

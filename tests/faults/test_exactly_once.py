@@ -302,7 +302,7 @@ class TestTransportCounters:
         lost = len(payloads) - received
         acks_lost = received - corrupted - delivered
         assert min(lost, corrupted, acks_lost) > 0
-        assert registry.value("transport_chunks_sent_total", {"kind": "fast"}) == 40
+        assert registry.counter("transport_chunks_sent_total", {"kind": "fast"}).value == 40
         assert registry.value("transport_bytes_sent_total") == sum(map(len, payloads))
         assert registry.value("transport_chunks_lost_total") == lost
         assert registry.value("transport_chunks_corrupted_total") == corrupted

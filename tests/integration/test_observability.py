@@ -70,11 +70,20 @@ class TestInstrumentedStudy:
 
     def test_simulation_phases_traced(self, instrumented):
         _wb, _registry, tracer, _renders = instrumented
-        for name in ("simulate", "simulate.days", "ingest.chunk", "crawl.round",
+        for name in ("simulate", "simulate.days", "simulate.phase1", "simulate.commit",
+                     "simulate.rank", "ingest.chunk", "crawl.round",
                      "pipeline", "pipeline.app_eval", "pipeline.device_eval"):
             node = tracer.find(name)
             assert node is not None, f"span {name} missing"
             assert node.calls >= 1
+
+    def test_each_study_day_splits_into_phase1_commit_and_rank(self, instrumented):
+        workbench, _registry, tracer, _renders = instrumented
+        day = tracer.find("simulate.day")
+        assert day.calls == workbench.data.config.study_days
+        for name in ("simulate.phase1", "simulate.commit", "simulate.rank"):
+            assert day.children[name].calls == day.calls
+        assert "ingest.chunk" in day.children["simulate.commit"].children
 
     def test_every_experiment_id_in_span_tree(self, instrumented):
         _wb, _registry, tracer, _renders = instrumented

@@ -194,7 +194,7 @@ class TestFoldMetrics:
                 )
         finally:
             obs.reset()
-        assert registry.value("ml_folds_total", {"model": "LVQ"}) == 4
+        assert registry.counter("ml_folds_total", {"model": "LVQ"}).value == 4
         (fit_hist,) = registry.series("ml_fit_seconds")
         assert fit_hist.count == 4
         # Four equal observations, the block's time over four: one bucket,

@@ -36,14 +36,14 @@ class TestCounter:
         registry = MetricsRegistry()
         registry.counter("x", {"kind": "fast"}).inc()
         registry.counter("x", {"kind": "slow"}).inc(3)
-        assert registry.value("x", {"kind": "fast"}) == 1.0
-        assert registry.value("x", {"kind": "slow"}) == 3.0
+        assert registry.counter("x", {"kind": "fast"}).value == 1.0
+        assert registry.counter("x", {"kind": "slow"}).value == 3.0
         assert registry.value("x") == 0.0  # unlabeled series never created
 
     def test_label_order_is_irrelevant(self):
         registry = MetricsRegistry()
         registry.counter("x", {"a": "1", "b": "2"}).inc()
-        assert registry.value("x", {"b": "2", "a": "1"}) == 1.0
+        assert registry.counter("x", {"b": "2", "a": "1"}).value == 1.0
 
 
 class TestHistogram:

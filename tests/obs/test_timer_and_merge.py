@@ -48,7 +48,7 @@ class TestSnapshotMerge:
         source = self._populated()
         target = MetricsRegistry()
         target.merge(source.snapshot())
-        assert target.value("jobs_total", {"kind": "fit"}) == 3
+        assert target.counter("jobs_total", {"kind": "fit"}).value == 3
         hist = target.histogram("latency_seconds")
         assert hist.count == 2
         assert hist.sum == pytest.approx(1.75)
@@ -56,7 +56,7 @@ class TestSnapshotMerge:
     def test_merge_accumulates(self):
         target = self._populated()
         target.merge(self._populated().snapshot())
-        assert target.value("jobs_total", {"kind": "fit"}) == 6
+        assert target.counter("jobs_total", {"kind": "fit"}).value == 6
         assert target.histogram("latency_seconds").count == 4
 
     def test_merge_order_independent_totals(self):

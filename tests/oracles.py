@@ -37,6 +37,14 @@ obvious way, that the equivalence tests compare against:
   ``dataclasses.asdict``, which deep-copies every field.
   ``repro.platform.models.record_to_dict`` reads the fields directly;
   the JSON line of every record must be the same bytes.
+* :func:`ingest_check` — the server's line check before
+  ``repro.platform.models.check_record``: :func:`record_from_dict` (the
+  inverse of :func:`record_to_dict`) builds the record and an
+  ``InstalledAppInfo`` per initial-snapshot app, so the dataclasses'
+  constructors check the line, then the line's keys and value kinds are
+  checked against its schema.  ``check_record`` builds nothing and must
+  reach the same verdict on every line, except where it is stricter by
+  design (``tests/platform/test_check_record.py``).
 """
 
 from __future__ import annotations
@@ -53,12 +61,14 @@ from repro.core.app_features import APP_FEATURE_NAMES, NEVER_REVIEWED_SENTINEL_D
 from repro.core.device_features import DEVICE_FEATURE_NAMES
 from repro.core.observations import DeviceObservation
 from repro.ml import lvq
+from repro.frames import APP_CHANGE_SCHEMA, FAST_RUN_SCHEMA, INITIAL_SCHEMA, SLOW_RUN_SCHEMA
 from repro.ml.preprocessing import StandardScaler
 from repro.parallel import draw_seeds
 from repro.platform.models import (
     AppChangeEvent,
     FastSnapshotRun,
     InitialSnapshot,
+    InstalledAppInfo,
     SlowSnapshotRun,
 )
 from repro.simulation.clock import SECONDS_PER_DAY
@@ -140,6 +150,48 @@ def record_to_dict(record: Any) -> dict:
         payload["installed_apps"] = [asdict(a) for a in record.installed_apps]
     payload["_type"] = _TYPE_NAMES[cls]
     return payload
+
+
+_RECORD_TYPES = {name: cls for cls, name in _TYPE_NAMES.items()}
+
+
+def record_from_dict(payload: dict) -> Any:
+    """Inverse of :func:`record_to_dict`."""
+    payload = dict(payload)
+    type_name = payload.pop("_type", None)
+    if type_name not in _RECORD_TYPES:
+        raise ValueError(f"unknown record type {type_name!r}")
+    cls = _RECORD_TYPES[type_name]
+    if cls is InitialSnapshot:
+        payload["installed_apps"] = tuple(
+            InstalledAppInfo(**a) for a in payload["installed_apps"]
+        )
+    if cls is SlowSnapshotRun:
+        payload["accounts"] = tuple(tuple(pair) for pair in payload["accounts"])
+        payload["stopped_apps"] = tuple(payload["stopped_apps"])
+    return cls(**payload)
+
+
+_SCHEMAS = {
+    schema.name: schema
+    for schema in (SLOW_RUN_SCHEMA, FAST_RUN_SCHEMA, APP_CHANGE_SCHEMA, INITIAL_SCHEMA)
+}
+_KIND_TYPES = {"float": (float, int), "int": (int,), "bool": (bool,), "str": (str,)}
+
+
+def ingest_check(payload: Any) -> None:
+    """Raise ``ValueError`` or ``TypeError`` for a line the server used to
+    count as malformed; a ``KeyError`` escaped its ``receive_chunk``."""
+    record_from_dict(payload)
+    schema = _SCHEMAS[payload["_type"]]
+    if payload.keys() != set(schema.field_names):
+        raise TypeError(f"keys do not match schema {schema.name!r} fields")
+    for field in schema.fields:
+        if field.kind == "object":
+            continue
+        types = _KIND_TYPES[field.kind] + ((type(None),) if field.nullable else ())
+        if type(payload[field.name]) not in types:
+            raise TypeError(f"{schema.name}.{field.name}: value of the wrong kind")
 
 
 # -- observation accessors, one row at a time ------------------------------------

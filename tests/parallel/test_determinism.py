@@ -148,7 +148,7 @@ class TestExperimentDeterminism:
         finally:
             obs.reset()
         folds = {
-            model: registry.value("ml_folds_total", {"model": model})
+            model: registry.counter("ml_folds_total", {"model": model}).value
             for model in PAPER_ALGORITHMS
         }
         # Three folds per dataset; LR is app-only, SVM device-only.

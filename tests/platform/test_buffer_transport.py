@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.obs import MetricsRegistry
 from repro.platform.buffer import BACKOFF_BASE_S, THRESHOLD_BYTES, DataBuffer, chunk_hash
-from repro.platform.models import FastSnapshotRun, record_from_dict, record_to_dict
+from repro.platform.models import FastSnapshotRun, record_to_dict
 from repro.platform.transport import LossyTransport, Transport
+
+from tests.oracles import record_from_dict
 
 
 class Receiver:
@@ -189,8 +191,8 @@ class TestCounters:
                 transport = make(Receiver())
                 for kind, data in sends:
                     transport.send(kind, data)
-            assert registry.value("transport_chunks_sent_total", {"kind": "fast"}) == 2
-            assert registry.value("transport_chunks_sent_total", {"kind": "slow"}) == 1
+            assert registry.counter("transport_chunks_sent_total", {"kind": "fast"}).value == 2
+            assert registry.counter("transport_chunks_sent_total", {"kind": "slow"}).value == 1
             assert registry.value("transport_bytes_sent_total") == 105
 
     def test_lost_chunks_are_the_missing_acks(self):
@@ -217,10 +219,10 @@ class TestCounters:
             # Sealing an empty accumulation file makes no chunk.
             buffer.seal_all()
             buffer.flush(TestBackoffScheduling.Blackhole(), 0.0)
-        assert registry.value("buffer_chunks_sealed_total", {"kind": "fast"}) == 2
-        assert registry.value("buffer_chunks_sealed_total", {"kind": "slow"}) == 3
-        assert registry.value("buffer_dead_letters_total", {"kind": "fast"}) == 2
-        assert registry.value("buffer_dead_letters_total", {"kind": "slow"}) == 3
+        assert registry.counter("buffer_chunks_sealed_total", {"kind": "fast"}).value == 2
+        assert registry.counter("buffer_chunks_sealed_total", {"kind": "slow"}).value == 3
+        assert registry.counter("buffer_dead_letters_total", {"kind": "fast"}).value == 2
+        assert registry.counter("buffer_dead_letters_total", {"kind": "slow"}).value == 3
         assert buffer.dead_letter_chunks == 5
 
 
@@ -294,7 +296,7 @@ class TestBackoffScheduling:
         assert hole.sends == 3
         assert buffer.pending_chunks == 0
         assert buffer.dead_letter_chunks == 1
-        assert registry.value("buffer_dead_letters_total", {"kind": "fast"}) == 1
+        assert registry.counter("buffer_dead_letters_total", {"kind": "fast"}).value == 1
         assert buffer.requeue_dead_letters() == 1
         assert buffer.dead_letter_chunks == 0
         receiver = Receiver()

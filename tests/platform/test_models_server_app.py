@@ -14,7 +14,7 @@ from repro.platform.models import (
     InitialSnapshot,
     InstalledAppInfo,
     SlowSnapshotRun,
-    record_from_dict,
+    check_record,
     record_to_dict,
 )
 from repro.platform.server import RacketStoreServer, payment_for
@@ -22,6 +22,8 @@ from repro.platform.transport import Transport
 from repro.platform.mobile_app import RacketStoreApp, SignInError
 from repro.simulation.device import SimDevice
 from repro.simulation.clock import SECONDS_PER_DAY
+
+from tests.oracles import record_from_dict
 
 
 def _run_count(start: float, end: float, period: float) -> int:
@@ -70,7 +72,7 @@ class TestModels:
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
-            record_from_dict({"_type": "mystery"})
+            check_record({"_type": "mystery"})
 
     def test_pii_registry_matches_table3(self):
         assert len(PII_REGISTRY) == 6
@@ -251,6 +253,14 @@ MALFORMED_LINES = {
     "negative-period": edited_line(SLOW, period=-120.0),
     "json-array": "[1, 2]",
     "json-array-of-pairs": json.dumps(list(record_to_dict(FAST).items())),
+    "slow-run-missing-accounts": edited_line(SLOW, accounts=_DELETE),
+    "slow-run-missing-stopped-apps": edited_line(SLOW, stopped_apps=_DELETE),
+    "initial-missing-apps": edited_line(INITIAL, installed_apps=_DELETE),
+    "initial-app-missing-key": edited_line(
+        INITIAL, installed_apps=[{"package": "com.app"}]
+    ),
+    "overflowing-battery": edited_line(FAST, battery=0.5).replace('"battery": 0.5', '"battery": 1e999'),
+    "negative-infinite-timestamp": edited_line(CHANGE, timestamp=float("-inf")),
 }
 
 
@@ -288,3 +298,17 @@ class TestIngestValidation:
         ingest(server, line)
         assert server.stats.malformed_records == 0
         assert server.stats.records_inserted == 1
+
+    def test_non_finite_times_are_malformed(self, server):
+        # Python's json decodes NaN and Infinity; a run holding either has
+        # no snapshot count, so ingest must not store it.
+        ingest(
+            server,
+            edited_line(FAST),
+            edited_line(FAST, start=float("nan")),
+            edited_line(FAST, end=float("inf")),
+        )
+        assert server.stats.malformed_records == 2
+        assert server.stats.records_inserted == 1
+        assert server.snapshot_count(IID) == 13
+        assert server.observation_interval(IID) == (0.0, 60.0)
